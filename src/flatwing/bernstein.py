@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,11 +45,13 @@ def basis_row(n: int, u: float) -> np.ndarray:
     return row
 
 
+@functools.lru_cache(maxsize=None)
 def difference_stencil(n: int, k: int) -> np.ndarray:
     """Unscaled k-th forward-difference stencil, shape (n+1-k, n+1).
 
     Maps control points to the (unscaled) control points of the k-th
     derivative; repeated convolution with [-1, 1]. Every row sums to zero.
+    Cached per (n, k) and returned read-only.
     """
     if k < 0 or k > n:
         raise ValueError(f"difference order {k} invalid for degree {n}")
@@ -60,6 +63,7 @@ def difference_stencil(n: int, k: int) -> np.ndarray:
         D[idx, idx] = -1.0
         D[idx, idx + 1] = 1.0
         S = D @ S
+    S.setflags(write=False)
     return S
 
 
@@ -121,11 +125,21 @@ class BernsteinSegment:
         return self.tf - self.t0
 
 
-def _de_casteljau(points: np.ndarray, u: float):
-    b = np.array(points)
-    n = b.shape[0] - 1
-    for r in range(n):
-        b[: n - r] = (1.0 - u) * b[: n - r] + u * b[1 : n - r + 1]
+def _de_casteljau(points: np.ndarray, u):
+    """De Casteljau recursion at u: a scalar, or a 1-D array of S samples.
+
+    For an array the samples lead the result's shape, (S,) or (S, d), and
+    each sample goes through the same floating-point operations as a
+    scalar call, so the two agree bit for bit.
+    """
+    b = points
+    if np.ndim(u):
+        u = np.asarray(u, dtype=float).reshape((1, -1) + (1,) * (points.ndim - 1))
+        b = np.broadcast_to(points[:, None], points.shape[:1] + u.shape[1:2] + points.shape[1:])
+    if points.shape[0] == 1:
+        return np.array(b[0])  # a copy, not a view of the control points
+    for _ in range(points.shape[0] - 1):
+        b = (1.0 - u) * b[:-1] + u * b[1:]
     return b[0]
 
 
@@ -194,16 +208,39 @@ class PiecewiseTrajectory:
             raise DomainError(f"t={t} outside trajectory domain [{self.t_start}, {self.t_end}]")
         return bisect.bisect_right(self._t_interior, t)
 
+    def velocity_acceleration(self, ts):
+        """Velocity and acceleration at each of S times: (S,) or (S, d) arrays.
+
+        Picks segments and clamps u exactly as `eval` does, through the same
+        de Casteljau kernel, so each row equals `eval`'s bit for bit.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and (ts.min() < self.t_start - 1e-9 or ts.max() > self.t_end + 1e-9):
+            raise DomainError(
+                f"times [{ts.min()}, {ts.max()}] outside trajectory domain "
+                f"[{self.t_start}, {self.t_end}]"
+            )
+        idx = np.searchsorted(self._t_interior, ts, side="right")
+        shape = (ts.size,) + self.segments[0].control_points.shape[1:]
+        vel = np.zeros(shape)
+        acc = np.zeros(shape)
+        for j in np.unique(idx):
+            sel = idx == j
+            seg = self.segments[j]
+            u = (np.minimum(np.maximum(ts[sel], seg.t0), seg.tf) - seg.t0) / seg.duration
+            for out, dseg in zip((vel, acc), self._derivs[j][1:3]):
+                if dseg is not None:
+                    out[sel] = _de_casteljau(dseg.control_points, u)
+        return vel, acc
+
     def eval(self, t: float):
         """Return (position, velocity, acceleration, jerk) at time t."""
         j = self.segment_index(t)
         seg = self.segments[j]
-        zero = np.zeros_like(np.asarray(seg.control_points[0], dtype=float))
-        out = []
-        for k in range(4):
-            dseg = self._derivs[j][k]
-            out.append(eval_segment(dseg, t) if dseg is not None else zero)
-        return tuple(out)
+        u = (min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration
+        zero = np.zeros(seg.control_points.shape[1:])
+        return tuple(_de_casteljau(dseg.control_points, u) if dseg is not None else zero
+                     for dseg in self._derivs[j])
 
 
 def eval_piecewise(traj: PiecewiseTrajectory, t: float):
@@ -237,8 +274,8 @@ def arc_length(traj, n_samples: int = 128) -> float:
     if isinstance(traj, PiecewiseTrajectory):
         return sum(arc_length(seg, n_samples) for seg in traj.segments)
     seg = traj
-    ts = np.linspace(seg.t0, seg.tf, n_samples + 1)
-    pts = np.stack([np.atleast_1d(eval_segment(seg, t)) for t in ts])
+    u = (np.linspace(seg.t0, seg.tf, n_samples + 1) - seg.t0) / seg.duration
+    pts = _de_casteljau(seg.control_points, u).reshape(n_samples + 1, -1)
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
 
@@ -260,35 +297,43 @@ def write_trajectory(traj: PiecewiseTrajectory, f) -> None:
 
 
 def read_trajectory(f) -> PiecewiseTrajectory:
-    """Parse a serialized trajectory (file object or path)."""
+    """Parse one serialized trajectory block (file object or path).
+
+    Malformed or truncated input raises ValueError naming the record that
+    was expected and the line where it was missing.
+    """
     if not hasattr(f, "read"):
         with open(f) as fh:
             return read_trajectory(fh)
-    lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
-    pos = 0
-    out = []
-    while pos < len(lines):
-        if lines[pos] != "trajectory v1":
-            raise ValueError(f"unrecognized trajectory header: {lines[pos]!r}")
-        pos += 1
-        tok = lines[pos].split()
-        if tok[0] != "segments":
-            raise ValueError(f"expected segment count, got {lines[pos]!r}")
-        m = int(tok[1])
-        pos += 1
-        segs = []
-        for _ in range(m):
-            tok = lines[pos].split()
-            if tok[0] != "segment":
-                raise ValueError(f"expected segment record, got {lines[pos]!r}")
-            n, t0, tf = int(tok[1]), float(tok[2]), float(tok[3])
-            pos += 1
-            pts = []
-            for _ in range(n + 1):
-                pts.append([float(c) for c in lines[pos].split()])
-                pos += 1
-            segs.append(BernsteinSegment(np.array(pts), t0, tf))
-        out.append(PiecewiseTrajectory(segs))
-    if len(out) != 1:
-        raise ValueError(f"expected exactly one trajectory block, found {len(out)}")
-    return out[0]
+    raw = f.read().splitlines()
+    records = iter([(i, ln.strip()) for i, ln in enumerate(raw, start=1)
+                    if ln.strip() and not ln.startswith("#")])
+
+    def take(what):
+        rec = next(records, None)
+        if rec is None:
+            raise ValueError(f"line {len(raw) + 1}: expected {what}, found end of input")
+        return rec
+
+    i, ln = take("header 'trajectory v1'")
+    if ln != "trajectory v1":
+        raise ValueError(f"line {i}: unrecognized trajectory header: {ln!r}")
+    i, ln = take("segment count")
+    tok = ln.split()
+    if len(tok) != 2 or tok[0] != "segments":
+        raise ValueError(f"line {i}: expected segment count, got {ln!r}")
+    segs = []
+    for j in range(int(tok[1])):
+        i, ln = take(f"segment record {j}")
+        tok = ln.split()
+        if len(tok) != 4 or tok[0] != "segment":
+            raise ValueError(f"line {i}: expected segment record {j}, got {ln!r}")
+        n, t0, tf = int(tok[1]), float(tok[2]), float(tok[3])
+        pts = [[float(c) for c in take(f"control point {r} of segment {j}")[1].split()]
+               for r in range(n + 1)]
+        segs.append(BernsteinSegment(np.array(pts), t0, tf))
+    extra = next(records, None)
+    if extra is not None:
+        raise ValueError(f"line {extra[0]}: expected exactly one trajectory block, "
+                         f"got {extra[1]!r} after it")
+    return PiecewiseTrajectory(segs)

@@ -373,8 +373,12 @@ def write_csv(log: SimLog, dest) -> None:
         dest.write(",".join(cells) + "\n")
 
 
-def metrics(log: SimLog, events=None) -> dict:
-    """Tracking and replanning summary statistics for a finished run."""
+def metrics(log: SimLog, events=None, handoff_budget: float | None = None) -> dict:
+    """Tracking and replanning summary statistics for a finished run.
+
+    With a handoff budget, `n_replans_over_budget` counts the replans whose
+    wall-clock solve time exceeded it.
+    """
     data = log.columns()
     if data.size == 0:
         raise ValueError("empty log")
@@ -397,6 +401,9 @@ def metrics(log: SimLog, events=None) -> dict:
         acc = [e for e in events if e.accepted]
         out["n_replans"] = len(events)
         out["n_replans_accepted"] = len(acc)
+        if handoff_budget is not None:
+            out["n_replans_over_budget"] = sum(e.solve_time > handoff_budget
+                                               for e in events)
         out["qp_iterations_max"] = max((e.iterations for e in events), default=0)
         if events:
             topt = [e.solve_time for e in events]
@@ -610,5 +617,5 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             break
         k += 1
 
-    mets = metrics(log, events) if log.rows else {}
+    mets = metrics(log, events, mcfg.handoff_budget) if log.rows else {}
     return MissionResult(log, events, mets, aborted, abort_reason)

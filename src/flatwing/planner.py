@@ -9,6 +9,7 @@ ahead so the swap is continuous.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,24 +269,31 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
 
 
 def curvature(v_xy, a_xy, v_eps: float = V_EPS):
-    """Planar curvature and its gradient wrt (vx, vy, ax, ay)."""
-    vx, vy = float(v_xy[0]), float(v_xy[1])
-    ax, ay = float(a_xy[0]), float(a_xy[1])
+    """Planar curvature and its gradient wrt (vx, vy, ax, ay).
+
+    Takes one sample as 2-vectors, giving a scalar curvature and a (4,)
+    gradient, or S samples as (S, 2) arrays, giving (S,) and (S, 4).
+    """
+    v = np.asarray(v_xy, dtype=float)
+    a = np.asarray(a_xy, dtype=float)
+    vx, vy = v[..., 0], v[..., 1]
+    ax, ay = a[..., 0], a[..., 1]
     s2 = vx * vx + vy * vy
-    if s2 < v_eps * v_eps:
+    slow = np.flatnonzero(s2 < v_eps * v_eps)
+    if slow.size:
         raise FlatnessSingularityError(
-            f"planar speed {np.sqrt(s2):.3f} m/s below {v_eps} m/s"
+            f"planar speed {np.sqrt(np.ravel(s2)[slow[0]]):.3f} m/s below {v_eps} m/s"
         )
     c = vx * ay - vy * ax
     s15 = s2**1.5
     s25 = s2**2.5
     kappa = c / s15
-    grad = np.array([
+    grad = np.stack([
         ay / s15 - 3.0 * vx * c / s25,
         -ax / s15 - 3.0 * vy * c / s25,
         -vy / s15,
         vx / s15,
-    ])
+    ], axis=-1)
     return kappa, grad
 
 
@@ -301,44 +309,55 @@ def straight_line_reference(waypoints, cruise_speed: float, t0: float = 0.0):
     return PiecewiseTrajectory(segs)
 
 
+@functools.lru_cache(maxsize=None)
+def _curvature_basis(n: int, n_samples: int):
+    """Sample parameters and unscaled velocity/acceleration rows, read-only.
+
+    At u_k = (k + 1/2)/n_samples, row k of the two (n_samples, n+1) arrays
+    is basis_row(n-1, u_k) @ S1 and basis_row(n-2, u_k) @ S2, with S_j the
+    difference stencils; a segment's rows are these times derivative_scale.
+    """
+    u = (np.arange(n_samples) + 0.5) / n_samples
+    w_v = np.array([basis_row(n - 1, uk) for uk in u]) @ difference_stencil(n, 1)
+    w_a = np.array([basis_row(n - 2, uk) for uk in u]) @ difference_stencil(n, 2)
+    for arr in (u, w_v, w_a):
+        arr.setflags(write=False)
+    return u, w_v, w_a
+
+
 def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerConfig,
                                 durations, t0: float = 0.0):
     """Taylor-linearized curvature rows at collocation times per segment.
 
     Linearization points come from the previous trajectory evaluated at the
-    matching absolute times (clamped to its domain).
+    matching absolute times (clamped to its domain), all in one batch.
     """
     n = config.degree
     durations = np.asarray(durations, dtype=float)
     M = durations.size
+    K = config.n_curv_samples
     N = 3 * M * (n + 1)
     if not (np.isfinite(config.kappa_min) or np.isfinite(config.kappa_max)):
         return np.zeros((0, N)), np.zeros(0), np.zeros(0)
-    rows, lo, hi = [], [], []
-    seg_start = t0
-    for m, d in enumerate(durations):
-        D1 = derivative_map(n, 1, d).matrix
-        D2 = derivative_map(n, 2, d).matrix
-        for k in range(config.n_curv_samples):
-            u = (k + 0.5) / config.n_curv_samples
-            t_abs = seg_start + u * d
-            t_prev = min(max(t_abs, prev_traj.t_start), prev_traj.t_end)
-            _, vel, acc, _ = prev_traj.eval(t_prev)
-            kbar, grad = curvature(vel[:2], acc[:2], config.v_eps)
-            w_v = basis_row(n - 1, u) @ D1
-            w_a = basis_row(n - 2, u) @ D2
-            row = np.zeros(N)
-            ix = _idx(m, 0, 0, n)
-            iy = _idx(m, 1, 0, n)
-            row[ix : ix + n + 1] = grad[0] * w_v + grad[2] * w_a
-            row[iy : iy + n + 1] = grad[1] * w_v + grad[3] * w_a
-            c0 = kbar - (grad[0] * vel[0] + grad[1] * vel[1]
-                         + grad[2] * acc[0] + grad[3] * acc[1])
-            rows.append(row)
-            lo.append(config.kappa_min - c0)
-            hi.append(config.kappa_max - c0)
-        seg_start += d
-    return np.array(rows), np.array(lo), np.array(hi)
+    u, w_v, w_a = _curvature_basis(n, K)
+    seg_start = np.cumsum(np.concatenate([[t0], durations]))[:-1]
+    t_abs = seg_start[:, None] + u * durations[:, None]
+    t_prev = np.minimum(np.maximum(t_abs, prev_traj.t_start), prev_traj.t_end)
+    vel, acc = prev_traj.velocity_acceleration(t_prev.ravel())
+    kbar, grad = curvature(vel[:, :2], acc[:, :2], config.v_eps)
+    c0 = kbar - (grad[:, 0] * vel[:, 0] + grad[:, 1] * vel[:, 1]
+                 + grad[:, 2] * acc[:, 0] + grad[:, 3] * acc[:, 1])
+
+    # Block (segment m, sample k) of A touches only segment m's x and y
+    # control points: A viewed as (M, K, M, 3, n+1) is zero off m == m'.
+    g = grad.reshape(M, K, 4, 1)
+    W_v = derivative_scale(n, 1, durations)[:, None, None] * w_v
+    W_a = derivative_scale(n, 2, durations)[:, None, None] * w_a
+    A = np.zeros((M, K, M, 3, n + 1))
+    seg = np.arange(M)
+    A[seg, :, seg, 0] = g[:, :, 0] * W_v + g[:, :, 2] * W_a
+    A[seg, :, seg, 1] = g[:, :, 1] * W_v + g[:, :, 3] * W_a
+    return A.reshape(M * K, N), config.kappa_min - c0, config.kappa_max - c0
 
 
 def assemble(wps: WaypointSequence, config: PlannerConfig,

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import (
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-    lu_factor,
-    lu_solve,
-)
+from scipy.linalg import cho_factor, cholesky_banded, lu_factor, lu_solve
+from scipy.linalg.lapack import dpbtrs, dpotrs
 from scipy.sparse.linalg import splu
 
 
@@ -162,10 +156,8 @@ def _ruiz_equilibrate(Q, q, A, iters):
                 np.abs(As).max(axis=0) if m else np.zeros(n),
             )
             cz = np.abs(As).max(axis=1) if m else np.zeros(0)
-        dx = 1.0 / np.sqrt(np.clip(cx, 1e-8, None))
-        dz = 1.0 / np.sqrt(np.clip(cz, 1e-8, None))
-        dx = np.clip(dx, 1e-4, 1e4)
-        dz = np.clip(dz, 1e-4, 1e4)
+        dx = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(cx, 1e-8)), 1e-4), 1e4)
+        dz = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(cz, 1e-8)), 1e-4), 1e4)
         if sparse:
             _scale_csr(Qs, dx, dx)
             _scale_csr(As, dz, dx)
@@ -223,14 +215,23 @@ class _KktOperator:
                     ab[k, : n - k] = band_diag(k)
                 self._factor = cholesky_banded(ab, lower=True)
             else:
-                self._factor = cho_factor(K_dense, lower=True)
+                self._factor, _ = cho_factor(K_dense, lower=True)
         except np.linalg.LinAlgError as exc:
             raise IllPosedProblem(str(exc)) from exc
 
     def solve(self, rhs):
-        if self.banded:
-            return cho_solve_banded((self._factor, True), rhs)
-        return cho_solve(self._factor, rhs)
+        # LAPACK's triangular solves on the lower factor, as scipy's
+        # cho_solve/cho_solve_banded would call them, without those
+        # wrappers' per-call finiteness scan of the factor (it was checked
+        # when it was made), which costs more than the solve itself on a
+        # replan's small systems.
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        trs = dpbtrs if self.banded else dpotrs
+        x, info = trs(self._factor, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal {trs.__name__}")
+        return x
 
     def ax(self, x):
         return self._A @ x
@@ -364,7 +365,8 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
         if m:
             z_t = op.ax(x_t)
             z_pre = s.alpha * z_t + (1.0 - s.alpha) * z
-            z = np.clip(z_pre + y / rho, ls, us)
+            # np.clip's arithmetic, with less per-call dispatch.
+            z = np.minimum(np.maximum(z_pre + y / rho, ls), us)
             y = y + rho * (z_pre - z)
 
         if it % s.check_every == 0 or it == s.max_iter:

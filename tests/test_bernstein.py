@@ -317,6 +317,45 @@ def test_piecewise_domain_error():
         bz.eval_piecewise(traj, 2.01)
 
 
+def test_batched_velocity_acceleration_equals_eval_bit_for_bit():
+    rng = np.random.default_rng(12)
+    segs = []
+    t = 0.5
+    prev_end = rng.normal(size=3) * 50
+    for n, dur in ((7, 2.0), (2, 0.7), (9, 3.1), (1, 1.3), (5, 0.25)):
+        cps = rng.normal(size=(n + 1, 3)) * 50
+        cps[0] = prev_end
+        prev_end = cps[-1]
+        segs.append(bz.BernsteinSegment(cps, t, t + dur))
+        t += dur
+    traj = bz.PiecewiseTrajectory(segs)
+    ts = np.concatenate([
+        rng.uniform(traj.t_start, traj.t_end, 240),
+        [traj.t_start, traj.t_end, traj.t_end + 5e-10, traj.t_start - 5e-10],
+        traj.junction_times,  # exact junctions belong to the later segment
+    ])
+    vel, acc = traj.velocity_acceleration(ts)
+    assert vel.shape == acc.shape == (ts.size, 3)
+    for t, v, a in zip(ts, vel, acc):
+        _, v_ref, a_ref, _ = traj.eval(t)
+        assert np.array_equal(v, v_ref) and np.array_equal(a, a_ref)
+    with pytest.raises(bz.DomainError):
+        traj.velocity_acceleration([traj.t_start, traj.t_end + 0.01])
+
+
+def test_batched_velocity_acceleration_of_scalar_trajectory():
+    traj = bz.PiecewiseTrajectory([
+        bz.BernsteinSegment(np.array([0.0, 10.0]), 0.0, 1.0),
+        bz.BernsteinSegment(np.array([10.0, 11.0, 6.0]), 1.0, 2.0),
+    ])
+    ts = np.linspace(0.0, 2.0, 9)
+    vel, acc = traj.velocity_acceleration(ts)
+    assert vel.shape == acc.shape == (9,)
+    for t, v, a in zip(ts, vel, acc):
+        _, v_ref, a_ref, _ = traj.eval(t)
+        assert v == v_ref and a == a_ref
+
+
 # ---------------------------------------------------------------- arc length
 
 
@@ -386,3 +425,21 @@ def test_serialization_via_path(tmp_path):
     back = bz.read_trajectory(p)
     assert np.array_equal(back.segments[1].control_points,
                           traj.segments[1].control_points)
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("trajectory v1\n", "line 2: expected segment count"),
+    ("trajectory v1\nsegments 1\n", "line 3: expected segment record 0"),
+    ("trajectory v1\nsegments 1\nsegment 2 0 1\n0 0 0\n1 0 0\n",
+     "line 6: expected control point 2 of segment 0"),
+])
+def test_read_trajectory_truncated_input_names_missing_record(text, missing):
+    with pytest.raises(ValueError, match=missing):
+        bz.read_trajectory(io.StringIO(text))
+
+
+def test_read_trajectory_rejects_a_second_block():
+    buf = io.StringIO()
+    bz.write_trajectory(two_segment_trajectory(), buf)
+    with pytest.raises(ValueError, match="exactly one trajectory block"):
+        bz.read_trajectory(io.StringIO(buf.getvalue() * 2))

@@ -79,7 +79,10 @@ def test_simulate_command_writes_log_and_summary(mission_file, tmp_path, capsys)
     assert len(lines) > 1000
     summary = (out / "summary.txt").read_text()
     assert "rmse_pos" in summary
-    assert "rmse_pos" in capsys.readouterr().out
+    assert "n_replans_over_budget" in summary
+    printed = capsys.readouterr().out
+    assert "rmse_pos" in printed
+    assert "n_replans_over_budget" in printed
 
 
 def test_simulate_command_aborted_mission(tmp_path, capsys):

@@ -292,6 +292,21 @@ def test_metrics_event_statistics():
         ms.metrics(ms.SimLog())
 
 
+def test_metrics_count_replans_over_budget():
+    ev = [
+        ms.ReplanEvent(0.1, 0, "solved", 50, 1.0, 0.01, True),
+        ms.ReplanEvent(0.2, 0, "solved", 80, 1.0, 0.05, True),  # at the budget
+        ms.ReplanEvent(0.3, 0, "solved", 900, 1.0, 0.0501, True),
+        ms.ReplanEvent(0.4, 0, "rejected", 0, 0.0, 0.2, False),
+    ]
+    m = ms.metrics(synthetic_log(), ev, handoff_budget=0.05)
+    assert m["n_replans_over_budget"] == 2
+    assert ms.metrics(synthetic_log(), ev[:2], 0.05)["n_replans_over_budget"] == 0
+    assert ms.metrics(synthetic_log(), [], 0.05)["n_replans_over_budget"] == 0
+    # without a budget the count is not reported
+    assert "n_replans_over_budget" not in ms.metrics(synthetic_log(), ev)
+
+
 def test_write_summary_round_trip(tmp_path):
     path = tmp_path / "summary.txt"
     ms.write_summary({"rmse_pos": 0.125, "n_replans": 7}, path)

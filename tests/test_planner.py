@@ -237,6 +237,76 @@ def test_curvature_rows_one_per_sample():
     assert A0.shape[0] == 0
 
 
+def scalar_curvature_rows(prev, cfg, durations, t0):
+    """One row per sample from curvature(), basis_row and derivative_map."""
+    from flatwing.bernstein import basis_row, derivative_map
+
+    n = cfg.degree
+    N = 3 * len(durations) * (n + 1)
+    rows, lo, hi = [], [], []
+    seg_start = t0
+    for m, d in enumerate(durations):
+        D1 = derivative_map(n, 1, d).matrix
+        D2 = derivative_map(n, 2, d).matrix
+        for k in range(cfg.n_curv_samples):
+            u = (k + 0.5) / cfg.n_curv_samples
+            t = min(max(seg_start + u * d, prev.t_start), prev.t_end)
+            _, vel, acc, _ = prev.eval(t)
+            kbar, grad = pl.curvature(vel[:2], acc[:2], cfg.v_eps)
+            w_v = basis_row(n - 1, u) @ D1
+            w_a = basis_row(n - 2, u) @ D2
+            row = np.zeros(N)
+            i0 = m * 3 * (n + 1)
+            row[i0 : i0 + n + 1] = grad[0] * w_v + grad[2] * w_a
+            row[i0 + n + 1 : i0 + 2 * (n + 1)] = grad[1] * w_v + grad[3] * w_a
+            c0 = kbar - (grad[0] * vel[0] + grad[1] * vel[1]
+                         + grad[2] * acc[0] + grad[3] * acc[1])
+            rows.append(row)
+            lo.append(cfg.kappa_min - c0)
+            hi.append(cfg.kappa_max - c0)
+        seg_start += d
+    return np.array(rows), np.array(lo), np.array(hi)
+
+
+def test_batched_curvature_rows_match_scalar_reference():
+    turn = pl.plan(dogleg(60.0), pl.PlannerConfig(kappa_min=-np.inf, kappa_max=np.inf))
+    prev = turn.trajectory
+    # a horizon starting mid-turn and running past the trajectory's end, so
+    # the last samples clamp to its domain
+    durations = [3.0, 2.5, 15.0]
+    for cfg in (pl.PlannerConfig(), pl.PlannerConfig(degree=9, n_curv_samples=7)):
+        A, lo, hi = pl.build_curvature_constraints(prev, cfg, durations, t0=7.3)
+        A_ref, lo_ref, hi_ref = scalar_curvature_rows(prev, cfg, durations, 7.3)
+        assert A.shape == A_ref.shape == (3 * cfg.n_curv_samples, 9 * (cfg.degree + 1))
+        assert np.abs(A - A_ref).max() <= 1e-12
+        assert np.abs(lo - lo_ref).max() <= 1e-12
+        assert np.abs(hi - hi_ref).max() <= 1e-12
+        # the reference turns: the linearization varies from sample to sample
+        assert np.ptp(lo_ref) > 1e-3
+
+
+def test_batched_curvature_rows_reject_a_slow_reference():
+    slow = pl.straight_line_reference([[0, 0, 0], [10, 0, 0], [10, 1, 0]], 0.2)
+    with pytest.raises(FlatnessSingularityError, match="planar speed 0.200 m/s"):
+        pl.build_curvature_constraints(slow, pl.PlannerConfig(), [20.0])
+
+
+def test_batched_curvature_matches_scalar_calls():
+    rng = np.random.default_rng(3)
+    ang = rng.uniform(-np.pi, np.pi, 50)
+    v = rng.uniform(2.0, 25.0, 50)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    a = rng.normal(size=(50, 2)) * 3
+    kappa, grad = pl.curvature(v, a)
+    assert kappa.shape == (50,) and grad.shape == (50, 4)
+    for i in range(50):
+        k_i, g_i = pl.curvature(v[i], a[i])
+        assert abs(kappa[i] - k_i) <= 1e-15 * max(1.0, abs(k_i))
+        assert np.abs(grad[i] - g_i).max() <= 1e-15 * max(1.0, np.abs(g_i).max())
+    v[[7, 30]] = [[0.1, 0.0], [0.0, 0.05]]
+    with pytest.raises(FlatnessSingularityError, match="planar speed 0.100 m/s"):
+        pl.curvature(v, a)
+
+
 # ---------------------------------------------------------------- plan
 
 

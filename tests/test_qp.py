@@ -247,3 +247,17 @@ def test_max_iterations_status_is_honest():
     )
     assert sol.status == "max-iterations"
     assert sol.iterations == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kkt_solve_rejects_non_finite_right_hand_side(bad):
+    rng = np.random.default_rng(4)
+    for n, A in ((6, rng.normal(size=(3, 6))),  # dense factor
+                 (40, np.eye(40))):  # narrow band: banded factor
+        op = qp._KktOperator(np.eye(n), A, np.full(A.shape[0], 0.1), 1e-6)
+        assert op.banded == (n == 40)
+        rhs = np.ones(n)
+        assert np.all(np.isfinite(op.solve(rhs)))
+        rhs[n // 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            op.solve(rhs)
