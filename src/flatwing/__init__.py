@@ -29,7 +29,6 @@ from .qp import (
     QpSolution,
     kkt_residuals,
     solve_qp,
-    solve_time_series,
 )
 from .flatness import (
     CommandedInput,

@@ -65,8 +65,6 @@ def _cmd_plan(args) -> int:
 def _cmd_simulate(args) -> int:
     plan = _load_mission(args.mission)
     aero, wind, mcfg = _load_setup(args)
-    if args.measure_solve_time:
-        mcfg.measure_solve_time = True
     result = msn.run_mission(plan, params=aero, wind=wind, mcfg=mcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,8 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mission", required=True, help="mission file")
     p.add_argument("--params", help="parameter file (airframe and wind)")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--measure-solve-time", action="store_true",
-                   help="log wall-clock replan times instead of the fixed budget")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="time the planner across problem sizes")

@@ -107,7 +107,6 @@ class MissionConfig:
     leg_freeze: float = 1.5  # no replans this close to the leg end
     wp_lead: float = 0.5  # drop waypoints closer than this (seconds) ahead
     tau_att: float = 0.1
-    measure_solve_time: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.dt <= 0.02:
@@ -577,7 +576,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                                      settings=settings, warm=phase.last_qp)
                 wall = time.perf_counter() - tic
                 replan_flag = 1
-                t_opt = wall if mcfg.measure_solve_time else mcfg.handoff_budget
+                t_opt = mcfg.handoff_budget
                 events.append(ReplanEvent(t, phase.index, res.status,
                                           res.iterations, res.objective,
                                           wall, res.ok))

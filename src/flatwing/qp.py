@@ -5,6 +5,13 @@ encoded as l == u. The KKT system is factored up front (banded Cholesky
 when the reduced matrix is narrow-banded, dense Cholesky otherwise) and
 refactored only when the penalty rebalances, so iterations stay cheap,
 which suits repeated solves at a fixed rate with warm starting.
+
+Polish doubles as an early stop. ADMM converges only linearly once it has
+found the active set, so when the active set read off the duals is the
+same at two consecutive residual checks, one KKT solve on it is tried;
+its answer is accepted, ending the solve, if it meets the ADMM tolerance
+test and every active multiplier has its bound's sign. After a solve
+that converged without that, the same polish refines the ADMM answer.
 """
 
 from __future__ import annotations
@@ -38,6 +45,25 @@ class QpSettings:
     stagnation_iters: int = 200
     adaptive_rho: bool = True
     adaptive_rho_tolerance: float = 5.0
+
+    def __post_init__(self):
+        # Coerce first, so an int rho cannot reach numpy's in-place float
+        # updates; `not v > 0` also rejects NaN.
+        for name in ("eps_abs", "eps_rel", "rho", "sigma", "alpha",
+                     "eps_infeasible", "adaptive_rho_tolerance"):
+            setattr(self, name, float(getattr(self, name)))
+        for name in ("max_iter", "check_every", "scaling_iters", "stagnation_iters"):
+            v = getattr(self, name)
+            if int(v) != v:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            setattr(self, name, int(v))
+        for name in ("eps_abs", "eps_rel", "eps_infeasible", "rho", "sigma", "max_iter"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.check_every < 1:
+            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
+        if not 0.0 < self.alpha < 2.0:
+            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
 
 
 class QpProblem:
@@ -264,18 +290,27 @@ def _infeasibility_certificate(prob: QpProblem, dy, eps) -> bool:
     return support <= -eps
 
 
-def _polish(prob: QpProblem, x, y):
-    """Re-solve on the detected active set for high-accuracy primal/dual values.
+def _active_set(prob: QpProblem, y):
+    """Rows the polish treats as active, as masks (eq, low, upp).
 
     Classification is by dual sign with a tolerance: converged inactive
     multipliers are zero only up to cancellation error, a dozen orders of
     magnitude below the genuine ones. Equality rows always stay active.
     """
-    n = prob.n
     tol = 1e-12 * max(1.0, _inf_norm(y))
     eq = (prob.u - prob.l) < 1e-9
-    low = (y < -tol) & ~eq
-    upp = (y > tol) & ~eq
+    return eq, (y < -tol) & ~eq, (y > tol) & ~eq
+
+
+def _polish(prob: QpProblem, active):
+    """Re-solve on the active set for high-accuracy primal/dual values.
+
+    Returns (x, y, primal residual, dual residual), the residuals from
+    `kkt_residuals`, or None when the KKT solve fails. The result depends
+    on the active set alone, not on the ADMM iterate that suggested it.
+    """
+    n = prob.n
+    eq, low, upp = active
     A_act = np.vstack([prob.A[eq], prob.A[low], prob.A[upp]])
     b_act = np.concatenate([prob.l[eq], prob.l[low], prob.u[upp]])
     k = A_act.shape[0]
@@ -316,7 +351,23 @@ def _polish(prob: QpProblem, x, y):
     y_p[eq] = sol[n : n + n_eq]
     y_p[low] = sol[n + n_eq : n + n_eq + n_low]
     y_p[upp] = sol[n + n_eq + n_low :]
-    return x_p, y_p
+    return (x_p, y_p, *kkt_residuals(prob, x_p, y_p))
+
+
+def _polish_is_optimal(prob: QpProblem, s: QpSettings, active, x, y, prim, dual) -> bool:
+    """Early-stop test for a polished point: ADMM's own tolerance test,
+    evaluated there, and every active multiplier's sign matching its bound
+    (a wrong active set can meet the residual tests with a wrong sign)."""
+    _, low, upp = active
+    ax = prob.A @ x
+    eps_prim = s.eps_abs + s.eps_rel * max(
+        _inf_norm(ax), _inf_norm(np.clip(ax, prob.l, prob.u))
+    )
+    eps_dual = s.eps_abs + s.eps_rel * max(
+        _inf_norm(prob.Q @ x), _inf_norm(prob.A.T @ y), _inf_norm(prob.q)
+    )
+    return (prim <= eps_prim and dual <= eps_dual
+            and bool(np.all(y[low] <= 0.0)) and bool(np.all(y[upp] >= 0.0)))
 
 
 def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
@@ -356,6 +407,9 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     y_at_check = y.copy()
     best_prim = np.inf
     stagnant = 0
+    polished = False
+    prev_active = None
+    tried = False
 
     while it < s.max_iter:
         it += 1
@@ -390,6 +444,27 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
             if prim <= eps_prim and dual <= eps_dual:
                 status = "solved"
                 break
+            if s.polish and m:
+                # Once the active set holds from one check to the next, one
+                # KKT solve on it may already give the optimum that the
+                # remaining iterations would only approach linearly. The
+                # polish depends on the active set alone, so a set that was
+                # tried and rejected is not tried again while it holds.
+                active = _active_set(prob, (E / c) * y)
+                if (prev_active is not None
+                        and np.array_equal(active[1], prev_active[1])
+                        and np.array_equal(active[2], prev_active[2])):
+                    if not tried:
+                        tried = True
+                        res = _polish(prob, active)
+                        if res is not None and _polish_is_optimal(prob, s, active, *res):
+                            x_u, y_u, prim, dual = res
+                            status = "solved"
+                            polished = True
+                            break
+                else:
+                    tried = False
+                prev_active = active
             if prim < best_prim - 1e-12 * max(1.0, best_prim):
                 best_prim = prim
                 stagnant = 0
@@ -417,16 +492,13 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                     rho[eq] *= 1e3
                     op = _KktOperator(Qs, As, rho, s.sigma)
 
-    x_u = D * x
-    y_u = (E / c) * y if m else np.zeros(0)
-    polished = False
-    if status == "solved" and s.polish:
-        res = _polish(prob, x_u, y_u)
-        if res is not None:
-            p2, d2 = kkt_residuals(prob, res[0], res[1])
-            if max(p2, d2) <= max(prim, dual):
-                x_u, y_u = res
-                prim, dual = p2, d2
+    if not polished:
+        x_u = D * x
+        y_u = (E / c) * y if m else np.zeros(0)
+        if status == "solved" and s.polish:
+            res = _polish(prob, _active_set(prob, y_u))
+            if res is not None and max(res[2], res[3]) <= max(prim, dual):
+                x_u, y_u, prim, dual = res
                 polished = True
     prim, dual = kkt_residuals(prob, x_u, y_u)
 
@@ -441,32 +513,6 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
         objective=prob.objective(x_u),
         polished=polished,
     )
-
-
-# Short alias used throughout the planner.
-solve = solve_qp
-
-
-def solve_time_series(probs, settings: QpSettings | None = None):
-    """Wall-clock timing over a sequence of problems, grouped by size."""
-    probs = list(probs)
-    if not probs:
-        raise ValueError("need at least one problem")
-    times = []
-    per_size: dict[int, list[float]] = {}
-    for p in probs:
-        sol = solve_qp(p, settings)
-        times.append(sol.solve_time)
-        per_size.setdefault(p.n, []).append(sol.solve_time)
-    return {
-        "times": times,
-        "mean": float(np.mean(times)),
-        "max": float(np.max(times)),
-        "per_size": {
-            k: {"mean": float(np.mean(v)), "max": float(np.max(v)), "count": len(v)}
-            for k, v in sorted(per_size.items())
-        },
-    }
 
 
 def dump_problem(prob: QpProblem, f) -> None:

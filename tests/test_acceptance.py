@@ -125,6 +125,15 @@ def test_two_loiter_mission_tracks_through_wind(survey_mission):
     assert result.abort_reason == ""  # no singularity ever tripped the loop
 
 
+def test_terminal_replans_stop_early(survey_mission):
+    """Each leg's last replans before the freeze, short single-segment
+    problems, stop once the active set settles instead of running ADMM for
+    thousands of iterations. An iteration cap holds on any host."""
+    _, result, _, _ = survey_mission
+    assert result.metrics["n_replans"] == 441
+    assert result.metrics["qp_iterations_max"] <= 500
+
+
 def test_inverted_inputs_reproduce_reference_motion():
     """Feeding the flatness-inverted inputs open-loop through the reduced
     model reproduces straight, circling, and climbing references."""

@@ -206,26 +206,6 @@ def test_polish_reaches_machine_precision_on_clean_instances():
     assert hits >= 8  # polish is expected to succeed on almost all of these
 
 
-def test_solve_alias():
-    assert qp.solve is qp.solve_qp
-
-
-def test_solve_time_series_stats():
-    rng = np.random.default_rng(20)
-    probs = []
-    for n in (5, 5, 9):
-        M = rng.normal(size=(n, n))
-        probs.append(qp.QpProblem(M @ M.T + np.eye(n), rng.normal(size=n)))
-    stats = qp.solve_time_series(probs)
-    assert len(stats["times"]) == 3
-    assert stats["max"] >= stats["mean"] > 0
-    assert stats["per_size"][5]["count"] == 2
-    one = qp.solve_time_series(probs[:1])
-    assert one["mean"] == one["max"]
-    with pytest.raises(ValueError):
-        qp.solve_time_series([])
-
-
 def test_dump_problem_contains_full_description():
     prob = qp.QpProblem(
         np.eye(2), np.array([0.5, -0.25]),
@@ -261,3 +241,78 @@ def test_kkt_solve_rejects_non_finite_right_hand_side(bad):
         rhs[n // 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             op.solve(rhs)
+
+
+@pytest.mark.parametrize("seed", [11, 19, 24, 44])
+def test_polish_stops_admm_once_active_set_settles(seed):
+    # rho far too small and never rebalanced: ADMM alone creeps toward the
+    # answer and runs out of iterations, although the active set is found
+    # within the first checks.
+    Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
+    prob = qp.QpProblem(Q, qv, A, lo, hi)
+    mistuned = dict(rho=1e-4, adaptive_rho=False)
+    sol = qp.solve_qp(prob, qp.QpSettings(**mistuned))
+    assert sol.status == "solved" and sol.polished
+    assert sol.iterations <= 100
+
+    xo, yo = active_set_qp(Q, qv, A, lo, hi, x_feas)
+    assert np.abs(sol.x - xo).max() <= 1e-9
+    ax = A @ sol.x
+    eq = hi - lo < 1e-9
+    low, upp = (sol.y < 0) & ~eq, (sol.y > 0) & ~eq
+    assert np.all(np.abs(ax[low] - lo[low]) <= 1e-9)
+    assert np.all(np.abs(ax[upp] - hi[upp]) <= 1e-9)
+    strict = ~eq & (np.abs(yo) > 1e-9)
+    assert np.array_equal(np.sign(sol.y[strict]), np.sign(yo[strict]))
+
+    plain = qp.solve_qp(prob, qp.QpSettings(polish=False, **mistuned))
+    assert plain.status == "max-iterations"
+    assert plain.iterations == qp.QpSettings().max_iter
+
+
+def test_early_stop_rejects_wrong_active_sets(monkeypatch):
+    # With the same mistuned settings ADMM settles on wrong active sets
+    # whose polished points meet the residual tests but give a bound the
+    # wrong multiplier sign. Those must not end the solve, and a rejected
+    # set is not re-polished at every later check while it holds.
+    calls = []
+    polish = qp._polish
+    monkeypatch.setattr(qp, "_polish", lambda *a: calls.append(1) or polish(*a))
+    statuses = set()
+    for seed in range(12):
+        Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
+        calls.clear()
+        sol = qp.solve_qp(qp.QpProblem(Q, qv, A, lo, hi),
+                          qp.QpSettings(rho=1e-4, adaptive_rho=False))
+        statuses.add(sol.status)
+        assert len(calls) <= 25  # against 160 residual checks
+        if sol.status == "solved":
+            xo, _ = active_set_qp(Q, qv, A, lo, hi, x_feas)
+            assert np.abs(sol.x - xo).max() <= 1e-9, seed
+    assert statuses == {"solved", "max-iterations"}
+
+
+def test_settings_coerce_numeric_fields():
+    s = qp.QpSettings(rho=1, sigma=1, eps_abs=1, max_iter=10.0, check_every=np.int64(5))
+    assert isinstance(s.rho, float) and isinstance(s.sigma, float)
+    assert isinstance(s.eps_abs, float)
+    assert type(s.max_iter) is int and type(s.check_every) is int
+    # an int rho used to reach numpy's in-place float update and crash
+    sol = qp.solve_qp(qp.QpProblem(np.eye(2), np.array([-1.0, -1.0]),
+                                   np.eye(2), np.zeros(2), np.full(2, 0.5)),
+                      qp.QpSettings(rho=1))
+    assert sol.status == "solved"
+    assert np.allclose(sol.x, [0.5, 0.5], atol=1e-9)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho", 0.0), ("rho", -1.0), ("rho", np.nan),
+    ("sigma", 0.0), ("sigma", -1e-6),
+    ("eps_abs", 0.0), ("eps_rel", -1e-5), ("eps_infeasible", 0.0),
+    ("max_iter", 0), ("max_iter", -5), ("max_iter", 2.5),
+    ("check_every", 0), ("check_every", -1),
+    ("alpha", 0.0), ("alpha", 2.0), ("alpha", -0.5), ("alpha", np.nan),
+])
+def test_settings_reject_values_that_break_the_solver(field, value):
+    with pytest.raises(ValueError, match=field):
+        qp.QpSettings(**{field: value})
