@@ -12,11 +12,9 @@ from .bernstein import (
     DomainError,
     PiecewiseTrajectory,
     arc_length,
-    basis_eval,
     basis_row,
     derivative_map,
     derivative_segment,
-    eval_piecewise,
     eval_segment,
     gram_matrix,
     read_trajectory,
@@ -38,7 +36,6 @@ from .flatness import (
     FlatnessSingularityError,
     PathParamState,
     command_from_flat,
-    coordinated_rates,
     euler_zyx,
     flat_inputs,
     forward_jerk,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import binom
@@ -16,33 +17,53 @@ class DomainError(ValueError):
     """Raised when a trajectory or segment is queried outside its time domain."""
 
 
-def basis_eval(n: int, i: int, u: float) -> float:
-    """Evaluate the degree-n Bernstein basis function with index i at u in [0, 1].
+def _basis_rows(n: int, u) -> list:
+    """Bernstein basis rows of every degree 0..n at u, from one recursion.
 
-    Computed by de Casteljau recursion on an indicator coefficient vector,
-    which stays stable for high degrees where naive binomial/power products
-    lose accuracy.
+    The degree-m row, rows[m], comes from the degree-(m-1) row by
+    b_j <- u*b_{j-1} + (1-u)*b_j. u is a float, or a 1-D array of samples
+    whose entries go through the same floating-point operations as a float.
     """
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index {i} out of range for degree {n}")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"basis argument u={u} outside [0, 1]")
-    b = np.zeros(n + 1)
-    b[i] = 1.0
-    for r in range(n):
-        b[: n - r] = (1.0 - u) * b[: n - r] + u * b[1 : n - r + 1]
-    return float(b[0])
+    w = 1.0 - u
+    row = [1.0 if isinstance(u, float) else np.ones_like(u)]
+    rows = [row[:]]
+    for m in range(1, n + 1):
+        row.append(0.0)
+        for j in range(m, 0, -1):
+            row[j] = u * row[j - 1] + w * row[j]
+        row[0] = row[0] * w
+        rows.append(row[:])
+    return rows
 
 
 def basis_row(n: int, u: float) -> np.ndarray:
     """All degree-n Bernstein basis values at u as a length n+1 row."""
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    for m in range(1, n + 1):
-        for j in range(m, 0, -1):
-            row[j] = u * row[j - 1] + (1.0 - u) * row[j]
-        row[0] *= 1.0 - u
-    return row
+    return np.array(_basis_rows(n, float(u))[n])
+
+
+def _columns(points: np.ndarray) -> list:
+    """Control points as one list of Python floats per coordinate."""
+    return points.reshape(points.shape[0], -1).T.tolist()
+
+
+def _combine(row, cols) -> list:
+    """Per coordinate, sum_i row[i]*col[i] accumulated from i = 0 upward.
+
+    Works on float rows (one evaluation) and on rows of sample arrays (a
+    batch) with the same products and sums, so the two agree bit for bit.
+    """
+    out = []
+    for col in cols:
+        s = row[0] * col[0]
+        for i in range(1, len(row)):
+            s = s + row[i] * col[i]
+        out.append(s)
+    return out
+
+
+def _point(vals: list, ndim: int):
+    """One evaluation from `_combine`, shaped like a control point."""
+    return np.array(vals) if ndim == 2 else np.float64(vals[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,21 +96,14 @@ def derivative_scale(n: int, k: int, duration: float) -> float:
     return s / duration**k
 
 
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """Scaled map from control points to k-th-derivative control points."""
+def derivative_map(n: int, k: int, duration: float) -> np.ndarray:
+    """Map from control points to k-th-derivative control points, (n+1-k, n+1).
 
-    order: int
-    matrix: np.ndarray  # (n+1-k, n+1), includes n!/(n-k)!/(tf-t0)^k
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return self.matrix @ points
-
-
-def derivative_map(n: int, k: int, duration: float) -> DifferenceMatrix:
+    The difference stencil scaled by n!/(n-k)!/duration**k.
+    """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    return DifferenceMatrix(k, derivative_scale(n, k, duration) * difference_stencil(n, k))
+    return derivative_scale(n, k, duration) * difference_stencil(n, k)
 
 
 @dataclass(frozen=True)
@@ -125,31 +139,14 @@ class BernsteinSegment:
         return self.tf - self.t0
 
 
-def _de_casteljau(points: np.ndarray, u):
-    """De Casteljau recursion at u: a scalar, or a 1-D array of S samples.
-
-    For an array the samples lead the result's shape, (S,) or (S, d), and
-    each sample goes through the same floating-point operations as a
-    scalar call, so the two agree bit for bit.
-    """
-    b = points
-    if np.ndim(u):
-        u = np.asarray(u, dtype=float).reshape((1, -1) + (1,) * (points.ndim - 1))
-        b = np.broadcast_to(points[:, None], points.shape[:1] + u.shape[1:2] + points.shape[1:])
-    if points.shape[0] == 1:
-        return np.array(b[0])  # a copy, not a view of the control points
-    for _ in range(points.shape[0] - 1):
-        b = (1.0 - u) * b[:-1] + u * b[1:]
-    return b[0]
-
-
 def eval_segment(seg: BernsteinSegment, t: float):
-    """De Casteljau evaluation at time t within [t0, tf]; no extrapolation."""
+    """Basis row times control points at time t within [t0, tf]; no extrapolation."""
     slack = 1e-9 * max(1.0, seg.duration)
     if t < seg.t0 - slack or t > seg.tf + slack:
         raise DomainError(f"t={t} outside segment domain [{seg.t0}, {seg.tf}]")
-    u = (min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration
-    return _de_casteljau(seg.control_points, u)
+    u = float((min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration)
+    row = _basis_rows(seg.degree, u)[-1]
+    return _point(_combine(row, _columns(seg.control_points)), seg.control_points.ndim)
 
 
 def derivative_segment(seg: BernsteinSegment, k: int) -> BernsteinSegment:
@@ -159,8 +156,17 @@ def derivative_segment(seg: BernsteinSegment, k: int) -> BernsteinSegment:
         raise ValueError(f"derivative order {k} exceeds segment degree {n}")
     if k == 0:
         return seg
-    dmap = derivative_map(n, k, seg.duration)
-    return BernsteinSegment(dmap.apply(seg.control_points), seg.t0, seg.tf)
+    return BernsteinSegment(derivative_map(n, k, seg.duration) @ seg.control_points,
+                            seg.t0, seg.tf)
+
+
+def _check_junction(a: BernsteinSegment, b: BernsteinSegment) -> None:
+    """Raise ValueError unless segment b starts where and when a ends."""
+    if abs(a.tf - b.t0) > 1e-9:
+        raise ValueError(f"segment times disagree at junction: {a.tf} vs {b.t0}")
+    gap = np.linalg.norm(np.atleast_1d(a.control_points[-1] - b.control_points[0]))
+    if gap > 1e-9:
+        raise ValueError(f"position discontinuity {gap} at junction t={b.t0}")
 
 
 class PiecewiseTrajectory:
@@ -174,20 +180,15 @@ class PiecewiseTrajectory:
         if not segments:
             raise ValueError("trajectory needs at least one segment")
         for a, b in zip(segments, segments[1:]):
-            if abs(a.tf - b.t0) > 1e-9:
-                raise ValueError(f"segment times disagree at junction: {a.tf} vs {b.t0}")
-            gap = np.linalg.norm(
-                np.atleast_1d(a.control_points[-1] - b.control_points[0])
-            )
-            if gap > 1e-9:
-                raise ValueError(f"position discontinuity {gap} at junction t={b.t0}")
+            _check_junction(a, b)
         self.segments = tuple(segments)
         self._t_interior = [s.tf for s in segments[:-1]]
-        # Cache derivative segments up to jerk where the degree allows.
-        self._derivs = tuple(
-            tuple(
-                derivative_segment(s, k) if k <= s.degree else None for k in range(4)
-            )
+        # Control points of the derivative segments up to jerk, where the
+        # degree allows, as `_combine` columns: eval's k-th derivative is
+        # the degree-(n-k) basis row times self._cols[j][k].
+        self._cols = tuple(
+            tuple(_columns(derivative_segment(s, k).control_points) if k <= s.degree
+                  else None for k in range(4))
             for s in segments
         )
 
@@ -211,8 +212,9 @@ class PiecewiseTrajectory:
     def velocity_acceleration(self, ts):
         """Velocity and acceleration at each of S times: (S,) or (S, d) arrays.
 
-        Picks segments and clamps u exactly as `eval` does, through the same
-        de Casteljau kernel, so each row equals `eval`'s bit for bit.
+        Picks segments and clamps u exactly as `eval` does and forms the
+        same products, with each sample an entry of the basis arrays, so
+        each row equals `eval`'s bit for bit.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.t_start - 1e-9 or ts.max() > self.t_end + 1e-9):
@@ -228,24 +230,28 @@ class PiecewiseTrajectory:
             sel = idx == j
             seg = self.segments[j]
             u = (np.minimum(np.maximum(ts[sel], seg.t0), seg.tf) - seg.t0) / seg.duration
-            for out, dseg in zip((vel, acc), self._derivs[j][1:3]):
-                if dseg is not None:
-                    out[sel] = _de_casteljau(dseg.control_points, u)
+            rows = _basis_rows(seg.degree, u)
+            for k, out in ((1, vel), (2, acc)):
+                if k <= seg.degree:
+                    vals = _combine(rows[seg.degree - k], self._cols[j][k])
+                    out[sel] = np.stack(vals, axis=-1) if len(shape) == 2 else vals[0]
         return vel, acc
 
     def eval(self, t: float):
-        """Return (position, velocity, acceleration, jerk) at time t."""
+        """Return (position, velocity, acceleration, jerk) at time t.
+
+        One basis recursion at u yields the rows of degrees n-3..n; the k-th
+        derivative is the degree-(n-k) row times the cached control points
+        of the k-th derivative segment.
+        """
         j = self.segment_index(t)
         seg = self.segments[j]
-        u = (min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration
-        zero = np.zeros(seg.control_points.shape[1:])
-        return tuple(_de_casteljau(dseg.control_points, u) if dseg is not None else zero
-                     for dseg in self._derivs[j])
-
-
-def eval_piecewise(traj: PiecewiseTrajectory, t: float):
-    """Position and first three derivatives of the stacked trajectory at t."""
-    return traj.eval(t)
+        u = float((min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration)
+        n, ndim = seg.degree, seg.control_points.ndim
+        rows = _basis_rows(n, u)
+        return tuple([_point(_combine(rows[n - k], cols), ndim) if k <= n
+                       else np.zeros(seg.control_points.shape[1:])
+                       for k, cols in enumerate(self._cols[j])])
 
 
 def gram_matrix(n: int, duration: float) -> np.ndarray:
@@ -275,7 +281,8 @@ def arc_length(traj, n_samples: int = 128) -> float:
         return sum(arc_length(seg, n_samples) for seg in traj.segments)
     seg = traj
     u = (np.linspace(seg.t0, seg.tf, n_samples + 1) - seg.t0) / seg.duration
-    pts = _de_casteljau(seg.control_points, u).reshape(n_samples + 1, -1)
+    row = _basis_rows(seg.degree, u)[-1]
+    pts = np.stack(_combine(row, _columns(seg.control_points)), axis=-1)
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
 
@@ -292,15 +299,15 @@ def write_trajectory(traj: PiecewiseTrajectory, f) -> None:
     f.write(f"segments {len(traj.segments)}\n")
     for seg in traj.segments:
         f.write(f"segment {seg.degree} {seg.t0:.17g} {seg.tf:.17g}\n")
-        for p in np.atleast_2d(seg.control_points):
+        for p in seg.control_points.reshape(seg.degree + 1, -1):
             f.write(" ".join(f"{c:.17g}" for c in p) + "\n")
 
 
 def read_trajectory(f) -> PiecewiseTrajectory:
     """Parse one serialized trajectory block (file object or path).
 
-    Malformed or truncated input raises ValueError naming the record that
-    was expected and the line where it was missing.
+    Malformed, non-finite or truncated input raises ValueError naming the
+    line at fault and, for a missing record, the record that was expected.
     """
     if not hasattr(f, "read"):
         with open(f) as fh:
@@ -315,6 +322,15 @@ def read_trajectory(f) -> PiecewiseTrajectory:
             raise ValueError(f"line {len(raw) + 1}: expected {what}, found end of input")
         return rec
 
+    def number(i, text, kind=float):
+        try:
+            val = kind(text)
+        except ValueError:
+            raise ValueError(f"line {i}: bad number {text!r}") from None
+        if not math.isfinite(val):
+            raise ValueError(f"line {i}: non-finite number {text!r}")
+        return val
+
     i, ln = take("header 'trajectory v1'")
     if ln != "trajectory v1":
         raise ValueError(f"line {i}: unrecognized trajectory header: {ln!r}")
@@ -322,16 +338,31 @@ def read_trajectory(f) -> PiecewiseTrajectory:
     tok = ln.split()
     if len(tok) != 2 or tok[0] != "segments":
         raise ValueError(f"line {i}: expected segment count, got {ln!r}")
+    count = number(i, tok[1], int)
+    if count < 1:
+        raise ValueError(f"line {i}: segment count must be positive, got {count}")
     segs = []
-    for j in range(int(tok[1])):
+    width = 0  # coordinates per control point, fixed by the first one
+    for j in range(count):
         i, ln = take(f"segment record {j}")
         tok = ln.split()
         if len(tok) != 4 or tok[0] != "segment":
             raise ValueError(f"line {i}: expected segment record {j}, got {ln!r}")
-        n, t0, tf = int(tok[1]), float(tok[2]), float(tok[3])
-        pts = [[float(c) for c in take(f"control point {r} of segment {j}")[1].split()]
-               for r in range(n + 1)]
-        segs.append(BernsteinSegment(np.array(pts), t0, tf))
+        n, t0, tf = number(i, tok[1], int), number(i, tok[2]), number(i, tok[3])
+        pts = []
+        for r in range(n + 1):
+            i_pt, ln = take(f"control point {r} of segment {j}")
+            pts.append([number(i_pt, c) for c in ln.split()])
+            width = width or len(pts[-1])
+            if len(pts[-1]) != width:
+                raise ValueError(f"line {i_pt}: control point {r} of segment {j} has "
+                                 f"{len(pts[-1])} coordinates, the first has {width}")
+        try:
+            segs.append(BernsteinSegment(np.array(pts), t0, tf))
+            if j:
+                _check_junction(segs[-2], segs[-1])
+        except ValueError as exc:
+            raise ValueError(f"line {i}: segment {j}: {exc}") from None
     extra = next(records, None)
     if extra is not None:
         raise ValueError(f"line {extra[0]}: expected exactly one trajectory block, "

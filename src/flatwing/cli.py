@@ -25,27 +25,20 @@ def _load_mission(path: str) -> msn.MissionPlan:
 
 
 def _load_setup(args):
-    if getattr(args, "params", None):
-        return msn.build_setup(msn.parse_params(Path(args.params).read_text()))
-    return msn.build_setup({})
-
-
-def _first_leg(plan: msn.MissionPlan) -> WaypointSequence:
-    """The waypoint sequence the executive would fly for leg 0."""
-    if not plan.legs:
-        raise msn.MissionFormatError("mission has no transit leg to plan")
-    loiter_out, loiter_in = plan.loiters[0], plan.loiters[1]
-    interior = plan.legs[0].waypoints
-    anchor_out = interior[0] if len(interior) else loiter_in.center
-    exit_st = msn.tangent_handoff(loiter_out, anchor_out, plan.cruise_speed, "exit")
-    anchor_in = interior[-1] if len(interior) else exit_st.point
-    entry_st = msn.tangent_handoff(loiter_in, anchor_in, plan.cruise_speed, "entry")
-    return msn._leg_waypoints(exit_st, interior, entry_st)
+    if not getattr(args, "params", None):
+        return msn.build_setup({})
+    params = msn.parse_params(Path(args.params).read_text())
+    try:
+        return msn.build_setup(params)
+    except ValueError as exc:  # a value out of its range, e.g. a negative mass
+        raise msn.MissionFormatError(f"{args.params}: {exc}") from exc
 
 
 def _cmd_plan(args) -> int:
     plan = _load_mission(args.mission)
-    wps = _first_leg(plan)
+    if not plan.legs:
+        raise msn.MissionFormatError("mission has no transit leg to plan")
+    _, wps = msn.leg_sequence(plan, 0)
     pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,9 +181,6 @@ def main(argv=None) -> int:
     except (msn.MissionAbort, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

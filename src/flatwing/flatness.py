@@ -22,11 +22,6 @@ V_EPS = 1.0
 A_EPS = 0.5
 M_EPS = 0.1
 
-# ENU <-> NED axis exchange; symmetric and involutory. Used so that Euler
-# angles come out in the conventional aircraft sense (z-down, roll sign
-# matching turn direction).
-_ENU_TO_NED = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-
 
 class FlatnessSingularityError(RuntimeError):
     """The flat map is not invertible at this state (slow flight or zero normal load)."""
@@ -90,47 +85,42 @@ class CommandState:
     a_vz: float
 
 
+def _floats(v) -> list:
+    """A vector or matrix (array or nested sequence) as Python floats."""
+    return np.asarray(v, dtype=float).tolist()
+
+
 def frame_from_flat(velocity, acceleration, g=GRAVITY) -> CoordinatedFrame:
     """Reconstruct the coordinated velocity frame from flat derivatives.
 
     r_x is the unit velocity; the normal acceleration a_n = xdd - g - a_vx r_x
     must be bounded away from zero for the aircraft to be controllable, and
-    its direction fixes r_z through a_vz = -|a_n|.
+    its direction fixes r_z through a_vz = -|a_n|. The pitch and yaw rates
+    omega_vy, omega_vz are the ones coordination then fixes, which keep the
+    lateral velocity-frame dynamics consistent.
     """
-    v = np.asarray(velocity, dtype=float)
-    a = np.asarray(acceleration, dtype=float)
-    V = float(np.linalg.norm(v))
+    vx, vy, vz = _floats(velocity)
+    ax, ay, az = _floats(acceleration)
+    gx, gy, gz = _floats(g)
+    V = math.sqrt(vx * vx + vy * vy + vz * vz)
     if V < V_EPS:
         raise FlatnessSingularityError(f"speed {V:.3f} m/s below {V_EPS} m/s")
-    r_x = v / V
-    a_vx = float(r_x @ (a - g))
-    a_n = a - g - a_vx * r_x
-    n = float(np.linalg.norm(a_n))
+    x0, x1, x2 = vx / V, vy / V, vz / V
+    dx, dy, dz = ax - gx, ay - gy, az - gz
+    a_vx = x0 * dx + x1 * dy + x2 * dz
+    n0, n1, n2 = dx - a_vx * x0, dy - a_vx * x1, dz - a_vx * x2
+    n = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
     if n < A_EPS:
         raise FlatnessSingularityError(f"normal acceleration {n:.3f} m/s^2 below {A_EPS}")
     a_vz = -n
-    r_z = a_n / a_vz
-    x0, x1, x2 = r_x.tolist()
-    z0, z1, z2 = r_z.tolist()
-    # r_y = r_z x r_x
-    R = np.array([
-        [x0, z1 * x2 - z2 * x1, z0],
-        [x1, z2 * x0 - z0 * x2, z1],
-        [x2, z0 * x1 - z1 * x0, z2],
-    ])
-    g_v = R.T @ g
-    omega_vy = -(a_vz + g_v[2]) / V
-    omega_vz = g_v[1] / V
+    z0, z1, z2 = n0 / a_vz, n1 / a_vz, n2 / a_vz
+    y0, y1, y2 = z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0  # r_z x r_x
+    R = np.array([[x0, y0, z0], [x1, y1, z1], [x2, y2, z2]])
+    # Gravity in the velocity frame: (R'g)_y and (R'g)_z.
+    g_y = y0 * gx + y1 * gy + y2 * gz
+    g_z = z0 * gx + z1 * gy + z2 * gz
     return CoordinatedFrame(R=R, a_vx=a_vx, a_vz=a_vz, V=V,
-                            omega_vy=float(omega_vy), omega_vz=float(omega_vz))
-
-
-def coordinated_rates(frame: CoordinatedFrame, g=GRAVITY):
-    """Pitch/yaw rates that keep the lateral velocity-frame dynamics consistent."""
-    if frame.V < V_EPS:
-        raise FlatnessSingularityError(f"speed {frame.V:.3f} m/s below {V_EPS} m/s")
-    g_v = frame.R.T @ g
-    return -(frame.a_vz + g_v[2]) / frame.V, g_v[1] / frame.V
+                            omega_vy=-(a_vz + g_z) / V, omega_vz=g_y / V)
 
 
 def flat_inputs(flat: FlatState, frame: CoordinatedFrame):
@@ -142,10 +132,14 @@ def flat_inputs(flat: FlatState, frame: CoordinatedFrame):
     """
     if abs(frame.a_vz) < A_EPS:
         raise FlatnessSingularityError(f"normal acceleration {frame.a_vz:.3f} too small")
-    w = frame.R.T @ np.asarray(flat.jerk, dtype=float)
-    a_vx_dot = -frame.omega_vy * frame.a_vz + w[0]
-    omega_vx = frame.omega_vz * frame.a_vx / frame.a_vz - w[1] / frame.a_vz
-    a_vz_dot = frame.omega_vy * frame.a_vx + w[2]
+    jx, jy, jz = _floats(flat.jerk)
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = _floats(frame.R)
+    w0 = x0 * jx + x1 * jy + x2 * jz  # R' jerk
+    w1 = y0 * jx + y1 * jy + y2 * jz
+    w2 = z0 * jx + z1 * jy + z2 * jz
+    a_vx_dot = -frame.omega_vy * frame.a_vz + w0
+    omega_vx = frame.omega_vz * frame.a_vx / frame.a_vz - w1 / frame.a_vz
+    a_vz_dot = frame.omega_vy * frame.a_vx + w2
     return float(a_vx_dot), float(omega_vx), float(a_vz_dot)
 
 
@@ -159,10 +153,13 @@ def forward_jerk(frame: CoordinatedFrame, a_vx_dot, omega_vx, a_vz_dot):
 def tracking_jerk(ref: FlatState, position, velocity, acceleration, gains=(8.0, 12.0, 6.0)):
     """Cascade feedback jerk: x_c''' = x_r''' + k2*e_dd + k1*e_d + k0*e."""
     k0, k1, k2 = gains
-    e = ref.position - np.asarray(position, dtype=float)
-    ed = ref.velocity - np.asarray(velocity, dtype=float)
-    edd = ref.acceleration - np.asarray(acceleration, dtype=float)
-    return ref.jerk + k2 * edd + k1 * ed + k0 * e
+    return np.array([
+        j + k2 * (ra - a) + k1 * (rv - v) + k0 * (rp - p)
+        for j, ra, a, rv, v, rp, p in zip(
+            _floats(ref.jerk), _floats(ref.acceleration), _floats(acceleration),
+            _floats(ref.velocity), _floats(velocity),
+            _floats(ref.position), _floats(position))
+    ])
 
 
 def euler_zyx(R) -> tuple:
@@ -170,17 +167,15 @@ def euler_zyx(R) -> tuple:
 
     The frame is re-expressed in north-east-down axes first, so yaw is a
     compass heading, pitch is positive nose-up, and roll is positive
-    right-wing-down.
+    right-wing-down. The NED rows of R are R[1], R[0] and -R[2].
     """
-    Rn = _ENU_TO_NED @ np.asarray(R, dtype=float)
-    s_pitch = np.clip(-Rn[2, 0], -1.0, 1.0)
+    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = _floats(R)
+    s_pitch = min(max(r20, -1.0), 1.0)
     theta = math.asin(s_pitch)
     if abs(s_pitch) > 1.0 - 1e-9:
         # Gimbal-degenerate; fold everything into yaw.
-        return 0.0, theta, math.atan2(-Rn[0, 1], Rn[1, 1])
-    phi = math.atan2(Rn[2, 1], Rn[2, 2])
-    psi = math.atan2(Rn[1, 0], Rn[0, 0])
-    return phi, theta, psi
+        return 0.0, theta, math.atan2(-r11, r01)
+    return math.atan2(-r21, -r22), theta, math.atan2(r00, r10)
 
 
 def command_from_flat(ref: FlatState, position, velocity, acceleration,
@@ -205,8 +200,9 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     a_vx_i = state.a_vx + dt * (a_vx_dot + cfg.leak * (frame_c.a_vx - state.a_vx))
     a_vz_i = state.a_vz + dt * (a_vz_dot + cfg.leak * (frame_c.a_vz - state.a_vz))
 
-    g_v = frame_c.R.T @ g
-    omega_vy = -(a_vz_i + g_v[2]) / frame_c.V
+    (_, _, z0), (_, _, z1), (_, _, z2) = _floats(frame_c.R)
+    gx, gy, gz = _floats(g)
+    omega_vy = -(a_vz_i + (z0 * gx + z1 * gy + z2 * gz)) / frame_c.V
     a_T = (a_vx_i + drag_accel) / math.cos(alpha_est)
     a_T = min(max(a_T, 0.0), a_T_max)
 

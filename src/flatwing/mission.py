@@ -67,8 +67,8 @@ class Loiter:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if self.radius < 1.0:
-            raise ValueError("loiter radius must be at least 1 m")
+        if not 1.0 <= self.radius < math.inf:
+            raise ValueError("loiter radius must be at least 1 m and finite")
         if self.laps < 0:
             raise ValueError("laps must be non-negative")
 
@@ -91,8 +91,8 @@ class MissionPlan:
     origin: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.cruise_speed <= 0:
-            raise ValueError("cruise_speed must be positive")
+        if not 0.0 < self.cruise_speed < math.inf:
+            raise ValueError("cruise_speed must be positive and finite")
         if len(self.loiters) < 2:
             raise ValueError("mission needs at least two loiters")
         if len(self.legs) != len(self.loiters) - 1:
@@ -119,6 +119,8 @@ class MissionConfig:
             raise ValueError("handoff_budget must be a positive multiple of dt")
         if self.handoff_budget >= self.leg_freeze:
             raise ValueError("handoff_budget must be below leg_freeze")
+        if not self.tau_att > 0:
+            raise ValueError("tau_att must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +149,12 @@ def loiter_reference(loiter: Loiter, speed: float, t: float,
     th = phase0 + w * t
     c, s = math.cos(th), math.sin(th)
     r = loiter.radius
-    pos = loiter.center + r * np.array([c, s, 0.0])
-    vel = r * w * np.array([-s, c, 0.0])
-    acc = -r * w * w * np.array([c, s, 0.0])
-    jerk = r * w**3 * np.array([s, -c, 0.0])
-    return FlatState(pos, vel, acc, jerk)
-
-
-def _circle_state(loiter: Loiter, speed: float, angle: float) -> TangentState:
-    w = _angular_rate(loiter, speed)
-    c, s = math.cos(angle), math.sin(angle)
-    r = loiter.radius
-    point = loiter.center + r * np.array([c, s, 0.0])
-    vel = r * w * np.array([-s, c, 0.0])
-    acc = -r * w * w * np.array([c, s, 0.0])
-    return TangentState(point, vel, acc, angle)
+    cx, cy, cz = loiter.center.tolist()
+    rw, rww, rwww = r * w, -r * w * w, r * w**3
+    return FlatState(np.array([cx + r * c, cy + r * s, cz]),
+                     np.array([rw * -s, rw * c, 0.0]),
+                     np.array([rww * c, rww * s, 0.0]),
+                     np.array([rwww * s, rwww * -c, 0.0]))
 
 
 def tangent_handoff(loiter: Loiter, point, speed: float,
@@ -187,7 +180,8 @@ def tangent_handoff(loiter: Loiter, point, speed: float,
         angle = theta_w - gamma if mode == "exit" else theta_w + gamma
     else:
         angle = theta_w + gamma if mode == "exit" else theta_w - gamma
-    return _circle_state(loiter, speed, angle)
+    on_circle = loiter_reference(loiter, speed, 0.0, angle)
+    return TangentState(on_circle.position, on_circle.velocity, on_circle.acceleration, angle)
 
 
 def _forward_sweep(delta: float, ccw: bool) -> float:
@@ -214,6 +208,14 @@ def loiter_duration(loiter: Loiter, speed: float, phase0: float,
 # Mission and parameter files.
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and inf."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite number {text!r}")
+    return val
+
+
 def _tokens(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -228,6 +230,7 @@ def parse_mission(text: str) -> MissionPlan:
     loiters: list = []
     legs: list = []
     pending_wps: list = []
+    first_wp_line = 0
     saw_version = False
     for i, tok in _tokens(text):
         key = tok[0]
@@ -239,12 +242,14 @@ def parse_mission(text: str) -> MissionPlan:
         try:
             if key == "cruise_speed":
                 (val,) = tok[1:]
-                cruise = float(val)
+                cruise = _finite(val)
+                if cruise <= 0:
+                    raise MissionFormatError(f"line {i}: cruise_speed must be positive")
             elif key == "origin":
-                lat, lon, alt = map(float, tok[1:])
+                lat, lon, alt = map(_finite, tok[1:])
                 origin = np.array([lat, lon, alt])
             elif key == "loiter":
-                cx, cy, cz, r = map(float, tok[1:5])
+                cx, cy, cz, r = map(_finite, tok[1:5])
                 sense, laps = tok[5], int(tok[6])
                 if sense not in ("ccw", "cw"):
                     raise MissionFormatError(
@@ -255,11 +260,13 @@ def parse_mission(text: str) -> MissionPlan:
                     pending_wps = []
                 loiters.append(Loiter(np.array([cx, cy, cz]), r, sense == "ccw", laps))
             elif key == "waypoint":
-                x, y, z = map(float, tok[1:])
+                x, y, z = map(_finite, tok[1:])
                 if not loiters:
                     raise MissionFormatError(
                         f"line {i}: waypoint before the first loiter"
                     )
+                if not pending_wps:
+                    first_wp_line = i
                 pending_wps.append([x, y, z])
             else:
                 raise MissionFormatError(f"line {i}: unknown directive {key!r}")
@@ -272,7 +279,7 @@ def parse_mission(text: str) -> MissionPlan:
     if cruise is None:
         raise MissionFormatError("missing cruise_speed directive")
     if pending_wps:
-        raise MissionFormatError("waypoints after the final loiter")
+        raise MissionFormatError(f"line {first_wp_line}: waypoints after the final loiter")
     try:
         return MissionPlan(cruise, loiters, legs, origin)
     except ValueError as exc:
@@ -296,9 +303,11 @@ def parse_params(text: str) -> dict:
         if key not in _PARAM_KEYS:
             raise MissionFormatError(f"line {i}: unknown parameter {key!r}")
         try:
-            out[key] = float(val)
+            out[key] = _finite(val)
         except ValueError as exc:
             raise MissionFormatError(f"line {i}: bad number {val!r}") from exc
+        if key == "seed" and not (out[key].is_integer() and out[key] >= 0):
+            raise MissionFormatError(f"line {i}: seed must be a non-negative integer")
     return out
 
 
@@ -341,7 +350,7 @@ class SimLog:
     def append(self, t, ref: FlatState, st: AircraftState, euler, a_T,
                leg_id, replan_flag, t_opt):
         self.rows.append((
-            t, *ref.position, *ref.velocity, *st.x, *st.v,
+            t, *np.concatenate([ref.position, ref.velocity, st.x, st.v]).tolist(),
             *euler, a_T, leg_id, replan_flag, t_opt,
         ))
 
@@ -446,11 +455,26 @@ class _LegSpan:
     pending_t: float = 0.0
 
 
-def _leg_waypoints(exit_st: TangentState, interior: np.ndarray,
-                   entry_st: TangentState) -> WaypointSequence:
+def _exit_state(plan: MissionPlan, i: int) -> TangentState:
+    """Where leg i leaves loiter i: the tangent toward its first waypoint."""
+    interior = plan.legs[i].waypoints
+    anchor = interior[0] if len(interior) else plan.loiters[i + 1].center
+    return tangent_handoff(plan.loiters[i], anchor, plan.cruise_speed, "exit")
+
+
+def leg_sequence(plan: MissionPlan, i: int):
+    """Leg i as flown: (entry tangent state on loiter i+1, WaypointSequence).
+
+    The sequence runs from the exit tangent point of loiter i through the
+    leg's waypoints to the entry tangent point, with the circles' tangent
+    velocity and acceleration as boundary states.
+    """
+    exit_st, interior = _exit_state(plan, i), plan.legs[i].waypoints
+    anchor = interior[-1] if len(interior) else exit_st.point
+    entry_st = tangent_handoff(plan.loiters[i + 1], anchor, plan.cruise_speed, "entry")
     pts = np.vstack([exit_st.point[None, :], interior.reshape(-1, 3),
                      entry_st.point[None, :]])
-    return WaypointSequence(
+    return entry_st, WaypointSequence(
         pts,
         BoundaryState(exit_st.point, exit_st.velocity, exit_st.acceleration),
         BoundaryState(entry_st.point, entry_st.velocity, entry_st.acceleration),
@@ -480,32 +504,23 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
     log = SimLog()
     events: list = []
 
-    def make_loiter_span(i: int, t0: float, phase0: float):
+    def make_loiter_span(i: int, t0: float, phase0: float) -> _LoiterSpan:
         loiter = plan.loiters[i]
-        if i < n_legs:
-            interior = plan.legs[i].waypoints
-            anchor = interior[0] if len(interior) else plan.loiters[i + 1].center
-            exit_st = tangent_handoff(loiter, anchor, V, "exit")
-            t1 = t0 + loiter_duration(loiter, V, phase0, exit_st.angle)
-            return _LoiterSpan(i, loiter, t0, t1, phase0), exit_st
-        t1 = t0 + loiter_duration(loiter, V, phase0, None)
-        return _LoiterSpan(i, loiter, t0, t1, phase0), None
+        exit_angle = _exit_state(plan, i).angle if i < n_legs else None
+        t1 = t0 + loiter_duration(loiter, V, phase0, exit_angle)
+        return _LoiterSpan(i, loiter, t0, t1, phase0)
 
-    def make_leg_span(i: int, t0: float, exit_st: TangentState) -> _LegSpan:
-        interior = plan.legs[i].waypoints
-        anchor = interior[-1] if len(interior) else exit_st.point
-        entry_st = tangent_handoff(plan.loiters[i + 1], anchor, V, "entry")
-        wps = _leg_waypoints(exit_st, interior, entry_st)
+    def make_leg_span(i: int, t0: float) -> _LegSpan:
+        entry_st, wps = leg_sequence(plan, i)
         res = planner.plan(wps, pcfg, t0=t0, settings=settings)
         if not res.ok:
             raise MissionAbort(f"leg {i} initial plan failed: {res.status}")
         times = t0 + planner.allocate_times(wps, V)
         return _LegSpan(i, res.trajectory, entry_st, wps.boundary_end,
-                        interior, times[:-1], last_qp=res.qp_solution)
+                        plan.legs[i].waypoints, times[:-1], last_qp=res.qp_solution)
 
     # Phase bootstrap: mission starts on the first circle at angle zero.
-    span, exit_st = make_loiter_span(0, 0.0, 0.0)
-    phase: object = span
+    phase: object = make_loiter_span(0, 0.0, 0.0)
 
     def reference(t: float) -> FlatState:
         if isinstance(phase, _LoiterSpan):
@@ -544,17 +559,15 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                     phase = None
                     break
                 try:
-                    phase = make_leg_span(phase.index, phase.t1, exit_st)
+                    phase = make_leg_span(phase.index, phase.t1)
                 except (MissionAbort, ValueError, FlatnessSingularityError) as exc:
                     aborted, abort_reason, phase = True, str(exc), None
                     break
             else:
                 if t < phase.traj.t_end - 1e-9:
                     break
-                nxt = phase.index + 1
-                span, exit_st = make_loiter_span(nxt, phase.traj.t_end,
-                                                 phase.entry.angle)
-                phase = span
+                phase = make_loiter_span(phase.index + 1, phase.traj.t_end,
+                                         phase.entry.angle)
         if phase is None:
             break
 
@@ -588,10 +601,12 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
         try:
             ref = reference(t)
             w = wind_at(wind, t)
-            # Acceleration estimate from the previously applied inputs.
-            vdot = prev_a_vx + (-9.81) * st.R[2, 0]
-            a_est = st.R @ np.array([vdot, st.V_a * prev_omega[2],
-                                     -st.V_a * prev_omega[1]])
+            # Acceleration estimate from the previously applied inputs:
+            # R (V_a_dot, V_a*omega_z, -V_a*omega_y).
+            R = st.R.tolist()
+            _, om_y, om_z = prev_omega.tolist()
+            b = (prev_a_vx + (-9.81) * R[2][0], st.V_a * om_z, -st.V_a * om_y)
+            a_est = np.array([r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in R])
             a_L, a_D = aero_accels(st, params, w)
             cmd, cmd_state = command_from_flat(
                 ref, st.x, st.v, a_est, ctrl, cmd_state, dt,

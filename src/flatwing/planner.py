@@ -134,9 +134,17 @@ def _idx(m: int, axis: int, i: int, n: int) -> int:
     return m * 3 * (n + 1) + axis * (n + 1) + i
 
 
+def _row(N: int, n: int, m: int, axis: int, w) -> np.ndarray:
+    """Length-N constraint row holding w on one axis of segment m's control points."""
+    row = np.zeros(N)
+    i0 = _idx(m, axis, 0, n)
+    row[i0 : i0 + n + 1] = w
+    return row
+
+
 def _deriv_row(n: int, k: int, duration: float, u: float) -> np.ndarray:
     """Row over a segment's control points giving the k-th derivative at u."""
-    dmat = derivative_map(n, k, duration).matrix
+    dmat = derivative_map(n, k, duration)
     if u == 0.0:
         return dmat[0]
     if u == 1.0:
@@ -174,10 +182,7 @@ def build_endpoint_constraints(wps: WaypointSequence, config: PlannerConfig, dur
     def pin(m, u, k, target):
         w = _deriv_row(n, k, durations[m], u)
         for axis in range(3):
-            row = np.zeros(N)
-            i0 = _idx(m, axis, 0, n)
-            row[i0 : i0 + n + 1] = w
-            rows.append(row)
+            rows.append(_row(N, n, m, axis, w))
             vals.append(target[axis])
 
     b0, b1 = wps.boundary_start, wps.boundary_end
@@ -207,10 +212,8 @@ def build_continuity_constraints(config: PlannerConfig, durations):
             w_end = _deriv_row(n, k, durations[m], 1.0)
             w_start = _deriv_row(n, k, durations[m + 1], 0.0)
             for axis in range(3):
-                row = np.zeros(N)
-                i0 = _idx(m, axis, 0, n)
+                row = _row(N, n, m, axis, w_end)
                 i1 = _idx(m + 1, axis, 0, n)
-                row[i0 : i0 + n + 1] = w_end
                 row[i1 : i1 + n + 1] -= w_start
                 rows.append(row)
     A = np.array(rows) if rows else np.zeros((0, N))
@@ -235,25 +238,14 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
         raise ValueError("derivative bounds must be positive")
     rows, lo, hi = [], [], []
     for m, d in enumerate(durations):
-        D1 = derivative_map(n, 1, d).matrix
-        D2 = derivative_map(n, 2, d).matrix
+        D1 = derivative_map(n, 1, d)
+        D2 = derivative_map(n, 2, d)
         for axis in range(3):
-            if np.isfinite(v_max[axis]):
-                for r in D1:
-                    row = np.zeros(N)
-                    i0 = _idx(m, axis, 0, n)
-                    row[i0 : i0 + n + 1] = r
-                    rows.append(row)
-                    lo.append(-v_max[axis])
-                    hi.append(v_max[axis])
-            if np.isfinite(a_max[axis]):
-                for r in D2:
-                    row = np.zeros(N)
-                    i0 = _idx(m, axis, 0, n)
-                    row[i0 : i0 + n + 1] = r
-                    rows.append(row)
-                    lo.append(-a_max[axis])
-                    hi.append(a_max[axis])
+            for D, lim in ((D1, v_max[axis]), (D2, a_max[axis])):
+                if np.isfinite(lim):
+                    rows += [_row(N, n, m, axis, r) for r in D]
+                    lo += [-lim] * len(D)
+                    hi += [lim] * len(D)
         if chords is not None:
             c = np.asarray(chords[m], dtype=float)
             for r in D1:

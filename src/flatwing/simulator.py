@@ -66,6 +66,8 @@ class WindField:
         self.mean = np.asarray(self.mean, dtype=float)
         if self.gust_amplitude < 0:
             raise ValueError("gust_amplitude must be non-negative")
+        if not self.gust_period > 0:
+            raise ValueError("gust_period must be positive")
         rng = np.random.default_rng(self.seed)
         self._phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=2))
 
@@ -99,10 +101,11 @@ def air_density(x_z: float) -> float:
 
 def aero_accels(state: AircraftState, params: AeroParams, wind_vec=None):
     """Lift and drag accelerations (a_L, a_D) at the state's angle of attack."""
-    v_air = state.v if wind_vec is None else state.v - wind_vec
-    V_a = float(np.linalg.norm(v_air))
-    if V_a < 0.0:
-        raise ValueError("airspeed must be non-negative")
+    vx, vy, vz = np.asarray(state.v, dtype=float).tolist()
+    if wind_vec is not None:
+        wx, wy, wz = np.asarray(wind_vec, dtype=float).tolist()
+        vx, vy, vz = vx - wx, vy - wy, vz - wz
+    V_a = math.sqrt(vx * vx + vy * vy + vz * vz)
     k_dyn = air_density(float(state.x[2])) * V_a**2 * params.wing_area / (2.0 * params.mass)
     c_l = params.c_l0 + params.c_l_alpha * state.alpha
     c_d = params.c_d0 + params.k_induced * c_l**2
@@ -224,29 +227,30 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
         raise ValueError(f"dt={dt} outside (0, 0.02]")
     if state.V_a <= 1e-9:
         raise ValueError("coordinated model requires positive airspeed")
-    w = np.zeros(3) if wind_vec is None else np.asarray(wind_vec, dtype=float)
-    gz = GRAVITY[2]
+    w = [0.0, 0.0, 0.0] if wind_vec is None else np.asarray(wind_vec, dtype=float).tolist()
+    gz = float(GRAVITY[2])
 
     Rn, (S1, S2, _, S4) = _rotation_step(state.R, omega_v, dt)
+    e1, e2, e4 = S1[:, 0].tolist(), S2[:, 0].tolist(), S4[:, 0].tolist()  # velocity axes
 
     # RK4 stages; stages 2 and 3 share the midpoint rotation S2, so their
     # airspeed derivatives coincide. V_a_dot depends only on the rotation.
-    vd1 = a_vx + gz * S1[2, 0]
-    vd2 = a_vx + gz * S2[2, 0]
-    vd4 = a_vx + gz * S4[2, 0]
+    vd1 = a_vx + gz * e1[2]
+    vd2 = a_vx + gz * e2[2]
+    vd4 = a_vx + gz * e4[2]
     V = state.V_a
     V2 = V + 0.5 * dt * vd1
     V3 = V + 0.5 * dt * vd2
     V4 = V + dt * vd2
     Vn = V + (dt / 6.0) * (vd1 + 4.0 * vd2 + vd4)
-    xn = state.x + (dt / 6.0) * (
-        V * S1[:, 0] + (2.0 * (V2 + V3)) * S2[:, 0] + V4 * S4[:, 0] + 6.0 * w
-    )
+    V23 = 2.0 * (V2 + V3)
+    xn = [x + (dt / 6.0) * (V * a + V23 * b + V4 * c + 6.0 * wi) for x, a, b, c, wi
+          in zip(np.asarray(state.x, dtype=float).tolist(), e1, e2, e4, w)]
 
-    if not (math.isfinite(Vn) and np.isfinite(xn).all()):
+    if not all(map(math.isfinite, [Vn, *xn])):
         raise IntegrationFault("non-finite state after integration step")
-    vn = Vn * Rn[:, 0] + w
-    return AircraftState(x=xn, v=vn, R=Rn, alpha=state.alpha, V_a=Vn)
+    vn = [Vn * r + wi for r, wi in zip(Rn[:, 0].tolist(), w)]
+    return AircraftState(x=np.array(xn), v=np.array(vn), R=Rn, alpha=state.alpha, V_a=Vn)
 
 
 def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
@@ -264,9 +268,10 @@ def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
     tau = max(tau_att, dt)
     p = cmd.omega_vx + (cmd.phi_c - phi) / tau
     q = cmd.omega_vy + (cmd.theta_c - theta_body) / tau
-    g_v = state.R.T @ g
-    r = g_v[1] / max(state.V_a, V_EPS)
-    return np.clip(np.array([p, q, r]), -RATE_LIMIT, RATE_LIMIT)
+    gx, gy, gz = np.asarray(g, dtype=float).tolist()
+    (_, y0, _), (_, y1, _), (_, y2, _) = np.asarray(state.R, dtype=float).tolist()
+    r = (y0 * gx + y1 * gy + y2 * gz) / max(state.V_a, V_EPS)  # (R'g)_y / V_a
+    return np.array([min(max(c, -RATE_LIMIT), RATE_LIMIT) for c in (p, q, r)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ def bernstein_basis_direct(n, i, u):
     return comb(n, i, exact=True) * u**i * (1.0 - u) ** (n - i)
 
 
+def basis_eval(n, i, u):
+    """B_{n,i}(u) by de Casteljau recursion on the i-th indicator vector."""
+    b = np.zeros(n + 1)
+    b[i] = 1.0
+    for r in range(n):
+        b[: n - r] = (1.0 - u) * b[: n - r] + u * b[1 : n - r + 1]
+    return float(b[0])
+
+
 def gram_by_quadrature(n, duration):
     """Pairwise basis inner products on [0, duration] via Gauss-Legendre.
 
@@ -176,3 +185,40 @@ def random_box_qp(rng, n_max=40, m_max=30):
     lo[eq] = b[eq]
     hi[eq] = b[eq]
     return Q, q, A, lo, hi, x_feas
+
+
+# The matrix formulas that the scalar flatness and attitude kernels replaced.
+ENU_TO_NED = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def frame_from_flat_matrix(v, a, g):
+    """(R, a_vx, a_vz, V, omega_vy, omega_vz) of the coordinated frame."""
+    V = np.linalg.norm(v)
+    r_x = v / V
+    a_vx = r_x @ (a - g)
+    a_n = a - g - a_vx * r_x
+    a_vz = -np.linalg.norm(a_n)
+    r_z = a_n / a_vz
+    R = np.column_stack([r_x, np.cross(r_z, r_x), r_z])
+    g_v = R.T @ g
+    return R, a_vx, a_vz, V, -(a_vz + g_v[2]) / V, g_v[1] / V
+
+
+def euler_zyx_matrix(R):
+    """Roll, pitch, yaw of an ENU frame through the NED permutation matrix."""
+    Rn = ENU_TO_NED @ R
+    s_pitch = np.clip(-Rn[2, 0], -1.0, 1.0)
+    theta = np.arcsin(s_pitch)
+    if abs(s_pitch) > 1.0 - 1e-9:
+        return 0.0, theta, np.arctan2(-Rn[0, 1], Rn[1, 1])
+    return np.arctan2(Rn[2, 1], Rn[2, 2]), theta, np.arctan2(Rn[1, 0], Rn[0, 0])
+
+
+def attitude_rates_matrix(R, alpha, V_a, cmd, tau_att, dt, g, v_eps, rate_limit):
+    """Commanded (p, q, r) of the first-order attitude loop, clipped."""
+    phi, theta_frame, _ = euler_zyx_matrix(R)
+    tau = max(tau_att, dt)
+    p = cmd.omega_vx + (cmd.phi_c - phi) / tau
+    q = cmd.omega_vy + (cmd.theta_c - (theta_frame + alpha)) / tau
+    r = (R.T @ g)[1] / max(V_a, v_eps)
+    return np.clip(np.array([p, q, r]), -rate_limit, rate_limit)

@@ -93,6 +93,29 @@ def test_simulate_command_aborted_mission(tmp_path, capsys):
     assert "mission aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mission, params, message", [
+    (MINI_MISSION.replace("cruise_speed 14", "cruise_speed nan"), "", "line 2"),
+    (MINI_MISSION.replace("45 ccw", "nan ccw", 1), "", "line 3"),
+    (MINI_MISSION, "seed inf\n", "line 1"),
+    (MINI_MISSION, "seed 1.5\n", "line 1: seed"),
+    (MINI_MISSION, "mass -1\n", "mass must be strictly positive"),
+    (MINI_MISSION, "gust_amplitude 1\ngust_period 0\n", "gust_period must be positive"),
+    (MINI_MISSION, "tau_att -1\n", "tau_att must be positive"),
+], ids=['cruise-nan', 'radius-nan', 'seed-inf', 'seed-fraction', 'mass-negative', 'gust-period-zero', 'tau-att-negative'])
+def test_simulate_command_rejects_malformed_inputs(tmp_path, capsys, mission, params,
+                                                   message):
+    mpath = tmp_path / "m.txt"
+    mpath.write_text(mission)
+    argv = ["simulate", "--mission", str(mpath), "--out", str(tmp_path / "o")]
+    if params:
+        ppath = tmp_path / "p.txt"
+        ppath.write_text(params)
+        argv += ["--params", str(ppath)]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- bench
 
 

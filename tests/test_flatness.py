@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from flatwing import flatness as fl
+from oracles import euler_zyx_matrix, frame_from_flat_matrix
 
 G = np.array([0.0, 0.0, -9.81])
 V = 14.0
@@ -83,10 +87,27 @@ def test_frame_singularity_guards():
         fl.frame_from_flat(np.array([V, 0.0, 0.0]), G.copy())
 
 
-def test_coordinated_rates_match_frame_fields():
-    fr = turn_frame()
-    wy, wz = fl.coordinated_rates(fr)
-    assert wy == fr.omega_vy and wz == fr.omega_vz
+def test_scalar_frame_matches_matrix_formulas():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for k in range(400):
+        v = rng.normal(size=3) * 15.0
+        a = rng.normal(size=3) * 8.0
+        g = G if k % 2 else rng.normal(size=3) * 10.0
+        try:
+            fr = fl.frame_from_flat(v, a, g)
+        except fl.FlatnessSingularityError:
+            continue
+        R, a_vx, a_vz, speed, omega_vy, omega_vz = frame_from_flat_matrix(v, a, g)
+        assert np.abs(fr.R - R).max() <= 1e-13
+        for new, old in ((fr.a_vx, a_vx), (fr.a_vz, a_vz), (fr.V, speed),
+                         (fr.omega_vy, omega_vy), (fr.omega_vz, omega_vz)):
+            assert abs(new - old) <= 1e-13 * max(1.0, abs(old))
+        checked += 1
+    assert checked > 350
+    # Sequences are accepted as well as arrays.
+    assert np.array_equal(fl.frame_from_flat([14, 0, 0], [0, 3, 0]).R,
+                          fl.frame_from_flat(np.array([14.0, 0, 0]), np.array([0, 3.0, 0])).R)
 
 
 # ---------------------------------------------------------------- inputs
@@ -188,6 +209,34 @@ def test_euler_climb_pitches_up():
     fr = fl.frame_from_flat(v, np.zeros(3))
     _, theta, _ = fl.euler_zyx(fr.R)
     assert theta == pytest.approx(np.arctan2(2.0, 13.0), abs=1e-9)
+
+
+def _vertical_frame(psi, up=True):
+    """ENU frame whose velocity axis is vertical: the gimbal-degenerate case."""
+    r_x = np.array([0.0, 0.0, 1.0 if up else -1.0])
+    r_y = np.array([math.cos(psi), math.sin(psi), 0.0])
+    return np.column_stack([r_x, r_y, np.cross(r_x, r_y)])
+
+
+def test_scalar_euler_matches_matrix_formula():
+    frames = list(Rotation.random(300, random_state=5).as_matrix())
+    for psi in (0.3, -2.0, 3.0):
+        for up in (True, False):
+            R = _vertical_frame(psi, up)
+            frames.append(R)
+            # Tipped just inside (1e-5 rad) and just outside (1e-3 rad) the
+            # degenerate branch, which starts at |sin(pitch)| > 1 - 1e-9.
+            for eps in (1e-5, 1e-3):
+                frames.append(R @ Rotation.from_rotvec([0.0, eps, 0.0]).as_matrix())
+    degenerate = 0
+    for R in frames:
+        diff = np.subtract(fl.euler_zyx(R), euler_zyx_matrix(R))
+        # Compared modulo 2*pi: where an entry of R is exactly zero the
+        # scalar kernel keeps its sign, which the permutation-matrix product
+        # lost, so the same roll can come out as -pi instead of +pi.
+        assert np.abs(np.remainder(diff + np.pi, 2 * np.pi) - np.pi).max() <= 1e-13
+        degenerate += abs(R[2, 0]) > 1.0 - 1e-9
+    assert degenerate == 12
 
 
 # ---------------------------------------------------------------- commands

@@ -1,8 +1,11 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatwing import mission as ms
 from flatwing import simulator as sim
@@ -82,6 +85,11 @@ def test_plan_dataclass_validation():
         ms.MissionPlan(14.0, loiters, [])
     with pytest.raises(ValueError, match="cruise_speed"):
         ms.MissionPlan(0.0, loiters, [ms.Leg(np.zeros((0, 3)))])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            ms.Loiter(np.zeros(3), bad)
+        with pytest.raises(ValueError, match="cruise_speed"):
+            ms.MissionPlan(bad, loiters, [ms.Leg(np.zeros((0, 3)))])
 
 
 def test_parse_params_whitelist():
@@ -94,6 +102,120 @@ def test_parse_params_whitelist():
         ms.parse_params("mass 1.2 extra\n")
     with pytest.raises(ms.MissionFormatError, match="bad number"):
         ms.parse_params("mass heavy\n")
+
+
+MISSION_LINES = ["version 1", "cruise_speed 14", "origin 47.6 -122.3 0",
+                 "loiter 0 0 60 45 ccw 0", "waypoint 150 40 60",
+                 "loiter 300 80 60 45 cw 2"]
+
+
+@pytest.mark.parametrize("line, new, message", [
+    (1, "cruise_speed nan", "line 2: malformed cruise_speed line .*non-finite"),
+    (1, "cruise_speed inf", "line 2: malformed cruise_speed line .*non-finite"),
+    (1, "cruise_speed 0", "line 2: cruise_speed must be positive"),
+    (1, "cruise_speed -3", "line 2: cruise_speed must be positive"),
+    (2, "origin nan 0 0", "line 3: malformed origin line .*non-finite"),
+    (3, "loiter 0 0 60 nan ccw 0", "line 4: malformed loiter line .*non-finite"),
+    (3, "loiter 0 -inf 60 45 ccw 0", "line 4: malformed loiter line .*non-finite"),
+    (3, "loiter 0 0 60 1e400 ccw 0", "line 4: malformed loiter line .*non-finite"),
+    (3, "loiter 0 0 60 45 ccw 1.5", "line 4: malformed loiter line"),
+    (4, "waypoint 150 nan 60", "line 5: malformed waypoint line .*non-finite"),
+], ids=['cruise-nan', 'cruise-inf', 'cruise-zero', 'cruise-negative', 'origin-nan', 'radius-nan', 'center-inf', 'radius-overflow', 'laps-fraction', 'waypoint-nan'])
+def test_parse_mission_rejects_non_finite_and_out_of_range_numbers(line, new, message):
+    lines = list(MISSION_LINES)
+    assert ms.parse_mission("\n".join(lines)).cruise_speed == 14.0
+    lines[line] = new
+    with pytest.raises(ms.MissionFormatError, match=message):
+        ms.parse_mission("\n".join(lines))
+
+
+def test_parse_mission_names_the_line_of_a_stray_waypoint():
+    text = "\n".join(MISSION_LINES + ["", "waypoint 1 2 3", "waypoint 4 5 6"])
+    with pytest.raises(ms.MissionFormatError, match="line 8: waypoints after the final"):
+        ms.parse_mission(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mass nan\n", "line 1: bad number 'nan'"),
+    ("wind_east 1\ngust_period inf\n", "line 2: bad number 'inf'"),
+    ("tau_att -inf\n", "line 1: bad number '-inf'"),
+    ("c_d0 1e999\n", "line 1: bad number '1e999'"),
+    ("seed inf\n", "line 1: bad number 'inf'"),
+    ("seed 1.5\n", "line 1: seed must be a non-negative integer"),
+    ("mass 1\nseed -2\n", "line 2: seed must be a non-negative integer"),
+], ids=['mass-nan', 'gust-period-inf', 'tau-att-inf', 'c-d0-overflow', 'seed-inf', 'seed-fraction', 'seed-negative'])
+def test_parse_params_rejects_non_finite_numbers_and_bad_seeds(text, message):
+    with pytest.raises(ms.MissionFormatError, match=message):
+        ms.parse_params(text)
+
+
+# Mission-wide errors that concern no single line.
+WHOLE_FILE_ERRORS = ("missing cruise_speed directive", "mission needs at least two loiters")
+FUZZ_KEYS = ["version", "cruise_speed", "origin", "loiter", "waypoint", "circle",
+             "mass", "seed", "gust_period", "wind_east", "tau_att"]
+FUZZ_VALUES = ["0", "1", "-1", "2", "14", "45", "300", "0.5", "1.5", "1e400", "-1e400",
+               "nan", "inf", "-inf", "1_0", "9" * 30, "x", "ccw", "cw", "#"]
+
+
+def _fuzz_text(data, base) -> str:
+    """`base` with a few tokens or lines replaced, inserted or deleted."""
+    lines = list(base)
+    line = st.tuples(st.sampled_from(FUZZ_KEYS),
+                     st.lists(st.sampled_from(FUZZ_VALUES), max_size=7))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(lines)))
+        key, values = data.draw(line)
+        op = data.draw(st.sampled_from(["token", "line", "insert", "delete"]))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, " ".join([key, *values]))
+        elif op == "token":
+            words = lines[i].split()
+            words[data.draw(st.integers(0, len(words) - 1))] = values[0] if values else key
+            lines[i] = " ".join(words)
+        elif op == "line":
+            lines[i] = " ".join([key, *values])
+        else:
+            del lines[i]
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+def _assert_names_a_line(exc, text):
+    m = re.match(r"line (\d+): ", str(exc))
+    if m is None:
+        assert str(exc) in WHOLE_FILE_ERRORS, f"error names no line: {exc}"
+    else:
+        assert 1 <= int(m.group(1)) <= max(1, len(text.splitlines()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_mission_fuzz_parses_or_names_a_line(data):
+    text = _fuzz_text(data, MISSION_LINES)
+    try:
+        plan = ms.parse_mission(text)
+    except ms.MissionFormatError as exc:
+        _assert_names_a_line(exc, text)
+    else:
+        assert np.isfinite(plan.cruise_speed) and plan.cruise_speed > 0
+        for lo in plan.loiters:
+            assert np.isfinite(lo.center).all() and np.isfinite(lo.radius)
+        for leg in plan.legs:
+            assert np.isfinite(leg.waypoints).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_params_fuzz_parses_or_names_a_line(data):
+    text = _fuzz_text(data, ["mass 1.25", "wind_east 2", "seed 7", "gust_period 60"])
+    try:
+        params = ms.parse_params(text)
+    except ms.MissionFormatError as exc:
+        _assert_names_a_line(exc, text)
+    else:
+        assert all(math.isfinite(v) for v in params.values())
+        assert float(params.get("seed", 0)).is_integer()
 
 
 def test_build_setup_routes_parameters():
@@ -117,6 +239,8 @@ def test_mission_config_validation():
         ms.MissionConfig(handoff_budget=0.017)
     with pytest.raises(ValueError):
         ms.MissionConfig(handoff_budget=2.0, leg_freeze=1.5)
+    with pytest.raises(ValueError, match="tau_att"):
+        ms.MissionConfig(tau_att=-0.1)
 
 
 # ---------------------------------------------------------------- geometry

@@ -246,8 +246,8 @@ def scalar_curvature_rows(prev, cfg, durations, t0):
     rows, lo, hi = [], [], []
     seg_start = t0
     for m, d in enumerate(durations):
-        D1 = derivative_map(n, 1, d).matrix
-        D2 = derivative_map(n, 2, d).matrix
+        D1 = derivative_map(n, 1, d)
+        D2 = derivative_map(n, 2, d)
         for k in range(cfg.n_curv_samples):
             u = (k + 0.5) / cfg.n_curv_samples
             t = min(max(seg_start + u * d, prev.t_start), prev.t_end)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
 from flatwing import flatness as fl
 from flatwing import simulator as sim
+from oracles import attitude_rates_matrix
 
 V = 14.0
 R_TURN = 45.0
@@ -156,6 +158,9 @@ def test_wind_seed_determinism():
 def test_wind_rejects_negative_gust():
     with pytest.raises(ValueError):
         sim.WindField(gust_amplitude=-0.1)
+    for period in (0.0, -60.0, float("nan")):
+        with pytest.raises(ValueError, match="gust_period"):
+            sim.WindField(gust_amplitude=0.5, gust_period=period)
 
 
 # ---------------------------------------------------------------- integrator
@@ -311,6 +316,26 @@ def test_attitude_loop_pitch_error_uses_body_angle():
     cmd = fl.CommandedInput(0.05, 0.0, 0.0, 0.0, 1.0, False)
     _, q, _ = sim.attitude_inner_loop(st, cmd, tau_att=0.1)
     assert q == pytest.approx(0.0, abs=1e-12)
+
+
+def test_scalar_attitude_loop_matches_matrix_formula():
+    rng = np.random.default_rng(17)
+    clamped = 0
+    for R in Rotation.random(300, random_state=9).as_matrix():
+        st = sim.AircraftState(x=np.zeros(3), v=np.zeros(3), R=R,
+                               alpha=float(rng.uniform(-0.3, 0.3)),
+                               V_a=float(rng.uniform(0.2, 30.0)))
+        cmd = fl.CommandedInput(theta_c=float(rng.normal()), phi_c=float(rng.normal()),
+                                omega_vx=float(rng.normal()), omega_vy=float(rng.normal()),
+                                a_T=1.0)
+        tau = float(rng.uniform(0.005, 0.5))
+        new = sim.attitude_inner_loop(st, cmd, tau_att=tau, dt=0.01)
+        old = attitude_rates_matrix(R, st.alpha, st.V_a, cmd, tau, 0.01, fl.GRAVITY,
+                                    fl.V_EPS, sim.RATE_LIMIT)
+        assert new.shape == (3,)
+        assert np.abs(new - old).max() <= 1e-13
+        clamped += np.count_nonzero(np.abs(old) == sim.RATE_LIMIT)
+    assert clamped > 100
 
 
 def test_attitude_loop_rejects_bad_time_constant():
