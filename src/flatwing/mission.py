@@ -47,7 +47,10 @@ from .simulator import (
 
 CSV_HEADER = ("t,ref_x,ref_y,ref_z,ref_vx,ref_vy,ref_vz,"
               "act_x,act_y,act_z,act_vx,act_vy,act_vz,"
-              "phi,theta,psi,a_T,leg_id,replan_flag,t_opt")
+              "phi,theta,psi,a_T,leg_id,replan_flag")
+# A thousand laps of a 1 km loiter at 14 m/s is five days of flight; a
+# larger count is a typo that would keep `simulate` running as long.
+MAX_LOITER_LAPS = 1000
 
 
 class MissionFormatError(ValueError):
@@ -251,6 +254,10 @@ def parse_mission(text: str) -> MissionPlan:
             elif key == "loiter":
                 cx, cy, cz, r = map(_finite, tok[1:5])
                 sense, laps = tok[5], int(tok[6])
+                if laps > MAX_LOITER_LAPS:
+                    raise MissionFormatError(
+                        f"line {i}: loiter laps must be at most {MAX_LOITER_LAPS}"
+                    )
                 if sense not in ("ccw", "cw"):
                     raise MissionFormatError(
                         f"line {i}: loiter direction must be ccw or cw"
@@ -348,10 +355,10 @@ class SimLog:
     rows: list = field(default_factory=list)
 
     def append(self, t, ref: FlatState, st: AircraftState, euler, a_T,
-               leg_id, replan_flag, t_opt):
+               leg_id, replan_flag):
         self.rows.append((
             t, *np.concatenate([ref.position, ref.velocity, st.x, st.v]).tolist(),
-            *euler, a_T, leg_id, replan_flag, t_opt,
+            *euler, a_T, leg_id, replan_flag,
         ))
 
     def columns(self) -> np.ndarray:
@@ -377,7 +384,6 @@ def write_csv(log: SimLog, dest) -> None:
         cells = ["%.17g" % v for v in row[:17]]
         cells.append("%d" % row[17])
         cells.append("%d" % row[18])
-        cells.append("%.17g" % row[19])
         dest.write(",".join(cells) + "\n")
 
 
@@ -572,7 +578,6 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             break
 
         replan_flag = 0
-        t_opt = 0.0
         if isinstance(phase, _LegSpan):
             if phase.pending is not None and t >= phase.pending_t - 1e-9:
                 phase.traj = phase.pending
@@ -589,7 +594,6 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                                      settings=settings, warm=phase.last_qp)
                 wall = time.perf_counter() - tic
                 replan_flag = 1
-                t_opt = mcfg.handoff_budget
                 events.append(ReplanEvent(t, phase.index, res.status,
                                           res.iterations, res.objective,
                                           wall, res.ok))
@@ -619,8 +623,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             a_vx_real, a_vz_real = input_accels(cmd.a_T, a_D, a_L, st.alpha)
 
             leg_id = phase.index if isinstance(phase, _LegSpan) else -1
-            log.append(t, ref, st, euler_zyx(st.R), cmd.a_T, leg_id,
-                       replan_flag, t_opt)
+            log.append(t, ref, st, euler_zyx(st.R), cmd.a_T, leg_id, replan_flag)
 
             st = step(st, omega_v, a_vx_real, a_vz_real, w, dt)
             prev_omega = omega_v

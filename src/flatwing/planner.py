@@ -142,16 +142,6 @@ def _row(N: int, n: int, m: int, axis: int, w) -> np.ndarray:
     return row
 
 
-def _deriv_row(n: int, k: int, duration: float, u: float) -> np.ndarray:
-    """Row over a segment's control points giving the k-th derivative at u."""
-    dmat = derivative_map(n, k, duration)
-    if u == 0.0:
-        return dmat[0]
-    if u == 1.0:
-        return dmat[-1]
-    return basis_row(n - k, u) @ dmat
-
-
 def build_cost(config: PlannerConfig, durations) -> np.ndarray:
     """Block-diagonal jerk Gram cost; p'Qp equals the squared-jerk integral."""
     n = config.degree
@@ -179,19 +169,21 @@ def build_endpoint_constraints(wps: WaypointSequence, config: PlannerConfig, dur
     N = 3 * M * (n + 1)
     rows, vals = [], []
 
-    def pin(m, u, k, target):
-        w = _deriv_row(n, k, durations[m], u)
+    def pin(m, end, k, target):
+        # A segment's k-th derivative at its start (end=0) or finish (end=-1)
+        # is the first or last derivative control point.
+        w = derivative_map(n, k, durations[m])[end]
         for axis in range(3):
             rows.append(_row(N, n, m, axis, w))
             vals.append(target[axis])
 
     b0, b1 = wps.boundary_start, wps.boundary_end
     for k, target in enumerate((b0.position, b0.velocity, b0.acceleration)):
-        pin(0, 0.0, k, target)
+        pin(0, 0, k, target)
     for k, target in enumerate((b1.position, b1.velocity, b1.acceleration)):
-        pin(M - 1, 1.0, k, target)
+        pin(M - 1, -1, k, target)
     for m in range(M - 1):
-        pin(m, 1.0, 0, wps.waypoints[m + 1])
+        pin(m, -1, 0, wps.waypoints[m + 1])
 
     A = np.array(rows) if rows else np.zeros((0, N))
     v = np.array(vals)
@@ -209,8 +201,8 @@ def build_continuity_constraints(config: PlannerConfig, durations):
     rows = []
     for m in range(M - 1):
         for k in range(config.continuity_order + 1):
-            w_end = _deriv_row(n, k, durations[m], 1.0)
-            w_start = _deriv_row(n, k, durations[m + 1], 0.0)
+            w_end = derivative_map(n, k, durations[m])[-1]
+            w_start = derivative_map(n, k, durations[m + 1])[0]
             for axis in range(3):
                 row = _row(N, n, m, axis, w_end)
                 i1 = _idx(m + 1, axis, 0, n)

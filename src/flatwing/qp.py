@@ -1,10 +1,12 @@
-"""Dense convex QP solver: ADMM with over-relaxation, equilibration, and polish.
+"""Convex QP solver: ADMM with over-relaxation, equilibration, and polish.
 
 Solves min 1/2 x'Qx + q'x subject to l <= Ax <= u, with equality rows
-encoded as l == u. The KKT system is factored up front (banded Cholesky
-when the reduced matrix is narrow-banded, dense Cholesky otherwise) and
-refactored only when the penalty rebalances, so iterations stay cheap,
-which suits repeated solves at a fixed rate with warm starting.
+encoded as l == u. A solve works on dense Q and A below a size threshold
+and on CSR copies above it, where the planner's large, sparse problems
+fall. The KKT system is factored up front (banded Cholesky when the
+reduced matrix is narrow-banded, dense Cholesky otherwise) and refactored
+only when the penalty rebalances, so iterations stay cheap, which suits
+repeated solves at a fixed rate with warm starting.
 
 Polish doubles as an early stop. ADMM converges only linearly once it has
 found the active set, so when the active set read off the duals is the
@@ -24,6 +26,10 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cholesky_banded, lu_factor, lu_solve
 from scipy.linalg.lapack import dpbtrs, dpotrs
 from scipy.sparse.linalg import splu
+
+# Size m*n of A above which a solve works on CSR copies of Q and A: below
+# it scipy.sparse's per-call cost outweighs what sparsity saves.
+_SPARSE_ABOVE = 200_000
 
 
 class IllPosedProblem(ValueError):
@@ -137,111 +143,81 @@ def kkt_residuals(prob: QpProblem, x, y):
     return prim, dual
 
 
-def _col_abs_max(M, n) -> np.ndarray:
-    out = np.zeros(n)
-    if M.nnz:
-        np.maximum.at(out, M.indices, np.abs(M.data))
-    return out
+# The CSR branches of _abs_max and _scaled work on the stored entries;
+# scipy's abs(M).max(axis) and diags products cost several times more.
+def _abs_max(M, axis) -> np.ndarray:
+    """Largest absolute entry along an axis (0.0 for an empty line)."""
+    if sp.issparse(M):
+        line = M.indices if axis == 0 else np.repeat(np.arange(M.shape[0]),
+                                                     np.diff(M.indptr))
+        out = np.zeros(M.shape[1 - axis])
+        np.maximum.at(out, line, np.abs(M.data))
+        return out
+    return np.abs(M).max(axis=axis, initial=0.0)
 
 
-def _row_abs_max(M, m) -> np.ndarray:
-    out = np.zeros(m)
-    if M.nnz:
-        rows = np.repeat(np.arange(m), np.diff(M.indptr))
-        np.maximum.at(out, rows, np.abs(M.data))
-    return out
-
-
-def _scale_csr(M, row, col) -> None:
-    M.data *= np.repeat(row, np.diff(M.indptr))
-    M.data *= col[M.indices]
+def _scaled(M, row, col):
+    """diag(row) @ M @ diag(col), in M's own form (dense or CSR)."""
+    if sp.issparse(M):
+        M = M.copy()
+        M.data *= np.repeat(row, np.diff(M.indptr))
+        M.data *= col[M.indices]
+        return M
+    return row[:, None] * M * col[None, :]
 
 
 def _ruiz_equilibrate(Q, q, A, iters):
     """Modified Ruiz scaling on the stacked KKT matrix plus cost scaling.
 
-    Large sparse constraint matrices are scaled in CSR form (and returned
-    that way); everything downstream handles either representation.
+    Q and A come dense or CSR, and their scaled versions keep that form.
     """
-    n, m = Q.shape[0], A.shape[0]
-    D = np.ones(n)
-    E = np.ones(m)
+    D = np.ones(Q.shape[0])
+    E = np.ones(A.shape[0])
     qs = q.copy()
-    sparse = m * n > 200_000 and _density(A) < 0.3
-    if sparse:
-        Qs, As = sp.csr_matrix(Q), sp.csr_matrix(A)
-    else:
-        Qs, As = Q.copy(), A.copy()
     for _ in range(iters):
-        if sparse:
-            cx = np.maximum(_col_abs_max(Qs, n), _col_abs_max(As, n))
-            cz = _row_abs_max(As, m)
-        else:
-            cx = np.maximum(
-                np.abs(Qs).max(axis=0) if n else np.zeros(0),
-                np.abs(As).max(axis=0) if m else np.zeros(n),
-            )
-            cz = np.abs(As).max(axis=1) if m else np.zeros(0)
+        cx = np.maximum(_abs_max(Q, 0), _abs_max(A, 0))
+        cz = _abs_max(A, 1)
         dx = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(cx, 1e-8)), 1e-4), 1e4)
         dz = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(cz, 1e-8)), 1e-4), 1e4)
-        if sparse:
-            _scale_csr(Qs, dx, dx)
-            _scale_csr(As, dz, dx)
-        else:
-            Qs = dx[:, None] * Qs * dx[None, :]
-            As = dz[:, None] * As * dx[None, :]
+        Q = _scaled(Q, dx, dx)
+        A = _scaled(A, dz, dx)
         qs = dx * qs
         D *= dx
         E *= dz
-    col_max = _col_abs_max(Qs, n) if sparse else (np.abs(Qs).max(axis=0) if n else np.zeros(0))
-    c = 1.0 / max(col_max.mean() if n else 0.0, _inf_norm(qs), 1e-8)
+    col_max = _abs_max(Q, 0)
+    c = 1.0 / max(col_max.mean() if col_max.size else 0.0, _inf_norm(qs), 1e-8)
     c = min(max(c, 1e-6), 1e6)
-    Qs = Qs * c
-    qs = qs * c
-    return Qs, qs, As, D, E, c
+    return Q * c, qs * c, A, D, E, c
 
 
 class _KktOperator:
     """Factor K = Q + sigma*I + A' diag(rho) A once; solve and matvec cheaply.
 
-    Chooses a banded Cholesky factorization when the reduced matrix has a
-    narrow band (the planner's segment-ordered problems do), otherwise a
-    dense one. Large sparse constraint matrices get CSR matvecs.
+    Chooses a banded Cholesky factorization when K has a narrow band (the
+    planner's segment-ordered problems do), otherwise a dense one. Q and A
+    come dense or CSR; matvecs use them in that form.
     """
 
     def __init__(self, Q, A, rho, sigma):
-        n, m = Q.shape[0], A.shape[0]
-        self._sparse = sp.issparse(A) or (m * n > 200_000 and _density(A) < 0.3)
-        if self._sparse:
-            self._A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
-            self._At = self._A.T.tocsr()
-            Qsp = Q if sp.issparse(Q) else sp.csr_matrix(Q)
-            K = Qsp + sigma * sp.eye(n)
-            if m:
-                K = K + self._At @ sp.diags(rho) @ self._A
-            K = K.tocoo()
-            bw = int(np.max(np.abs(K.row - K.col))) if K.nnz else 0
-            self.banded = 2 * (bw + 1) < n
-            K = K.tocsr()
-            band_diag = (lambda k: K.diagonal(-k)) if self.banded else None
-            K_dense = None if self.banded else K.toarray()
+        n = Q.shape[0]
+        self._A, self._At = A, A.T
+        if sp.issparse(A):
+            K = Q + sigma * sp.eye(n) + A.T @ sp.diags(rho) @ A
         else:
-            self._A = A
-            self._At = A.T
-            K_dense = Q + (A.T * rho) @ A if m else Q.copy()
-            K_dense[np.diag_indices(n)] += sigma
-            bw = _bandwidth(K_dense)
-            self.banded = 2 * (bw + 1) < n
-            band_diag = (lambda k: np.concatenate(
-                [np.diagonal(K_dense, -k), np.zeros(0)])) if self.banded else None
+            K = Q + (A.T * rho) @ A
+            K[np.diag_indices(n)] += sigma
+        rows, cols = K.nonzero()
+        bw = int(np.abs(rows - cols).max(initial=0))
+        self.banded = 2 * (bw + 1) < n
         try:
             if self.banded:
                 ab = np.zeros((bw + 1, n))
                 for k in range(bw + 1):
-                    ab[k, : n - k] = band_diag(k)
+                    ab[k, : n - k] = K.diagonal(-k)
                 self._factor = cholesky_banded(ab, lower=True)
             else:
-                self._factor, _ = cho_factor(K_dense, lower=True)
+                self._factor, _ = cho_factor(K.toarray() if sp.issparse(K) else K,
+                                             lower=True)
         except np.linalg.LinAlgError as exc:
             raise IllPosedProblem(str(exc)) from exc
 
@@ -264,15 +240,6 @@ class _KktOperator:
 
     def aty(self, y):
         return self._At @ y
-
-
-def _density(A) -> float:
-    return np.count_nonzero(A) / max(A.size, 1)
-
-
-def _bandwidth(K) -> int:
-    rows, cols = np.nonzero(K)
-    return int(np.max(np.abs(rows - cols))) if rows.size else 0
 
 
 def _infeasibility_certificate(prob: QpProblem, dy, eps) -> bool:
@@ -302,37 +269,34 @@ def _active_set(prob: QpProblem, y):
     return eq, (y < -tol) & ~eq, (y > tol) & ~eq
 
 
-def _polish(prob: QpProblem, active):
+def _polish(prob: QpProblem, Q, A, active):
     """Re-solve on the active set for high-accuracy primal/dual values.
 
-    Returns (x, y, primal residual, dual residual), the residuals from
-    `kkt_residuals`, or None when the KKT solve fails. The result depends
-    on the active set alone, not on the ADMM iterate that suggested it.
+    Q and A are the problem's unscaled matrices in the solve's working
+    form; a dense KKT system goes through a dense LU, a CSR one through a
+    sparse LU. Returns (x, y, primal residual, dual residual), the
+    residuals from `kkt_residuals`, or None when the KKT solve fails. The
+    result depends on the active set alone, not on the ADMM iterate that
+    suggested it.
     """
     n = prob.n
     eq, low, upp = active
-    A_act = np.vstack([prob.A[eq], prob.A[low], prob.A[upp]])
+    rows = np.concatenate([np.flatnonzero(eq), np.flatnonzero(low), np.flatnonzero(upp)])
+    A_act = A[rows]
     b_act = np.concatenate([prob.l[eq], prob.l[low], prob.u[upp]])
-    k = A_act.shape[0]
+    k = rows.size
     delta = 1e-9
     rhs = np.concatenate([-prob.q, b_act])
     try:
         # Factor the regularized KKT system once; iterative refinement
-        # against the unregularized one reuses the factorization. Large
-        # systems (the planner's) are sparse and banded, so they go
-        # through a sparse LU instead of a dense one.
-        if n + k > 500:
-            kkt = sp.bmat(
-                [
-                    [sp.csc_matrix(prob.Q) + delta * sp.eye(n), sp.csc_matrix(A_act).T],
-                    [sp.csc_matrix(A_act), -delta * sp.eye(k)],
-                ],
-                format="csc",
-            )
+        # against the unregularized one reuses the factorization.
+        if sp.issparse(A):
+            kkt = sp.bmat([[Q + delta * sp.eye(n), A_act.T], [A_act, -delta * sp.eye(k)]],
+                          format="csc")
             factor = splu(kkt).solve
         else:
             KKT = np.zeros((n + k, n + k))
-            KKT[:n, :n] = prob.Q + delta * np.eye(n)
+            KKT[:n, :n] = Q + delta * np.eye(n)
             KKT[:n, n:] = A_act.T
             KKT[n:, :n] = A_act
             KKT[n:, n:] = -delta * np.eye(k)
@@ -340,17 +304,14 @@ def _polish(prob: QpProblem, active):
             factor = lambda b: lu_solve(lu, b)
         sol = factor(rhs)
         for _ in range(3):
-            rx = -prob.q - prob.Q @ sol[:n] - A_act.T @ sol[n:]
+            rx = -prob.q - Q @ sol[:n] - A_act.T @ sol[n:]
             rz = b_act - A_act @ sol[:n]
             sol += factor(np.concatenate([rx, rz]))
     except (np.linalg.LinAlgError, RuntimeError):
         return None
     x_p = sol[:n]
     y_p = np.zeros(prob.m)
-    n_eq, n_low = int(eq.sum()), int(low.sum())
-    y_p[eq] = sol[n : n + n_eq]
-    y_p[low] = sol[n + n_eq : n + n_eq + n_low]
-    y_p[upp] = sol[n + n_eq + n_low :]
+    y_p[rows] = sol[n:]
     return (x_p, y_p, *kkt_residuals(prob, x_p, y_p))
 
 
@@ -381,7 +342,12 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     t_begin = time.perf_counter()
     n, m = prob.n, prob.m
 
-    Qs, qs, As, D, E, c = _ruiz_equilibrate(prob.Q, prob.q, prob.A, s.scaling_iters)
+    # The working form, dense or CSR, chosen here once; every stage below
+    # follows the form it is given.
+    Q, A = prob.Q, prob.A
+    if m * n > _SPARSE_ABOVE:
+        Q, A = sp.csr_array(Q), sp.csr_array(A)
+    Qs, qs, As, D, E, c = _ruiz_equilibrate(Q, prob.q, A, s.scaling_iters)
     ls = E * prob.l
     us = E * prob.u
 
@@ -456,7 +422,7 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                         and np.array_equal(active[2], prev_active[2])):
                     if not tried:
                         tried = True
-                        res = _polish(prob, active)
+                        res = _polish(prob, Q, A, active)
                         if res is not None and _polish_is_optimal(prob, s, active, *res):
                             x_u, y_u, prim, dual = res
                             status = "solved"
@@ -496,7 +462,7 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
         x_u = D * x
         y_u = (E / c) * y if m else np.zeros(0)
         if status == "solved" and s.polish:
-            res = _polish(prob, _active_set(prob, y_u))
+            res = _polish(prob, Q, A, _active_set(prob, y_u))
             if res is not None and max(res[2], res[3]) <= max(prim, dual):
                 x_u, y_u, prim, dual = res
                 polished = True

@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import solve as dense_solve
 
-from flatwing import qp
+from flatwing import cli, qp
+from flatwing import planner as pl
 from oracles import active_set_qp, random_box_qp
 
 
@@ -232,15 +234,51 @@ def test_max_iterations_status_is_honest():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kkt_solve_rejects_non_finite_right_hand_side(bad):
     rng = np.random.default_rng(4)
-    for n, A in ((6, rng.normal(size=(3, 6))),  # dense factor
-                 (40, np.eye(40))):  # narrow band: banded factor
-        op = qp._KktOperator(np.eye(n), A, np.full(A.shape[0], 0.1), 1e-6)
+    for Q, A in ((np.eye(6), rng.normal(size=(3, 6))),  # dense factor
+                 (np.eye(40), np.eye(40)),  # narrow band: banded factor
+                 (sp.csr_array(np.eye(40)), sp.csr_array(np.eye(40)))):  # CSR
+        n = Q.shape[0]
+        op = qp._KktOperator(Q, A, np.full(A.shape[0], 0.1), 1e-6)
         assert op.banded == (n == 40)
         rhs = np.ones(n)
         assert np.all(np.isfinite(op.solve(rhs)))
         rhs[n // 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             op.solve(rhs)
+
+
+def test_dense_and_csr_forms_give_the_same_answer(monkeypatch):
+    # Each problem is solved in the dense form, as its size selects, and
+    # with the threshold at zero in the CSR form: Ruiz, the KKT factor
+    # (dense Cholesky for the random problems, banded for the planner's)
+    # and the polish all run on CSR matrices.
+    problems = []
+    for seed in range(8):
+        Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
+        problems.append((qp.QpProblem(Q, qv, A, lo, hi), x_feas))
+    pts = cli.waypoint_field(6)
+    d0, d1 = pts[1] - pts[0], pts[-1] - pts[-2]
+    wps = pl.WaypointSequence(
+        pts,
+        pl.BoundaryState(pts[0], 14.0 * d0 / np.linalg.norm(d0), np.zeros(3)),
+        pl.BoundaryState(pts[-1], 14.0 * d1 / np.linalg.norm(d1), np.zeros(3)),
+    )
+    prob, _, _ = pl.assemble(wps, pl.PlannerConfig())
+    assert prob.m * prob.n <= qp._SPARSE_ABOVE
+    problems.append((prob, None))
+    for prob, x_feas in problems:
+        dense = qp.solve_qp(prob)
+        with monkeypatch.context() as mp:
+            mp.setattr(qp, "_SPARSE_ABOVE", 0)
+            csr = qp.solve_qp(prob)
+        assert csr.status == dense.status == "solved"
+        assert csr.polished
+        assert np.abs(csr.x - dense.x).max() <= 1e-9
+        # The planner QP has no known feasible point; the oracle starts
+        # from the dense answer and must confirm it is optimal.
+        xo, _ = active_set_qp(prob.Q, prob.q, prob.A, prob.l, prob.u,
+                              dense.x if x_feas is None else x_feas)
+        assert np.abs(csr.x - xo).max() <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [11, 19, 24, 44])
