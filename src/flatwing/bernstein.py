@@ -249,23 +249,25 @@ class PiecewiseTrajectory:
         u = float((min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration)
         n, ndim = seg.degree, seg.control_points.ndim
         rows = _basis_rows(n, u)
-        return tuple([_point(_combine(rows[n - k], cols), ndim) if k <= n
-                       else np.zeros(seg.control_points.shape[1:])
-                       for k, cols in enumerate(self._cols[j])])
+        cols = self._cols[j]
+        return tuple([_point(_combine(rows[n - k], c) if k <= n else [0.0] * len(cols[0]), ndim)
+                       for k, c in enumerate(cols)])
 
 
-def gram_matrix(n: int, duration: float) -> np.ndarray:
+def gram_matrix(n: int, duration) -> np.ndarray:
     """Pairwise integrals of degree-n basis functions over an interval.
 
     Entry (i, j) = duration * C(n,i) C(n,j) / ((2n+1) C(2n, i+j)), so that
     p^T G q = integral of the two polynomials' product over the interval.
+    An array of M durations gives the M matrices, (M, n+1, n+1).
     """
-    if duration <= 0:
+    duration = np.asarray(duration, dtype=float)
+    if np.any(duration <= 0):
         raise ValueError("duration must be positive")
     i = np.arange(n + 1)
     bi = binom(n, i)
-    G = duration * np.outer(bi, bi) / ((2 * n + 1) * binom(2 * n, np.add.outer(i, i)))
-    return G
+    return (duration[..., None, None] * np.outer(bi, bi)
+            / ((2 * n + 1) * binom(2 * n, np.add.outer(i, i))))
 
 
 def arc_length(traj, n_samples: int = 128) -> float:
@@ -358,7 +360,8 @@ def read_trajectory(f) -> PiecewiseTrajectory:
                 raise ValueError(f"line {i_pt}: control point {r} of segment {j} has "
                                  f"{len(pts[-1])} coordinates, the first has {width}")
         try:
-            segs.append(BernsteinSegment(np.array(pts), t0, tf))
+            # one coordinate per point: a scalar trajectory, (n+1,) points
+            segs.append(BernsteinSegment(np.ravel(pts) if width == 1 else pts, t0, tf))
             if j:
                 _check_junction(segs[-2], segs[-1])
         except ValueError as exc:

@@ -91,7 +91,6 @@ class MissionPlan:
     cruise_speed: float
     loiters: list
     legs: list
-    origin: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.cruise_speed < math.inf:
@@ -229,7 +228,6 @@ def _tokens(text: str):
 def parse_mission(text: str) -> MissionPlan:
     """Parse the plain-text mission format (see the bundled example)."""
     cruise = None
-    origin = None
     loiters: list = []
     legs: list = []
     pending_wps: list = []
@@ -249,8 +247,8 @@ def parse_mission(text: str) -> MissionPlan:
                 if cruise <= 0:
                     raise MissionFormatError(f"line {i}: cruise_speed must be positive")
             elif key == "origin":
-                lat, lon, alt = map(_finite, tok[1:])
-                origin = np.array([lat, lon, alt])
+                # geodetic origin: checked, not used (coordinates are local)
+                _, _, _ = map(_finite, tok[1:])
             elif key == "loiter":
                 cx, cy, cz, r = map(_finite, tok[1:5])
                 sense, laps = tok[5], int(tok[6])
@@ -288,7 +286,7 @@ def parse_mission(text: str) -> MissionPlan:
     if pending_wps:
         raise MissionFormatError(f"line {first_wp_line}: waypoints after the final loiter")
     try:
-        return MissionPlan(cruise, loiters, legs, origin)
+        return MissionPlan(cruise, loiters, legs)
     except ValueError as exc:
         raise MissionFormatError(str(exc)) from exc
 

@@ -130,35 +130,54 @@ def _durations(wps: WaypointSequence, config: PlannerConfig) -> np.ndarray:
     return np.diff(np.concatenate([[0.0], times]))
 
 
-def _idx(m: int, axis: int, i: int, n: int) -> int:
-    return m * 3 * (n + 1) + axis * (n + 1) + i
+def _layout(W, seg, M: int) -> np.ndarray:
+    """Dense QP rows from per-segment weight blocks.
+
+    W holds (3, n+1) blocks, axis by control point, under any leading
+    shape; row r holds the r-th block (in C order) on the control points of
+    segment seg[r], and zeros elsewhere. The decision vector runs segment,
+    axis, control point; this and `plan`'s unpacking are the only code that
+    knows it.
+    """
+    n1 = W.shape[-1]
+    W = W.reshape(-1, 3, n1)
+    rows = np.zeros((len(W), M, 3, n1))
+    rows[np.arange(len(W)), seg] = W
+    return rows.reshape(len(W), M * 3 * n1)
 
 
-def _row(N: int, n: int, m: int, axis: int, w) -> np.ndarray:
-    """Length-N constraint row holding w on one axis of segment m's control points."""
-    row = np.zeros(N)
-    i0 = _idx(m, axis, 0, n)
-    row[i0 : i0 + n + 1] = w
-    return row
+def _on_each_axis(w) -> np.ndarray:
+    """Weight rows w, (..., P, n+1), as blocks (..., 3, P, 3, n+1).
+
+    Block [..., a, p] holds w[..., p] on axis a and zeros on the others.
+    """
+    W = np.zeros(w.shape[:-2] + (3,) + w.shape[-2:-1] + (3, w.shape[-1]))
+    for axis in range(3):
+        W[..., axis, :, axis, :] = w
+    return W
+
+
+def _maps(n: int, k: int, durations) -> np.ndarray:
+    """derivative_map of every segment, stacked to (M, n+1-k, n+1).
+
+    One scalar call per segment: numpy's power on arrays does not round
+    like its scalar power on every host, and the maps must equal
+    derivative_map's bit for bit.
+    """
+    return np.array([derivative_map(n, k, d) for d in durations])
 
 
 def build_cost(config: PlannerConfig, durations) -> np.ndarray:
     """Block-diagonal jerk Gram cost; p'Qp equals the squared-jerk integral."""
     n = config.degree
-    if n < 3:
-        raise ValueError("jerk cost needs degree >= 3")
     durations = np.asarray(durations, dtype=float)
     M = durations.size
-    N = 3 * M * (n + 1)
-    Q = np.zeros((N, N))
     S3 = difference_stencil(n, 3)
-    for m, d in enumerate(durations):
-        scale = derivative_scale(n, 3, d)
-        block = scale**2 * (S3.T @ gram_matrix(n - 3, d) @ S3)
-        for axis in range(3):
-            i0 = _idx(m, axis, 0, n)
-            Q[i0 : i0 + n + 1, i0 : i0 + n + 1] = block
-    return Q
+    scale2 = np.array([derivative_scale(n, 3, d) ** 2 for d in durations])  # as in _maps
+    blocks = scale2[:, None, None] * (S3.T @ gram_matrix(n - 3, durations) @ S3)
+    # Row (m, axis, i) of Q is Gram row i on segment m's axis: the rows
+    # come in the columns' order.
+    return _layout(_on_each_axis(blocks), np.repeat(np.arange(M), 3 * (n + 1)), M)
 
 
 def build_endpoint_constraints(wps: WaypointSequence, config: PlannerConfig, durations):
@@ -166,28 +185,18 @@ def build_endpoint_constraints(wps: WaypointSequence, config: PlannerConfig, dur
     n = config.degree
     durations = np.asarray(durations, dtype=float)
     M = durations.size
-    N = 3 * M * (n + 1)
-    rows, vals = [], []
-
-    def pin(m, end, k, target):
-        # A segment's k-th derivative at its start (end=0) or finish (end=-1)
-        # is the first or last derivative control point.
-        w = derivative_map(n, k, durations[m])[end]
-        for axis in range(3):
-            rows.append(_row(N, n, m, axis, w))
-            vals.append(target[axis])
-
+    # A segment's k-th derivative at its start or finish is the first or
+    # last row of its derivative map; an interior waypoint pins the last
+    # control point of the segment that ends there.
+    w = np.vstack([[derivative_map(n, k, durations[0])[0] for k in range(3)],
+                   [derivative_map(n, k, durations[-1])[-1] for k in range(3)],
+                   np.eye(n + 1)[[-1] * (M - 1)]])
+    seg = np.concatenate([[0] * 3, [M - 1] * 3, np.arange(M - 1)])
     b0, b1 = wps.boundary_start, wps.boundary_end
-    for k, target in enumerate((b0.position, b0.velocity, b0.acceleration)):
-        pin(0, 0, k, target)
-    for k, target in enumerate((b1.position, b1.velocity, b1.acceleration)):
-        pin(M - 1, -1, k, target)
-    for m in range(M - 1):
-        pin(m, -1, 0, wps.waypoints[m + 1])
-
-    A = np.array(rows) if rows else np.zeros((0, N))
-    v = np.array(vals)
-    return A, v.copy(), v.copy()
+    v = np.concatenate([b0.position, b0.velocity, b0.acceleration,
+                        b1.position, b1.velocity, b1.acceleration,
+                        wps.waypoints[1:-1].ravel()])
+    return _layout(_on_each_axis(w[:, None]), np.repeat(seg, 3), M), v, v.copy()
 
 
 def build_continuity_constraints(config: PlannerConfig, durations):
@@ -197,20 +206,14 @@ def build_continuity_constraints(config: PlannerConfig, durations):
         raise ValueError("continuity order must be below the segment degree")
     durations = np.asarray(durations, dtype=float)
     M = durations.size
-    N = 3 * M * (n + 1)
-    rows = []
-    for m in range(M - 1):
-        for k in range(config.continuity_order + 1):
-            w_end = derivative_map(n, k, durations[m])[-1]
-            w_start = derivative_map(n, k, durations[m + 1])[0]
-            for axis in range(3):
-                row = _row(N, n, m, axis, w_end)
-                i1 = _idx(m + 1, axis, 0, n)
-                row[i1 : i1 + n + 1] -= w_start
-                rows.append(row)
-    A = np.array(rows) if rows else np.zeros((0, N))
-    z = np.zeros(A.shape[0])
-    return A, z.copy(), z.copy()
+    maps = [_maps(n, k, durations) for k in range(config.continuity_order + 1)]
+    # w[0, m, k] is order k at segment m's end, w[1, m, k] at segment m+1's start.
+    w = np.array([[D[:-1, -1] for D in maps], [D[1:, 0] for D in maps]]).transpose(0, 2, 1, 3)
+    # Rows by junction, order, axis: the end minus the start.
+    seg = np.repeat(np.arange(M - 1), 3 * len(maps))
+    A = _layout(_on_each_axis(w[..., None, :]), np.concatenate([seg, seg + 1]), M)
+    R = len(seg)
+    return A[:R] - A[R:], np.zeros(R), np.zeros(R)
 
 
 def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
@@ -223,33 +226,25 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
     n = config.degree
     durations = np.asarray(durations, dtype=float)
     M = durations.size
-    N = 3 * M * (n + 1)
     v_max = config.v_max_vec()
     a_max = config.a_max_vec()
     if np.any(v_max <= 0) or np.any(a_max <= 0):
         raise ValueError("derivative bounds must be positive")
-    rows, lo, hi = [], [], []
-    for m, d in enumerate(durations):
-        D1 = derivative_map(n, 1, d)
-        D2 = derivative_map(n, 2, d)
-        for axis in range(3):
-            for D, lim in ((D1, v_max[axis]), (D2, a_max[axis])):
-                if np.isfinite(lim):
-                    rows += [_row(N, n, m, axis, r) for r in D]
-                    lo += [-lim] * len(D)
-                    hi += [lim] * len(D)
-        if chords is not None:
-            c = np.asarray(chords[m], dtype=float)
-            for r in D1:
-                row = np.zeros(N)
-                for axis in range(3):
-                    i0 = _idx(m, axis, 0, n)
-                    row[i0 : i0 + n + 1] = c[axis] * r
-                rows.append(row)
-                lo.append(config.v_min)
-                hi.append(np.inf)
-    A = np.array(rows) if rows else np.zeros((0, N))
-    return A, np.array(lo), np.array(hi)
+    D1 = _maps(n, 1, durations)
+    # Per segment and axis: n velocity then n-1 acceleration rows, less
+    # those whose bound is infinite.
+    W = _on_each_axis(np.concatenate([D1, _maps(n, 2, durations)], axis=1))
+    lim = np.hstack([np.tile(v_max[:, None], n), np.tile(a_max[:, None], n - 1)]).ravel()
+    keep = np.isfinite(lim)
+    W = W.reshape(M, -1, 3, n + 1)[:, keep]
+    lo, hi = -lim[keep], lim[keep]
+    if chords is not None:
+        W_chord = np.asarray(chords, dtype=float)[:, None, :, None] * D1[:, :, None, :]
+        W = np.concatenate([W, W_chord], axis=1)
+        lo = np.concatenate([lo, np.full(n, config.v_min)])
+        hi = np.concatenate([hi, np.full(n, np.inf)])
+    A = _layout(W, np.repeat(np.arange(M), W.shape[1]), M)
+    return A, np.tile(lo, M), np.tile(hi, M)
 
 
 def curvature(v_xy, a_xy, v_eps: float = V_EPS):
@@ -320,9 +315,8 @@ def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerC
     durations = np.asarray(durations, dtype=float)
     M = durations.size
     K = config.n_curv_samples
-    N = 3 * M * (n + 1)
     if not (np.isfinite(config.kappa_min) or np.isfinite(config.kappa_max)):
-        return np.zeros((0, N)), np.zeros(0), np.zeros(0)
+        return _layout(np.zeros((0, 3, n + 1)), [], M), np.zeros(0), np.zeros(0)
     u, w_v, w_a = _curvature_basis(n, K)
     seg_start = np.cumsum(np.concatenate([[t0], durations]))[:-1]
     t_abs = seg_start[:, None] + u * durations[:, None]
@@ -332,16 +326,15 @@ def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerC
     c0 = kbar - (grad[:, 0] * vel[:, 0] + grad[:, 1] * vel[:, 1]
                  + grad[:, 2] * acc[:, 0] + grad[:, 3] * acc[:, 1])
 
-    # Block (segment m, sample k) of A touches only segment m's x and y
-    # control points: A viewed as (M, K, M, 3, n+1) is zero off m == m'.
+    # Row (segment m, sample k) touches only segment m's x and y points.
     g = grad.reshape(M, K, 4, 1)
     W_v = derivative_scale(n, 1, durations)[:, None, None] * w_v
     W_a = derivative_scale(n, 2, durations)[:, None, None] * w_a
-    A = np.zeros((M, K, M, 3, n + 1))
-    seg = np.arange(M)
-    A[seg, :, seg, 0] = g[:, :, 0] * W_v + g[:, :, 2] * W_a
-    A[seg, :, seg, 1] = g[:, :, 1] * W_v + g[:, :, 3] * W_a
-    return A.reshape(M * K, N), config.kappa_min - c0, config.kappa_max - c0
+    W = np.zeros((M, K, 3, n + 1))
+    W[:, :, 0] = g[:, :, 0] * W_v + g[:, :, 2] * W_a
+    W[:, :, 1] = g[:, :, 1] * W_v + g[:, :, 3] * W_a
+    A = _layout(W, np.repeat(np.arange(M), K), M)
+    return A, config.kappa_min - c0, config.kappa_max - c0
 
 
 def assemble(wps: WaypointSequence, config: PlannerConfig,
@@ -392,9 +385,7 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
     """
     n = config.degree
     prob, durations, shift = assemble(wps, config, prev_traj, t0)
-    M = durations.size
-    N = 3 * M * (n + 1)
-    if warm is not None and (warm.x.shape[0] != N or warm.y.shape[0] != prob.m):
+    if warm is not None and (warm.x.shape[0] != prob.n or warm.y.shape[0] != prob.m):
         warm = None
     sol = qp.solve_qp(prob, settings, warm_start=warm)
 
@@ -406,34 +397,27 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
         solve_time=sol.solve_time,
         primal_residual=sol.primal_residual,
         dual_residual=sol.dual_residual,
-        n_vars=N,
+        n_vars=prob.n,
         n_constraints=prob.m,
         qp_solution=sol,
     )
     if sol.status != "solved":
         return result
 
-    blocks = []
-    for m in range(M):
-        i0 = m * 3 * (n + 1)
-        blocks.append(sol.x[i0 : i0 + 3 * (n + 1)].reshape(3, n + 1).T + shift)
+    # sol.x in _layout's order: segment, axis, control point.
+    pts = sol.x.reshape(-1, 3, n + 1).transpose(0, 2, 1) + shift
     # Junction control points are duplicated across segments and tied by
     # equality rows the solver meets only to its own tolerance; the spline
     # representation needs them identical, with the later segment owning
     # the junction value.
-    for m in range(M - 1):
-        gap = float(np.abs(blocks[m][-1] - blocks[m + 1][0]).max())
-        if gap > 1e-3:
-            result.status = "imprecise"
-            return result
-        blocks[m][-1] = blocks[m + 1][0]
+    if np.abs(pts[:-1, -1] - pts[1:, 0]).max(initial=0.0) > 1e-3:
+        result.status = "imprecise"
+        return result
+    pts[:-1, -1] = pts[1:, 0]
 
-    segs = []
-    t = t0
-    for pts, d in zip(blocks, durations):
-        segs.append(BernsteinSegment(pts, t, t + d))
-        t += d
-    result.trajectory = PiecewiseTrajectory(segs)
+    t = np.cumsum(np.concatenate([[t0], durations]))
+    result.trajectory = PiecewiseTrajectory(
+        [BernsteinSegment(p, a, b) for p, a, b in zip(pts, t[:-1], t[1:])])
     return result
 
 

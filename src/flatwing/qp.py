@@ -461,12 +461,14 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     if not polished:
         x_u = D * x
         y_u = (E / c) * y if m else np.zeros(0)
-        if status == "solved" and s.polish:
-            res = _polish(prob, Q, A, _active_set(prob, y_u))
-            if res is not None and max(res[2], res[3]) <= max(prim, dual):
-                x_u, y_u, prim, dual = res
-                polished = True
-    prim, dual = kkt_residuals(prob, x_u, y_u)
+        polish = status == "solved" and s.polish
+        res = _polish(prob, Q, A, _active_set(prob, y_u)) if polish else None
+        if res is not None and max(res[2], res[3]) <= max(prim, dual):
+            x_u, y_u, prim, dual = res
+            polished = True
+        else:
+            # A polished answer comes with `_polish`'s own kkt_residuals.
+            prim, dual = kkt_residuals(prob, x_u, y_u)
 
     return QpSolution(
         x=x_u,

@@ -444,7 +444,13 @@ def test_serialization_round_trip_of_scalar_trajectory():
     bz.write_trajectory(traj, buf)
     back = bz.read_trajectory(io.StringIO(buf.getvalue()))
     for s0, s1 in zip(traj.segments, back.segments):
-        assert np.array_equal(s0.control_points, s1.control_points.ravel())
+        assert s1.control_points.shape == s0.control_points.shape
+        assert np.array_equal(s0.control_points, s1.control_points)
+    # every derivative of a scalar trajectory is a float, including those
+    # above the degree-1 segment's degree
+    for t in (0.5, 1.5):
+        for value in back.eval(t):
+            assert type(value) is np.float64
 
 
 GOOD_BLOCK = "trajectory v1\nsegments 2\nsegment 1 0 1\n0 0 0\n1 0 0\nsegment 1 1 2\n1 0 0\n1 1 0\n"

@@ -172,6 +172,101 @@ def test_derivative_bounds_rows():
         pl.build_derivative_bounds(pl.PlannerConfig(a_max=-1.0), [10.0])
 
 
+def scalar_linear_rows(wps, cfg, durations, chords):
+    """Endpoint, continuity and derivative-bound rows, one row at a time.
+
+    Each row is a zero vector with derivative_map rows written at explicit
+    column offsets: control point i of axis a on segment m is column
+    m*3*(n+1) + a*(n+1) + i.
+    """
+    from flatwing.bernstein import derivative_map
+
+    n = cfg.degree
+    M = len(durations)
+    N = 3 * M * (n + 1)
+
+    def col(m, axis):
+        return m * 3 * (n + 1) + axis * (n + 1)
+
+    def row(*terms):
+        r = np.zeros(N)
+        for m, axis, w in terms:
+            r[col(m, axis) : col(m, axis) + n + 1] = w
+        return r
+
+    # endpoint pins: start and end pos/vel/acc, then interior positions
+    pins = []
+    b0, b1 = wps.boundary_start, wps.boundary_end
+    for k, target in enumerate((b0.position, b0.velocity, b0.acceleration)):
+        pins += [(0, derivative_map(n, k, durations[0])[0], target)]
+    for k, target in enumerate((b1.position, b1.velocity, b1.acceleration)):
+        pins += [(M - 1, derivative_map(n, k, durations[-1])[-1], target)]
+    for m in range(M - 1):
+        pins += [(m, derivative_map(n, 0, durations[m])[-1], wps.waypoints[m + 1])]
+    A_eq, v_eq = [], []
+    for m, w, target in pins:
+        for axis in range(3):
+            A_eq.append(row((m, axis, w)))
+            v_eq.append(target[axis])
+
+    A_ct = []
+    for m in range(M - 1):
+        for k in range(cfg.continuity_order + 1):
+            w_end = derivative_map(n, k, durations[m])[-1]
+            w_start = derivative_map(n, k, durations[m + 1])[0]
+            for axis in range(3):
+                r = row((m, axis, w_end))
+                r[col(m + 1, axis) : col(m + 1, axis) + n + 1] -= w_start
+                A_ct.append(r)
+
+    A_db, lo, hi = [], [], []
+    for m, d in enumerate(durations):
+        D1, D2 = derivative_map(n, 1, d), derivative_map(n, 2, d)
+        for axis in range(3):
+            for D, lim in ((D1, cfg.v_max_vec()[axis]), (D2, cfg.a_max_vec()[axis])):
+                if np.isfinite(lim):
+                    for w in D:
+                        A_db.append(row((m, axis, w)))
+                        lo.append(-lim)
+                        hi.append(lim)
+        if chords is not None:
+            for w in D1:
+                A_db.append(row(*[(m, axis, chords[m][axis] * w) for axis in range(3)]))
+                lo.append(cfg.v_min)
+                hi.append(np.inf)
+
+    def mat(rows):
+        return np.array(rows).reshape(-1, N)
+
+    return ((mat(A_eq), np.array(v_eq), np.array(v_eq)),
+            (mat(A_ct), np.zeros(len(A_ct)), np.zeros(len(A_ct))),
+            (mat(A_db), np.array(lo), np.array(hi)))
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 5])
+@pytest.mark.parametrize("cfg", [
+    pl.PlannerConfig(),
+    pl.PlannerConfig(degree=9, v_max=(25.0, np.inf, 20.0), a_max=(np.inf, 6.0, 5.0)),
+    pl.PlannerConfig(degree=9, continuity_order=2, v_max=np.inf, a_max=(4.0, np.inf, 3.0)),
+], ids=["deg7", "deg9-mixed-inf", "deg9-no-speed-bound"])
+def test_constraint_builders_match_row_by_row_reference(cfg, n_seg):
+    rng = np.random.default_rng(n_seg)
+    w = np.cumsum(rng.uniform(20.0, 90.0, size=(n_seg + 1, 3)) * [1.0, 0.6, 0.1], axis=0)
+    s = seq(w)
+    durations = rng.uniform(0.7, 9.0, n_seg)
+    chords = np.diff(w, axis=0)
+    chords /= np.linalg.norm(chords, axis=1)[:, None]
+    for ch in (chords, None):
+        ref_eq, ref_ct, ref_db = scalar_linear_rows(s, cfg, durations, ch)
+        got = (pl.build_endpoint_constraints(s, cfg, durations),
+               pl.build_continuity_constraints(cfg, durations),
+               pl.build_derivative_bounds(cfg, durations, ch))
+        for ref, out in zip((ref_eq, ref_ct, ref_db), got):
+            for r, o in zip(ref, out):
+                assert r.shape == o.shape
+                assert np.array_equal(r, o)
+
+
 def test_solved_plan_respects_acceleration_bound():
     cfg = pl.PlannerConfig(a_max=2.5)
     res = pl.plan(dogleg(30.0), cfg)

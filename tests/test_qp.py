@@ -330,6 +330,26 @@ def test_early_stop_rejects_wrong_active_sets(monkeypatch):
     assert statuses == {"solved", "max-iterations"}
 
 
+def test_residuals_computed_once_per_answer(monkeypatch):
+    # A polished answer keeps the residuals `_polish` computed for it; only
+    # an unpolished answer has them computed after the loop.
+    kkt, polish = [], []
+    kkt_residuals, _polish = qp.kkt_residuals, qp._polish
+    monkeypatch.setattr(qp, "kkt_residuals", lambda *a: kkt.append(1) or kkt_residuals(*a))
+    monkeypatch.setattr(qp, "_polish", lambda *a: polish.append(1) or _polish(*a))
+    Q, qv, A, lo, hi, _ = random_box_qp(np.random.default_rng(11))
+    prob = qp.QpProblem(Q, qv, A, lo, hi)
+    for settings, polished in ((qp.QpSettings(), True),
+                               (qp.QpSettings(rho=1e-4, adaptive_rho=False), True),
+                               (qp.QpSettings(polish=False), False)):
+        kkt.clear()
+        polish.clear()
+        sol = qp.solve_qp(prob, settings)
+        assert sol.status == "solved" and sol.polished == polished
+        assert len(kkt) == len(polish) + (not polished)
+        assert (sol.primal_residual, sol.dual_residual) == kkt_residuals(prob, sol.x, sol.y)
+
+
 def test_settings_coerce_numeric_fields():
     s = qp.QpSettings(rho=1, sigma=1, eps_abs=1, max_iter=10.0, check_every=np.int64(5))
     assert isinstance(s.rho, float) and isinstance(s.sigma, float)
