@@ -16,6 +16,7 @@ import numpy as np
 from . import mission as msn
 from . import planner
 from .bernstein import write_trajectory
+from .flatness import FlatnessSingularityError
 from .planner import BoundaryState, PlannerConfig, WaypointSequence
 from .qp import dump_problem
 
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
     except (msn.MissionFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (msn.MissionAbort, ValueError) as exc:
+    except (msn.MissionAbort, FlatnessSingularityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -518,7 +518,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
         entry_st, wps = leg_sequence(plan, i)
         res = planner.plan(wps, pcfg, t0=t0, settings=settings)
         if not res.ok:
-            raise MissionAbort(f"leg {i} initial plan failed: {res.status}")
+            raise MissionAbort(res.status)
         times = t0 + planner.allocate_times(wps, V)
         return _LegSpan(i, res.trajectory, entry_st, wps.boundary_end,
                         plan.legs[i].waypoints, times[:-1], last_qp=res.qp_solution)
@@ -565,7 +565,9 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 try:
                     phase = make_leg_span(phase.index, phase.t1)
                 except (MissionAbort, ValueError, FlatnessSingularityError) as exc:
-                    aborted, abort_reason, phase = True, str(exc), None
+                    aborted = True
+                    abort_reason = f"leg {phase.index} initial plan failed: {exc}"
+                    phase = None
                     break
             else:
                 if t < phase.traj.t_end - 1e-9:
@@ -586,10 +588,15 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 remaining = np.vstack([phase.interior[keep].reshape(-1, 3),
                                        phase.entry.point[None, :]])
                 tic = time.perf_counter()
-                res = planner.replan(phase.traj, t, mcfg.handoff_budget,
-                                     remaining, pcfg,
-                                     boundary_end=phase.boundary_end,
-                                     settings=settings, warm=phase.last_qp)
+                try:
+                    res = planner.replan(phase.traj, t, mcfg.handoff_budget,
+                                         remaining, pcfg,
+                                         boundary_end=phase.boundary_end,
+                                         settings=settings, warm=phase.last_qp)
+                except (ValueError, FlatnessSingularityError) as exc:
+                    # Rejected like any failed replan: the current
+                    # reference stays.
+                    res = planner.PlanResult(None, f"rejected: {exc}")
                 wall = time.perf_counter() - tic
                 replan_flag = 1
                 events.append(ReplanEvent(t, phase.index, res.status,

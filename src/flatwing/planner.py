@@ -41,16 +41,32 @@ class PlannerConfig:
     v_eps: float = V_EPS
 
     def __post_init__(self):
-        if not 5 <= self.degree <= 12:
-            raise ValueError(f"degree {self.degree} outside supported range [5, 12]")
-        if self.kappa_min > self.kappa_max:
-            raise ValueError("kappa_min exceeds kappa_max")
-        if self.v_min <= 0:
-            raise ValueError("v_min must be strictly positive (forward flight)")
-        if self.degree < self.continuity_order + 1:
-            raise ValueError("degree must exceed the junction continuity order")
-        if self.cruise_speed <= 0:
-            raise ValueError("cruise_speed must be positive")
+        # Coerce first, as QpSettings does; each `not` test also rejects NaN.
+        for name in ("degree", "n_curv_samples", "continuity_order"):
+            v = getattr(self, name)
+            if not float(v).is_integer():
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            setattr(self, name, int(v))
+        for name in ("cruise_speed", "v_min", "kappa_min", "kappa_max", "v_eps"):
+            setattr(self, name, float(getattr(self, name)))
+        for name, ok, rule in (
+            ("degree", 5 <= self.degree <= 12, "lie in the supported range [5, 12]"),
+            ("continuity_order", 0 <= self.continuity_order < self.degree,
+             "lie in [0, degree)"),
+            ("n_curv_samples", self.n_curv_samples >= 1, "be at least 1"),
+            ("cruise_speed", 0.0 < self.cruise_speed < np.inf, "be positive and finite"),
+            ("v_min", 0.0 < self.v_min < np.inf, "be positive and finite (forward flight)"),
+            ("v_eps", 0.0 < self.v_eps < np.inf, "be positive and finite"),
+            ("kappa_min", self.kappa_min < np.inf, "be a number below +inf"),
+            ("kappa_max", -np.inf < self.kappa_max and self.kappa_max >= self.kappa_min,
+             "be a number above -inf and at least kappa_min"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
+        for name in ("v_max", "a_max"):  # +inf drops the bound
+            lim = getattr(self, name)
+            if np.shape(lim) not in ((), (1,), (3,)) or not np.all(np.asarray(lim) > 0.0):
+                raise ValueError(f"{name} must be positive, one value or three, got {lim!r}")
 
     def v_max_vec(self) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.v_max, dtype=float), (3,)).copy()
@@ -202,8 +218,6 @@ def build_endpoint_constraints(wps: WaypointSequence, config: PlannerConfig, dur
 def build_continuity_constraints(config: PlannerConfig, durations):
     """Equalities matching derivatives 0..continuity_order across junctions."""
     n = config.degree
-    if config.continuity_order >= n:
-        raise ValueError("continuity order must be below the segment degree")
     durations = np.asarray(durations, dtype=float)
     M = durations.size
     maps = [_maps(n, k, durations) for k in range(config.continuity_order + 1)]
@@ -228,8 +242,6 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
     M = durations.size
     v_max = config.v_max_vec()
     a_max = config.a_max_vec()
-    if np.any(v_max <= 0) or np.any(a_max <= 0):
-        raise ValueError("derivative bounds must be positive")
     D1 = _maps(n, 1, durations)
     # Per segment and axis: n velocity then n-1 acceleration rows, less
     # those whose bound is infinite.

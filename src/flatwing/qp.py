@@ -3,10 +3,10 @@
 Solves min 1/2 x'Qx + q'x subject to l <= Ax <= u, with equality rows
 encoded as l == u. A solve works on dense Q and A below a size threshold
 and on CSR copies above it, where the planner's large, sparse problems
-fall. The KKT system is factored up front (banded Cholesky when the
-reduced matrix is narrow-banded, dense Cholesky otherwise) and refactored
-only when the penalty rebalances, so iterations stay cheap, which suits
-repeated solves at a fixed rate with warm starting.
+fall. The form also picks the KKT factorization: dense Cholesky for dense
+matrices, banded Cholesky for CSR ones. The KKT system is factored up
+front and refactored only when the penalty rebalances, so iterations stay
+cheap, which suits repeated solves at a fixed rate with warm starting.
 
 Polish doubles as an early stop. ADMM converges only linearly once it has
 found the active set, so when the active set read off the duals is the
@@ -128,19 +128,24 @@ def _inf_norm(v) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
+def _residuals(prob: QpProblem, x, y):
+    """Primal and dual residuals of the unscaled problem, then the scales
+    their tolerances grow with: max(|Ax|, |clip(Ax)|) and max(|Qx|, |A'y|, |q|)."""
+    ax = prob.A @ x
+    ax_c = np.clip(ax, prob.l, prob.u)
+    qx, aty = prob.Q @ x, prob.A.T @ y
+    return (_inf_norm(ax - ax_c), _inf_norm(qx + prob.q + aty),
+            max(_inf_norm(ax), _inf_norm(ax_c)),
+            max(_inf_norm(qx), _inf_norm(aty), _inf_norm(prob.q)))
+
+
 def kkt_residuals(prob: QpProblem, x, y):
     """Independent primal/dual residuals: constraint violation and stationarity."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] != prob.n or y.shape[0] != prob.m:
         raise ValueError("residual arguments have inconsistent dimensions")
-    if prob.m:
-        ax = prob.A @ x
-        prim = _inf_norm(ax - np.clip(ax, prob.l, prob.u))
-    else:
-        prim = 0.0
-    dual = _inf_norm(prob.Q @ x + prob.q + prob.A.T @ y)
-    return prim, dual
+    return _residuals(prob, x, y)[:2]
 
 
 # The CSR branches of _abs_max and _scaled work on the stored entries;
@@ -191,33 +196,30 @@ def _ruiz_equilibrate(Q, q, A, iters):
 
 
 class _KktOperator:
-    """Factor K = Q + sigma*I + A' diag(rho) A once; solve and matvec cheaply.
+    """Factor K = Q + sigma*I + A' diag(rho) A once; solve cheaply.
 
-    Chooses a banded Cholesky factorization when K has a narrow band (the
-    planner's segment-ordered problems do), otherwise a dense one. Q and A
-    come dense or CSR; matvecs use them in that form.
+    The form of Q and A picks the factorization: dense Cholesky for dense
+    matrices, banded Cholesky over K's band for CSR ones. The planner's
+    segment-ordered problems are narrow-banded; a CSR problem that is not
+    factors with a full band.
     """
 
     def __init__(self, Q, A, rho, sigma):
         n = Q.shape[0]
-        self._A, self._At = A, A.T
-        if sp.issparse(A):
-            K = Q + sigma * sp.eye(n) + A.T @ sp.diags(rho) @ A
-        else:
-            K = Q + (A.T * rho) @ A
-            K[np.diag_indices(n)] += sigma
-        rows, cols = K.nonzero()
-        bw = int(np.abs(rows - cols).max(initial=0))
-        self.banded = 2 * (bw + 1) < n
+        self.banded = sp.issparse(A)
         try:
             if self.banded:
+                K = Q + sigma * sp.eye(n) + A.T @ sp.diags(rho) @ A
+                rows, cols = K.nonzero()
+                bw = int(np.abs(rows - cols).max(initial=0))
                 ab = np.zeros((bw + 1, n))
                 for k in range(bw + 1):
                     ab[k, : n - k] = K.diagonal(-k)
                 self._factor = cholesky_banded(ab, lower=True)
             else:
-                self._factor, _ = cho_factor(K.toarray() if sp.issparse(K) else K,
-                                             lower=True)
+                K = Q + (A.T * rho) @ A
+                K[np.diag_indices(n)] += sigma
+                self._factor, _ = cho_factor(K, lower=True)
         except np.linalg.LinAlgError as exc:
             raise IllPosedProblem(str(exc)) from exc
 
@@ -235,12 +237,6 @@ class _KktOperator:
             raise ValueError(f"illegal value in {-info}th argument of internal {trs.__name__}")
         return x
 
-    def ax(self, x):
-        return self._A @ x
-
-    def aty(self, y):
-        return self._At @ y
-
 
 def _infeasibility_certificate(prob: QpProblem, dy, eps) -> bool:
     nd = _inf_norm(dy)
@@ -257,15 +253,15 @@ def _infeasibility_certificate(prob: QpProblem, dy, eps) -> bool:
     return support <= -eps
 
 
-def _active_set(prob: QpProblem, y):
+def _active_set(y, eq):
     """Rows the polish treats as active, as masks (eq, low, upp).
 
     Classification is by dual sign with a tolerance: converged inactive
     multipliers are zero only up to cancellation error, a dozen orders of
-    magnitude below the genuine ones. Equality rows always stay active.
+    magnitude below the genuine ones. Equality rows, masked by eq, always
+    stay active.
     """
     tol = 1e-12 * max(1.0, _inf_norm(y))
-    eq = (prob.u - prob.l) < 1e-9
     return eq, (y < -tol) & ~eq, (y > tol) & ~eq
 
 
@@ -274,10 +270,9 @@ def _polish(prob: QpProblem, Q, A, active):
 
     Q and A are the problem's unscaled matrices in the solve's working
     form; a dense KKT system goes through a dense LU, a CSR one through a
-    sparse LU. Returns (x, y, primal residual, dual residual), the
-    residuals from `kkt_residuals`, or None when the KKT solve fails. The
-    result depends on the active set alone, not on the ADMM iterate that
-    suggested it.
+    sparse LU. Returns x, y and the four values of `_residuals` at them,
+    or None when the KKT solve fails. The result depends on the active set
+    alone, not on the ADMM iterate that suggested it.
     """
     n = prob.n
     eq, low, upp = active
@@ -312,22 +307,16 @@ def _polish(prob: QpProblem, Q, A, active):
     x_p = sol[:n]
     y_p = np.zeros(prob.m)
     y_p[rows] = sol[n:]
-    return (x_p, y_p, *kkt_residuals(prob, x_p, y_p))
+    return (x_p, y_p, *_residuals(prob, x_p, y_p))
 
 
-def _polish_is_optimal(prob: QpProblem, s: QpSettings, active, x, y, prim, dual) -> bool:
+def _polish_is_optimal(s: QpSettings, active, y, prim, dual, p_scale, d_scale) -> bool:
     """Early-stop test for a polished point: ADMM's own tolerance test,
     evaluated there, and every active multiplier's sign matching its bound
     (a wrong active set can meet the residual tests with a wrong sign)."""
     _, low, upp = active
-    ax = prob.A @ x
-    eps_prim = s.eps_abs + s.eps_rel * max(
-        _inf_norm(ax), _inf_norm(np.clip(ax, prob.l, prob.u))
-    )
-    eps_dual = s.eps_abs + s.eps_rel * max(
-        _inf_norm(prob.Q @ x), _inf_norm(prob.A.T @ y), _inf_norm(prob.q)
-    )
-    return (prim <= eps_prim and dual <= eps_dual
+    return (prim <= s.eps_abs + s.eps_rel * p_scale
+            and dual <= s.eps_abs + s.eps_rel * d_scale
             and bool(np.all(y[low] <= 0.0)) and bool(np.all(y[upp] >= 0.0)))
 
 
@@ -348,24 +337,22 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     if m * n > _SPARSE_ABOVE:
         Q, A = sp.csr_array(Q), sp.csr_array(A)
     Qs, qs, As, D, E, c = _ruiz_equilibrate(Q, prob.q, A, s.scaling_iters)
+    At = As.T
     ls = E * prob.l
     us = E * prob.u
 
     eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-9)
+    rho_eq = np.where(eq, 1e3, 1.0)
     rho_base = s.rho
-    rho = np.full(m, rho_base)
-    rho[eq] *= 1e3
-
+    rho = rho_base * rho_eq
     op = _KktOperator(Qs, As, rho, s.sigma)
 
     if warm_start is not None:
         x = warm_start.x / D
-        y = (c / E) * warm_start.y if m else np.zeros(0)
-        z = np.clip(op.ax(x), ls, us) if m else np.zeros(0)
+        y = (c / E) * warm_start.y
+        z = np.clip(As @ x, ls, us)
     else:
-        x = np.zeros(n)
-        y = np.zeros(m)
-        z = np.zeros(m)
+        x, y, z = np.zeros(n), np.zeros(m), np.zeros(m)
 
     status = "max-iterations"
     prim = dual = np.inf
@@ -379,35 +366,27 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
 
     while it < s.max_iter:
         it += 1
-        rhs = s.sigma * x - qs + (op.aty(rho * z - y) if m else 0.0)
-        x_t = op.solve(rhs)
+        x_t = op.solve(s.sigma * x - qs + At @ (rho * z - y))
         x = s.alpha * x_t + (1.0 - s.alpha) * x
-        if m:
-            z_t = op.ax(x_t)
-            z_pre = s.alpha * z_t + (1.0 - s.alpha) * z
-            # np.clip's arithmetic, with less per-call dispatch.
-            z = np.minimum(np.maximum(z_pre + y / rho, ls), us)
-            y = y + rho * (z_pre - z)
+        z_pre = s.alpha * (As @ x_t) + (1.0 - s.alpha) * z
+        # np.clip's arithmetic, with less per-call dispatch.
+        z = np.minimum(np.maximum(z_pre + y / rho, ls), us)
+        y = y + rho * (z_pre - z)
 
         if it % s.check_every == 0 or it == s.max_iter:
             # Residuals of the *unscaled* problem, assembled from the scaled
-            # operator's matvecs so the check stays cheap on sparse problems.
+            # matvecs so the check stays cheap on sparse problems, and the
+            # scales that the tolerances and the penalty balance measure
+            # them against.
+            ax_u = (As @ x) / E
             qx_u = (Qs @ x) / (c * D)
-            if m:
-                ax_u = op.ax(x) / E
-                aty_u = op.aty(y) / (c * D)
-                prim = _inf_norm(ax_u - np.clip(ax_u, prob.l, prob.u))
-                eps_prim = s.eps_abs + s.eps_rel * max(
-                    _inf_norm(ax_u), _inf_norm(z * (1.0 / E))
-                )
-            else:
-                aty_u = np.zeros(n)
-                prim, eps_prim = 0.0, s.eps_abs
+            aty_u = (At @ y) / (c * D)
+            prim = _inf_norm(ax_u - np.clip(ax_u, prob.l, prob.u))
             dual = _inf_norm(qx_u + prob.q + aty_u)
-            eps_dual = s.eps_abs + s.eps_rel * max(
-                _inf_norm(qx_u), _inf_norm(aty_u), _inf_norm(prob.q)
-            )
-            if prim <= eps_prim and dual <= eps_dual:
+            p_scale = max(_inf_norm(ax_u), _inf_norm(z * (1.0 / E)))
+            d_scale = max(_inf_norm(qx_u), _inf_norm(aty_u), _inf_norm(prob.q))
+            if (prim <= s.eps_abs + s.eps_rel * p_scale
+                    and dual <= s.eps_abs + s.eps_rel * d_scale):
                 status = "solved"
                 break
             if s.polish and m:
@@ -416,15 +395,15 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                 # remaining iterations would only approach linearly. The
                 # polish depends on the active set alone, so a set that was
                 # tried and rejected is not tried again while it holds.
-                active = _active_set(prob, (E / c) * y)
+                active = _active_set((E / c) * y, eq)
                 if (prev_active is not None
                         and np.array_equal(active[1], prev_active[1])
                         and np.array_equal(active[2], prev_active[2])):
                     if not tried:
                         tried = True
                         res = _polish(prob, Q, A, active)
-                        if res is not None and _polish_is_optimal(prob, s, active, *res):
-                            x_u, y_u, prim, dual = res
+                        if res is not None and _polish_is_optimal(s, active, *res[1:]):
+                            x_u, y_u, prim, dual = res[:4]
                             status = "solved"
                             polished = True
                             break
@@ -436,7 +415,7 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                 stagnant = 0
             else:
                 stagnant += s.check_every
-            if m and stagnant >= s.stagnation_iters:
+            if stagnant >= s.stagnation_iters:
                 dy = (E / c) * (y - y_at_check)
                 if _infeasibility_certificate(prob, dy, s.eps_infeasible):
                     status = "primal-infeasible-detected"
@@ -446,28 +425,25 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                 # Rebalance the penalty when the primal and dual residuals
                 # drift apart (relative to their natural scales); the KKT
                 # matrix is refactored on each accepted update.
-                p_rel = prim / max(_inf_norm(ax_u), _inf_norm(z * (1.0 / E)), 1e-12)
-                d_rel = dual / max(
-                    _inf_norm(qx_u), _inf_norm(aty_u), _inf_norm(prob.q), 1e-12
-                )
+                p_rel = prim / max(p_scale, 1e-12)
+                d_rel = dual / max(d_scale, 1e-12)
                 ratio = np.sqrt(max(p_rel, 1e-16) / max(d_rel, 1e-16))
                 tol_r = s.adaptive_rho_tolerance
                 if ratio > tol_r or ratio < 1.0 / tol_r:
                     rho_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
-                    rho = np.full(m, rho_base)
-                    rho[eq] *= 1e3
+                    rho = rho_base * rho_eq
                     op = _KktOperator(Qs, As, rho, s.sigma)
 
     if not polished:
         x_u = D * x
-        y_u = (E / c) * y if m else np.zeros(0)
+        y_u = (E / c) * y
         polish = status == "solved" and s.polish
-        res = _polish(prob, Q, A, _active_set(prob, y_u)) if polish else None
+        res = _polish(prob, Q, A, _active_set(y_u, eq)) if polish else None
         if res is not None and max(res[2], res[3]) <= max(prim, dual):
-            x_u, y_u, prim, dual = res
+            x_u, y_u, prim, dual = res[:4]
             polished = True
         else:
-            # A polished answer comes with `_polish`'s own kkt_residuals.
+            # A polished answer comes with `_polish`'s own residuals.
             prim, dual = kkt_residuals(prob, x_u, y_u)
 
     return QpSolution(

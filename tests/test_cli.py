@@ -16,6 +16,15 @@ loiter 0 0 60 45 ccw 0
 loiter 60 0 60 45 ccw 0
 """
 
+# The leg climbs straight up between its two waypoints: no planar speed.
+VERTICAL_MISSION = """version 1
+cruise_speed 14
+loiter 0 0 60 45 ccw 0
+waypoint 60 90 60
+waypoint 60 90 80
+loiter 185 265 60 45 ccw 0
+"""
+
 
 @pytest.fixture
 def mission_file(tmp_path):
@@ -53,6 +62,15 @@ def test_plan_command_dumps_qp(mission_file, tmp_path):
     assert lines[2].startswith("m ")
 
 
+@pytest.mark.parametrize("dump_qp", [False, True])
+def test_plan_command_reports_a_singular_leg(tmp_path, capsys, dump_qp):
+    path = tmp_path / "vertical.txt"
+    path.write_text(VERTICAL_MISSION)
+    argv = ["plan", "--mission", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--dump-qp"] * dump_qp) == 1
+    assert capsys.readouterr().err == "error: planar speed 0.000 m/s below 1.0 m/s\n"
+
+
 def test_plan_command_missing_file(tmp_path, capsys):
     rc = cli.main(["plan", "--mission", str(tmp_path / "nope.txt")])
     assert rc == 2
@@ -86,11 +104,16 @@ def test_simulate_command_writes_log_and_summary(mission_file, tmp_path, capsys)
 
 
 def test_simulate_command_aborted_mission(tmp_path, capsys):
-    path = tmp_path / "abort.txt"
-    path.write_text(ABORT_MISSION)
-    rc = cli.main(["simulate", "--mission", str(path), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "mission aborted" in capsys.readouterr().err
+    # The abort reason names the leg whose initial plan failed, and why.
+    for mission, reason in ((ABORT_MISSION, "inside"),
+                            (VERTICAL_MISSION, "planar speed 0.000 m/s below 1.0 m/s")):
+        path = tmp_path / "abort.txt"
+        path.write_text(mission)
+        rc = cli.main(["simulate", "--mission", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mission aborted: leg 0 initial plan failed: ")
+        assert reason in err
 
 
 @pytest.mark.parametrize("mission, params, message", [

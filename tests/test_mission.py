@@ -489,9 +489,25 @@ def test_mission_aborts_when_loiters_overlap_the_leg():
     text = "version 1\ncruise_speed 14\nloiter 0 0 60 45 ccw 0\nloiter 60 0 60 45 ccw 0\n"
     res = ms.run_mission(ms.parse_mission(text))
     assert res.aborted
+    assert res.abort_reason.startswith("leg 0 initial plan failed: ")
     assert "inside" in res.abort_reason
     assert len(res.log.rows) > 0  # partial log survives
     assert res.metrics  # computed from the partial log
+
+
+def test_mission_flies_on_when_a_replan_raises():
+    # With v_eps just below the cruise speed, linearizing about the current
+    # reference hits the planar-speed check in many replans. Each becomes a
+    # rejected event naming the failure, and the current reference is kept.
+    from flatwing.planner import PlannerConfig
+
+    plan = ms.parse_mission(HAPPY_MISSION)
+    res = ms.run_mission(plan, pcfg=PlannerConfig(cruise_speed=14.0, v_eps=13.9))
+    assert not res.aborted
+    failed = [e for e in res.events if not e.accepted]
+    assert failed and any(e.accepted for e in res.events)
+    assert all(e.status.startswith("rejected: planar speed 13.") for e in failed)
+    assert res.metrics["rmse_pos"] <= 0.5
 
 
 def test_mission_rejects_mismatched_planner_speed():

@@ -55,6 +55,22 @@ def test_config_validation():
         pl.PlannerConfig(cruise_speed=-1.0)
     with pytest.raises(ValueError):
         pl.PlannerConfig(degree=5, continuity_order=5)
+    # Each of these used to plan with a bound dropped, or fail deep inside
+    # the assembly or the solver; now the field is named at construction.
+    for field, value in (("a_max", np.nan), ("v_max", (25.0, np.nan, 20.0)),
+                         ("a_max", (6.0, 6.0)), ("n_curv_samples", 0),
+                         ("n_curv_samples", 2.5), ("continuity_order", -1),
+                         ("degree", 7.5), ("kappa_max", np.nan), ("kappa_min", np.nan),
+                         ("kappa_min", np.inf), ("v_min", np.inf), ("v_eps", 0.0),
+                         ("cruise_speed", np.nan)):
+        with pytest.raises(ValueError, match=field):
+            pl.PlannerConfig(**{field: value})
+    cfg = pl.PlannerConfig(degree=7.0, n_curv_samples=np.int64(8), continuity_order=3.0)
+    assert type(cfg.degree) is type(cfg.n_curv_samples) is type(cfg.continuity_order) is int
+    assert pl.plan(seq([[0, 0, 0], [140, 0, 0]]), cfg).status == "solved"
+    # +inf drops a bound and stays legal
+    pl.PlannerConfig(v_max=(25.0, np.inf, 20.0), a_max=np.inf,
+                     kappa_min=-np.inf, kappa_max=np.inf)
 
 
 def test_waypoint_sequence_validation():

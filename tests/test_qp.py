@@ -175,8 +175,10 @@ def test_equality_rows_satisfied_tightly():
     assert np.abs(A @ sol.x - b).max() < 1e-9
 
 
-def test_banded_structure_agrees_with_oracle():
-    # block-banded cost/constraints of the kind the trajectory planner emits
+def test_banded_structure_agrees_with_oracle(monkeypatch):
+    # block-banded cost/constraints of the kind the trajectory planner emits,
+    # solved in the dense form and, with the threshold at zero, in the CSR
+    # form, where they take the banded Cholesky factor
     rng = np.random.default_rng(18)
     n = 60
     Q = np.zeros((n, n))
@@ -191,9 +193,11 @@ def test_banded_structure_agrees_with_oracle():
     b = A @ x0
     lo, hi = b - 0.5, b + 0.5
     xo, _ = active_set_qp(Q, None, A, lo, hi, x0)
-    sol = qp.solve_qp(qp.QpProblem(Q, None, A, lo, hi))
-    assert sol.status == "solved"
-    assert np.abs(sol.x - xo).max() < 1e-6
+    for sparse_above in (qp._SPARSE_ABOVE, 0):
+        monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+        sol = qp.solve_qp(qp.QpProblem(Q, None, A, lo, hi))
+        assert sol.status == "solved"
+        assert np.abs(sol.x - xo).max() < 1e-6
 
 
 def test_polish_reaches_machine_precision_on_clean_instances():
@@ -234,12 +238,14 @@ def test_max_iterations_status_is_honest():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kkt_solve_rejects_non_finite_right_hand_side(bad):
     rng = np.random.default_rng(4)
-    for Q, A in ((np.eye(6), rng.normal(size=(3, 6))),  # dense factor
-                 (np.eye(40), np.eye(40)),  # narrow band: banded factor
-                 (sp.csr_array(np.eye(40)), sp.csr_array(np.eye(40)))):  # CSR
+    # The form picks the factor: dense Cholesky for dense matrices, even
+    # narrow-banded ones, and banded Cholesky for CSR matrices.
+    for Q, A in ((np.eye(6), rng.normal(size=(3, 6))),
+                 (np.eye(40), np.eye(40)),
+                 (sp.csr_array(np.eye(40)), sp.csr_array(np.eye(40)))):
         n = Q.shape[0]
         op = qp._KktOperator(Q, A, np.full(A.shape[0], 0.1), 1e-6)
-        assert op.banded == (n == 40)
+        assert op.banded == sp.issparse(A)
         rhs = np.ones(n)
         assert np.all(np.isfinite(op.solve(rhs)))
         rhs[n // 2] = bad
@@ -333,21 +339,66 @@ def test_early_stop_rejects_wrong_active_sets(monkeypatch):
 def test_residuals_computed_once_per_answer(monkeypatch):
     # A polished answer keeps the residuals `_polish` computed for it; only
     # an unpolished answer has them computed after the loop.
-    kkt, polish = [], []
-    kkt_residuals, _polish = qp.kkt_residuals, qp._polish
-    monkeypatch.setattr(qp, "kkt_residuals", lambda *a: kkt.append(1) or kkt_residuals(*a))
+    calls, polish = [], []
+    _residuals, _polish = qp._residuals, qp._polish
+    monkeypatch.setattr(qp, "_residuals", lambda *a: calls.append(1) or _residuals(*a))
     monkeypatch.setattr(qp, "_polish", lambda *a: polish.append(1) or _polish(*a))
     Q, qv, A, lo, hi, _ = random_box_qp(np.random.default_rng(11))
     prob = qp.QpProblem(Q, qv, A, lo, hi)
     for settings, polished in ((qp.QpSettings(), True),
                                (qp.QpSettings(rho=1e-4, adaptive_rho=False), True),
                                (qp.QpSettings(polish=False), False)):
-        kkt.clear()
+        calls.clear()
         polish.clear()
         sol = qp.solve_qp(prob, settings)
         assert sol.status == "solved" and sol.polished == polished
-        assert len(kkt) == len(polish) + (not polished)
-        assert (sol.primal_residual, sol.dual_residual) == kkt_residuals(prob, sol.x, sol.y)
+        assert len(calls) == len(polish) + (not polished)
+        assert (sol.primal_residual, sol.dual_residual) == qp.kkt_residuals(prob, sol.x, sol.y)
+
+    # An accepted early stop tests the polished point with the residuals
+    # and tolerance scales `_polish` returned: one product each with A, Q
+    # and A'. In the CSR form the solver works on copies, so every product
+    # with the problem's own matrices is a residual evaluation.
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            if self.ndim == 2:
+                products.append(self.shape)
+            return np.asarray(self) @ other
+
+    prob.Q, prob.A = prob.Q.view(Counted), prob.A.view(Counted)
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", 0)
+    sol = qp.solve_qp(prob, qp.QpSettings(rho=1e-4, adaptive_rho=False))
+    # ADMM alone runs out of iterations here (seed 11 of
+    # test_polish_stops_admm_once_active_set_settles): the polish stopped it.
+    assert sol.polished and sol.iterations <= 100
+    m, n = A.shape
+    assert sorted(products) == sorted([(m, n), (n, n), (n, m)])
+
+
+@pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
+def test_unconstrained_problem_cold_and_warm(monkeypatch, sparse_above):
+    # m = 0 runs the ADMM body, the warm start and the residuals on empty
+    # constraint arrays; m*n = 0 takes the CSR form only below a zero
+    # threshold.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+    ops, kkt = [], qp._KktOperator
+    monkeypatch.setattr(qp, "_KktOperator", lambda *a: ops.append(kkt(*a)) or ops[-1])
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(8, 8))
+    Q, qv = M @ M.T + 0.5 * np.eye(8), rng.normal(size=8)
+    prob = qp.QpProblem(Q, qv)
+    x_ref = dense_solve(Q, -qv)
+    cold = qp.solve_qp(prob)
+    warm = qp.solve_qp(prob, warm_start=cold)
+    assert all(op.banded == (sparse_above < 0) for op in ops)
+    assert warm.iterations <= cold.iterations
+    for sol in (cold, warm):
+        assert sol.status == "solved" and sol.y.shape == (0,)
+        assert np.abs(sol.x - x_ref).max() <= 1e-9
+        assert sol.primal_residual == 0.0
+        assert (sol.primal_residual, sol.dual_residual) == qp.kkt_residuals(prob, sol.x, sol.y)
 
 
 def test_settings_coerce_numeric_fields():
