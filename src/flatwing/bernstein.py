@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom
 
 MIN_DURATION = 1e-6
 
@@ -265,9 +264,10 @@ def gram_matrix(n: int, duration) -> np.ndarray:
     if np.any(duration <= 0):
         raise ValueError("duration must be positive")
     i = np.arange(n + 1)
-    bi = binom(n, i)
+    bi = np.array([math.comb(n, k) for k in i], dtype=float)
+    b2 = np.array([math.comb(2 * n, k) for k in range(2 * n + 1)], dtype=float)
     return (duration[..., None, None] * np.outer(bi, bi)
-            / ((2 * n + 1) * binom(2 * n, np.add.outer(i, i))))
+            / ((2 * n + 1) * b2[np.add.outer(i, i)]))
 
 
 def arc_length(traj, n_samples: int = 128) -> float:

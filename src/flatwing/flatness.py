@@ -181,8 +181,7 @@ def euler_zyx(R) -> tuple:
 def command_from_flat(ref: FlatState, position, velocity, acceleration,
                       cfg: ControlConfig, state: CommandState | None = None,
                       dt: float = 0.01, drag_accel: float = 0.0,
-                      alpha_est: float = 0.0, a_T_max: float = math.inf,
-                      g=GRAVITY):
+                      alpha_est: float = 0.0, a_T_max: float = math.inf):
     """Full command synthesis: returns (CommandedInput, CommandState).
 
     The commanded frame is built from the reference flat derivatives, the
@@ -190,7 +189,7 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     acceleration channels are integrated (with a slow leak toward the
     reference trim values) to produce thrust and pitch-rate commands.
     """
-    frame_c = frame_from_flat(ref.velocity, ref.acceleration, g)
+    frame_c = frame_from_flat(ref.velocity, ref.acceleration)
     jerk_c = tracking_jerk(ref, position, velocity, acceleration, cfg.gains)
     cmd_flat = FlatState(ref.position, ref.velocity, ref.acceleration, jerk_c)
     a_vx_dot, omega_vx, a_vz_dot = flat_inputs(cmd_flat, frame_c)
@@ -201,7 +200,7 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     a_vz_i = state.a_vz + dt * (a_vz_dot + cfg.leak * (frame_c.a_vz - state.a_vz))
 
     (_, _, z0), (_, _, z1), (_, _, z2) = _floats(frame_c.R)
-    gx, gy, gz = _floats(g)
+    gx, gy, gz = _floats(GRAVITY)
     omega_vy = -(a_vz_i + (z0 * gx + z1 * gy + z2 * gz)) / frame_c.V
     a_T = (a_vx_i + drag_accel) / math.cos(alpha_est)
     a_T = min(max(a_T, 0.0), a_T_max)

@@ -19,6 +19,7 @@ import numpy as np
 from . import planner
 from .bernstein import PiecewiseTrajectory
 from .flatness import (
+    GRAVITY,
     ControlConfig,
     CommandState,
     FlatState,
@@ -30,7 +31,6 @@ from .flatness import (
     frame_from_flat,
 )
 from .planner import BoundaryState, PlannerConfig, WaypointSequence
-from .qp import QpSettings
 from .simulator import (
     AeroParams,
     AircraftState,
@@ -487,22 +487,20 @@ def leg_sequence(plan: MissionPlan, i: int):
 
 def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 wind: WindField | None = None,
-                ctrl: ControlConfig | None = None,
                 pcfg: PlannerConfig | None = None,
-                settings: QpSettings | None = None,
                 mcfg: MissionConfig | None = None) -> MissionResult:
     """Fly the mission closed-loop and return the log, events, and metrics."""
     params = params or AeroParams()
     wind = wind or WindField()
-    ctrl = ctrl or ControlConfig(phi_limit=params.phi_limit)
+    ctrl = ControlConfig(phi_limit=params.phi_limit)
     pcfg = pcfg or PlannerConfig(cruise_speed=plan.cruise_speed)
-    settings = settings or QpSettings()
     mcfg = mcfg or MissionConfig()
     if abs(pcfg.cruise_speed - plan.cruise_speed) > 1e-9:
         raise ValueError("planner cruise_speed disagrees with the mission")
 
     V = plan.cruise_speed
     dt = mcfg.dt
+    gz = float(GRAVITY[2])
     replan_ticks = round(mcfg.replan_period / dt)
     n_legs = len(plan.legs)
     log = SimLog()
@@ -516,7 +514,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
 
     def make_leg_span(i: int, t0: float) -> _LegSpan:
         entry_st, wps = leg_sequence(plan, i)
-        res = planner.plan(wps, pcfg, t0=t0, settings=settings)
+        res = planner.plan(wps, pcfg, t0=t0)
         if not res.ok:
             raise MissionAbort(res.status)
         times = t0 + planner.allocate_times(wps, V)
@@ -592,7 +590,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                     res = planner.replan(phase.traj, t, mcfg.handoff_budget,
                                          remaining, pcfg,
                                          boundary_end=phase.boundary_end,
-                                         settings=settings, warm=phase.last_qp)
+                                         warm=phase.last_qp)
                 except (ValueError, FlatnessSingularityError) as exc:
                     # Rejected like any failed replan: the current
                     # reference stays.
@@ -614,7 +612,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             # R (V_a_dot, V_a*omega_z, -V_a*omega_y).
             R = st.R.tolist()
             _, om_y, om_z = prev_omega.tolist()
-            b = (prev_a_vx + (-9.81) * R[2][0], st.V_a * om_z, -st.V_a * om_y)
+            b = (prev_a_vx + gz * R[2][0], st.V_a * om_z, -st.V_a * om_y)
             a_est = np.array([r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in R])
             a_L, a_D = aero_accels(st, params, w)
             cmd, cmd_state = command_from_flat(

@@ -388,7 +388,6 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
 
 def plan(wps: WaypointSequence, config: PlannerConfig,
          prev_traj: PiecewiseTrajectory | None = None, t0: float = 0.0,
-         settings: qp.QpSettings | None = None,
          warm: qp.QpSolution | None = None) -> PlanResult:
     """Assemble and solve the stacked trajectory QP.
 
@@ -399,7 +398,7 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
     prob, durations, shift = assemble(wps, config, prev_traj, t0)
     if warm is not None and (warm.x.shape[0] != prob.n or warm.y.shape[0] != prob.m):
         warm = None
-    sol = qp.solve_qp(prob, settings, warm_start=warm)
+    sol = qp.solve_qp(prob, warm_start=warm)
 
     result = PlanResult(
         trajectory=None,
@@ -436,7 +435,6 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
 def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
            wps_remaining, config: PlannerConfig,
            boundary_end: BoundaryState | None = None,
-           settings: qp.QpSettings | None = None,
            warm: qp.QpSolution | None = None) -> PlanResult:
     """Re-solve from the state the reference will occupy after t_opt_est.
 
@@ -468,4 +466,4 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
                                BoundaryState(pos, vel, acc), boundary_end)
     except ValueError:
         return PlanResult(trajectory=None, status="rejected")
-    return plan(wps, config, prev_traj=current, t0=t_h, settings=settings, warm=warm)
+    return plan(wps, config, prev_traj=current, t0=t_h, warm=warm)

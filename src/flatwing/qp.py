@@ -36,40 +36,39 @@ class IllPosedProblem(ValueError):
     """Cost matrix is not positive semidefinite (factorization failed)."""
 
 
+# Fixed ADMM constants: the x-update's proximal weight sigma, the
+# over-relaxation alpha, the Ruiz passes, the tolerance of the
+# infeasibility certificate and the iterations without primal progress
+# before it is tried, and the primal/dual imbalance that rebalances rho.
+_SIGMA = 1e-6
+_ALPHA = 1.6
+_SCALING_ITERS = 10
+_EPS_INFEASIBLE = 1e-4
+_STAGNATION_ITERS = 200
+_ADAPTIVE_RHO_TOLERANCE = 5.0
+
+
 @dataclass
 class QpSettings:
     eps_abs: float = 1e-5
     eps_rel: float = 1e-5
     max_iter: int = 4000
     rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
     check_every: int = 25
-    scaling_iters: int = 10
     polish: bool = True
-    eps_infeasible: float = 1e-4
-    stagnation_iters: int = 200
     adaptive_rho: bool = True
-    adaptive_rho_tolerance: float = 5.0
 
     def __post_init__(self):
-        # Coerce first, so an int rho cannot reach numpy's in-place float
-        # updates; `not v > 0` also rejects NaN.
-        for name in ("eps_abs", "eps_rel", "rho", "sigma", "alpha",
-                     "eps_infeasible", "adaptive_rho_tolerance"):
-            setattr(self, name, float(getattr(self, name)))
-        for name in ("max_iter", "check_every", "scaling_iters", "stagnation_iters"):
+        # Coerce, so an int rho cannot reach numpy's in-place float
+        # updates; `not 0 < v < inf` also rejects NaN.
+        for name, kind in (("eps_abs", float), ("eps_rel", float), ("rho", float),
+                           ("max_iter", int), ("check_every", int)):
             v = getattr(self, name)
-            if int(v) != v:
+            if not 0.0 < v < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            if kind(v) != v:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-            setattr(self, name, int(v))
-        for name in ("eps_abs", "eps_rel", "eps_infeasible", "rho", "sigma", "max_iter"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.check_every < 1:
-            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+            setattr(self, name, kind(v))
 
 
 class QpProblem:
@@ -336,7 +335,7 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     Q, A = prob.Q, prob.A
     if m * n > _SPARSE_ABOVE:
         Q, A = sp.csr_array(Q), sp.csr_array(A)
-    Qs, qs, As, D, E, c = _ruiz_equilibrate(Q, prob.q, A, s.scaling_iters)
+    Qs, qs, As, D, E, c = _ruiz_equilibrate(Q, prob.q, A, _SCALING_ITERS)
     At = As.T
     ls = E * prob.l
     us = E * prob.u
@@ -345,7 +344,7 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     rho_eq = np.where(eq, 1e3, 1.0)
     rho_base = s.rho
     rho = rho_base * rho_eq
-    op = _KktOperator(Qs, As, rho, s.sigma)
+    op = _KktOperator(Qs, As, rho, _SIGMA)
 
     if warm_start is not None:
         x = warm_start.x / D
@@ -366,9 +365,9 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
 
     while it < s.max_iter:
         it += 1
-        x_t = op.solve(s.sigma * x - qs + At @ (rho * z - y))
-        x = s.alpha * x_t + (1.0 - s.alpha) * x
-        z_pre = s.alpha * (As @ x_t) + (1.0 - s.alpha) * z
+        x_t = op.solve(_SIGMA * x - qs + At @ (rho * z - y))
+        x = _ALPHA * x_t + (1.0 - _ALPHA) * x
+        z_pre = _ALPHA * (As @ x_t) + (1.0 - _ALPHA) * z
         # np.clip's arithmetic, with less per-call dispatch.
         z = np.minimum(np.maximum(z_pre + y / rho, ls), us)
         y = y + rho * (z_pre - z)
@@ -415,9 +414,9 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                 stagnant = 0
             else:
                 stagnant += s.check_every
-            if stagnant >= s.stagnation_iters:
+            if stagnant >= _STAGNATION_ITERS:
                 dy = (E / c) * (y - y_at_check)
-                if _infeasibility_certificate(prob, dy, s.eps_infeasible):
+                if _infeasibility_certificate(prob, dy, _EPS_INFEASIBLE):
                     status = "primal-infeasible-detected"
                     break
             y_at_check = y.copy()
@@ -428,11 +427,10 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                 p_rel = prim / max(p_scale, 1e-12)
                 d_rel = dual / max(d_scale, 1e-12)
                 ratio = np.sqrt(max(p_rel, 1e-16) / max(d_rel, 1e-16))
-                tol_r = s.adaptive_rho_tolerance
-                if ratio > tol_r or ratio < 1.0 / tol_r:
+                if ratio > _ADAPTIVE_RHO_TOLERANCE or ratio < 1.0 / _ADAPTIVE_RHO_TOLERANCE:
                     rho_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
                     rho = rho_base * rho_eq
-                    op = _KktOperator(Qs, As, rho, s.sigma)
+                    op = _KktOperator(Qs, As, rho, _SIGMA)
 
     if not polished:
         x_u = D * x

@@ -254,8 +254,7 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
 
 
 def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
-                        tau_att: float = 0.1, dt: float = 0.01,
-                        g=GRAVITY) -> np.ndarray:
+                        tau_att: float = 0.1, dt: float = 0.01) -> np.ndarray:
     """First-order attitude tracking: commanded rates plus error feedback.
 
     The yaw-axis rate is not commanded; it follows the coordinated-flight
@@ -268,7 +267,7 @@ def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
     tau = max(tau_att, dt)
     p = cmd.omega_vx + (cmd.phi_c - phi) / tau
     q = cmd.omega_vy + (cmd.theta_c - theta_body) / tau
-    gx, gy, gz = np.asarray(g, dtype=float).tolist()
+    gx, gy, gz = GRAVITY.tolist()
     (_, y0, _), (_, y1, _), (_, y2, _) = np.asarray(state.R, dtype=float).tolist()
     r = (y0 * gx + y1 * gy + y2 * gz) / max(state.V_a, V_EPS)  # (R'g)_y / V_a
     return np.array([min(max(c, -RATE_LIMIT), RATE_LIMIT) for c in (p, q, r)])
@@ -289,18 +288,18 @@ class ReducedState:
     a_vz: float
 
 
-def reduced_derivs(v, R, a_vx: float, a_vz: float, omega_vx: float, g=GRAVITY):
+def reduced_derivs(v, R, a_vx: float, a_vz: float, omega_vx: float):
     """(v_dot, R_dot) of the reduced model; x_dot is v itself.
 
     The pitch and yaw rates are the ones coordination fixes at (v, R, a_vz).
     """
     V = math.sqrt(v @ v)
-    g_v = R.T @ g
+    g_v = R.T @ GRAVITY
     omega = (omega_vx, -(a_vz + g_v[2]) / V, g_v[1] / V)
-    return g + R @ np.array([a_vx, 0.0, a_vz]), R @ _skew(omega)
+    return GRAVITY + R @ np.array([a_vx, 0.0, a_vz]), R @ _skew(omega)
 
 
-def reduced_step(rs: ReducedState, inputs, dt: float, g=GRAVITY) -> ReducedState:
+def reduced_step(rs: ReducedState, inputs, dt: float) -> ReducedState:
     """RK4 step of the reduced model under constant flat inputs.
 
     The acceleration channels a_vx, a_vz have constant rates, on which RK4
@@ -313,13 +312,13 @@ def reduced_step(rs: ReducedState, inputs, dt: float, g=GRAVITY) -> ReducedState
     a_vx_h, a_vz_h = rs.a_vx + h * a_vx_dot, rs.a_vz + h * a_vz_dot
     a_vx_n, a_vz_n = rs.a_vx + dt * a_vx_dot, rs.a_vz + dt * a_vz_dot
 
-    dv1, dR1 = reduced_derivs(v, R, rs.a_vx, rs.a_vz, omega_vx, g)
+    dv1, dR1 = reduced_derivs(v, R, rs.a_vx, rs.a_vz, omega_vx)
     v2 = v + h * dv1
-    dv2, dR2 = reduced_derivs(v2, R + h * dR1, a_vx_h, a_vz_h, omega_vx, g)
+    dv2, dR2 = reduced_derivs(v2, R + h * dR1, a_vx_h, a_vz_h, omega_vx)
     v3 = v + h * dv2
-    dv3, dR3 = reduced_derivs(v3, R + h * dR2, a_vx_h, a_vz_h, omega_vx, g)
+    dv3, dR3 = reduced_derivs(v3, R + h * dR2, a_vx_h, a_vz_h, omega_vx)
     v4 = v + dt * dv3
-    dv4, dR4 = reduced_derivs(v4, R + dt * dR3, a_vx_n, a_vz_n, omega_vx, g)
+    dv4, dR4 = reduced_derivs(v4, R + dt * dR3, a_vx_n, a_vz_n, omega_vx)
     c = dt / 6.0
     return ReducedState(
         x + c * (v + 2.0 * (v2 + v3) + v4),

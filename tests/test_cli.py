@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,3 +191,15 @@ def test_linear_fit_r2_recovers_exact_line():
     assert r2 == pytest.approx(1.0, abs=1e-12)
     _, _, r2_noisy = cli.linear_fit_r2(x, [1.0, 9.0, 2.0, 8.0])
     assert r2_noisy < 0.9
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # flatwing takes its binomials from math.comb; scipy.special is a
+    # sizeable import that the CLI's start-up need not pay for.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, flatwing.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
