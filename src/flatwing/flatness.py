@@ -22,6 +22,9 @@ V_EPS = 1.0
 A_EPS = 0.5
 M_EPS = 0.1
 
+# 1/s pull of the integrated acceleration commands toward the reference trim.
+_LEAK = 0.5
+
 
 class FlatnessSingularityError(RuntimeError):
     """The flat map is not invertible at this state (slow flight or zero normal load)."""
@@ -74,7 +77,6 @@ class PathParamState:
 class ControlConfig:
     gains: tuple = (8.0, 12.0, 6.0)  # k0, k1, k2 on (e, e_dot, e_ddot)
     phi_limit: float = 1.0
-    leak: float = 0.5  # 1/s pull of the acceleration integrators toward trim
 
 
 @dataclass
@@ -196,8 +198,8 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
 
     if state is None:
         state = CommandState(frame_c.a_vx, frame_c.a_vz)
-    a_vx_i = state.a_vx + dt * (a_vx_dot + cfg.leak * (frame_c.a_vx - state.a_vx))
-    a_vz_i = state.a_vz + dt * (a_vz_dot + cfg.leak * (frame_c.a_vz - state.a_vz))
+    a_vx_i = state.a_vx + dt * (a_vx_dot + _LEAK * (frame_c.a_vx - state.a_vx))
+    a_vz_i = state.a_vz + dt * (a_vz_dot + _LEAK * (frame_c.a_vz - state.a_vz))
 
     (_, _, z0), (_, _, z1), (_, _, z2) = _floats(frame_c.R)
     gx, gy, gz = _floats(GRAVITY)

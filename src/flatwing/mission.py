@@ -51,6 +51,9 @@ CSV_HEADER = ("t,ref_x,ref_y,ref_z,ref_vx,ref_vy,ref_vz,"
 # A thousand laps of a 1 km loiter at 14 m/s is five days of flight; a
 # larger count is a typo that would keep `simulate` running as long.
 MAX_LOITER_LAPS = 1000
+# A replan drops the waypoints that the reference passes within this many
+# seconds after the handoff.
+_WP_LEAD = 0.5
 
 
 class MissionFormatError(ValueError):
@@ -107,7 +110,6 @@ class MissionConfig:
     replan_period: float = 0.1
     handoff_budget: float = 0.05
     leg_freeze: float = 1.5  # no replans this close to the leg end
-    wp_lead: float = 0.5  # drop waypoints closer than this (seconds) ahead
     tau_att: float = 0.1
 
     def __post_init__(self):
@@ -450,9 +452,8 @@ class _LoiterSpan:
 class _LegSpan:
     index: int
     traj: PiecewiseTrajectory
-    entry: TangentState
-    boundary_end: BoundaryState
-    interior: np.ndarray
+    wps: WaypointSequence  # as first planned; ends at the entry tangent point
+    entry_angle: float  # where the leg joins the next loiter
     wp_times: np.ndarray  # absolute nominal passage times of interior points
     last_qp: object = None
     pending: PiecewiseTrajectory | None = None
@@ -518,8 +519,8 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
         if not res.ok:
             raise MissionAbort(res.status)
         times = t0 + planner.allocate_times(wps, V)
-        return _LegSpan(i, res.trajectory, entry_st, wps.boundary_end,
-                        plan.legs[i].waypoints, times[:-1], last_qp=res.qp_solution)
+        return _LegSpan(i, res.trajectory, wps, entry_st.angle, times[:-1],
+                        last_qp=res.qp_solution)
 
     # Phase bootstrap: mission starts on the first circle at angle zero.
     phase: object = make_loiter_span(0, 0.0, 0.0)
@@ -571,7 +572,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 if t < phase.traj.t_end - 1e-9:
                     break
                 phase = make_loiter_span(phase.index + 1, phase.traj.t_end,
-                                         phase.entry.angle)
+                                         phase.entry_angle)
         if phase is None:
             break
 
@@ -582,14 +583,14 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 phase.pending = None
             if (phase.pending is None and k % replan_ticks == 0
                     and phase.traj.t_end - t > mcfg.leg_freeze):
-                keep = phase.wp_times > t + mcfg.handoff_budget + mcfg.wp_lead
-                remaining = np.vstack([phase.interior[keep].reshape(-1, 3),
-                                       phase.entry.point[None, :]])
+                keep = phase.wp_times > t + mcfg.handoff_budget + _WP_LEAD
+                remaining = np.vstack([phase.wps.waypoints[1:-1][keep],
+                                       phase.wps.waypoints[-1:]])
                 tic = time.perf_counter()
                 try:
                     res = planner.replan(phase.traj, t, mcfg.handoff_budget,
                                          remaining, pcfg,
-                                         boundary_end=phase.boundary_end,
+                                         boundary_end=phase.wps.boundary_end,
                                          warm=phase.last_qp)
                 except (ValueError, FlatnessSingularityError) as exc:
                     # Rejected like any failed replan: the current

@@ -8,12 +8,12 @@ matrices, banded Cholesky for CSR ones. The KKT system is factored up
 front and refactored only when the penalty rebalances, so iterations stay
 cheap, which suits repeated solves at a fixed rate with warm starting.
 
-Polish doubles as an early stop. ADMM converges only linearly once it has
-found the active set, so when the active set read off the duals is the
-same at two consecutive residual checks, one KKT solve on it is tried;
-its answer is accepted, ending the solve, if it meets the ADMM tolerance
-test and every active multiplier has its bound's sign. After a solve
-that converged without that, the same polish refines the ADMM answer.
+Polish is tried at a residual check whose iterate has converged or whose
+active set, read off the duals, held since the previous check: one KKT
+solve on that set. Its answer ends the solve only if it meets the ADMM
+tolerance test and every active multiplier has its bound's sign, so a
+polished answer is the optimum; otherwise a converged iterate is returned
+as it is and an unconverged one iterates on.
 """
 
 from __future__ import annotations
@@ -127,24 +127,33 @@ def _inf_norm(v) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _residuals(prob: QpProblem, x, y):
-    """Primal and dual residuals of the unscaled problem, then the scales
-    their tolerances grow with: max(|Ax|, |clip(Ax)|) and max(|Qx|, |A'y|, |q|)."""
-    ax = prob.A @ x
+def _working_form(prob: QpProblem):
+    """Q and A as a solve works on them: the problem's dense arrays, or CSR
+    copies when m*n exceeds `_SPARSE_ABOVE`."""
+    if prob.m * prob.n > _SPARSE_ABOVE:
+        return sp.csr_array(prob.Q), sp.csr_array(prob.A)
+    return prob.Q, prob.A
+
+
+def _residuals(prob: QpProblem, Q, A, x, y):
+    """Primal and dual residuals of the unscaled problem (Q and A in the
+    working form), then the scales their tolerances grow with:
+    max(|Ax|, |clip(Ax)|) and max(|Qx|, |A'y|, |q|)."""
+    ax = A @ x
     ax_c = np.clip(ax, prob.l, prob.u)
-    qx, aty = prob.Q @ x, prob.A.T @ y
+    qx, aty = Q @ x, A.T @ y
     return (_inf_norm(ax - ax_c), _inf_norm(qx + prob.q + aty),
             max(_inf_norm(ax), _inf_norm(ax_c)),
             max(_inf_norm(qx), _inf_norm(aty), _inf_norm(prob.q)))
 
 
 def kkt_residuals(prob: QpProblem, x, y):
-    """Independent primal/dual residuals: constraint violation and stationarity."""
+    """Constraint violation and stationarity, in `solve_qp`'s working form."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] != prob.n or y.shape[0] != prob.m:
         raise ValueError("residual arguments have inconsistent dimensions")
-    return _residuals(prob, x, y)[:2]
+    return _residuals(prob, *_working_form(prob), x, y)[:2]
 
 
 # The CSR branches of _abs_max and _scaled work on the stored entries;
@@ -237,12 +246,12 @@ class _KktOperator:
         return x
 
 
-def _infeasibility_certificate(prob: QpProblem, dy, eps) -> bool:
+def _infeasibility_certificate(prob: QpProblem, A, dy, eps) -> bool:
     nd = _inf_norm(dy)
     if nd < 1e-12:
         return False
     dyn = dy / nd
-    if _inf_norm(prob.A.T @ dyn) > eps:
+    if _inf_norm(A.T @ dyn) > eps:
         return False
     pos = dyn > 1e-12
     neg = dyn < -1e-12
@@ -306,11 +315,11 @@ def _polish(prob: QpProblem, Q, A, active):
     x_p = sol[:n]
     y_p = np.zeros(prob.m)
     y_p[rows] = sol[n:]
-    return (x_p, y_p, *_residuals(prob, x_p, y_p))
+    return (x_p, y_p, *_residuals(prob, Q, A, x_p, y_p))
 
 
 def _polish_is_optimal(s: QpSettings, active, y, prim, dual, p_scale, d_scale) -> bool:
-    """Early-stop test for a polished point: ADMM's own tolerance test,
+    """Acceptance test for a polished point: ADMM's own tolerance test,
     evaluated there, and every active multiplier's sign matching its bound
     (a wrong active set can meet the residual tests with a wrong sign)."""
     _, low, upp = active
@@ -323,18 +332,16 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
              warm_start: QpSolution | None = None) -> QpSolution:
     """ADMM solve of the boxed QP; returns primal/dual values and diagnostics.
 
-    The reported residuals are recomputed on the unscaled problem with
-    `kkt_residuals`, so they agree exactly with an independent check.
+    Every answer is accepted at a residual check, with the residuals that
+    check computed for it, so they equal `kkt_residuals` at the answer.
     """
     s = settings or QpSettings()
     t_begin = time.perf_counter()
     n, m = prob.n, prob.m
 
-    # The working form, dense or CSR, chosen here once; every stage below
-    # follows the form it is given.
-    Q, A = prob.Q, prob.A
-    if m * n > _SPARSE_ABOVE:
-        Q, A = sp.csr_array(Q), sp.csr_array(A)
+    # The working form, dense or CSR, chosen once; every stage below follows
+    # the form it is given.
+    Q, A = _working_form(prob)
     Qs, qs, As, D, E, c = _ruiz_equilibrate(Q, prob.q, A, _SCALING_ITERS)
     At = As.T
     ls = E * prob.l
@@ -354,7 +361,6 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
         x, y, z = np.zeros(n), np.zeros(m), np.zeros(m)
 
     status = "max-iterations"
-    prim = dual = np.inf
     it = 0
     y_at_check = y.copy()
     best_prim = np.inf
@@ -373,42 +379,32 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
         y = y + rho * (z_pre - z)
 
         if it % s.check_every == 0 or it == s.max_iter:
-            # Residuals of the *unscaled* problem, assembled from the scaled
-            # matvecs so the check stays cheap on sparse problems, and the
-            # scales that the tolerances and the penalty balance measure
-            # them against.
-            ax_u = (As @ x) / E
-            qx_u = (Qs @ x) / (c * D)
-            aty_u = (At @ y) / (c * D)
-            prim = _inf_norm(ax_u - np.clip(ax_u, prob.l, prob.u))
-            dual = _inf_norm(qx_u + prob.q + aty_u)
-            p_scale = max(_inf_norm(ax_u), _inf_norm(z * (1.0 / E)))
-            d_scale = max(_inf_norm(qx_u), _inf_norm(aty_u), _inf_norm(prob.q))
-            if (prim <= s.eps_abs + s.eps_rel * p_scale
-                    and dual <= s.eps_abs + s.eps_rel * d_scale):
+            # The unscaled iterate, its residuals and the scales that the
+            # tolerances and the penalty balance measure them against.
+            x_u, y_u = D * x, (E / c) * y
+            prim, dual, p_scale, d_scale = _residuals(prob, Q, A, x_u, y_u)
+            converged = (prim <= s.eps_abs + s.eps_rel * p_scale
+                         and dual <= s.eps_abs + s.eps_rel * d_scale)
+            if s.polish:
+                # One KKT solve on the active set gives the optimum that
+                # ADMM only approaches linearly. It depends on the set
+                # alone, so a set tried and rejected is not tried again
+                # while it holds.
+                active = _active_set(y_u, eq)
+                held = (prev_active is not None
+                        and np.array_equal(active[1], prev_active[1])
+                        and np.array_equal(active[2], prev_active[2]))
+                tried = tried and held
+                if (converged or held) and not tried:
+                    tried = True
+                    res = _polish(prob, Q, A, active)
+                    polished = res is not None and _polish_is_optimal(s, active, *res[1:])
+                    if polished:
+                        x_u, y_u, prim, dual = res[:4]
+                prev_active = active
+            if converged or polished:
                 status = "solved"
                 break
-            if s.polish and m:
-                # Once the active set holds from one check to the next, one
-                # KKT solve on it may already give the optimum that the
-                # remaining iterations would only approach linearly. The
-                # polish depends on the active set alone, so a set that was
-                # tried and rejected is not tried again while it holds.
-                active = _active_set((E / c) * y, eq)
-                if (prev_active is not None
-                        and np.array_equal(active[1], prev_active[1])
-                        and np.array_equal(active[2], prev_active[2])):
-                    if not tried:
-                        tried = True
-                        res = _polish(prob, Q, A, active)
-                        if res is not None and _polish_is_optimal(s, active, *res[1:]):
-                            x_u, y_u, prim, dual = res[:4]
-                            status = "solved"
-                            polished = True
-                            break
-                else:
-                    tried = False
-                prev_active = active
             if prim < best_prim - 1e-12 * max(1.0, best_prim):
                 best_prim = prim
                 stagnant = 0
@@ -416,7 +412,7 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                 stagnant += s.check_every
             if stagnant >= _STAGNATION_ITERS:
                 dy = (E / c) * (y - y_at_check)
-                if _infeasibility_certificate(prob, dy, _EPS_INFEASIBLE):
+                if _infeasibility_certificate(prob, A, dy, _EPS_INFEASIBLE):
                     status = "primal-infeasible-detected"
                     break
             y_at_check = y.copy()
@@ -431,18 +427,6 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
                     rho_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
                     rho = rho_base * rho_eq
                     op = _KktOperator(Qs, As, rho, _SIGMA)
-
-    if not polished:
-        x_u = D * x
-        y_u = (E / c) * y
-        polish = status == "solved" and s.polish
-        res = _polish(prob, Q, A, _active_set(y_u, eq)) if polish else None
-        if res is not None and max(res[2], res[3]) <= max(prim, dual):
-            x_u, y_u, prim, dual = res[:4]
-            polished = True
-        else:
-            # A polished answer comes with `_polish`'s own residuals.
-            prim, dual = kkt_residuals(prob, x_u, y_u)
 
     return QpSolution(
         x=x_u,
