@@ -419,6 +419,7 @@ def metrics(log: SimLog, events=None, handoff_budget: float | None = None) -> di
             out["n_replans_over_budget"] = sum(e.solve_time > handoff_budget
                                                for e in events)
         out["qp_iterations_max"] = max((e.iterations for e in events), default=0)
+        out["qp_iterations_sum"] = sum(e.iterations for e in events)
         if events:
             topt = [e.solve_time for e in events]
             out["t_opt_mean"] = float(np.mean(topt))

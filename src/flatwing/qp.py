@@ -14,11 +14,23 @@ solve on that set. Its answer ends the solve only if it meets the ADMM
 tolerance test and every active multiplier has its bound's sign, so a
 polished answer is the optimum; otherwise a converged iterate is returned
 as it is and an unconverged one iterates on.
+
+A warm start is first tried as an active-set hot start: its active set is
+polished on the new problem before equilibration, factorization or any
+iteration, and a point that passes the same acceptance test is returned
+with zero iterations. Replans of one leg mostly keep their active set, so
+most of them end there; the rest run ADMM from the warm start.
+
+Dense solves run with numpy's and scipy's OpenBLAS pools on one thread:
+their BLAS and LAPACK calls are small, and threads only add stalls.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +145,44 @@ def _working_form(prob: QpProblem):
     if prob.m * prob.n > _SPARSE_ABOVE:
         return sp.csr_array(prob.Q), sp.csr_array(prob.A)
     return prob.Q, prob.A
+
+
+@functools.cache
+def _blas_pools():
+    """(get, set) thread-count functions of the OpenBLAS builds that numpy
+    and scipy bundle, looked up on the first dense solve. A build without
+    these symbols (MKL, a system OpenBLAS) is left as it is."""
+    from numpy.linalg import _umath_linalg
+    from scipy.linalg import _flapack
+
+    pools = []
+    for lib, suffix in ((_umath_linalg.__file__, "64_"), (_flapack.__file__, "")):
+        try:
+            handle = ctypes.CDLL(lib)
+            get = getattr(handle, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(handle, "scipy_openblas_set_num_threads" + suffix)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        pools.append((get, put))
+    return tuple(pools)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's and scipy's BLAS pools on one thread each,
+    then restore their counts. A dense solve's BLAS and LAPACK calls are too
+    small to gain from threads, and on a loaded host they stall on them."""
+    pools = _blas_pools()
+    saved = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), k in zip(pools, saved):
+            put(k)
 
 
 def _residuals(prob: QpProblem, Q, A, x, y):
@@ -332,22 +382,48 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
              warm_start: QpSolution | None = None) -> QpSolution:
     """ADMM solve of the boxed QP; returns primal/dual values and diagnostics.
 
-    Every answer is accepted at a residual check, with the residuals that
-    check computed for it, so they equal `kkt_residuals` at the answer.
+    A warm start, which must have this problem's sizes, first hot-starts:
+    its active set is polished before any ADMM work. Every answer is
+    accepted by one residual and sign test, with the residuals that test
+    computed for it, so they equal `kkt_residuals` at the answer.
     """
     s = settings or QpSettings()
     t_begin = time.perf_counter()
     n, m = prob.n, prob.m
+    if warm_start is not None and (np.shape(warm_start.x) != (n,)
+                                   or np.shape(warm_start.y) != (m,)):
+        raise ValueError(f"warm start has x {np.shape(warm_start.x)} and y "
+                         f"{np.shape(warm_start.y)}, expected ({n},) and ({m},)")
 
     # The working form, dense or CSR, chosen once; every stage below follows
-    # the form it is given.
+    # the form it is given. Dense solves run on one BLAS thread.
     Q, A = _working_form(prob)
+    with nullcontext() if sp.issparse(A) else _one_blas_thread():
+        return _solve(prob, s, Q, A, warm_start, t_begin)
+
+
+def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolution:
+    """The hot start, then ADMM, on Q and A in the working form."""
+    n, m = prob.n, prob.m
+    eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-9)
+    if warm_start is not None and s.polish:
+        # Hot start: the previous answer's active set, polished on this
+        # problem. A point that passes the acceptance test is the optimum,
+        # so ADMM, its scaling and its factorization are skipped.
+        active = _active_set(warm_start.y, eq)
+        res = _polish(prob, Q, A, active)
+        if res is not None and _polish_is_optimal(s, active, *res[1:]):
+            x_p, y_p, prim, dual = res[:4]
+            return QpSolution(x=x_p, y=y_p, status="solved", iterations=0,
+                              primal_residual=prim, dual_residual=dual,
+                              solve_time=time.perf_counter() - t_begin,
+                              objective=prob.objective(x_p), polished=True)
+
     Qs, qs, As, D, E, c = _ruiz_equilibrate(Q, prob.q, A, _SCALING_ITERS)
     At = As.T
     ls = E * prob.l
     us = E * prob.u
 
-    eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-9)
     rho_eq = np.where(eq, 1e3, 1.0)
     rho_base = s.rho
     rho = rho_base * rho_eq

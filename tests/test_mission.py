@@ -411,6 +411,7 @@ def test_metrics_event_statistics():
     assert m["n_replans"] == 2
     assert m["n_replans_accepted"] == 1
     assert m["qp_iterations_max"] == 50
+    assert m["qp_iterations_sum"] == 50
     assert m["t_opt_mean"] == pytest.approx(0.02)
     assert m["t_opt_max"] == pytest.approx(0.03)
     with pytest.raises(ValueError):

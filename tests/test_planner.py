@@ -565,6 +565,14 @@ def test_replan_warm_start_converges_faster():
     assert warm.iterations <= cold.iterations
 
 
+def test_plan_drops_a_warm_start_of_another_size():
+    s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
+    first = pl.plan(s, pl.PlannerConfig())
+    single = pl.plan(seq([[0, 0, 0], [120, 40, 0]]), pl.PlannerConfig())
+    again = pl.plan(s, pl.PlannerConfig(), warm=single.qp_solution)
+    assert again.ok and again.iterations == first.iterations
+
+
 # ---------------------------------------------------------------- scaling
 
 

@@ -445,3 +445,108 @@ def test_settings_coerce_numeric_fields():
 def test_settings_reject_values_that_break_the_solver(field, value):
     with pytest.raises(ValueError, match=field):
         qp.QpSettings(**{field: value})
+
+
+def _perturbed(rng, Q, qv, A, lo, hi, x_feas, size=1e-4):
+    # q moves, and every bound moves by A @ dx, so x_feas + dx stays feasible
+    # and the equality rows stay equalities.
+    dx = size * rng.normal(size=qv.shape[0])
+    return (Q, qv + size * rng.normal(size=qv.shape[0]), A, lo + A @ dx, hi + A @ dx,
+            x_feas + dx)
+
+
+def test_hot_start_from_a_nearby_problem_skips_admm(monkeypatch):
+    # A nearby problem keeps its neighbour's active set: its polish passes
+    # the acceptance test before ADMM, its scaling or its KKT factor runs.
+    ops, kkt = [], qp._KktOperator
+    monkeypatch.setattr(qp, "_KktOperator", lambda *a: ops.append(1) or kkt(*a))
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        data = random_box_qp(rng)
+        prev = qp.solve_qp(qp.QpProblem(*data[:5]))
+        assert prev.polished, seed
+        Q, qv, A, lo, hi, x_feas = _perturbed(rng, *data)
+        ops.clear()
+        sol = qp.solve_qp(qp.QpProblem(Q, qv, A, lo, hi), warm_start=prev)
+        assert sol.status == "solved" and sol.polished, seed
+        assert sol.iterations == 0 and ops == [], seed
+        xo, _ = active_set_qp(Q, qv, A, lo, hi, x_feas)
+        assert np.abs(sol.x - xo).max() <= 1e-9, seed
+        assert (sol.primal_residual, sol.dual_residual) == qp.kkt_residuals(
+            qp.QpProblem(Q, qv, A, lo, hi), sol.x, sol.y)
+
+
+def test_hot_start_with_a_wrong_active_set_falls_back_to_admm():
+    # With q negated the optimum mostly sits on other bounds (seeds 0, 1,
+    # 2, 4, 5, 7 and 8 here; the rest share the active set). Polishing such
+    # a warm start's active set gives a point up to 0.44 from the optimum,
+    # which fails the acceptance test, and ADMM then finds the optimum.
+    fallbacks = 0
+    for seed in range(10):
+        Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
+        other = qp.solve_qp(qp.QpProblem(Q, -qv, A, lo, hi))
+        sol = qp.solve_qp(qp.QpProblem(Q, qv, A, lo, hi), warm_start=other)
+        assert sol.status == "solved" and sol.polished, seed
+        xo, _ = active_set_qp(Q, qv, A, lo, hi, x_feas)
+        assert np.abs(sol.x - xo).max() <= 1e-9, seed
+        fallbacks += sol.iterations > 0
+    assert fallbacks == 7
+
+
+def test_hot_start_keeps_infeasibility_detection():
+    # x >= 1 and x <= -1: no active set passes, so ADMM runs and finds the
+    # certificate, warm-started from its own earlier answer or not.
+    prob = qp.QpProblem(np.array([[1.0]]), None, np.array([[1.0], [1.0]]),
+                        np.array([1.0, -np.inf]), np.array([np.inf, -1.0]))
+    cold = qp.solve_qp(prob)
+    warm = qp.solve_qp(prob, warm_start=cold)
+    assert cold.status == warm.status == "primal-infeasible-detected"
+    assert warm.iterations > 0 and not warm.polished
+
+
+def test_no_hot_start_without_polish(monkeypatch):
+    calls, polish = [], qp._polish
+    monkeypatch.setattr(qp, "_polish", lambda *a: calls.append(1) or polish(*a))
+    rng = np.random.default_rng(3)
+    data = random_box_qp(rng)
+    s = qp.QpSettings(polish=False)
+    prev = qp.solve_qp(qp.QpProblem(*data[:5]), s)
+    sol = qp.solve_qp(qp.QpProblem(*_perturbed(rng, *data)[:5]), s, warm_start=prev)
+    assert sol.status == "solved" and sol.iterations > 0
+    assert not sol.polished and calls == []
+
+
+def test_mismatched_warm_start_is_rejected_up_front(monkeypatch):
+    monkeypatch.setattr(qp, "_working_form", None)  # no work may start
+    prob = qp.QpProblem(np.eye(3), None, np.ones((1, 3)), [0.0], [1.0])
+    other = qp.QpSolution(np.zeros(4), np.zeros(1), "solved", 0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"x \(4,\) and y \(1,\), expected \(3,\) and \(1,\)"):
+        qp.solve_qp(prob, warm_start=other)
+
+
+def test_dense_solves_run_on_one_blas_thread(monkeypatch):
+    # The bundled OpenBLAS pools, where this build has them, read one
+    # thread inside the block and their own count again after it.
+    before = [get() for get, _ in qp._blas_pools()]
+    with qp._one_blas_thread():
+        assert all(get() == 1 for get, _ in qp._blas_pools())
+    assert [get() for get, _ in qp._blas_pools()] == before
+
+    # A dense solve factors on one thread and restores the counts, also
+    # when it raises; a CSR solve leaves the pools alone.
+    counts = {"numpy": 4, "scipy": 3}
+    monkeypatch.setattr(qp, "_blas_pools", lambda: tuple(
+        (lambda k=k: counts[k], lambda v, k=k: counts.__setitem__(k, v)) for k in counts))
+    seen, kkt = [], qp._KktOperator
+    monkeypatch.setattr(qp, "_KktOperator", lambda *a: seen.append(dict(counts)) or kkt(*a))
+    prob = qp.QpProblem(*random_box_qp(np.random.default_rng(6))[:5])
+    assert qp.solve_qp(prob).status == "solved"
+    assert seen and all(c == {"numpy": 1, "scipy": 1} for c in seen)
+    assert counts == {"numpy": 4, "scipy": 3}
+    with pytest.raises(qp.IllPosedProblem):
+        qp.solve_qp(qp.QpProblem(-np.eye(3), None))
+    assert counts == {"numpy": 4, "scipy": 3}
+    seen.clear()
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", 0)
+    assert qp.solve_qp(prob).status == "solved"
+    assert seen and all(c == {"numpy": 4, "scipy": 3} for c in seen)
