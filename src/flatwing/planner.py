@@ -1,15 +1,21 @@
 """Minimum-jerk piecewise-Bernstein trajectory planner.
 
 Assembles one stacked QP over all segments and axes: jerk-integral cost,
-endpoint and junction-continuity equalities, convex-hull derivative box
-bounds, and planar-curvature inequalities linearized about the previous
-trajectory. Replanning re-solves from a handoff state a short horizon
-ahead so the swap is continuous.
+convex-hull derivative box bounds, and planar-curvature inequalities
+linearized about the previous trajectory. The QP's variables are the
+junctions' derivatives 0..continuity_order on each axis and each segment's
+middle control points (Richter, Bry & Roy, ISRR 2013). A segment's control
+points are a fixed map of its junctions and middle points, and neighbouring
+segments share a junction, so continuity holds by construction. Waypoints
+and the boundary velocity and acceleration are fixed entries, substituted
+out, so the QP has no equality rows. Replanning re-solves from a handoff
+state a short horizon ahead so the swap is continuous.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +57,10 @@ class PlannerConfig:
             setattr(self, name, float(getattr(self, name)))
         for name, ok, rule in (
             ("degree", 5 <= self.degree <= 12, "lie in the supported range [5, 12]"),
-            ("continuity_order", 0 <= self.continuity_order < self.degree,
-             "lie in [0, degree)"),
+            # Order 2 lets the end junctions carry the boundary velocity
+            # and acceleration; order (degree-1)//2 leaves no middle point.
+            ("continuity_order", 2 <= self.continuity_order <= (self.degree - 1) // 2,
+             f"lie in [2, {(self.degree - 1) // 2}] at degree {self.degree}"),
             ("n_curv_samples", self.n_curv_samples >= 1, "be at least 1"),
             ("cruise_speed", 0.0 < self.cruise_speed < np.inf, "be positive and finite"),
             ("v_min", 0.0 < self.v_min < np.inf, "be positive and finite (forward flight)"),
@@ -146,20 +154,101 @@ def _durations(wps: WaypointSequence, config: PlannerConfig) -> np.ndarray:
     return np.diff(np.concatenate([[0.0], times]))
 
 
-def _layout(W, seg, M: int) -> np.ndarray:
-    """Dense QP rows from per-segment weight blocks.
+@dataclass(frozen=True)
+class Coordinates:
+    """How a planner QP's variables give control points.
 
-    W holds (3, n+1) blocks, axis by control point, under any leading
-    shape; row r holds the r-th block (in C order) on the control points of
-    segment seg[r], and zeros elsewhere. The decision vector runs segment,
-    axis, control point; this and `plan`'s unpacking are the only code that
-    knows it.
+    Segment m's window holds, on each axis, the derivatives 0..c at its
+    start junction, its middle control points and the derivatives 0..c at
+    its end junction. Entry (m, axis, i) of the window is the QP variable
+    x[cols[m, axis, i]], or the value fixed[m, axis, i] where cols is -1.
+    The segment's control points on that axis are T[m] applied to the
+    window, plus shift: the QP is posed relative to the first waypoint.
+    The squared-jerk integral of those points is x'Qx + 2q'x + jerk_offset.
     """
-    n1 = W.shape[-1]
-    W = W.reshape(-1, 3, n1)
-    rows = np.zeros((len(W), M, 3, n1))
-    rows[np.arange(len(W)), seg] = W
-    return rows.reshape(len(W), M * 3 * n1)
+
+    T: np.ndarray
+    cols: np.ndarray
+    fixed: np.ndarray
+    shift: np.ndarray
+    jerk_offset: float
+
+    def control_points(self, x) -> np.ndarray:
+        """Control points, (M, n+1, 3), of the QP variables x."""
+        # A fixed entry's column -1 reads the appended zero, then is replaced.
+        window = np.where(self.cols >= 0, np.append(x, 0.0)[self.cols], self.fixed)
+        return (window @ np.swapaxes(self.T, 1, 2)).transpose(0, 2, 1) + self.shift
+
+
+def _coordinates(wps: WaypointSequence, shift, config: PlannerConfig, M: int):
+    """The window layout of `Coordinates`: cols and fixed.
+
+    The full decision vector runs junction 0, segment 0's middle points,
+    junction 1, ..., junction M, each by axis and then by order or point, so
+    a segment's variables lie together and a long plan's QP stays banded.
+    Fixed are the boundary position, velocity and acceleration at both ends
+    and the waypoint position at each interior junction; the rest become
+    the QP's variables, in the same order.
+    """
+    n, c1 = config.degree, config.continuity_order + 1
+    mid = n + 1 - 2 * c1
+    step = 3 * (c1 + mid)  # one junction and one segment's middle points
+    axis = np.arange(3)[:, None]
+    jct = np.arange(M + 1)[:, None, None] * step + axis * c1 + np.arange(c1)
+    mids = np.arange(M)[:, None, None] * step + 3 * c1 + axis * mid + np.arange(mid)
+    window = np.concatenate([jct[:-1], mids, jct[1:]], axis=2)
+
+    value = np.zeros(M * step + 3 * c1)
+    is_fixed = np.zeros(value.size, dtype=bool)
+    for j, bnd in ((0, wps.boundary_start), (M, wps.boundary_end)):
+        is_fixed[jct[j, :, :3]] = True
+        value[jct[j, :, :3]] = np.column_stack(
+            [bnd.position - shift, bnd.velocity, bnd.acceleration])
+    is_fixed[jct[1:-1, :, 0]] = True
+    value[jct[1:-1, :, 0]] = wps.waypoints[1:-1] - shift
+    var = np.cumsum(~is_fixed) - 1
+    var[is_fixed] = -1
+    return var[window], value[window]
+
+
+def _layout(W, seg, T, cols, fixed):
+    """Dense QP rows, and their offsets, from per-segment weight blocks.
+
+    W holds (R, 3, n+1) blocks, axis by control point: row r weighs the
+    control points of segment seg[r]. Through T[seg[r]] the block weighs
+    that segment's window (laid out by cols and fixed as in
+    `Coordinates`); its variable entries fill the row's columns and its
+    fixed entries sum to the row's offset, which the bounds lose.
+    """
+    Wx = W @ T[seg]
+    offset = (Wx * fixed[seg]).sum(axis=(1, 2))
+    at = cols[seg]
+    var = at >= 0
+    rows = np.zeros((len(W), _n_vars(cols)))
+    rows[np.nonzero(var)[0], at[var]] = Wx[var]
+    return rows, offset
+
+
+def _quadratic(G, T, cols, fixed):
+    """Q, q and the offset for which the Gram blocks G, summed over segments
+    and axes, give x'Qx + 2q'x + offset. Each segment adds T'GT on each
+    axis: between its variables to Q, and where fixed entries take part to
+    q and the offset."""
+    N = _n_vars(cols)
+    Gx = np.swapaxes(T, 1, 2) @ G @ T
+    g = (Gx[:, None] @ fixed[..., None])[..., 0]  # Gx times the fixed entries
+    row, col = cols[..., :, None], cols[..., None, :]
+    pair = (row >= 0) & (col >= 0)
+    Q = np.bincount((row * N + col)[pair], np.broadcast_to(Gx[:, None], pair.shape)[pair],
+                    minlength=N * N)
+    var = cols >= 0
+    q = np.bincount(cols[var], g[var], minlength=N)
+    return Q.reshape(N, N), q, float(fixed.ravel() @ g.ravel())
+
+
+def _n_vars(cols) -> int:
+    """The QP's variable count: one past the largest column."""
+    return int(cols.max(initial=-1)) + 1
 
 
 def _on_each_axis(w) -> np.ndarray:
@@ -184,50 +273,40 @@ def _maps(n: int, k: int, durations) -> np.ndarray:
 
 
 def build_cost(config: PlannerConfig, durations) -> np.ndarray:
-    """Block-diagonal jerk Gram cost; p'Qp equals the squared-jerk integral."""
+    """Jerk Gram block of each segment, (M, n+1, n+1): p'G[m]p is the
+    squared-jerk integral of segment m's control points p on one axis."""
     n = config.degree
     durations = np.asarray(durations, dtype=float)
-    M = durations.size
     S3 = difference_stencil(n, 3)
     scale2 = np.array([derivative_scale(n, 3, d) ** 2 for d in durations])  # as in _maps
-    blocks = scale2[:, None, None] * (S3.T @ gram_matrix(n - 3, durations) @ S3)
-    # Row (m, axis, i) of Q is Gram row i on segment m's axis: the rows
-    # come in the columns' order.
-    return _layout(_on_each_axis(blocks), np.repeat(np.arange(M), 3 * (n + 1)), M)
+    return scale2[:, None, None] * (S3.T @ gram_matrix(n - 3, durations) @ S3)
 
 
-def build_endpoint_constraints(wps: WaypointSequence, config: PlannerConfig, durations):
-    """Equalities pinning boundary pos/vel/acc and interior waypoint positions."""
-    n = config.degree
+def build_continuity_constraints(config: PlannerConfig, durations) -> np.ndarray:
+    """Maps T, (M, n+1, n+1), that impose C0..Cc across the junctions.
+
+    T[m] takes segment m's window on one axis (the derivatives 0..c at its
+    start junction, its n+1-2(c+1) middle control points, the derivatives
+    0..c at its end junction) to its control points: the inverses of the
+    first and last c+1 rows of derivative_map 0..c at the ends, the
+    identity in the middle. Segments that share a junction share its
+    derivatives, so they agree to order c.
+    """
+    n, c = config.degree, config.continuity_order
     durations = np.asarray(durations, dtype=float)
-    M = durations.size
-    # A segment's k-th derivative at its start or finish is the first or
-    # last row of its derivative map; an interior waypoint pins the last
-    # control point of the segment that ends there.
-    w = np.vstack([[derivative_map(n, k, durations[0])[0] for k in range(3)],
-                   [derivative_map(n, k, durations[-1])[-1] for k in range(3)],
-                   np.eye(n + 1)[[-1] * (M - 1)]])
-    seg = np.concatenate([[0] * 3, [M - 1] * 3, np.arange(M - 1)])
-    b0, b1 = wps.boundary_start, wps.boundary_end
-    v = np.concatenate([b0.position, b0.velocity, b0.acceleration,
-                        b1.position, b1.velocity, b1.acceleration,
-                        wps.waypoints[1:-1].ravel()])
-    return _layout(_on_each_axis(w[:, None]), np.repeat(seg, 3), M), v, v.copy()
-
-
-def build_continuity_constraints(config: PlannerConfig, durations):
-    """Equalities matching derivatives 0..continuity_order across junctions."""
-    n = config.degree
-    durations = np.asarray(durations, dtype=float)
-    M = durations.size
-    maps = [_maps(n, k, durations) for k in range(config.continuity_order + 1)]
-    # w[0, m, k] is order k at segment m's end, w[1, m, k] at segment m+1's start.
-    w = np.array([[D[:-1, -1] for D in maps], [D[1:, 0] for D in maps]]).transpose(0, 2, 1, 3)
-    # Rows by junction, order, axis: the end minus the start.
-    seg = np.repeat(np.arange(M - 1), 3 * len(maps))
-    A = _layout(_on_each_axis(w[..., None, :]), np.concatenate([seg, seg + 1]), M)
-    R = len(seg)
-    return A[:R] - A[R:], np.zeros(R), np.zeros(R)
+    k = np.arange(c + 1)
+    # The unscaled inverses are binomial: the first points are
+    # p_j = sum_k C(j, k) D^k p_0 and the last p_(n-j) = sum_k (-1)^k C(j, k)
+    # B^k p_n, with D and B the forward and backward differences. Column k
+    # then divides by derivative_scale(n, k, d) = n!/(n-k)!/d**k.
+    binom = np.array([[math.comb(j, i) for i in k] for j in k], dtype=float)
+    inv_scale = (durations[:, None] ** k / [math.perm(n, i) for i in k])[:, None, :]
+    T = np.zeros((durations.size, n + 1, n + 1))
+    T[:, : c + 1, : c + 1] = binom * inv_scale
+    T[:, n - c :, n - c :] = (binom * (-1.0) ** k)[::-1] * inv_scale
+    mid = np.arange(c + 1, n - c)
+    T[:, mid, mid] = 1.0
+    return T
 
 
 def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
@@ -235,7 +314,8 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
 
     When per-segment unit chord directions are supplied, an additional row
     per velocity control point keeps the along-chord speed component above
-    v_min, encoding forward progress.
+    v_min, encoding forward progress. Returns weight blocks (R, 3, n+1)
+    over control points, the segment of each and the bounds.
     """
     n = config.degree
     durations = np.asarray(durations, dtype=float)
@@ -255,8 +335,8 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
         W = np.concatenate([W, W_chord], axis=1)
         lo = np.concatenate([lo, np.full(n, config.v_min)])
         hi = np.concatenate([hi, np.full(n, np.inf)])
-    A = _layout(W, np.repeat(np.arange(M), W.shape[1]), M)
-    return A, np.tile(lo, M), np.tile(hi, M)
+    return (W.reshape(-1, 3, n + 1), np.repeat(np.arange(M), W.shape[1]),
+            np.tile(lo, M), np.tile(hi, M))
 
 
 def curvature(v_xy, a_xy, v_eps: float = V_EPS):
@@ -322,13 +402,15 @@ def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerC
 
     Linearization points come from the previous trajectory evaluated at the
     matching absolute times (clamped to its domain), all in one batch.
+    Returns weight blocks (R, 3, n+1) over control points, the segment of
+    each and the bounds.
     """
     n = config.degree
     durations = np.asarray(durations, dtype=float)
     M = durations.size
     K = config.n_curv_samples
     if not (np.isfinite(config.kappa_min) or np.isfinite(config.kappa_max)):
-        return _layout(np.zeros((0, 3, n + 1)), [], M), np.zeros(0), np.zeros(0)
+        return np.zeros((0, 3, n + 1)), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
     u, w_v, w_a = _curvature_basis(n, K)
     seg_start = np.cumsum(np.concatenate([[t0], durations]))[:-1]
     t_abs = seg_start[:, None] + u * durations[:, None]
@@ -345,45 +427,39 @@ def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerC
     W = np.zeros((M, K, 3, n + 1))
     W[:, :, 0] = g[:, :, 0] * W_v + g[:, :, 2] * W_a
     W[:, :, 1] = g[:, :, 1] * W_v + g[:, :, 3] * W_a
-    A = _layout(W, np.repeat(np.arange(M), K), M)
-    return A, config.kappa_min - c0, config.kappa_max - c0
+    return (W.reshape(-1, 3, n + 1), np.repeat(np.arange(M), K),
+            config.kappa_min - c0, config.kappa_max - c0)
 
 
 def assemble(wps: WaypointSequence, config: PlannerConfig,
              prev_traj: PiecewiseTrajectory | None = None, t0: float = 0.0):
     """Build the stacked QP for a waypoint sequence.
 
-    Returns (problem, durations, shift): the problem is posed in coordinates
-    translated by -shift (the first waypoint), which makes the planner
-    exactly translation-equivariant regardless of solver tolerances.
+    Returns (problem, durations, coordinates). The problem's variables are
+    the free junction derivatives and middle control points; `coordinates`
+    turns them into control points. The problem is posed relative to the
+    first waypoint, which makes the planner exactly translation-equivariant
+    regardless of solver tolerances.
     """
     durations = _durations(wps, config)
-
     shift = wps.waypoints[0].copy()
-    wps_local = WaypointSequence(
-        wps.waypoints - shift,
-        BoundaryState(wps.boundary_start.position - shift,
-                      wps.boundary_start.velocity, wps.boundary_start.acceleration),
-        BoundaryState(wps.boundary_end.position - shift,
-                      wps.boundary_end.velocity, wps.boundary_end.acceleration),
-    )
-
     if prev_traj is None:
         prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
 
     chords = np.diff(wps.waypoints, axis=0)
     chords /= np.linalg.norm(chords, axis=1)[:, None]
 
-    Q = build_cost(config, durations)
-    A_eq, l_eq, u_eq = build_endpoint_constraints(wps_local, config, durations)
-    A_ct, l_ct, u_ct = build_continuity_constraints(config, durations)
-    A_db, l_db, u_db = build_derivative_bounds(config, durations, chords)
-    A_cv, l_cv, u_cv = build_curvature_constraints(prev_traj, config, durations, t0)
-
-    A = np.vstack([A_eq, A_ct, A_db, A_cv])
-    l = np.concatenate([l_eq, l_ct, l_db, l_cv])
-    u = np.concatenate([u_eq, u_ct, u_db, u_cv])
-    return qp.QpProblem(Q, None, A, l, u), durations, shift
+    T = build_continuity_constraints(config, durations)
+    cols, fixed = _coordinates(wps, shift, config, durations.size)
+    Q, q, jerk_offset = _quadratic(build_cost(config, durations), T, cols, fixed)
+    W_db, seg_db, l_db, u_db = build_derivative_bounds(config, durations, chords)
+    W_cv, seg_cv, l_cv, u_cv = build_curvature_constraints(prev_traj, config, durations, t0)
+    A, offset = _layout(np.concatenate([W_db, W_cv]), np.concatenate([seg_db, seg_cv]),
+                        T, cols, fixed)
+    l = np.concatenate([l_db, l_cv]) - offset
+    u = np.concatenate([u_db, u_cv]) - offset
+    return (qp.QpProblem(Q, q, A, l, u), durations,
+            Coordinates(T, cols, fixed, shift, jerk_offset))
 
 
 def plan(wps: WaypointSequence, config: PlannerConfig,
@@ -394,8 +470,7 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
     Returns a PlanResult; solver failures come back as a non-ok result so
     callers can keep flying the previous trajectory.
     """
-    n = config.degree
-    prob, durations, shift = assemble(wps, config, prev_traj, t0)
+    prob, durations, coords = assemble(wps, config, prev_traj, t0)
     if warm is not None and (warm.x.shape[0] != prob.n or warm.y.shape[0] != prob.m):
         warm = None
     sol = qp.solve_qp(prob, warm_start=warm)
@@ -404,7 +479,7 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
         trajectory=None,
         status=sol.status,
         iterations=sol.iterations,
-        objective=2.0 * sol.objective,
+        objective=2.0 * sol.objective + coords.jerk_offset,
         solve_time=sol.solve_time,
         primal_residual=sol.primal_residual,
         dual_residual=sol.dual_residual,
@@ -415,20 +490,11 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
     if sol.status != "solved":
         return result
 
-    # sol.x in _layout's order: segment, axis, control point.
-    pts = sol.x.reshape(-1, 3, n + 1).transpose(0, 2, 1) + shift
-    # Junction control points are duplicated across segments and tied by
-    # equality rows the solver meets only to its own tolerance; the spline
-    # representation needs them identical, with the later segment owning
-    # the junction value.
-    if np.abs(pts[:-1, -1] - pts[1:, 0]).max(initial=0.0) > 1e-3:
-        result.status = "imprecise"
-        return result
-    pts[:-1, -1] = pts[1:, 0]
-
+    # Junction points come from the same entries on both sides: identical.
     t = np.cumsum(np.concatenate([[t0], durations]))
     result.trajectory = PiecewiseTrajectory(
-        [BernsteinSegment(p, a, b) for p, a, b in zip(pts, t[:-1], t[1:])])
+        [BernsteinSegment(p, a, b)
+         for p, a, b in zip(coords.control_points(sol.x), t[:-1], t[1:])])
     return result
 
 

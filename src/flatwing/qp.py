@@ -289,6 +289,8 @@ class _KktOperator:
         # replan's small systems.
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
+        if not rhs.size:  # LAPACK rejects an empty system
+            return rhs.copy()
         trs = dpbtrs if self.banded else dpotrs
         x, info = trs(self._factor, rhs, lower=1)
         if info != 0:
@@ -408,10 +410,21 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
     eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-9)
     if warm_start is not None and s.polish:
         # Hot start: the previous answer's active set, polished on this
-        # problem. A point that passes the acceptance test is the optimum,
-        # so ADMM, its scaling and its factorization are skipped.
+        # problem. The rows its point violates join the set, on the side
+        # they violate, for one more polish: the new optimum often needs a
+        # row the previous one did not, and a violation inside the
+        # tolerance would pass the acceptance test. A point that passes it
+        # is the optimum, so ADMM, its scaling and its factorization are
+        # skipped.
         active = _active_set(warm_start.y, eq)
         res = _polish(prob, Q, A, active)
+        if res is not None:
+            ax = A @ res[0]
+            low = active[1] | ((ax < prob.l) & ~eq)
+            upp = active[2] | ((ax > prob.u) & ~eq)
+            if not (np.array_equal(low, active[1]) and np.array_equal(upp, active[2])):
+                active = (eq, low, upp)
+                res = _polish(prob, Q, A, active)
         if res is not None and _polish_is_optimal(s, active, *res[1:]):
             x_p, y_p, prim, dual = res[:4]
             return QpSolution(x=x_p, y=y_p, status="solved", iterations=0,

@@ -63,7 +63,7 @@ def test_plan_command_dumps_qp(mission_file, tmp_path):
     assert rc == 0
     lines = (out / "leg0_qp.txt").read_text().splitlines()
     assert lines[0] == "qp v1"
-    assert lines[1] == "n 24"
+    assert lines[1] == "n 6"
     assert lines[2].startswith("m ")
 
 

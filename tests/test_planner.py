@@ -112,19 +112,21 @@ def test_allocate_times_scales_inversely_with_speed():
 
 
 def test_cost_is_positive_semidefinite():
-    Q = pl.build_cost(pl.PlannerConfig(), [5.0, 7.0])
-    assert np.allclose(Q, Q.T)
-    assert np.linalg.eigvalsh(Q).min() >= -1e-8
+    G = pl.build_cost(pl.PlannerConfig(), [5.0, 7.0])
+    assert G.shape == (2, 8, 8)
+    for g in G:
+        assert np.allclose(g, g.T)
+        assert np.linalg.eigvalsh(g).min() >= -1e-8
 
 
 def test_cost_vanishes_for_straight_uniform_motion():
     cfg = pl.PlannerConfig()
     n = cfg.degree
-    Q = pl.build_cost(cfg, [10.0])
+    (G,) = pl.build_cost(cfg, [10.0])
     # equally spaced control points along a line: zero jerk
     line = np.linspace(0.0, 140.0, n + 1)
-    p = np.concatenate([line, 0.3 * line, np.zeros(n + 1)])
-    assert p @ Q @ p <= 1e-12 * (1.0 + p @ p)
+    p = np.stack([line, 0.3 * line, np.zeros(n + 1)])
+    assert sum(pa @ G @ pa for pa in p) <= 1e-12 * (1.0 + (p * p).sum())
 
 
 def test_cost_equals_integrated_squared_jerk():
@@ -133,9 +135,8 @@ def test_cost_equals_integrated_squared_jerk():
     rng = np.random.default_rng(5)
     dur = 3.7
     cps = rng.normal(size=(3, n + 1)) * 10.0
-    Q = pl.build_cost(cfg, [dur])
-    p = cps.reshape(-1)
-    quad_form = p @ Q @ p
+    (G,) = pl.build_cost(cfg, [dur])
+    quad_form = sum(p @ G @ p for p in cps)
 
     from flatwing.bernstein import BernsteinSegment, PiecewiseTrajectory
 
@@ -153,43 +154,33 @@ def test_cost_equals_integrated_squared_jerk():
 # ---------------------------------------------------------------- constraints
 
 
-def test_endpoint_constraint_shape_and_equality():
-    cfg = pl.PlannerConfig()
-    s = seq([[0, 0, 0], [70, 0, 0], [140, 0, 0]])
-    durations = [5.0, 5.0]
-    A, lo, hi = pl.build_endpoint_constraints(s, cfg, durations)
-    # 3 boundary derivatives x 3 axes at each end, plus one interior waypoint
-    assert A.shape == (18 + 3, 3 * 2 * (cfg.degree + 1))
-    assert np.array_equal(lo, hi)
-
-
-def test_continuity_constraint_shape():
-    cfg = pl.PlannerConfig()
-    A, lo, hi = pl.build_continuity_constraints(cfg, [5.0, 5.0, 5.0])
-    assert A.shape[0] == 3 * (cfg.continuity_order + 1) * 2
-    assert not lo.any() and not hi.any()
-    A_single, _, _ = pl.build_continuity_constraints(cfg, [5.0])
-    assert A_single.shape[0] == 0
+def dense_rows(W, seg, M):
+    """Weight blocks (R, 3, n+1) as rows over every control point, ordered
+    segment, axis, point: row r holds W[r] on segment seg[r]."""
+    rows = np.zeros((len(W), M) + W.shape[1:])
+    rows[np.arange(len(W)), seg] = W
+    return rows.reshape(len(W), -1)
 
 
 def test_derivative_bounds_rows():
     cfg = pl.PlannerConfig()
     n = cfg.degree
-    A, lo, hi = pl.build_derivative_bounds(cfg, [10.0])
-    assert A.shape[0] == 3 * n + 3 * (n - 1)
+    W, seg, lo, hi = pl.build_derivative_bounds(cfg, [10.0])
+    assert W.shape == (3 * n + 3 * (n - 1), 3, n + 1)
+    assert not seg.any() and seg.shape == lo.shape == hi.shape == (len(W),)
     free = pl.PlannerConfig(v_max=np.inf, a_max=np.inf)
-    A0, _, _ = pl.build_derivative_bounds(free, [10.0])
-    assert A0.shape == (0, 3 * (n + 1))
+    W0, seg0, _, _ = pl.build_derivative_bounds(free, [10.0])
+    assert W0.shape == (0, 3, n + 1) and seg0.shape == (0,)
     chords = np.array([[1.0, 0.0, 0.0]])
-    Ac, loc, hic = pl.build_derivative_bounds(cfg, [10.0], chords)
-    assert Ac.shape[0] == A.shape[0] + n
+    Wc, _, loc, hic = pl.build_derivative_bounds(cfg, [10.0], chords)
+    assert Wc.shape[0] == W.shape[0] + n
     assert loc[-n:].min() == cfg.v_min and np.isinf(hic[-n:]).all()
     with pytest.raises(ValueError):
         pl.build_derivative_bounds(pl.PlannerConfig(a_max=-1.0), [10.0])
 
 
-def scalar_linear_rows(wps, cfg, durations, chords):
-    """Endpoint, continuity and derivative-bound rows, one row at a time.
+def scalar_linear_rows(cfg, durations, chords):
+    """Derivative-bound rows, one row at a time.
 
     Each row is a zero vector with derivative_map rows written at explicit
     column offsets: control point i of axis a on segment m is column
@@ -210,31 +201,6 @@ def scalar_linear_rows(wps, cfg, durations, chords):
             r[col(m, axis) : col(m, axis) + n + 1] = w
         return r
 
-    # endpoint pins: start and end pos/vel/acc, then interior positions
-    pins = []
-    b0, b1 = wps.boundary_start, wps.boundary_end
-    for k, target in enumerate((b0.position, b0.velocity, b0.acceleration)):
-        pins += [(0, derivative_map(n, k, durations[0])[0], target)]
-    for k, target in enumerate((b1.position, b1.velocity, b1.acceleration)):
-        pins += [(M - 1, derivative_map(n, k, durations[-1])[-1], target)]
-    for m in range(M - 1):
-        pins += [(m, derivative_map(n, 0, durations[m])[-1], wps.waypoints[m + 1])]
-    A_eq, v_eq = [], []
-    for m, w, target in pins:
-        for axis in range(3):
-            A_eq.append(row((m, axis, w)))
-            v_eq.append(target[axis])
-
-    A_ct = []
-    for m in range(M - 1):
-        for k in range(cfg.continuity_order + 1):
-            w_end = derivative_map(n, k, durations[m])[-1]
-            w_start = derivative_map(n, k, durations[m + 1])[0]
-            for axis in range(3):
-                r = row((m, axis, w_end))
-                r[col(m + 1, axis) : col(m + 1, axis) + n + 1] -= w_start
-                A_ct.append(r)
-
     A_db, lo, hi = [], [], []
     for m, d in enumerate(durations):
         D1, D2 = derivative_map(n, 1, d), derivative_map(n, 2, d)
@@ -250,13 +216,7 @@ def scalar_linear_rows(wps, cfg, durations, chords):
                 A_db.append(row(*[(m, axis, chords[m][axis] * w) for axis in range(3)]))
                 lo.append(cfg.v_min)
                 hi.append(np.inf)
-
-    def mat(rows):
-        return np.array(rows).reshape(-1, N)
-
-    return ((mat(A_eq), np.array(v_eq), np.array(v_eq)),
-            (mat(A_ct), np.zeros(len(A_ct)), np.zeros(len(A_ct))),
-            (mat(A_db), np.array(lo), np.array(hi)))
+    return np.array(A_db).reshape(-1, N), np.array(lo), np.array(hi)
 
 
 @pytest.mark.parametrize("n_seg", [1, 2, 5])
@@ -268,19 +228,39 @@ def scalar_linear_rows(wps, cfg, durations, chords):
 def test_constraint_builders_match_row_by_row_reference(cfg, n_seg):
     rng = np.random.default_rng(n_seg)
     w = np.cumsum(rng.uniform(20.0, 90.0, size=(n_seg + 1, 3)) * [1.0, 0.6, 0.1], axis=0)
-    s = seq(w)
     durations = rng.uniform(0.7, 9.0, n_seg)
     chords = np.diff(w, axis=0)
     chords /= np.linalg.norm(chords, axis=1)[:, None]
     for ch in (chords, None):
-        ref_eq, ref_ct, ref_db = scalar_linear_rows(s, cfg, durations, ch)
-        got = (pl.build_endpoint_constraints(s, cfg, durations),
-               pl.build_continuity_constraints(cfg, durations),
-               pl.build_derivative_bounds(cfg, durations, ch))
-        for ref, out in zip((ref_eq, ref_ct, ref_db), got):
-            for r, o in zip(ref, out):
-                assert r.shape == o.shape
-                assert np.array_equal(r, o)
+        W, seg, lo, hi = pl.build_derivative_bounds(cfg, durations, ch)
+        for r, o in zip(scalar_linear_rows(cfg, durations, ch),
+                        (dense_rows(W, seg, n_seg), lo, hi)):
+            assert r.shape == o.shape
+            assert np.array_equal(r, o)
+
+
+def test_junction_maps_return_the_junction_derivatives():
+    # Segment m's control points T[m] @ window have, at the start, the
+    # derivatives 0..c the window opens with, and at the end those it
+    # closes with; the middle points pass through unchanged. Each error is
+    # measured against the magnitude of the terms its product sums.
+    from flatwing.bernstein import derivative_map
+
+    rng = np.random.default_rng(12)
+    for n in range(5, 13):
+        for c in range(2, (n - 1) // 2 + 1):
+            durations = rng.uniform(0.2, 30.0, 4)
+            T = pl.build_continuity_constraints(
+                pl.PlannerConfig(degree=n, continuity_order=c), durations)
+            assert T.shape == (4, n + 1, n + 1)
+            for Tm, d in zip(T, durations):
+                window = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-2, 2, n + 1)
+                p = Tm @ window
+                assert np.array_equal(p[c + 1 : n - c], window[c + 1 : n - c])
+                for k in range(c + 1):
+                    D = derivative_map(n, k, d)
+                    for row, want in ((D[0], window[k]), (D[-1], window[n - c + k])):
+                        assert abs(row @ p - want) <= 1e-12 * (np.abs(row) @ np.abs(p))
 
 
 def test_solved_plan_respects_acceleration_bound():
@@ -340,12 +320,12 @@ def test_straight_line_reference_geometry():
 def test_curvature_rows_one_per_sample():
     cfg = pl.PlannerConfig(n_curv_samples=8)
     prev = pl.straight_line_reference([[0, 0, 0], [140, 0, 0]], CRUISE)
-    A, lo, hi = pl.build_curvature_constraints(prev, cfg, [10.0])
-    assert A.shape[0] == 8
+    W, seg, lo, hi = pl.build_curvature_constraints(prev, cfg, [10.0])
+    assert W.shape[0] == seg.size == 8
     assert np.all(lo < hi)
     unbounded = pl.PlannerConfig(kappa_min=-np.inf, kappa_max=np.inf)
-    A0, _, _ = pl.build_curvature_constraints(prev, unbounded, [10.0])
-    assert A0.shape[0] == 0
+    W0, seg0, _, _ = pl.build_curvature_constraints(prev, unbounded, [10.0])
+    assert W0.shape[0] == seg0.size == 0
 
 
 def scalar_curvature_rows(prev, cfg, durations, t0):
@@ -386,7 +366,8 @@ def test_batched_curvature_rows_match_scalar_reference():
     # the last samples clamp to its domain
     durations = [3.0, 2.5, 15.0]
     for cfg in (pl.PlannerConfig(), pl.PlannerConfig(degree=9, n_curv_samples=7)):
-        A, lo, hi = pl.build_curvature_constraints(prev, cfg, durations, t0=7.3)
+        W, seg, lo, hi = pl.build_curvature_constraints(prev, cfg, durations, t0=7.3)
+        A = dense_rows(W, seg, len(durations))
         A_ref, lo_ref, hi_ref = scalar_curvature_rows(prev, cfg, durations, 7.3)
         assert A.shape == A_ref.shape == (3 * cfg.n_curv_samples, 9 * (cfg.degree + 1))
         assert np.abs(A - A_ref).max() <= 1e-12
@@ -485,6 +466,62 @@ def test_plan_junctions_are_smooth():
         assert np.abs(left - right).max() <= 1e-9
 
 
+def test_plan_junctions_and_waypoints_are_exact():
+    # Neighbouring segments read a junction's points from the same QP
+    # entries, and waypoints are fixed entries, not rows the solver meets
+    # to its tolerance.
+    rng = np.random.default_rng(7)
+    far = np.array([5.0e4, -3.0e4, 1.0e3])
+    for cfg, w in ((pl.PlannerConfig(), dogleg(60.0).waypoints),
+                   (pl.PlannerConfig(degree=9), dogleg(120.0).waypoints + far),
+                   (pl.PlannerConfig(degree=9, continuity_order=2),
+                    np.cumsum(rng.uniform(40.0, 90.0, (6, 3)) * [1.0, 0.7, 0.05], axis=0))):
+        s = seq(w)
+        res = pl.plan(s, cfg)
+        assert res.ok
+        segs = res.trajectory.segments
+        assert len(segs) == len(w) - 1
+        for a, b in zip(segs, segs[1:]):
+            assert np.array_equal(a.control_points[-1], b.control_points[0])
+        times = res.trajectory.t_start + pl.allocate_times(s, CRUISE)
+        for t, wp in zip(times[:-1], w[1:-1]):
+            assert np.abs(res.trajectory.eval(t)[0] - wp).max() <= 1e-9
+
+
+def test_planner_qp_has_no_equality_rows():
+    s = seq([[0, 0, 0], [60, 20, 0], [120, 80, 5], [200, 60, 5]])
+    first = pl.plan(s, pl.PlannerConfig())
+    for cfg in (pl.PlannerConfig(), pl.PlannerConfig(degree=9, continuity_order=2),
+                pl.PlannerConfig(v_max=np.inf, kappa_min=-np.inf, kappa_max=np.inf)):
+        for prev in (None, first.trajectory):
+            prob, _, _ = pl.assemble(s, cfg, prev)
+            assert prob.m > 0 and not np.any(prob.l == prob.u)
+
+
+def test_config_bounds_continuity_order():
+    # Order 2 lets the end junctions fix the boundary velocity and
+    # acceleration; above (degree-1)//2 the two ends overlap.
+    for kw in ({"continuity_order": 1}, {"degree": 7, "continuity_order": 4},
+               {"degree": 12, "continuity_order": 6}):
+        with pytest.raises(ValueError, match="continuity_order"):
+            pl.PlannerConfig(**kw)
+    for degree in range(5, 13):
+        pl.PlannerConfig(degree=degree, continuity_order=(degree - 1) // 2)
+
+
+def test_fully_determined_segment_plans_without_variables():
+    # At degree 5 and order 2 the boundary states fix all six control
+    # points of a one-segment plan: the QP has no variables, only the
+    # rows that check the fixed points.
+    cfg = pl.PlannerConfig(degree=5, continuity_order=2)
+    res = pl.plan(seq([[0, 0, 0], [140, 0, 0]]), cfg)
+    assert res.ok and res.n_vars == 0 and res.n_constraints > 0
+    (seg,) = res.trajectory.segments
+    assert np.allclose(seg.control_points[:, 0], np.linspace(0.0, 140.0, 6), atol=1e-12)
+    tight = pl.PlannerConfig(degree=5, continuity_order=2, v_max=10.0)
+    assert pl.plan(seq([[0, 0, 0], [140, 0, 0]]), tight).status == "primal-infeasible-detected"
+
+
 def test_plan_sharp_turn_converges_within_curvature_limit():
     cfg = pl.PlannerConfig()
     s = dogleg(90.0)
@@ -579,11 +616,14 @@ def test_plan_drops_a_warm_start_of_another_size():
 def test_stacked_problem_dimensions():
     cfg = pl.PlannerConfig()
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
-    prob, durations, shift = pl.assemble(s, cfg)
-    n = cfg.degree
+    prob, durations, coords = pl.assemble(s, cfg)
+    c = cfg.continuity_order
     assert durations.size == 2
-    assert prob.n == 3 * 2 * (n + 1)
-    assert np.array_equal(shift, [0.0, 0.0, 0.0])
+    # Three junctions carry derivatives 0..c on each axis, and degree 7
+    # leaves no middle points; the boundary position, velocity and
+    # acceleration and the interior waypoint are fixed.
+    assert prob.n == 3 * (3 * (c + 1) - 2 * 3 - 1) == 15
+    assert np.array_equal(coords.shift, [0.0, 0.0, 0.0])
     assert isinstance(prob, qp.QpProblem)
     res = pl.plan(s, cfg)
     assert res.n_vars == prob.n

@@ -478,9 +478,11 @@ def test_hot_start_from_a_nearby_problem_skips_admm(monkeypatch):
 
 def test_hot_start_with_a_wrong_active_set_falls_back_to_admm():
     # With q negated the optimum mostly sits on other bounds (seeds 0, 1,
-    # 2, 4, 5, 7 and 8 here; the rest share the active set). Polishing such
-    # a warm start's active set gives a point up to 0.44 from the optimum,
-    # which fails the acceptance test, and ADMM then finds the optimum.
+    # 2, 4, 5, 7 and 8 here; the rest share the active set). On seeds 1
+    # and 4 the rows the first polish violates complete the set, and the
+    # second polish is the optimum. On the other five even that set is
+    # wrong: its point fails the acceptance test, and ADMM then finds the
+    # optimum.
     fallbacks = 0
     for seed in range(10):
         Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
@@ -490,7 +492,21 @@ def test_hot_start_with_a_wrong_active_set_falls_back_to_admm():
         xo, _ = active_set_qp(Q, qv, A, lo, hi, x_feas)
         assert np.abs(sol.x - xo).max() <= 1e-9, seed
         fallbacks += sol.iterations > 0
-    assert fallbacks == 7
+    assert fallbacks == 5
+
+
+def test_hot_start_adds_the_rows_its_polish_violates():
+    # Seeds 1 and 4 of the test above: the negated problem's active set
+    # lacks rows the optimum needs. Its polish violates them; added on the
+    # side violated, they give the optimum with no ADMM iteration.
+    for seed in (1, 4):
+        Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
+        other = qp.solve_qp(qp.QpProblem(Q, -qv, A, lo, hi))
+        sol = qp.solve_qp(qp.QpProblem(Q, qv, A, lo, hi), warm_start=other)
+        assert sol.status == "solved" and sol.polished, seed
+        assert sol.iterations == 0, seed
+        xo, _ = active_set_qp(Q, qv, A, lo, hi, x_feas)
+        assert np.abs(sol.x - xo).max() <= 1e-9, seed
 
 
 def test_hot_start_keeps_infeasibility_detection():
