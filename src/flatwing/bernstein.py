@@ -20,18 +20,32 @@ def _basis_rows(n: int, u) -> list:
     """Bernstein basis rows of every degree 0..n at u, from one recursion.
 
     The degree-m row, rows[m], comes from the degree-(m-1) row by
-    b_j <- u*b_{j-1} + (1-u)*b_j. u is a float, or a 1-D array of samples
-    whose entries go through the same floating-point operations as a float.
+    b_j <- u*b_{j-1} + (1-u)*b_j. u is a float, giving lists of floats, or a
+    1-D array of S samples, giving (m+1, S) arrays whose entries go through
+    the same floating-point operations as a float's: the array branch
+    updates every j of one degree at once, from the previous degree's row.
     """
     w = 1.0 - u
-    row = [1.0 if isinstance(u, float) else np.ones_like(u)]
-    rows = [row[:]]
+    if isinstance(u, float):
+        row = [1.0]
+        rows = [row[:]]
+        for m in range(1, n + 1):
+            row.append(0.0)
+            for j in range(m, 0, -1):
+                row[j] = u * row[j - 1] + w * row[j]
+            row[0] = row[0] * w
+            rows.append(row[:])
+        return rows
+    # The previous degree's row sits between two zero rows, so that
+    # b_0 = u*0.0 + w*b_0 and b_m = u*b_(m-1) + w*0.0: exactly the float
+    # branch's values, as every term is non-negative.
+    pad = np.zeros((n + 2, u.size))
+    pad[1] = 1.0
+    rows = [pad[1:2].copy()]
     for m in range(1, n + 1):
-        row.append(0.0)
-        for j in range(m, 0, -1):
-            row[j] = u * row[j - 1] + w * row[j]
-        row[0] = row[0] * w
-        rows.append(row[:])
+        row = u * pad[: m + 1] + w * pad[1 : m + 2]
+        pad[1 : m + 2] = row
+        rows.append(row)
     return rows
 
 
@@ -46,10 +60,12 @@ def _columns(points: np.ndarray) -> list:
 
 
 def _combine(row, cols) -> list:
-    """Per coordinate, sum_i row[i]*col[i] accumulated from i = 0 upward.
+    """Per column, sum_i row[i]*col[i] accumulated from i = 0 upward.
 
-    Works on float rows (one evaluation) and on rows of sample arrays (a
-    batch) with the same products and sums, so the two agree bit for bit.
+    Works on float rows (one evaluation, a column per coordinate) and on
+    rows of sample arrays (a batch, whose one column may hold every
+    coordinate) with the same products and sums, so the two agree bit for
+    bit.
     """
     out = []
     for col in cols:
@@ -182,14 +198,28 @@ class PiecewiseTrajectory:
             _check_junction(a, b)
         self.segments = tuple(segments)
         self._t_interior = [s.tf for s in segments[:-1]]
-        # Control points of the derivative segments up to jerk, where the
-        # degree allows, as `_combine` columns: eval's k-th derivative is
-        # the degree-(n-k) basis row times self._cols[j][k].
-        self._cols = tuple(
-            tuple(_columns(derivative_segment(s, k).control_points) if k <= s.degree
-                  else None for k in range(4))
-            for s in segments
-        )
+        # Per degree n, for all its segments at once: the control points of
+        # the derivative segments up to jerk where the degree allows, each
+        # segment's derivative_map(n, k, duration) @ points. eval's k-th
+        # derivative is the degree-(n-k) basis row times self._cols[j][k],
+        # segment j's points as `_combine` columns; velocity_acceleration
+        # gathers its samples' points from self._by_degree.
+        cols, groups = [None] * len(segments), []
+        for n in sorted({s.degree for s in segments}):
+            idx = [j for j, s in enumerate(segments) if s.degree == n]
+            segs = [segments[j] for j in idx]
+            pts = [np.array([s.control_points for s in segs]).reshape(len(segs), n + 1, -1)]
+            for k in range(1, min(n, 3) + 1):
+                scale = np.array([derivative_scale(n, k, s.duration) for s in segs])
+                pts.append(scale[:, None, None] * difference_stencil(n, k) @ pts[0])
+            for j, c in zip(idx, zip(*(p.transpose(0, 2, 1).tolist() for p in pts))):
+                cols[j] = c + (None,) * (4 - len(c))
+            pos = np.full(len(segments), -1)  # each segment's place in the group
+            pos[idx] = range(len(idx))
+            t0, tf, dur = np.array([(s.t0, s.tf, s.duration) for s in segs]).T
+            groups.append((n, pos, t0, tf, dur, [p.swapaxes(0, 1) for p in pts[1:3]]))
+        self._cols = tuple(cols)
+        self._by_degree = tuple(groups)
 
     @property
     def t_start(self) -> float:
@@ -211,9 +241,11 @@ class PiecewiseTrajectory:
     def velocity_acceleration(self, ts):
         """Velocity and acceleration at each of S times: (S,) or (S, d) arrays.
 
-        Picks segments and clamps u exactly as `eval` does and forms the
-        same products, with each sample an entry of the basis arrays, so
-        each row equals `eval`'s bit for bit.
+        Picks segments and clamps u exactly as `eval` does, then runs one
+        basis recursion for all samples of a degree, each sample an entry
+        of the basis arrays, with its own segment's derivative control
+        points: the same products and sums as `eval`'s, so each row equals
+        `eval`'s bit for bit.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.t_start - 1e-9 or ts.max() > self.t_end + 1e-9):
@@ -221,20 +253,20 @@ class PiecewiseTrajectory:
                 f"times [{ts.min()}, {ts.max()}] outside trajectory domain "
                 f"[{self.t_start}, {self.t_end}]"
             )
-        idx = np.searchsorted(self._t_interior, ts, side="right")
+        seg = np.searchsorted(self._t_interior, ts, side="right")
         shape = (ts.size,) + self.segments[0].control_points.shape[1:]
-        vel = np.zeros(shape)
-        acc = np.zeros(shape)
-        for j in np.unique(idx):
-            sel = idx == j
-            seg = self.segments[j]
-            u = (np.minimum(np.maximum(ts[sel], seg.t0), seg.tf) - seg.t0) / seg.duration
-            rows = _basis_rows(seg.degree, u)
-            for k, out in ((1, vel), (2, acc)):
-                if k <= seg.degree:
-                    vals = _combine(rows[seg.degree - k], self._cols[j][k])
-                    out[sel] = np.stack(vals, axis=-1) if len(shape) == 2 else vals[0]
-        return vel, acc
+        out = np.zeros((2,) + shape)
+        for n, pos, t0, tf, dur, pts in self._by_degree:
+            at = pos[seg]
+            sel = at >= 0
+            at = at[sel]
+            t0, tf, dur = t0[at], tf[at], dur[at]
+            u = (np.minimum(np.maximum(ts[sel], t0), tf) - t0) / dur
+            rows = _basis_rows(n, u)
+            for k, p in enumerate(pts, start=1):
+                (val,) = _combine(rows[n - k][..., None], [p[:, at]])
+                out[k - 1, sel] = val.reshape((-1,) + shape[1:])
+        return out[0], out[1]
 
     def eval(self, t: float):
         """Return (position, velocity, acceleration, jerk) at time t.
@@ -263,11 +295,20 @@ def gram_matrix(n: int, duration) -> np.ndarray:
     duration = np.asarray(duration, dtype=float)
     if np.any(duration <= 0):
         raise ValueError("duration must be positive")
+    outer, denom = _gram_parts(n)
+    return duration[..., None, None] * outer / denom
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_parts(n: int):
+    """C(n,i) C(n,j) and (2n+1) C(2n, i+j) of `gram_matrix`, read-only."""
     i = np.arange(n + 1)
     bi = np.array([math.comb(n, k) for k in i], dtype=float)
     b2 = np.array([math.comb(2 * n, k) for k in range(2 * n + 1)], dtype=float)
-    return (duration[..., None, None] * np.outer(bi, bi)
-            / ((2 * n + 1) * b2[np.add.outer(i, i)]))
+    parts = np.outer(bi, bi), (2 * n + 1) * b2[np.add.outer(i, i)]
+    for arr in parts:
+        arr.setflags(write=False)
+    return parts
 
 
 def arc_length(traj, n_samples: int = 128) -> float:
@@ -284,7 +325,7 @@ def arc_length(traj, n_samples: int = 128) -> float:
     seg = traj
     u = (np.linspace(seg.t0, seg.tf, n_samples + 1) - seg.t0) / seg.duration
     row = _basis_rows(seg.degree, u)[-1]
-    pts = np.stack(_combine(row, _columns(seg.control_points)), axis=-1)
+    (pts,) = _combine(row[..., None], [seg.control_points.reshape(seg.degree + 1, 1, -1)])
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
 

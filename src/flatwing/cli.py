@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mission as msn
-from . import planner
+from . import planner, qp
 from .bernstein import write_trajectory
 from .flatness import FlatnessSingularityError
 from .planner import BoundaryState, PlannerConfig, WaypointSequence
@@ -132,6 +132,9 @@ def _cmd_bench(args) -> int:
     lines.append(f"fit_slope_s_per_wp {a:.6g}")
     lines.append(f"fit_intercept_s {b:.6g}")
     lines.append(f"fit_r2 {r2:.6f}")
+    # Dense solves pin the BLAS pools that qp found to one thread each.
+    pools = len(qp._blas_pools())
+    lines.append(f"blas_pinning {'active' if pools else 'inactive'} pools {pools}")
     text = "\n".join(lines)
     print(text)
     if args.out:

@@ -25,7 +25,6 @@ from .bernstein import (
     BernsteinSegment,
     PiecewiseTrajectory,
     basis_row,
-    derivative_map,
     difference_stencil,
     derivative_scale,
     gram_matrix,
@@ -77,10 +76,10 @@ class PlannerConfig:
                 raise ValueError(f"{name} must be positive, one value or three, got {lim!r}")
 
     def v_max_vec(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.v_max, dtype=float), (3,)).copy()
+        return np.full(3, self.v_max, dtype=float)
 
     def a_max_vec(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.a_max, dtype=float), (3,)).copy()
+        return np.full(3, self.a_max, dtype=float)
 
 
 @dataclass
@@ -180,96 +179,154 @@ class Coordinates:
         return (window @ np.swapaxes(self.T, 1, 2)).transpose(0, 2, 1) + self.shift
 
 
-def _coordinates(wps: WaypointSequence, shift, config: PlannerConfig, M: int):
-    """The window layout of `Coordinates`: cols and fixed.
+# Planner QP shapes whose `_Shape` stays cached: a mission plans in a few
+# (one per segment count), a bench in one per size.
+_SHAPES_KEPT = 32
 
-    The full decision vector runs junction 0, segment 0's middle points,
-    junction 1, ..., junction M, each by axis and then by order or point, so
-    a segment's variables lie together and a long plan's QP stays banded.
+
+@dataclass(frozen=True)
+class _Shape:
+    """What a planner QP's shape fixes, built once per shape, read-only.
+
+    The window layout of `Coordinates`: `window` indexes the full decision
+    vector of `size` entries. It runs junction 0, segment 0's middle
+    points, junction 1, ..., junction M, each by axis and then by order or
+    point, so a segment's variables lie together and a long plan's QP
+    stays banded.
     Fixed are the boundary position, velocity and acceleration at both ends
-    and the waypoint position at each interior junction; the rest become
-    the QP's variables, in the same order.
+    (entries `start` and `end`) and the waypoint position at each interior
+    junction (`waypoints`); the rest become the QP's variables, in the same
+    order, and `cols` is -1 at a fixed entry.
+
+    `bound_blocks` holds one segment's derivative-bound weight blocks,
+    unscaled: the velocity and acceleration difference stencils on each
+    axis, less the rows whose bound is infinite; `bound_order` is each
+    row's derivative order. Entry r of `bound_of` picks row r's bound from
+    (v_max, a_max, v_min) over all segments, with their chord rows.
+
+    The rest are scatter indices. `seg` is the segment of each of
+    assemble's rows (derivative bounds with chord rows, then curvature);
+    the variable entries of their window blocks, flat positions
+    `row_src`, land at `row_dst` of the flat A. Each segment's T'GT block
+    on each axis adds entries `gram_src` to Q at `gram_dst`, and its
+    fixed-entry products `fixed_src` to q at `fixed_dst`.
     """
-    n, c1 = config.degree, config.continuity_order + 1
+
+    window: np.ndarray
+    size: int
+    start: np.ndarray
+    end: np.ndarray
+    waypoints: np.ndarray
+    cols: np.ndarray
+    n_vars: int
+    bound_blocks: np.ndarray
+    bound_order: np.ndarray
+    bound_of: np.ndarray
+    seg: np.ndarray
+    row_src: np.ndarray
+    row_dst: np.ndarray
+    gram_src: np.ndarray
+    gram_dst: np.ndarray
+    fixed_src: np.ndarray
+    fixed_dst: np.ndarray
+
+
+def _shape_of(config: PlannerConfig, M: int) -> _Shape:
+    """The `_Shape` of an M-segment plan under config."""
+    finite = np.isfinite(np.concatenate([config.v_max_vec(), config.a_max_vec()]))
+    curved = math.isfinite(config.kappa_min) or math.isfinite(config.kappa_max)
+    return _shape(config.degree, config.continuity_order, M, tuple(finite.tolist()),
+                  curved, config.n_curv_samples)
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shape:
+    c1 = c + 1
     mid = n + 1 - 2 * c1
     step = 3 * (c1 + mid)  # one junction and one segment's middle points
     axis = np.arange(3)[:, None]
     jct = np.arange(M + 1)[:, None, None] * step + axis * c1 + np.arange(c1)
     mids = np.arange(M)[:, None, None] * step + 3 * c1 + axis * mid + np.arange(mid)
     window = np.concatenate([jct[:-1], mids, jct[1:]], axis=2)
-
-    value = np.zeros(M * step + 3 * c1)
-    is_fixed = np.zeros(value.size, dtype=bool)
-    for j, bnd in ((0, wps.boundary_start), (M, wps.boundary_end)):
-        is_fixed[jct[j, :, :3]] = True
-        value[jct[j, :, :3]] = np.column_stack(
-            [bnd.position - shift, bnd.velocity, bnd.acceleration])
-    is_fixed[jct[1:-1, :, 0]] = True
-    value[jct[1:-1, :, 0]] = wps.waypoints[1:-1] - shift
+    start, end, waypoints = jct[0, :, :3], jct[M, :, :3], jct[1:-1, :, 0]
+    size = M * step + 3 * c1
+    is_fixed = np.zeros(size, dtype=bool)
+    for fixed in (start, end, waypoints):
+        is_fixed[fixed] = True
     var = np.cumsum(~is_fixed) - 1
     var[is_fixed] = -1
-    return var[window], value[window]
+    cols = var[window]
+    N = int(cols.max(initial=-1)) + 1
+
+    # Per axis, n velocity then n-1 acceleration rows, less those whose
+    # bound is infinite; block [a, r] is stencil row r on axis a.
+    S = np.concatenate([difference_stencil(n, 1), difference_stencil(n, 2)])
+    blocks = np.zeros((3, 2 * n - 1, 3, n + 1))
+    for a in range(3):
+        blocks[a, :, a] = S
+    order = np.tile(np.repeat([1, 2], [n, n - 1]), 3)
+    bound_of = (axis + np.repeat([0, 3], [n, n - 1])).ravel()
+    keep = np.asarray(finite)[bound_of]
+    bound_of = np.concatenate([bound_of[keep], np.full(n, 6)])  # 6: v_min
+    per_seg = bound_of.size
+    seg = np.concatenate([np.repeat(np.arange(M), per_seg),
+                          np.repeat(np.arange(M), K if curved else 0)])
+
+    at = cols[seg]
+    hit = np.nonzero(at >= 0)
+    Gx_at = np.arange(M * (n + 1) ** 2).reshape(M, 1, n + 1, n + 1)
+    row, col = cols[..., :, None], cols[..., None, :]
+    pair = (row >= 0) & (col >= 0)
+    shape = _Shape(
+        window=window, size=size, start=start, end=end, waypoints=waypoints, cols=cols, n_vars=N,
+        bound_blocks=blocks.reshape(-1, 3, n + 1)[keep], bound_order=order[keep],
+        bound_of=np.tile(bound_of, M), seg=seg,
+        row_src=np.flatnonzero(at >= 0), row_dst=hit[0] * N + at[hit],
+        gram_src=np.broadcast_to(Gx_at, pair.shape)[pair], gram_dst=(row * N + col)[pair],
+        fixed_src=np.flatnonzero(cols >= 0), fixed_dst=cols[cols >= 0])
+    for arr in vars(shape).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return shape
 
 
-def _layout(W, seg, T, cols, fixed):
+def _coordinates(wps: WaypointSequence, shift, shape: _Shape) -> np.ndarray:
+    """The fixed entries of `Coordinates`' windows, from the boundary
+    states and interior waypoints relative to shift."""
+    value = np.zeros(shape.size)
+    for at, bnd in ((shape.start, wps.boundary_start), (shape.end, wps.boundary_end)):
+        value[at.T] = (bnd.position - shift, bnd.velocity, bnd.acceleration)
+    value[shape.waypoints] = wps.waypoints[1:-1] - shift
+    return value[shape.window]
+
+
+def _layout(W, T, fixed, shape: _Shape):
     """Dense QP rows, and their offsets, from per-segment weight blocks.
 
     W holds (R, 3, n+1) blocks, axis by control point: row r weighs the
-    control points of segment seg[r]. Through T[seg[r]] the block weighs
-    that segment's window (laid out by cols and fixed as in
-    `Coordinates`); its variable entries fill the row's columns and its
-    fixed entries sum to the row's offset, which the bounds lose.
+    control points of segment shape.seg[r]. Through T of that segment the
+    block weighs the segment's window (laid out as in `Coordinates`); its
+    variable entries fill the row's columns and its fixed entries sum to
+    the row's offset, which the bounds lose.
     """
-    Wx = W @ T[seg]
-    offset = (Wx * fixed[seg]).sum(axis=(1, 2))
-    at = cols[seg]
-    var = at >= 0
-    rows = np.zeros((len(W), _n_vars(cols)))
-    rows[np.nonzero(var)[0], at[var]] = Wx[var]
-    return rows, offset
+    Wx = W @ T[shape.seg]
+    offset = (Wx * fixed[shape.seg]).sum(axis=(1, 2))
+    rows = np.zeros(len(W) * shape.n_vars)
+    rows[shape.row_dst] = Wx.ravel()[shape.row_src]
+    return rows.reshape(len(W), shape.n_vars), offset
 
 
-def _quadratic(G, T, cols, fixed):
+def _quadratic(G, T, fixed, shape: _Shape):
     """Q, q and the offset for which the Gram blocks G, summed over segments
     and axes, give x'Qx + 2q'x + offset. Each segment adds T'GT on each
     axis: between its variables to Q, and where fixed entries take part to
     q and the offset."""
-    N = _n_vars(cols)
+    N = shape.n_vars
     Gx = np.swapaxes(T, 1, 2) @ G @ T
     g = (Gx[:, None] @ fixed[..., None])[..., 0]  # Gx times the fixed entries
-    row, col = cols[..., :, None], cols[..., None, :]
-    pair = (row >= 0) & (col >= 0)
-    Q = np.bincount((row * N + col)[pair], np.broadcast_to(Gx[:, None], pair.shape)[pair],
-                    minlength=N * N)
-    var = cols >= 0
-    q = np.bincount(cols[var], g[var], minlength=N)
+    Q = np.bincount(shape.gram_dst, Gx.ravel()[shape.gram_src], minlength=N * N)
+    q = np.bincount(shape.fixed_dst, g.ravel()[shape.fixed_src], minlength=N)
     return Q.reshape(N, N), q, float(fixed.ravel() @ g.ravel())
-
-
-def _n_vars(cols) -> int:
-    """The QP's variable count: one past the largest column."""
-    return int(cols.max(initial=-1)) + 1
-
-
-def _on_each_axis(w) -> np.ndarray:
-    """Weight rows w, (..., P, n+1), as blocks (..., 3, P, 3, n+1).
-
-    Block [..., a, p] holds w[..., p] on axis a and zeros on the others.
-    """
-    W = np.zeros(w.shape[:-2] + (3,) + w.shape[-2:-1] + (3, w.shape[-1]))
-    for axis in range(3):
-        W[..., axis, :, axis, :] = w
-    return W
-
-
-def _maps(n: int, k: int, durations) -> np.ndarray:
-    """derivative_map of every segment, stacked to (M, n+1-k, n+1).
-
-    One scalar call per segment: numpy's power on arrays does not round
-    like its scalar power on every host, and the maps must equal
-    derivative_map's bit for bit.
-    """
-    return np.array([derivative_map(n, k, d) for d in durations])
 
 
 def build_cost(config: PlannerConfig, durations) -> np.ndarray:
@@ -278,7 +335,8 @@ def build_cost(config: PlannerConfig, durations) -> np.ndarray:
     n = config.degree
     durations = np.asarray(durations, dtype=float)
     S3 = difference_stencil(n, 3)
-    scale2 = np.array([derivative_scale(n, 3, d) ** 2 for d in durations])  # as in _maps
+    # One scalar call per segment, as in build_derivative_bounds.
+    scale2 = np.array([derivative_scale(n, 3, d) ** 2 for d in durations])
     return scale2[:, None, None] * (S3.T @ gram_matrix(n - 3, durations) @ S3)
 
 
@@ -320,23 +378,24 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
     n = config.degree
     durations = np.asarray(durations, dtype=float)
     M = durations.size
-    v_max = config.v_max_vec()
-    a_max = config.a_max_vec()
-    D1 = _maps(n, 1, durations)
-    # Per segment and axis: n velocity then n-1 acceleration rows, less
-    # those whose bound is infinite.
-    W = _on_each_axis(np.concatenate([D1, _maps(n, 2, durations)], axis=1))
-    lim = np.hstack([np.tile(v_max[:, None], n), np.tile(a_max[:, None], n - 1)]).ravel()
-    keep = np.isfinite(lim)
-    W = W.reshape(M, -1, 3, n + 1)[:, keep]
-    lo, hi = -lim[keep], lim[keep]
-    if chords is not None:
+    shape = _shape_of(config, M)
+    # Column k scales order k. One scalar call per segment and order:
+    # numpy's power on arrays does not round like its scalar power on every
+    # host, and the scales must equal derivative_map's bit for bit.
+    scale = np.array([[0.0, derivative_scale(n, 1, d), derivative_scale(n, 2, d)]
+                      for d in durations])
+    W = scale[:, shape.bound_order, None, None] * shape.bound_blocks
+    lim = np.concatenate([config.v_max_vec(), config.a_max_vec()])
+    lo = np.append(-lim, config.v_min)[shape.bound_of]
+    hi = np.append(lim, np.inf)[shape.bound_of]
+    if chords is None:
+        keep = shape.bound_of < 6
+        lo, hi = lo[keep], hi[keep]
+    else:
+        D1 = scale[:, 1, None, None] * difference_stencil(n, 1)
         W_chord = np.asarray(chords, dtype=float)[:, None, :, None] * D1[:, :, None, :]
         W = np.concatenate([W, W_chord], axis=1)
-        lo = np.concatenate([lo, np.full(n, config.v_min)])
-        hi = np.concatenate([hi, np.full(n, np.inf)])
-    return (W.reshape(-1, 3, n + 1), np.repeat(np.arange(M), W.shape[1]),
-            np.tile(lo, M), np.tile(hi, M))
+    return W.reshape(-1, 3, n + 1), np.repeat(np.arange(M), W.shape[1]), lo, hi
 
 
 def curvature(v_xy, a_xy, v_eps: float = V_EPS):
@@ -359,12 +418,11 @@ def curvature(v_xy, a_xy, v_eps: float = V_EPS):
     s15 = s2**1.5
     s25 = s2**2.5
     kappa = c / s15
-    grad = np.stack([
-        ay / s15 - 3.0 * vx * c / s25,
-        -ax / s15 - 3.0 * vy * c / s25,
-        -vy / s15,
-        vx / s15,
-    ], axis=-1)
+    grad = np.empty(np.shape(c) + (4,))
+    grad[..., 0] = ay / s15 - 3.0 * vx * c / s25
+    grad[..., 1] = -ax / s15 - 3.0 * vy * c / s25
+    grad[..., 2] = -vy / s15
+    grad[..., 3] = vx / s15
     return kappa, grad
 
 
@@ -417,16 +475,17 @@ def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerC
     t_prev = np.minimum(np.maximum(t_abs, prev_traj.t_start), prev_traj.t_end)
     vel, acc = prev_traj.velocity_acceleration(t_prev.ravel())
     kbar, grad = curvature(vel[:, :2], acc[:, :2], config.v_eps)
-    c0 = kbar - (grad[:, 0] * vel[:, 0] + grad[:, 1] * vel[:, 1]
-                 + grad[:, 2] * acc[:, 0] + grad[:, 3] * acc[:, 1])
+    # kbar - grad.(vx, vy, ax, ay), the products summed left to right.
+    va = np.concatenate([vel[:, :2], acc[:, :2]], axis=1)
+    c0 = kbar - np.add.accumulate(grad * va, axis=1)[:, -1]
 
     # Row (segment m, sample k) touches only segment m's x and y points.
+    # Axes x and y: g_vx*W_v + g_ax*W_a and g_vy*W_v + g_ay*W_a.
     g = grad.reshape(M, K, 4, 1)
     W_v = derivative_scale(n, 1, durations)[:, None, None] * w_v
     W_a = derivative_scale(n, 2, durations)[:, None, None] * w_a
     W = np.zeros((M, K, 3, n + 1))
-    W[:, :, 0] = g[:, :, 0] * W_v + g[:, :, 2] * W_a
-    W[:, :, 1] = g[:, :, 1] * W_v + g[:, :, 3] * W_a
+    W[:, :, :2] = g[:, :, :2] * W_v[:, :, None] + g[:, :, 2:] * W_a[:, :, None]
     return (W.reshape(-1, 3, n + 1), np.repeat(np.arange(M), K),
             config.kappa_min - c0, config.kappa_max - c0)
 
@@ -446,20 +505,20 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     if prev_traj is None:
         prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
 
-    chords = np.diff(wps.waypoints, axis=0)
+    chords = wps.waypoints[1:] - wps.waypoints[:-1]
     chords /= np.linalg.norm(chords, axis=1)[:, None]
 
+    shape = _shape_of(config, durations.size)
     T = build_continuity_constraints(config, durations)
-    cols, fixed = _coordinates(wps, shift, config, durations.size)
-    Q, q, jerk_offset = _quadratic(build_cost(config, durations), T, cols, fixed)
-    W_db, seg_db, l_db, u_db = build_derivative_bounds(config, durations, chords)
-    W_cv, seg_cv, l_cv, u_cv = build_curvature_constraints(prev_traj, config, durations, t0)
-    A, offset = _layout(np.concatenate([W_db, W_cv]), np.concatenate([seg_db, seg_cv]),
-                        T, cols, fixed)
+    fixed = _coordinates(wps, shift, shape)
+    Q, q, jerk_offset = _quadratic(build_cost(config, durations), T, fixed, shape)
+    W_db, _, l_db, u_db = build_derivative_bounds(config, durations, chords)
+    W_cv, _, l_cv, u_cv = build_curvature_constraints(prev_traj, config, durations, t0)
+    A, offset = _layout(np.concatenate([W_db, W_cv]), T, fixed, shape)
     l = np.concatenate([l_db, l_cv]) - offset
     u = np.concatenate([u_db, u_cv]) - offset
     return (qp.QpProblem(Q, q, A, l, u), durations,
-            Coordinates(T, cols, fixed, shift, jerk_offset))
+            Coordinates(T, shape.cols, fixed, shift, jerk_offset))
 
 
 def plan(wps: WaypointSequence, config: PlannerConfig,

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cholesky_banded, lu_factor, lu_solve
-from scipy.linalg.lapack import dpbtrs, dpotrs
+from scipy.linalg import cho_factor, cholesky_banded
+from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrs, dpotrs
 from scipy.sparse.linalg import splu
 
 # Size m*n of A above which a solve works on CSR copies of Q and A: below
@@ -190,7 +190,7 @@ def _residuals(prob: QpProblem, Q, A, x, y):
     working form), then the scales their tolerances grow with:
     max(|Ax|, |clip(Ax)|) and max(|Qx|, |A'y|, |q|)."""
     ax = A @ x
-    ax_c = np.clip(ax, prob.l, prob.u)
+    ax_c = np.minimum(np.maximum(ax, prob.l), prob.u)  # np.clip, less dispatch
     qx, aty = Q @ x, A.T @ y
     return (_inf_norm(ax - ax_c), _inf_norm(qx + prob.q + aty),
             max(_inf_norm(ax), _inf_norm(ax_c)),
@@ -313,26 +313,29 @@ def _infeasibility_certificate(prob: QpProblem, A, dy, eps) -> bool:
     return support <= -eps
 
 
-def _active_set(y, eq):
+def _active_set(prob: QpProblem, y, eq):
     """Rows the polish treats as active, as masks (eq, low, upp).
 
     Classification is by dual sign with a tolerance: converged inactive
     multipliers are zero only up to cancellation error, a dozen orders of
-    magnitude below the genuine ones. Equality rows, masked by eq, always
-    stay active.
+    magnitude below the genuine ones. A row is active only on a side whose
+    bound is finite; a warm start's multiplier may mark a bound that the
+    new problem dropped. Equality rows, masked by eq, always stay active.
     """
     tol = 1e-12 * max(1.0, _inf_norm(y))
-    return eq, (y < -tol) & ~eq, (y > tol) & ~eq
+    return (eq, (y < -tol) & ~eq & np.isfinite(prob.l),
+            (y > tol) & ~eq & np.isfinite(prob.u))
 
 
 def _polish(prob: QpProblem, Q, A, active):
     """Re-solve on the active set for high-accuracy primal/dual values.
 
     Q and A are the problem's unscaled matrices in the solve's working
-    form; a dense KKT system goes through a dense LU, a CSR one through a
-    sparse LU. Returns x, y and the four values of `_residuals` at them,
-    or None when the KKT solve fails. The result depends on the active set
-    alone, not on the ADMM iterate that suggested it.
+    form; a dense KKT system goes through LAPACK's LU (getrf/getrs), a CSR
+    one through a sparse LU. Returns x, y and the four values of
+    `_residuals` at them, or None when the KKT factorization fails. The
+    result depends on the active set alone, not on the ADMM iterate that
+    suggested it.
     """
     n = prob.n
     eq, low, upp = active
@@ -342,28 +345,35 @@ def _polish(prob: QpProblem, Q, A, active):
     k = rows.size
     delta = 1e-9
     rhs = np.concatenate([-prob.q, b_act])
-    try:
-        # Factor the regularized KKT system once; iterative refinement
-        # against the unregularized one reuses the factorization.
-        if sp.issparse(A):
-            kkt = sp.bmat([[Q + delta * sp.eye(n), A_act.T], [A_act, -delta * sp.eye(k)]],
-                          format="csc")
+    # Factor the regularized KKT system once; iterative refinement against
+    # the unregularized one reuses the factorization.
+    if sp.issparse(A):
+        kkt = sp.bmat([[Q + delta * sp.eye(n), A_act.T], [A_act, -delta * sp.eye(k)]],
+                      format="csc")
+        try:
             factor = splu(kkt).solve
-        else:
-            KKT = np.zeros((n + k, n + k))
-            KKT[:n, :n] = Q + delta * np.eye(n)
-            KKT[:n, n:] = A_act.T
-            KKT[n:, :n] = A_act
-            KKT[n:, n:] = -delta * np.eye(k)
-            lu = lu_factor(KKT)
-            factor = lambda b: lu_solve(lu, b)
-        sol = factor(rhs)
-        for _ in range(3):
-            rx = -prob.q - Q @ sol[:n] - A_act.T @ sol[n:]
-            rz = b_act - A_act @ sol[:n]
-            sol += factor(np.concatenate([rx, rz]))
-    except (np.linalg.LinAlgError, RuntimeError):
-        return None
+        except RuntimeError:
+            return None
+    elif n + k:
+        KKT = np.zeros((n + k, n + k), order="F")  # LAPACK's order: no copy
+        KKT[:n, :n] = Q + delta * np.eye(n)
+        KKT[:n, n:] = A_act.T
+        KKT[n:, :n] = A_act
+        KKT[n:, n:] = -delta * np.eye(k)
+        # LAPACK directly, as scipy's lu_factor/lu_solve would call it,
+        # without their finiteness scans and dispatch, which cost more than
+        # the factorization on a replan's small systems.
+        lu, piv, info = dgetrf(KKT, overwrite_a=1)
+        if info != 0:
+            return None
+        factor = lambda b: dgetrs(lu, piv, b)[0]
+    else:  # no variables and no active rows: LAPACK rejects an empty system
+        factor = np.copy
+    sol = factor(rhs)
+    for _ in range(3):
+        rx = rhs[:n] - Q @ sol[:n] - A_act.T @ sol[n:]
+        rz = b_act - A_act @ sol[:n]
+        sol += factor(np.concatenate([rx, rz]))
     x_p = sol[:n]
     y_p = np.zeros(prob.m)
     y_p[rows] = sol[n:]
@@ -416,14 +426,14 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
         # tolerance would pass the acceptance test. A point that passes it
         # is the optimum, so ADMM, its scaling and its factorization are
         # skipped.
-        active = _active_set(warm_start.y, eq)
+        active = _active_set(prob, warm_start.y, eq)
         res = _polish(prob, Q, A, active)
         if res is not None:
             ax = A @ res[0]
-            low = active[1] | ((ax < prob.l) & ~eq)
-            upp = active[2] | ((ax > prob.u) & ~eq)
-            if not (np.array_equal(low, active[1]) and np.array_equal(upp, active[2])):
-                active = (eq, low, upp)
+            low = (ax < prob.l) & ~eq & ~active[1]
+            upp = (ax > prob.u) & ~eq & ~active[2]
+            if low.any() or upp.any():
+                active = (eq, active[1] | low, active[2] | upp)
                 res = _polish(prob, Q, A, active)
         if res is not None and _polish_is_optimal(s, active, *res[1:]):
             x_p, y_p, prim, dual = res[:4]
@@ -479,7 +489,7 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
                 # ADMM only approaches linearly. It depends on the set
                 # alone, so a set tried and rejected is not tried again
                 # while it holds.
-                active = _active_set(y_u, eq)
+                active = _active_set(prob, y_u, eq)
                 held = (prev_active is not None
                         and np.array_equal(active[1], prev_active[1])
                         and np.array_equal(active[2], prev_active[2]))

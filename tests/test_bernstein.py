@@ -333,6 +333,32 @@ def test_batched_velocity_acceleration_equals_eval_bit_for_bit():
         traj.velocity_acceleration([traj.t_start, traj.t_end + 0.01])
 
 
+def mixed_degree_trajectory(rng):
+    segs, t, end = [], 0.0, rng.normal(size=3) * 20
+    for n, dur in ((5, 1.5), (2, 0.8), (5, 2.2)):
+        cps = rng.normal(size=(n + 1, 3)) * 20
+        cps[0] = end
+        end = cps[-1]
+        segs.append(bz.BernsteinSegment(cps, t, t + dur))
+        t += dur
+    return bz.PiecewiseTrajectory(segs)
+
+
+@pytest.mark.parametrize("count", [0, 1, 31])
+def test_batched_velocity_acceleration_takes_any_sample_count_in_any_order(count):
+    # Unsorted times over three segments whose degrees (5, 2, 5) put the
+    # first and last in one batch: each row is still eval's, in ts order.
+    rng = np.random.default_rng(count)
+    traj = mixed_degree_trajectory(rng)
+    ts = rng.permutation(np.concatenate([rng.uniform(traj.t_start, traj.t_end, count),
+                                         traj.junction_times[:-1]]))[:count]
+    vel, acc = traj.velocity_acceleration(ts)
+    assert vel.shape == acc.shape == (count, 3)
+    for t, v, a in zip(ts, vel, acc):
+        _, v_ref, a_ref, _ = traj.eval(t)
+        assert np.array_equal(v, v_ref) and np.array_equal(a, a_ref)
+
+
 def test_batched_velocity_acceleration_of_scalar_trajectory():
     traj = bz.PiecewiseTrajectory([
         bz.BernsteinSegment(np.array([0.0, 10.0]), 0.0, 1.0),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatwing import cli
+from flatwing import cli, qp
 from flatwing.bernstein import read_trajectory
 
 MINI_MISSION = """version 1
@@ -154,6 +154,8 @@ def test_bench_command_reports_fit(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "n_waypoints n_vars iterations solve_time status" in text
     assert "fit_r2" in text
+    pools = len(qp._blas_pools())
+    assert f"blas_pinning {'active' if pools else 'inactive'} pools {pools}\n" in text
     assert (out / "bench.txt").read_text().strip().endswith(text.strip().splitlines()[-1])
 
 

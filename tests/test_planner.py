@@ -610,6 +610,54 @@ def test_plan_drops_a_warm_start_of_another_size():
     assert again.ok and again.iterations == first.iterations
 
 
+# ---------------------------------------------------------------- shape cache
+
+
+def test_cached_shape_arrays_are_read_only():
+    shape = pl._shape_of(pl.PlannerConfig(), 2)
+    arrays = [v for v in vars(shape).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) > 10
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1
+
+
+def test_configs_differing_in_infinite_bounds_get_their_own_layout():
+    # One process, the same degree, order, samples and segment count; only
+    # the set of finite bounds differs, and so do the rows.
+    s = seq([[0, 0, 0], [60, 20, 5], [120, 40, 0]])
+    sizes = {}
+    for v_max in (25.0, (25.0, np.inf, 20.0), (np.inf, 25.0, 20.0), np.inf):
+        cfg = pl.PlannerConfig(v_max=v_max)
+        prob, _, _ = pl.assemble(s, cfg)
+        W, _, _, _ = pl.build_derivative_bounds(cfg, [5.0, 5.0])
+        finite = int(np.isfinite(cfg.v_max_vec()).sum())
+        # Per segment, n-1 acceleration rows per axis and n velocity rows
+        # per finite speed bound.
+        assert len(W) == 2 * (3 * (cfg.degree - 1) + finite * cfg.degree)
+        assert prob.m == len(W) + 2 * (cfg.degree + cfg.n_curv_samples)
+        sizes[finite] = sizes.get(finite, ()) + (prob.A.tobytes(),)
+    assert sorted(sizes) == [0, 2, 3]
+    assert len(set(sizes[2])) == 2  # the infinite bound sits on another axis
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_warm_cache_assembles_bit_for_bit_like_a_cold_one(M):
+    rng = np.random.default_rng(M)
+    cfg = pl.PlannerConfig(v_max=(25.0, np.inf, 20.0))
+    pts = np.cumsum(rng.uniform(40.0, 80.0, size=(M + 1, 3)) * [1.0, 1.0, 0.1], axis=0)
+    s = seq(pts)
+    prev = pl.plan(s, cfg).trajectory
+    warm = pl.assemble(s, cfg, prev, 0.3)
+    pl._shape.cache_clear()
+    cold = pl.assemble(s, cfg, prev, 0.3)
+    for a, b in zip(warm, cold):
+        fields = vars(a) if hasattr(a, "__dict__") else {"": a}
+        for name, val in fields.items():
+            other = vars(b)[name] if name else b
+            assert np.asarray(val).tobytes() == np.asarray(other).tobytes(), name
+
+
 # ---------------------------------------------------------------- scaling
 
 

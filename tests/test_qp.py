@@ -509,6 +509,19 @@ def test_hot_start_adds_the_rows_its_polish_violates():
         assert np.abs(sol.x - xo).max() <= 1e-9, seed
 
 
+def test_hot_start_ignores_an_active_row_whose_bound_is_now_infinite():
+    # The warm start holds x0 at its lower bound 0; the new problem drops
+    # that bound. The row is not active on a side without a bound, so the
+    # polish does not meet an infinite right-hand side.
+    Q, q, A = np.eye(2), np.ones(2), np.eye(2)
+    prev = qp.solve_qp(qp.QpProblem(Q, q, A, np.zeros(2), np.full(2, 5.0)))
+    lo, hi = np.array([-np.inf, 0.0]), np.full(2, 5.0)
+    sol = qp.solve_qp(qp.QpProblem(Q, q, A, lo, hi), warm_start=prev)
+    assert sol.status == "solved" and sol.polished
+    xo, yo = active_set_qp(Q, q, A, lo, hi, np.zeros(2))
+    assert np.abs(sol.x - xo).max() <= 1e-9 and np.abs(sol.y - yo).max() <= 1e-9
+
+
 def test_hot_start_keeps_infeasibility_detection():
     # x >= 1 and x <= -1: no active set passes, so ADMM runs and finds the
     # certificate, warm-started from its own earlier answer or not.
