@@ -87,23 +87,17 @@ class CommandState:
     a_vz: float
 
 
-def _floats(v) -> list:
-    """A vector or matrix (array or nested sequence) as Python floats."""
-    return np.asarray(v, dtype=float).tolist()
+# The per-tick kernels below work on Python floats. A rotation is carried as
+# its 9 entries in row-major order, (r00, r01, r02, r10, ..., r22); the public
+# functions after them unpack their array arguments once and call these.
+_G = tuple(GRAVITY.tolist())
 
 
-def frame_from_flat(velocity, acceleration, g=GRAVITY) -> CoordinatedFrame:
-    """Reconstruct the coordinated velocity frame from flat derivatives.
-
-    r_x is the unit velocity; the normal acceleration a_n = xdd - g - a_vx r_x
-    must be bounded away from zero for the aircraft to be controllable, and
-    its direction fixes r_z through a_vz = -|a_n|. The pitch and yaw rates
-    omega_vy, omega_vz are the ones coordination then fixes, which keep the
-    lateral velocity-frame dynamics consistent.
-    """
-    vx, vy, vz = _floats(velocity)
-    ax, ay, az = _floats(acceleration)
-    gx, gy, gz = _floats(g)
+def _frame(v, a, g):
+    """(R, a_vx, a_vz, V, omega_vy, omega_vz) of frame_from_flat, R row-major."""
+    vx, vy, vz = v
+    ax, ay, az = a
+    gx, gy, gz = g
     V = math.sqrt(vx * vx + vy * vy + vz * vz)
     if V < V_EPS:
         raise FlatnessSingularityError(f"speed {V:.3f} m/s below {V_EPS} m/s")
@@ -117,12 +111,59 @@ def frame_from_flat(velocity, acceleration, g=GRAVITY) -> CoordinatedFrame:
     a_vz = -n
     z0, z1, z2 = n0 / a_vz, n1 / a_vz, n2 / a_vz
     y0, y1, y2 = z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0  # r_z x r_x
-    R = np.array([[x0, y0, z0], [x1, y1, z1], [x2, y2, z2]])
     # Gravity in the velocity frame: (R'g)_y and (R'g)_z.
     g_y = y0 * gx + y1 * gy + y2 * gz
     g_z = z0 * gx + z1 * gy + z2 * gz
-    return CoordinatedFrame(R=R, a_vx=a_vx, a_vz=a_vz, V=V,
-                            omega_vy=-(a_vz + g_z) / V, omega_vz=g_y / V)
+    return ((x0, y0, z0, x1, y1, z1, x2, y2, z2), a_vx, a_vz, V,
+            -(a_vz + g_z) / V, g_y / V)
+
+
+def _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk):
+    """(a_vx_dot, omega_vx, a_vz_dot) of flat_inputs for a row-major R."""
+    if abs(a_vz) < A_EPS:
+        raise FlatnessSingularityError(f"normal acceleration {a_vz:.3f} too small")
+    jx, jy, jz = jerk
+    x0, y0, z0, x1, y1, z1, x2, y2, z2 = R
+    w0 = x0 * jx + x1 * jy + x2 * jz  # R' jerk
+    w1 = y0 * jx + y1 * jy + y2 * jz
+    w2 = z0 * jx + z1 * jy + z2 * jz
+    return (-omega_vy * a_vz + w0,
+            omega_vz * a_vx / a_vz - w1 / a_vz,
+            omega_vy * a_vx + w2)
+
+
+def _feedback_jerk(rp, rv, ra, rj, p, v, a, gains):
+    """tracking_jerk on 3-lists: x_r''' + k2*e_dd + k1*e_d + k0*e per axis."""
+    k0, k1, k2 = gains
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = p, v, a
+    return [rj[0] + k2 * (ra[0] - a0) + k1 * (rv[0] - v0) + k0 * (rp[0] - p0),
+            rj[1] + k2 * (ra[1] - a1) + k1 * (rv[1] - v1) + k0 * (rp[1] - p1),
+            rj[2] + k2 * (ra[2] - a2) + k1 * (rv[2] - v2) + k0 * (rp[2] - p2)]
+
+
+def _euler(R):
+    """euler_zyx of a row-major R."""
+    r00, r01, _, r10, r11, _, r20, r21, r22 = R
+    s_pitch = min(max(r20, -1.0), 1.0)
+    theta = math.asin(s_pitch)
+    if abs(s_pitch) > 1.0 - 1e-9:
+        # Gimbal-degenerate; fold everything into yaw.
+        return 0.0, theta, math.atan2(-r11, r01)
+    return math.atan2(-r21, -r22), theta, math.atan2(r00, r10)
+
+
+def frame_from_flat(velocity, acceleration, g=GRAVITY) -> CoordinatedFrame:
+    """Reconstruct the coordinated velocity frame from flat derivatives.
+
+    r_x is the unit velocity; the normal acceleration a_n = xdd - g - a_vx r_x
+    must be bounded away from zero for the aircraft to be controllable, and
+    its direction fixes r_z through a_vz = -|a_n|. The pitch and yaw rates
+    omega_vy, omega_vz are the ones coordination then fixes, which keep the
+    lateral velocity-frame dynamics consistent.
+    """
+    R, *rest = _frame(*(np.asarray(u, dtype=float).tolist()
+                        for u in (velocity, acceleration, g)))
+    return CoordinatedFrame(np.array(R).reshape(3, 3), *rest)
 
 
 def flat_inputs(flat: FlatState, frame: CoordinatedFrame):
@@ -132,17 +173,9 @@ def flat_inputs(flat: FlatState, frame: CoordinatedFrame):
     diag(1, -1/a_vz, 1) applied to the frame-resolved jerk, so the
     inversion is exact wherever a_vz stays away from zero.
     """
-    if abs(frame.a_vz) < A_EPS:
-        raise FlatnessSingularityError(f"normal acceleration {frame.a_vz:.3f} too small")
-    jx, jy, jz = _floats(flat.jerk)
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = _floats(frame.R)
-    w0 = x0 * jx + x1 * jy + x2 * jz  # R' jerk
-    w1 = y0 * jx + y1 * jy + y2 * jz
-    w2 = z0 * jx + z1 * jy + z2 * jz
-    a_vx_dot = -frame.omega_vy * frame.a_vz + w0
-    omega_vx = frame.omega_vz * frame.a_vx / frame.a_vz - w1 / frame.a_vz
-    a_vz_dot = frame.omega_vy * frame.a_vx + w2
-    return float(a_vx_dot), float(omega_vx), float(a_vz_dot)
+    return _jerk_inputs(np.asarray(frame.R, dtype=float).ravel().tolist(),
+                        frame.a_vx, frame.a_vz, frame.omega_vy, frame.omega_vz,
+                        np.asarray(flat.jerk, dtype=float).tolist())
 
 
 def forward_jerk(frame: CoordinatedFrame, a_vx_dot, omega_vx, a_vz_dot):
@@ -154,14 +187,10 @@ def forward_jerk(frame: CoordinatedFrame, a_vx_dot, omega_vx, a_vz_dot):
 
 def tracking_jerk(ref: FlatState, position, velocity, acceleration, gains=(8.0, 12.0, 6.0)):
     """Cascade feedback jerk: x_c''' = x_r''' + k2*e_dd + k1*e_d + k0*e."""
-    k0, k1, k2 = gains
-    return np.array([
-        j + k2 * (ra - a) + k1 * (rv - v) + k0 * (rp - p)
-        for j, ra, a, rv, v, rp, p in zip(
-            _floats(ref.jerk), _floats(ref.acceleration), _floats(acceleration),
-            _floats(ref.velocity), _floats(velocity),
-            _floats(ref.position), _floats(position))
-    ])
+    return np.array(_feedback_jerk(*(
+        np.asarray(u, dtype=float).tolist()
+        for u in (ref.position, ref.velocity, ref.acceleration, ref.jerk,
+                  position, velocity, acceleration)), gains))
 
 
 def euler_zyx(R) -> tuple:
@@ -171,13 +200,7 @@ def euler_zyx(R) -> tuple:
     compass heading, pitch is positive nose-up, and roll is positive
     right-wing-down. The NED rows of R are R[1], R[0] and -R[2].
     """
-    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = _floats(R)
-    s_pitch = min(max(r20, -1.0), 1.0)
-    theta = math.asin(s_pitch)
-    if abs(s_pitch) > 1.0 - 1e-9:
-        # Gimbal-degenerate; fold everything into yaw.
-        return 0.0, theta, math.atan2(-r11, r01)
-    return math.atan2(-r21, -r22), theta, math.atan2(r00, r10)
+    return _euler(np.asarray(R, dtype=float).ravel().tolist())
 
 
 def command_from_flat(ref: FlatState, position, velocity, acceleration,
@@ -191,23 +214,25 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     acceleration channels are integrated (with a slow leak toward the
     reference trim values) to produce thrust and pitch-rate commands.
     """
-    frame_c = frame_from_flat(ref.velocity, ref.acceleration)
-    jerk_c = tracking_jerk(ref, position, velocity, acceleration, cfg.gains)
-    cmd_flat = FlatState(ref.position, ref.velocity, ref.acceleration, jerk_c)
-    a_vx_dot, omega_vx, a_vz_dot = flat_inputs(cmd_flat, frame_c)
+    rv, ra = ref.velocity.tolist(), ref.acceleration.tolist()
+    R, a_vx, a_vz, V, omega_vy, omega_vz = _frame(rv, ra, _G)
+    jerk_c = _feedback_jerk(ref.position.tolist(), rv, ra, ref.jerk.tolist(),
+                            np.asarray(position, dtype=float).tolist(),
+                            np.asarray(velocity, dtype=float).tolist(),
+                            np.asarray(acceleration, dtype=float).tolist(), cfg.gains)
+    a_vx_dot, omega_vx, a_vz_dot = _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk_c)
 
     if state is None:
-        state = CommandState(frame_c.a_vx, frame_c.a_vz)
-    a_vx_i = state.a_vx + dt * (a_vx_dot + _LEAK * (frame_c.a_vx - state.a_vx))
-    a_vz_i = state.a_vz + dt * (a_vz_dot + _LEAK * (frame_c.a_vz - state.a_vz))
+        state = CommandState(a_vx, a_vz)
+    a_vx_i = state.a_vx + dt * (a_vx_dot + _LEAK * (a_vx - state.a_vx))
+    a_vz_i = state.a_vz + dt * (a_vz_dot + _LEAK * (a_vz - state.a_vz))
 
-    (_, _, z0), (_, _, z1), (_, _, z2) = _floats(frame_c.R)
-    gx, gy, gz = _floats(GRAVITY)
-    omega_vy = -(a_vz_i + (z0 * gx + z1 * gy + z2 * gz)) / frame_c.V
+    gx, gy, gz = _G
+    omega_vy_c = -(a_vz_i + (R[2] * gx + R[5] * gy + R[8] * gz)) / V
     a_T = (a_vx_i + drag_accel) / math.cos(alpha_est)
     a_T = min(max(a_T, 0.0), a_T_max)
 
-    phi, theta_frame, _ = euler_zyx(frame_c.R)
+    phi, theta_frame, _ = _euler(R)
     phi_c = phi
     clamped = False
     if abs(phi_c) > cfg.phi_limit:
@@ -216,7 +241,7 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     theta_c = theta_frame + alpha_est
 
     cmd = CommandedInput(theta_c=theta_c, phi_c=phi_c, omega_vx=omega_vx,
-                         omega_vy=float(omega_vy), a_T=a_T, phi_clamped=clamped)
+                         omega_vy=omega_vy_c, a_T=a_T, phi_clamped=clamped)
     return cmd, CommandState(a_vx_i, a_vz_i)
 
 

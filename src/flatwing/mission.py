@@ -357,8 +357,8 @@ class SimLog:
     def append(self, t, ref: FlatState, st: AircraftState, euler, a_T,
                leg_id, replan_flag):
         self.rows.append((
-            t, *np.concatenate([ref.position, ref.velocity, st.x, st.v]).tolist(),
-            *euler, a_T, leg_id, replan_flag,
+            t, *ref.position.tolist(), *ref.velocity.tolist(), *st.x.tolist(),
+            *st.v.tolist(), *euler, a_T, leg_id, replan_flag,
         ))
 
     def columns(self) -> np.ndarray:
@@ -612,10 +612,12 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             w = wind_at(wind, t)
             # Acceleration estimate from the previously applied inputs:
             # R (V_a_dot, V_a*omega_z, -V_a*omega_y).
-            R = st.R.tolist()
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = st.R.tolist()
             _, om_y, om_z = prev_omega.tolist()
-            b = (prev_a_vx + gz * R[2][0], st.V_a * om_z, -st.V_a * om_y)
-            a_est = np.array([r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in R])
+            b0, b1, b2 = prev_a_vx + gz * r20, st.V_a * om_z, -st.V_a * om_y
+            a_est = [r00 * b0 + r01 * b1 + r02 * b2,
+                     r10 * b0 + r11 * b1 + r12 * b2,
+                     r20 * b0 + r21 * b1 + r22 * b2]
             a_L, a_D = aero_accels(st, params, w)
             cmd, cmd_state = command_from_flat(
                 ref, st.x, st.v, a_est, ctrl, cmd_state, dt,
@@ -635,7 +637,8 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             prev_a_vx = a_vx_real
         except (FlatnessSingularityError, IntegrationFault, ValueError) as exc:
             aborted = True
-            abort_reason = f"t={t:.2f}: {exc}"
+            where = "leg" if isinstance(phase, _LegSpan) else "loiter"
+            abort_reason = f"t={t:.2f} (tick {k}, {where} {phase.index}): {exc}"
             break
         k += 1
 

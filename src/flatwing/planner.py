@@ -99,6 +99,8 @@ class WaypointSequence:
     waypoints: np.ndarray
     boundary_start: BoundaryState
     boundary_end: BoundaryState
+    # Read-only chord lengths |waypoints[i+1] - waypoints[i]|, at least 1 m.
+    gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
@@ -107,6 +109,8 @@ class WaypointSequence:
         gaps = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
         if np.any(gaps < 1.0):
             raise ValueError(f"consecutive waypoints closer than 1 m (min {gaps.min():.3f})")
+        gaps.setflags(write=False)
+        self.gaps = gaps
         for bnd, wp, name in ((self.boundary_start, self.waypoints[0], "start"),
                               (self.boundary_end, self.waypoints[-1], "end")):
             if np.linalg.norm(bnd.position - wp) > 1e-3:
@@ -142,10 +146,7 @@ def allocate_times(wps: WaypointSequence, cruise_speed: float) -> np.ndarray:
     """Cumulative junction times: per-segment duration is distance/cruise."""
     if cruise_speed <= 0:
         raise ValueError("cruise_speed must be positive")
-    gaps = np.linalg.norm(np.diff(wps.waypoints, axis=0), axis=1)
-    if np.any(gaps <= 0):
-        raise ValueError("zero-length segment in waypoint sequence")
-    return np.cumsum(gaps / cruise_speed)
+    return np.cumsum(wps.gaps / cruise_speed)
 
 
 def _durations(wps: WaypointSequence, config: PlannerConfig) -> np.ndarray:
@@ -505,8 +506,7 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     if prev_traj is None:
         prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
 
-    chords = wps.waypoints[1:] - wps.waypoints[:-1]
-    chords /= np.linalg.norm(chords, axis=1)[:, None]
+    chords = (wps.waypoints[1:] - wps.waypoints[:-1]) / wps.gaps[:, None]
 
     shape = _shape_of(config, durations.size)
     T = build_continuity_constraints(config, durations)

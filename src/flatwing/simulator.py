@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flatness import GRAVITY, V_EPS, CommandedInput, euler_zyx
+from .flatness import GRAVITY, V_EPS, CommandedInput, _G, _euler
 
 RHO_SEA_LEVEL = 1.225
 DENSITY_SCALE_HEIGHT = 8500.0
@@ -69,16 +69,16 @@ class WindField:
         if not self.gust_period > 0:
             raise ValueError("gust_period must be positive")
         rng = np.random.default_rng(self.seed)
-        self._phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=2))
+        self._phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=2).tolist())
 
 
 def wind_at(wind: WindField, t: float) -> np.ndarray:
-    w = wind.mean.copy()
-    if wind.gust_amplitude > 0.0:
-        arg = 2.0 * math.pi * t / wind.gust_period
-        w[0] += wind.gust_amplitude * math.sin(arg + wind._phases[0])
-        w[1] += wind.gust_amplitude * math.sin(arg + wind._phases[1])
-    return w
+    if not wind.gust_amplitude > 0.0:
+        return wind.mean.copy()
+    wx, wy, wz = wind.mean.tolist()
+    arg = 2.0 * math.pi * t / wind.gust_period
+    return np.array([wx + wind.gust_amplitude * math.sin(arg + wind._phases[0]),
+                     wy + wind.gust_amplitude * math.sin(arg + wind._phases[1]), wz])
 
 
 @dataclass
@@ -101,7 +101,7 @@ def air_density(x_z: float) -> float:
 
 def aero_accels(state: AircraftState, params: AeroParams, wind_vec=None):
     """Lift and drag accelerations (a_L, a_D) at the state's angle of attack."""
-    vx, vy, vz = np.asarray(state.v, dtype=float).tolist()
+    vx, vy, vz = state.v.tolist()
     if wind_vec is not None:
         wx, wy, wz = np.asarray(wind_vec, dtype=float).tolist()
         vx, vy, vz = vx - wx, vy - wy, vz - wz
@@ -168,7 +168,7 @@ def _orthonormalize(R):
 
 
 def _expm_skew(omega_v, h):
-    """exp(skew(omega_v)*h) in closed form (Rodrigues), from scalar math.
+    """exp(skew(omega_v)*h) in closed form (Rodrigues), row-major.
 
     With theta = |omega_v|*h and u = omega_v*h the result is
     cos(theta) I + (sin(theta)/theta) skew(u) + ((1-cos(theta))/theta^2) u u'.
@@ -176,7 +176,8 @@ def _expm_skew(omega_v, h):
     theta = 0 needs no division; above it, (1-cos)/theta^2 is formed from
     sin(theta/2) to avoid cancellation.
     """
-    ux, uy, uz = float(omega_v[0]) * h, float(omega_v[1]) * h, float(omega_v[2]) * h
+    wx, wy, wz = omega_v
+    ux, uy, uz = wx * h, wy * h, wz * h
     th2 = ux * ux + uy * uy + uz * uz
     if th2 < 1e-8:
         a = 1.0 - th2 / 6.0 + th2 * th2 / 120.0
@@ -189,26 +190,39 @@ def _expm_skew(omega_v, h):
         b = 2.0 * sh * sh
         c = math.cos(th)
     bxy, bxz, byz = b * ux * uy, b * ux * uz, b * uy * uz
-    return np.array([
-        [c + b * ux * ux, bxy - a * uz, bxz + a * uy],
-        [bxy + a * uz, c + b * uy * uy, byz - a * ux],
-        [bxz - a * uy, byz + a * ux, c + b * uz * uz],
-    ])
+    return (c + b * ux * ux, bxy - a * uz, bxz + a * uy,
+            bxy + a * uz, c + b * uy * uy, byz - a * ux,
+            bxz - a * uy, byz + a * ux, c + b * uz * uz)
+
+
+def _matmul3(A, B):
+    """Product of two row-major 3x3 matrices."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = B
+    return (a00 * b00 + a01 * b10 + a02 * b20,
+            a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20,
+            a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20,
+            a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22)
 
 
 def _rotation_step(R, omega_v, dt):
     """Exact step of R_dot = R*skew(omega_v) for omega_v held over dt.
 
-    Returns the new rotation R exp(skew(omega_v) dt), formed as two half
-    steps, and the rotations at the four RK4 stage times (t, t+dt/2,
-    t+dt/2, t+dt) that the full state step evaluates the translational
-    derivatives at. A product of exact rotations loses orthonormality only
+    R and the results are row-major 9-tuples, omega_v three floats. Returns
+    (Rn, Rh): the new rotation R exp(skew(omega_v) dt), formed as two half
+    steps, and the midpoint rotation R exp(skew(omega_v) dt/2). The RK4
+    stages of the full state step evaluate the translational derivatives at
+    R, Rh, Rh and Rn. A product of exact rotations loses orthonormality only
     through rounding, so no projection follows.
     """
     E = _expm_skew(omega_v, 0.5 * dt)
-    Rh = R @ E
-    Rn = Rh @ E
-    return Rn, (R, Rh, Rh, Rn)
+    Rh = _matmul3(R, E)
+    return _matmul3(Rh, E), Rh
 
 
 def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
@@ -227,30 +241,38 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
         raise ValueError(f"dt={dt} outside (0, 0.02]")
     if state.V_a <= 1e-9:
         raise ValueError("coordinated model requires positive airspeed")
-    w = [0.0, 0.0, 0.0] if wind_vec is None else np.asarray(wind_vec, dtype=float).tolist()
-    gz = float(GRAVITY[2])
+    wx, wy, wz = [0.0] * 3 if wind_vec is None else np.asarray(wind_vec, dtype=float).tolist()
+    gz = _G[2]
 
-    Rn, (S1, S2, _, S4) = _rotation_step(state.R, omega_v, dt)
-    e1, e2, e4 = S1[:, 0].tolist(), S2[:, 0].tolist(), S4[:, 0].tolist()  # velocity axes
+    R = state.R.ravel().tolist()
+    Rn, Rh = _rotation_step(R, np.asarray(omega_v, dtype=float).tolist(), dt)
+    # Velocity axes: the first columns of the stage rotations R, Rh and Rn.
+    a0, a1, a2 = R[0::3]
+    b0, b1, b2 = Rh[0::3]
+    c0, c1, c2 = Rn[0::3]
 
-    # RK4 stages; stages 2 and 3 share the midpoint rotation S2, so their
+    # RK4 stages; stages 2 and 3 share the midpoint rotation Rh, so their
     # airspeed derivatives coincide. V_a_dot depends only on the rotation.
-    vd1 = a_vx + gz * e1[2]
-    vd2 = a_vx + gz * e2[2]
-    vd4 = a_vx + gz * e4[2]
+    vd1 = a_vx + gz * a2
+    vd2 = a_vx + gz * b2
+    vd4 = a_vx + gz * c2
     V = state.V_a
     V2 = V + 0.5 * dt * vd1
     V3 = V + 0.5 * dt * vd2
     V4 = V + dt * vd2
-    Vn = V + (dt / 6.0) * (vd1 + 4.0 * vd2 + vd4)
+    h6 = dt / 6.0
+    Vn = V + h6 * (vd1 + 4.0 * vd2 + vd4)
     V23 = 2.0 * (V2 + V3)
-    xn = [x + (dt / 6.0) * (V * a + V23 * b + V4 * c + 6.0 * wi) for x, a, b, c, wi
-          in zip(np.asarray(state.x, dtype=float).tolist(), e1, e2, e4, w)]
+    x0, x1, x2 = state.x.tolist()
+    xn = [x0 + h6 * (V * a0 + V23 * b0 + V4 * c0 + 6.0 * wx),
+          x1 + h6 * (V * a1 + V23 * b1 + V4 * c1 + 6.0 * wy),
+          x2 + h6 * (V * a2 + V23 * b2 + V4 * c2 + 6.0 * wz)]
 
     if not all(map(math.isfinite, [Vn, *xn])):
         raise IntegrationFault("non-finite state after integration step")
-    vn = [Vn * r + wi for r, wi in zip(Rn[:, 0].tolist(), w)]
-    return AircraftState(x=np.array(xn), v=np.array(vn), R=Rn, alpha=state.alpha, V_a=Vn)
+    vn = [Vn * c0 + wx, Vn * c1 + wy, Vn * c2 + wz]
+    return AircraftState(x=np.array(xn), v=np.array(vn), R=np.array(Rn).reshape(3, 3),
+                         alpha=state.alpha, V_a=Vn)
 
 
 def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
@@ -262,15 +284,16 @@ def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
     """
     if tau_att <= 0.0:
         raise ValueError("tau_att must be positive")
-    phi, theta_frame, _ = euler_zyx(state.R)
+    R = state.R.ravel().tolist()
+    phi, theta_frame, _ = _euler(R)
     theta_body = theta_frame + state.alpha
     tau = max(tau_att, dt)
     p = cmd.omega_vx + (cmd.phi_c - phi) / tau
     q = cmd.omega_vy + (cmd.theta_c - theta_body) / tau
-    gx, gy, gz = GRAVITY.tolist()
-    (_, y0, _), (_, y1, _), (_, y2, _) = np.asarray(state.R, dtype=float).tolist()
-    r = (y0 * gx + y1 * gy + y2 * gz) / max(state.V_a, V_EPS)  # (R'g)_y / V_a
-    return np.array([min(max(c, -RATE_LIMIT), RATE_LIMIT) for c in (p, q, r)])
+    gx, gy, gz = _G
+    r = (R[1] * gx + R[4] * gy + R[7] * gz) / max(state.V_a, V_EPS)  # (R'g)_y / V_a
+    lim = RATE_LIMIT
+    return np.array([min(max(p, -lim), lim), min(max(q, -lim), lim), min(max(r, -lim), lim)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ two routes is the point; none of these helpers import from flatwing.
 """
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import comb
 
 
@@ -222,3 +223,28 @@ def attitude_rates_matrix(R, alpha, V_a, cmd, tau_att, dt, g, v_eps, rate_limit)
     q = cmd.omega_vy + (cmd.theta_c - (theta_frame + alpha)) / tau
     r = (R.T @ g)[1] / max(V_a, v_eps)
     return np.clip(np.array([p, q, r]), -rate_limit, rate_limit)
+
+
+def skew_matrix(w):
+    """The 3x3 cross-product matrix of w."""
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def coordinated_step_matrix(x, R, V_a, omega_v, a_vx, wind, dt, g):
+    """(x, v, R, V_a) after one step of the coordinated kinematics.
+
+    The rotation takes two half steps R E E with E = expm(skew(omega_v) dt/2)
+    as 3x3 matrix products; x_dot = V_a R e1 + w and V_a_dot = a_vx + (R'g)_x
+    are integrated by RK4 along it, with stage rotations R, R E, R E, R E E.
+    """
+    E = expm(skew_matrix(omega_v) * (0.5 * dt))
+    Rh = R @ E
+    Rn = Rh @ E
+    vd1, vd2, vd4 = (a_vx + (S.T @ g)[0] for S in (R, Rh, Rn))
+    V2 = V_a + 0.5 * dt * vd1
+    V3 = V_a + 0.5 * dt * vd2
+    V4 = V_a + dt * vd2
+    Vn = V_a + dt / 6.0 * (vd1 + 4.0 * vd2 + vd4)
+    xn = x + dt / 6.0 * (V_a * R[:, 0] + 2.0 * (V2 + V3) * Rh[:, 0] + V4 * Rn[:, 0]
+                         + 6.0 * wind)
+    return xn, Vn * Rn[:, 0] + wind, Rn, Vn

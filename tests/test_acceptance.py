@@ -372,9 +372,10 @@ def test_integrator_order_and_rotation_drift():
         np.full(1_000_000, 0.2),
         0.25 * np.cos(0.0004 * np.arange(1_000_000)),
     ])
-    R = np.eye(3)
-    for om in omegas:
+    R = tuple(np.eye(3).ravel().tolist())  # row-major, as _rotation_step carries it
+    for om in omegas.tolist():
         R, _ = sim._rotation_step(R, om, 0.002)
+    R = np.reshape(R, (3, 3))
     assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-9
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
     assert time.perf_counter() - t_begin < 30.0

@@ -517,3 +517,25 @@ def test_mission_rejects_mismatched_planner_speed():
     plan = ms.parse_mission(HAPPY_MISSION)
     with pytest.raises(ValueError, match="cruise_speed"):
         ms.run_mission(plan, pcfg=PlannerConfig(cruise_speed=10.0))
+
+
+@pytest.mark.parametrize("phase", ["leg", "loiter"])
+def test_mission_abort_names_its_tick_and_phase(happy_run, monkeypatch, phase):
+    leg_id = happy_run.log.columns()[:, 17].astype(int)
+    # A tick 37 ticks into the leg, or 5 ticks into the first loiter.
+    k = int(np.flatnonzero(leg_id == 0)[0]) + 37 if phase == "leg" else 5
+    calls = []
+
+    def failing_step(*args):
+        calls.append(None)
+        if len(calls) == k + 1:
+            raise sim.IntegrationFault("non-finite state after integration step")
+        return sim.step(*args)
+
+    monkeypatch.setattr(ms, "step", failing_step)
+    res = ms.run_mission(ms.parse_mission(HAPPY_MISSION))
+    assert res.aborted
+    assert res.abort_reason == (f"t={k * 0.01:.2f} (tick {k}, {phase} 0): "
+                                "non-finite state after integration step")
+    assert len(res.log.rows) == k + 1  # the failing tick was logged before its step
+    assert res.log.rows[k][17] == (0 if phase == "leg" else -1)

@@ -7,7 +7,7 @@ from scipy.spatial.transform import Rotation
 
 from flatwing import flatness as fl
 from flatwing import simulator as sim
-from oracles import attitude_rates_matrix
+from oracles import attitude_rates_matrix, coordinated_step_matrix
 
 V = 14.0
 R_TURN = 45.0
@@ -254,16 +254,44 @@ def test_step_keeps_air_relative_velocity_coordinated():
         assert body_vel[0] == pytest.approx(st.V_a, abs=1e-12)
 
 
+def rotation_step(R, omega_v, dt):
+    """sim._rotation_step on arrays: (new rotation, midpoint rotation) as 3x3."""
+    Rn, Rh = sim._rotation_step(tuple(R.ravel().tolist()), omega_v.tolist(), dt)
+    return np.reshape(Rn, (3, 3)), np.reshape(Rh, (3, 3))
+
+
 def test_rotation_step_matches_matrix_exponential():
     w = np.array([0.4, -0.3, 0.5])
-    Rn, _ = sim._rotation_step(np.eye(3), w, 0.01)
+    Rn, _ = rotation_step(np.eye(3), w, 0.01)
     assert np.abs(Rn - expm(sim._skew(w) * 0.01)).max() <= 1e-11
     # Small-angle series branch: |omega|*dt = 0, ~1e-9, and just below 1e-4.
     u = np.array([0.6, -0.48, 0.64])  # unit vector
     for scale in (0.0, 1e-7, 0.99e-2):
-        Rn, stages = sim._rotation_step(np.eye(3), scale * u, 0.01)
-        assert np.isfinite(Rn).all() and all(np.isfinite(S).all() for S in stages)
+        Rn, Rh = rotation_step(np.eye(3), scale * u, 0.01)
+        assert np.isfinite(Rn).all() and np.isfinite(Rh).all()
         assert np.abs(Rn - expm(sim._skew(scale * u) * 0.01)).max() <= 1e-15
+
+
+def test_scalar_step_matches_matrix_formula():
+    rng = np.random.default_rng(23)
+    rotations = Rotation.random(300, random_state=11).as_matrix()
+    for k, R in enumerate(rotations):
+        x = rng.uniform(-100.0, 100.0, size=3)
+        V_a = float(rng.uniform(5.0, 30.0))
+        omega = rng.uniform(-sim.RATE_LIMIT, sim.RATE_LIMIT, size=3)
+        if k % 10 == 0:
+            omega *= 1e-4  # inside the small-angle series of the rotation
+        a_vx = float(rng.normal(0.0, 3.0))
+        dt = float(rng.uniform(0.001, 0.02))
+        wind = None if k % 2 else rng.normal(0.0, 3.0, size=3)
+        st = sim.AircraftState(x=x, v=V_a * R[:, 0], R=R, alpha=0.05, V_a=V_a)
+        new = sim.step(st, omega, a_vx, -9.81, wind, dt)
+        old = coordinated_step_matrix(x, R, V_a, omega, a_vx,
+                                      np.zeros(3) if wind is None else wind, dt, fl.GRAVITY)
+        for got, want in zip((new.x, new.v, new.R, new.V_a), old):
+            assert np.abs(np.subtract(got, want)).max() <= 1e-13
+        assert new.x.shape == new.v.shape == (3,) and new.R.shape == (3, 3)
+        assert new.alpha == st.alpha
 
 
 def test_rotation_stays_orthonormal_over_long_runs():
