@@ -16,69 +16,43 @@ class DomainError(ValueError):
     """Raised when a trajectory or segment is queried outside its time domain."""
 
 
-def _basis_rows(n: int, u) -> list:
-    """Bernstein basis rows of every degree 0..n at u, from one recursion.
+@functools.cache
+def _binomials(n: int) -> tuple:
+    return tuple(float(math.comb(n, i)) for i in range(n + 1))
 
-    The degree-m row, rows[m], comes from the degree-(m-1) row by
-    b_j <- u*b_{j-1} + (1-u)*b_j. u is a float, giving lists of floats, or a
-    1-D array of S samples, giving (m+1, S) arrays whose entries go through
-    the same floating-point operations as a float's: the array branch
-    updates every j of one degree at once, from the previous degree's row.
+
+def _basis(n: int, u):
+    """The degree-n Bernstein basis C(n,i) u^i (1-u)^(n-i), i = 0..n.
+
+    u is a float, giving a list of floats, or a 1-D array of S samples,
+    giving an (S, n+1) array. Both form the powers by repeated
+    multiplication and each term as (C(n,i) u^i) (1-u)^(n-i), so a sample's
+    row equals the float's bit for bit. np.power would not: it rounds
+    differently on some hosts.
     """
     w = 1.0 - u
+    row = list(_binomials(n))
+    p = 1.0
+    for i in range(1, n + 1):
+        p *= u
+        row[i] *= p
+    p = 1.0
+    for i in range(n - 1, -1, -1):
+        p *= w
+        row[i] *= p
     if isinstance(u, float):
-        row = [1.0]
-        rows = [row[:]]
-        for m in range(1, n + 1):
-            row.append(0.0)
-            for j in range(m, 0, -1):
-                row[j] = u * row[j - 1] + w * row[j]
-            row[0] = row[0] * w
-            rows.append(row[:])
-        return rows
-    # The previous degree's row sits between two zero rows, so that
-    # b_0 = u*0.0 + w*b_0 and b_m = u*b_(m-1) + w*0.0: exactly the float
-    # branch's values, as every term is non-negative.
-    pad = np.zeros((n + 2, u.size))
-    pad[1] = 1.0
-    rows = [pad[1:2].copy()]
-    for m in range(1, n + 1):
-        row = u * pad[: m + 1] + w * pad[1 : m + 2]
-        pad[1 : m + 2] = row
-        rows.append(row)
-    return rows
+        return row
+    return np.stack(np.broadcast_arrays(u, *row)[1:], axis=-1)
 
 
-def basis_row(n: int, u: float) -> np.ndarray:
-    """All degree-n Bernstein basis values at u as a length n+1 row."""
-    return np.array(_basis_rows(n, float(u))[n])
+def basis_row(n: int, u) -> np.ndarray:
+    """All degree-n Bernstein basis values at u as a length n+1 row.
 
-
-def _columns(points: np.ndarray) -> list:
-    """Control points as one list of Python floats per coordinate."""
-    return points.reshape(points.shape[0], -1).T.tolist()
-
-
-def _combine(row, cols) -> list:
-    """Per column, sum_i row[i]*col[i] accumulated from i = 0 upward.
-
-    Works on float rows (one evaluation, a column per coordinate) and on
-    rows of sample arrays (a batch, whose one column may hold every
-    coordinate) with the same products and sums, so the two agree bit for
-    bit.
+    A 1-D array of S parameters gives the (S, n+1) rows.
     """
-    out = []
-    for col in cols:
-        s = row[0] * col[0]
-        for i in range(1, len(row)):
-            s = s + row[i] * col[i]
-        out.append(s)
-    return out
-
-
-def _point(vals: list, ndim: int):
-    """One evaluation from `_combine`, shaped like a control point."""
-    return np.array(vals) if ndim == 2 else np.float64(vals[0])
+    if np.ndim(u):
+        return _basis(n, np.asarray(u, dtype=float))
+    return np.array(_basis(n, float(u)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,6 +95,28 @@ def derivative_map(n: int, k: int, duration: float) -> np.ndarray:
     return derivative_scale(n, k, duration) * difference_stencil(n, k)
 
 
+@functools.cache
+def elevated_stencil(n: int, k: int) -> np.ndarray:
+    """Difference stencil raised back to degree n, E(n-k -> n) @ S_k, (n+1, n+1).
+
+    Maps control points to the unscaled k-th derivative's control points
+    degree-elevated to degree n, so that one degree-n basis row evaluates
+    every derivative. Entry (i, l) is sum_j C(n-k, j) C(k, i-j) S_k[j, l]
+    over C(n, i), its numerator summed in integers. Zero for k > n; the
+    identity for k = 0. Cached per (n, k) and returned read-only.
+    """
+    E = np.zeros((n + 1, n + 1))
+    if k <= n:
+        m = n - k
+        S = difference_stencil(n, k).astype(np.int64).tolist()
+        for i in range(n + 1):
+            js = range(max(0, i - k), min(m, i) + 1)
+            E[i] = [sum(math.comb(m, j) * math.comb(k, i - j) * S[j][l] for j in js)
+                    / math.comb(n, i) for l in range(n + 1)]
+    E.setflags(write=False)
+    return E
+
+
 @dataclass(frozen=True)
 class BernsteinSegment:
     """One polynomial segment: control points on the time interval [t0, tf].
@@ -157,11 +153,10 @@ class BernsteinSegment:
 def eval_segment(seg: BernsteinSegment, t: float):
     """Basis row times control points at time t within [t0, tf]; no extrapolation."""
     slack = 1e-9 * max(1.0, seg.duration)
-    if t < seg.t0 - slack or t > seg.tf + slack:
+    if not seg.t0 - slack <= t <= seg.tf + slack:
         raise DomainError(f"t={t} outside segment domain [{seg.t0}, {seg.tf}]")
     u = float((min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration)
-    row = _basis_rows(seg.degree, u)[-1]
-    return _point(_combine(row, _columns(seg.control_points)), seg.control_points.ndim)
+    return np.array(_basis(seg.degree, u)) @ seg.control_points
 
 
 def derivative_segment(seg: BernsteinSegment, k: int) -> BernsteinSegment:
@@ -198,28 +193,36 @@ class PiecewiseTrajectory:
             _check_junction(a, b)
         self.segments = tuple(segments)
         self._t_interior = [s.tf for s in segments[:-1]]
-        # Per degree n, for all its segments at once: the control points of
-        # the derivative segments up to jerk where the degree allows, each
-        # segment's derivative_map(n, k, duration) @ points. eval's k-th
-        # derivative is the degree-(n-k) basis row times self._cols[j][k],
-        # segment j's points as `_combine` columns; velocity_acceleration
-        # gathers its samples' points from self._by_degree.
-        cols, groups = [None] * len(segments), []
+        self._spans = np.array([(s.t0, s.tf, s.duration) for s in segments]).T
+        # Where position, velocity, acceleration and jerk sit in a table row.
+        if segments[0].control_points.ndim == 1:
+            self._parts = (0, 1, 2, 3)
+        else:
+            d = segments[0].control_points.shape[1]
+            self._parts = tuple(slice(k * d, (k + 1) * d) for k in range(4))
+        # Per segment, one (n+1, 4d) table: the control points of position,
+        # velocity, acceleration and jerk, each derivative degree-elevated
+        # back to degree n (zero above the degree), so one degree-n basis
+        # row times the table evaluates all four. Built per degree in one
+        # batched product; velocity_acceleration gathers from the groups.
+        pieces, groups = [None] * len(segments), []
         for n in sorted({s.degree for s in segments}):
             idx = [j for j, s in enumerate(segments) if s.degree == n]
-            segs = [segments[j] for j in idx]
-            pts = [np.array([s.control_points for s in segs]).reshape(len(segs), n + 1, -1)]
-            for k in range(1, min(n, 3) + 1):
-                scale = np.array([derivative_scale(n, k, s.duration) for s in segs])
-                pts.append(scale[:, None, None] * difference_stencil(n, k) @ pts[0])
-            for j, c in zip(idx, zip(*(p.transpose(0, 2, 1).tolist() for p in pts))):
-                cols[j] = c + (None,) * (4 - len(c))
+            G = len(idx)
+            pts = np.array([segments[j].control_points for j in idx]).reshape(G, n + 1, -1)
+            ops = np.stack([elevated_stencil(n, k) for k in range(4)])
+            scale = np.stack([derivative_scale(n, k, self._spans[2, idx]) for k in range(4)], axis=1)
+            # (G, 4, n+1, d) derivative control points, rearranged to (G, n+1, 4d)
+            tables = (scale[:, :, None, None] * (ops @ pts[:, None])).transpose(0, 2, 1, 3)
+            tables = tables.reshape(G, n + 1, -1)
             pos = np.full(len(segments), -1)  # each segment's place in the group
-            pos[idx] = range(len(idx))
-            t0, tf, dur = np.array([(s.t0, s.tf, s.duration) for s in segs]).T
-            groups.append((n, pos, t0, tf, dur, [p.swapaxes(0, 1) for p in pts[1:3]]))
-        self._cols = tuple(cols)
-        self._by_degree = tuple(groups)
+            pos[idx] = range(G)
+            groups.append((n, pos, tables))
+            for j, table in zip(idx, tables):
+                seg = segments[j]
+                pieces[j] = (seg.t0, seg.tf, seg.duration, n, table)
+        self._pieces = tuple(pieces)
+        self._groups = tuple(groups)
 
     @property
     def t_start(self) -> float:
@@ -234,55 +237,44 @@ class PiecewiseTrajectory:
         return tuple(s.tf for s in self.segments)
 
     def segment_index(self, t: float) -> int:
-        if t < self.t_start - 1e-9 or t > self.t_end + 1e-9:
+        if not self.t_start - 1e-9 <= t <= self.t_end + 1e-9:
             raise DomainError(f"t={t} outside trajectory domain [{self.t_start}, {self.t_end}]")
         return bisect.bisect_right(self._t_interior, t)
 
     def velocity_acceleration(self, ts):
         """Velocity and acceleration at each of S times: (S,) or (S, d) arrays.
 
-        Picks segments and clamps u exactly as `eval` does, then runs one
-        basis recursion for all samples of a degree, each sample an entry
-        of the basis arrays, with its own segment's derivative control
-        points: the same products and sums as `eval`'s, so each row equals
-        `eval`'s bit for bit.
+        Picks segments and clamps u exactly as `eval` does, then stacks each
+        sample's basis row and table into one (S,1,n+1) @ (S,n+1,4d)
+        product per degree: per sample the same product as `eval`'s, so each
+        row equals `eval`'s bit for bit.
         """
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < self.t_start - 1e-9 or ts.max() > self.t_end + 1e-9):
-            raise DomainError(
-                f"times [{ts.min()}, {ts.max()}] outside trajectory domain "
-                f"[{self.t_start}, {self.t_end}]"
-            )
+        outside = ~((ts >= self.t_start - 1e-9) & (ts <= self.t_end + 1e-9))
+        if outside.any():
+            raise DomainError(f"t={ts[outside][0]} outside trajectory domain "
+                              f"[{self.t_start}, {self.t_end}]")
         seg = np.searchsorted(self._t_interior, ts, side="right")
-        shape = (ts.size,) + self.segments[0].control_points.shape[1:]
-        out = np.zeros((2,) + shape)
-        for n, pos, t0, tf, dur, pts in self._by_degree:
+        t0, tf, dur = self._spans[:, seg]
+        u = (np.minimum(np.maximum(ts, t0), tf) - t0) / dur
+        out = np.empty((ts.size, self._groups[0][2].shape[2]))
+        for n, pos, tables in self._groups:
             at = pos[seg]
             sel = at >= 0
-            at = at[sel]
-            t0, tf, dur = t0[at], tf[at], dur[at]
-            u = (np.minimum(np.maximum(ts[sel], t0), tf) - t0) / dur
-            rows = _basis_rows(n, u)
-            for k, p in enumerate(pts, start=1):
-                (val,) = _combine(rows[n - k][..., None], [p[:, at]])
-                out[k - 1, sel] = val.reshape((-1,) + shape[1:])
-        return out[0], out[1]
+            out[sel] = (_basis(n, u[sel])[:, None] @ tables[at[sel]])[:, 0]
+        _, vel, acc, _ = self._parts
+        return out[:, vel], out[:, acc]
 
     def eval(self, t: float):
         """Return (position, velocity, acceleration, jerk) at time t.
 
-        One basis recursion at u yields the rows of degrees n-3..n; the k-th
-        derivative is the degree-(n-k) row times the cached control points
-        of the k-th derivative segment.
+        The degree-n basis row at t times the segment's table.
         """
-        j = self.segment_index(t)
-        seg = self.segments[j]
-        u = float((min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration)
-        n, ndim = seg.degree, seg.control_points.ndim
-        rows = _basis_rows(n, u)
-        cols = self._cols[j]
-        return tuple([_point(_combine(rows[n - k], c) if k <= n else [0.0] * len(cols[0]), ndim)
-                       for k, c in enumerate(cols)])
+        t0, tf, dur, n, table = self._pieces[self.segment_index(t)]
+        u = float((min(max(t, t0), tf) - t0) / dur)
+        out = np.array(_basis(n, u)) @ table
+        p, v, a, j = self._parts
+        return out[p], out[v], out[a], out[j]
 
 
 def gram_matrix(n: int, duration) -> np.ndarray:
@@ -324,8 +316,7 @@ def arc_length(traj, n_samples: int = 128) -> float:
         return sum(arc_length(seg, n_samples) for seg in traj.segments)
     seg = traj
     u = (np.linspace(seg.t0, seg.tf, n_samples + 1) - seg.t0) / seg.duration
-    row = _basis_rows(seg.degree, u)[-1]
-    (pts,) = _combine(row[..., None], [seg.control_points.reshape(seg.degree + 1, 1, -1)])
+    pts = _basis(seg.degree, u) @ seg.control_points.reshape(seg.degree + 1, -1)
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
 

@@ -25,8 +25,8 @@ from .flatness import (
     FlatState,
     FlatnessSingularityError,
     V_EPS,
+    _euler,
     command_from_flat,
-    euler_zyx,
     flat_inputs,
     frame_from_flat,
 )
@@ -36,8 +36,9 @@ from .simulator import (
     AircraftState,
     IntegrationFault,
     WindField,
-    aero_accels,
-    attitude_inner_loop,
+    _attitude_rates,
+    _dynamic_accel,
+    _lift_drag,
     coordinated_trim,
     input_accels,
     solve_alpha,
@@ -543,7 +544,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
     st = AircraftState(x=ref0.position.copy(), v=V_a0 * frame0.R[:, 0] + w0,
                        R=frame0.R.copy(), alpha=alpha0, V_a=V_a0)
     omega_vx0 = flat_inputs(ref0, frame0)[1]
-    prev_omega = np.array([omega_vx0, frame0.omega_vy, frame0.omega_vz])
+    prev_omega = (omega_vx0, frame0.omega_vy, frame0.omega_vz)
     prev_a_vx = frame0.a_vx
     cmd_state: CommandState | None = None
 
@@ -612,25 +613,30 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             w = wind_at(wind, t)
             # Acceleration estimate from the previously applied inputs:
             # R (V_a_dot, V_a*omega_z, -V_a*omega_y).
-            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = st.R.tolist()
-            _, om_y, om_z = prev_omega.tolist()
+            R = st.R.ravel().tolist()
+            r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+            _, om_y, om_z = prev_omega
             b0, b1, b2 = prev_a_vx + gz * r20, st.V_a * om_z, -st.V_a * om_y
             a_est = [r00 * b0 + r01 * b1 + r02 * b2,
                      r10 * b0 + r11 * b1 + r12 * b2,
                      r20 * b0 + r21 * b1 + r22 * b2]
-            a_L, a_D = aero_accels(st, params, w)
+            # Airspeed and density, hence k_dyn, hold across the tick; only
+            # alpha changes between the two lift/drag evaluations.
+            k_dyn = _dynamic_accel(params, st.v.tolist(), w.tolist(), float(st.x[2]))
+            _, a_D = _lift_drag(params, k_dyn, st.alpha)
             cmd, cmd_state = command_from_flat(
                 ref, st.x, st.v, a_est, ctrl, cmd_state, dt,
                 drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
             )
             st.alpha = solve_alpha(params, st.V_a, float(st.x[2]), cmd.a_T,
                                    cmd_state.a_vz)
-            omega_v = attitude_inner_loop(st, cmd, mcfg.tau_att, dt)
-            a_L, a_D = aero_accels(st, params, w)
+            euler = _euler(R)
+            omega_v = _attitude_rates(R, euler, st.alpha, st.V_a, cmd, mcfg.tau_att, dt)
+            a_L, a_D = _lift_drag(params, k_dyn, st.alpha)
             a_vx_real, a_vz_real = input_accels(cmd.a_T, a_D, a_L, st.alpha)
 
             leg_id = phase.index if isinstance(phase, _LegSpan) else -1
-            log.append(t, ref, st, euler_zyx(st.R), cmd.a_T, leg_id, replan_flag)
+            log.append(t, ref, st, euler, cmd.a_T, leg_id, replan_flag)
 
             st = step(st, omega_v, a_vx_real, a_vz_real, w, dt)
             prev_omega = omega_v

@@ -27,6 +27,7 @@ from .bernstein import (
     basis_row,
     difference_stencil,
     derivative_scale,
+    elevated_stencil,
     gram_matrix,
 )
 from .flatness import FlatnessSingularityError, V_EPS
@@ -444,12 +445,14 @@ def _curvature_basis(n: int, n_samples: int):
     """Sample parameters and unscaled velocity/acceleration rows, read-only.
 
     At u_k = (k + 1/2)/n_samples, row k of the two (n_samples, n+1) arrays
-    is basis_row(n-1, u_k) @ S1 and basis_row(n-2, u_k) @ S2, with S_j the
-    difference stencils; a segment's rows are these times derivative_scale.
+    is basis_row(n, u_k) @ elevated_stencil(n, j) for j = 1, 2: the same
+    degree-n kernel that evaluates trajectories. A segment's rows are these
+    times derivative_scale.
     """
     u = (np.arange(n_samples) + 0.5) / n_samples
-    w_v = np.array([basis_row(n - 1, uk) for uk in u]) @ difference_stencil(n, 1)
-    w_a = np.array([basis_row(n - 2, uk) for uk in u]) @ difference_stencil(n, 2)
+    rows = basis_row(n, u)
+    w_v = rows @ elevated_stencil(n, 1)
+    w_a = rows @ elevated_stencil(n, 2)
     for arr in (u, w_v, w_a):
         arr.setflags(write=False)
     return u, w_v, w_a

@@ -101,13 +101,26 @@ def air_density(x_z: float) -> float:
 
 def aero_accels(state: AircraftState, params: AeroParams, wind_vec=None):
     """Lift and drag accelerations (a_L, a_D) at the state's angle of attack."""
-    vx, vy, vz = state.v.tolist()
-    if wind_vec is not None:
-        wx, wy, wz = np.asarray(wind_vec, dtype=float).tolist()
-        vx, vy, vz = vx - wx, vy - wy, vz - wz
+    wind = [0.0] * 3 if wind_vec is None else np.asarray(wind_vec, dtype=float).tolist()
+    k_dyn = _dynamic_accel(params, state.v.tolist(), wind, float(state.x[2]))
+    return _lift_drag(params, k_dyn, state.alpha)
+
+
+def _dynamic_accel(params: AeroParams, v, wind, x_z: float) -> float:
+    """rho V_a^2 S / (2 m) for the air-relative velocity v - wind (3-lists).
+
+    Lift and drag accelerations are this times the lift and drag
+    coefficients; only the coefficients depend on the angle of attack.
+    """
+    (vx, vy, vz), (wx, wy, wz) = v, wind
+    vx, vy, vz = vx - wx, vy - wy, vz - wz
     V_a = math.sqrt(vx * vx + vy * vy + vz * vz)
-    k_dyn = air_density(float(state.x[2])) * V_a**2 * params.wing_area / (2.0 * params.mass)
-    c_l = params.c_l0 + params.c_l_alpha * state.alpha
+    return air_density(x_z) * V_a**2 * params.wing_area / (2.0 * params.mass)
+
+
+def _lift_drag(params: AeroParams, k_dyn: float, alpha: float):
+    """(a_L, a_D) from `_dynamic_accel` and the angle of attack."""
+    c_l = params.c_l0 + params.c_l_alpha * alpha
     c_d = params.c_d0 + params.k_induced * c_l**2
     return k_dyn * c_l + params.a_l0, k_dyn * c_d
 
@@ -282,18 +295,24 @@ def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
     The yaw-axis rate is not commanded; it follows the coordinated-flight
     constraint at the current state. All rates clamp to +/- RATE_LIMIT.
     """
+    R = state.R.ravel().tolist()
+    return np.array(_attitude_rates(R, _euler(R), state.alpha, state.V_a, cmd, tau_att, dt))
+
+
+def _attitude_rates(R, euler, alpha: float, V_a: float, cmd: CommandedInput,
+                    tau_att: float, dt: float) -> tuple:
+    """attitude_inner_loop on a row-major R given its Euler angles."""
     if tau_att <= 0.0:
         raise ValueError("tau_att must be positive")
-    R = state.R.ravel().tolist()
-    phi, theta_frame, _ = _euler(R)
-    theta_body = theta_frame + state.alpha
+    phi, theta_frame, _ = euler
+    theta_body = theta_frame + alpha
     tau = max(tau_att, dt)
     p = cmd.omega_vx + (cmd.phi_c - phi) / tau
     q = cmd.omega_vy + (cmd.theta_c - theta_body) / tau
     gx, gy, gz = _G
-    r = (R[1] * gx + R[4] * gy + R[7] * gz) / max(state.V_a, V_EPS)  # (R'g)_y / V_a
+    r = (R[1] * gx + R[4] * gy + R[7] * gz) / max(V_a, V_EPS)  # (R'g)_y / V_a
     lim = RATE_LIMIT
-    return np.array([min(max(p, -lim), lim), min(max(q, -lim), lim), min(max(r, -lim), lim)])
+    return min(max(p, -lim), lim), min(max(q, -lim), lim), min(max(r, -lim), lim)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,20 @@ def test_batched_velocity_acceleration_takes_any_sample_count_in_any_order(count
         assert np.array_equal(v, v_ref) and np.array_equal(a, a_ref)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_raise_domain_error(bad):
+    traj = two_segment_trajectory()
+    name = re.escape(f"t={bad}")
+    with pytest.raises(bz.DomainError, match=name):
+        traj.segment_index(bad)
+    with pytest.raises(bz.DomainError, match=name):
+        traj.eval(bad)
+    with pytest.raises(bz.DomainError, match=name):
+        bz.eval_segment(traj.segments[0], bad)
+    with pytest.raises(bz.DomainError, match=name):
+        traj.velocity_acceleration([0.5, bad])
+
+
 def test_batched_velocity_acceleration_of_scalar_trajectory():
     traj = bz.PiecewiseTrajectory([
         bz.BernsteinSegment(np.array([0.0, 10.0]), 0.0, 1.0),
@@ -549,16 +563,18 @@ def test_read_trajectory_fuzz_parses_or_names_a_line(data):
 # ---------------------------------------------------------------- oracle
 
 
-@pytest.mark.parametrize("n", range(5, 13))
+@pytest.mark.parametrize("n", range(13))
 @pytest.mark.parametrize("vector", [True, False], ids=["3d", "scalar"])
 def test_evaluation_matches_scipy_bpoly(n, vector):
     """eval, velocity_acceleration and eval_segment against scipy's BPoly.
 
     BPoly is an independent Bernstein evaluator; the bound on the k-th
     derivative is 1e-12 times the largest of its Bernstein coefficients.
+    Derivatives above the degree have no coefficients, so their bound is 0:
+    eval must return exact zeros there.
     """
     rng = np.random.default_rng(100 + n)
-    breaks = 0.7 + np.concatenate([[0.0], np.cumsum([1.3, 0.4, 2.2])])
+    breaks = 0.7 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 3.0, 3))])
     segs, prev = [], None
     for t0, tf in zip(breaks, breaks[1:]):
         cps = rng.normal(size=(n + 1, 3) if vector else (n + 1,)) * 40.0
