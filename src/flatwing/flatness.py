@@ -25,6 +25,9 @@ M_EPS = 0.1
 # 1/s pull of the integrated acceleration commands toward the reference trim.
 _LEAK = 0.5
 
+# Cascade gains k0, k1, k2 on (e, e_dot, e_ddot): all three poles at -2.
+CASCADE_GAINS = (8.0, 12.0, 6.0)
+
 
 class FlatnessSingularityError(RuntimeError):
     """The flat map is not invertible at this state (slow flight or zero normal load)."""
@@ -75,7 +78,7 @@ class PathParamState:
 
 @dataclass
 class ControlConfig:
-    gains: tuple = (8.0, 12.0, 6.0)  # k0, k1, k2 on (e, e_dot, e_ddot)
+    gains: tuple = CASCADE_GAINS
     phi_limit: float = 1.0
 
 
@@ -88,8 +91,7 @@ class CommandState:
 
 
 # The per-tick kernels below work on Python floats. A rotation is carried as
-# its 9 entries in row-major order, (r00, r01, r02, r10, ..., r22); the public
-# functions after them unpack their array arguments once and call these.
+# its 9 entries in row-major order, (r00, r01, r02, r10, ..., r22).
 _G = tuple(GRAVITY.tolist())
 
 
@@ -132,8 +134,12 @@ def _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk):
             omega_vy * a_vx + w2)
 
 
-def _feedback_jerk(rp, rv, ra, rj, p, v, a, gains):
-    """tracking_jerk on 3-lists: x_r''' + k2*e_dd + k1*e_d + k0*e per axis."""
+def tracking_jerk(rp, rv, ra, rj, p, v, a, gains):
+    """Cascade feedback jerk x_c''' = x_r''' + k2*e_dd + k1*e_d + k0*e, per axis.
+
+    rp, rv, ra, rj are the reference position to jerk and p, v, a the
+    actual position to acceleration, each three floats; gains is (k0, k1, k2).
+    """
     k0, k1, k2 = gains
     (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = p, v, a
     return [rj[0] + k2 * (ra[0] - a0) + k1 * (rv[0] - v0) + k0 * (rp[0] - p0),
@@ -141,8 +147,13 @@ def _feedback_jerk(rp, rv, ra, rj, p, v, a, gains):
             rj[2] + k2 * (ra[2] - a2) + k1 * (rv[2] - v2) + k0 * (rp[2] - p2)]
 
 
-def _euler(R):
-    """euler_zyx of a row-major R."""
+def euler_zyx(R) -> tuple:
+    """Roll, pitch, yaw of a velocity/body frame R (row-major) given in ENU axes.
+
+    The frame is re-expressed in north-east-down axes first, so yaw is a
+    compass heading, pitch is positive nose-up, and roll is positive
+    right-wing-down. The NED rows of R are R[1], R[0] and -R[2].
+    """
     r00, r01, _, r10, r11, _, r20, r21, r22 = R
     s_pitch = min(max(r20, -1.0), 1.0)
     theta = math.asin(s_pitch)
@@ -185,24 +196,6 @@ def forward_jerk(frame: CoordinatedFrame, a_vx_dot, omega_vx, a_vz_dot):
     return frame.R @ (np.cross(omega, a_v) + np.array([a_vx_dot, 0.0, a_vz_dot]))
 
 
-def tracking_jerk(ref: FlatState, position, velocity, acceleration, gains=(8.0, 12.0, 6.0)):
-    """Cascade feedback jerk: x_c''' = x_r''' + k2*e_dd + k1*e_d + k0*e."""
-    return np.array(_feedback_jerk(*(
-        np.asarray(u, dtype=float).tolist()
-        for u in (ref.position, ref.velocity, ref.acceleration, ref.jerk,
-                  position, velocity, acceleration)), gains))
-
-
-def euler_zyx(R) -> tuple:
-    """Roll, pitch, yaw of a velocity/body frame given in ENU axes.
-
-    The frame is re-expressed in north-east-down axes first, so yaw is a
-    compass heading, pitch is positive nose-up, and roll is positive
-    right-wing-down. The NED rows of R are R[1], R[0] and -R[2].
-    """
-    return _euler(np.asarray(R, dtype=float).ravel().tolist())
-
-
 def command_from_flat(ref: FlatState, position, velocity, acceleration,
                       cfg: ControlConfig, state: CommandState | None = None,
                       dt: float = 0.01, drag_accel: float = 0.0,
@@ -216,10 +209,10 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     """
     rv, ra = ref.velocity.tolist(), ref.acceleration.tolist()
     R, a_vx, a_vz, V, omega_vy, omega_vz = _frame(rv, ra, _G)
-    jerk_c = _feedback_jerk(ref.position.tolist(), rv, ra, ref.jerk.tolist(),
-                            np.asarray(position, dtype=float).tolist(),
-                            np.asarray(velocity, dtype=float).tolist(),
-                            np.asarray(acceleration, dtype=float).tolist(), cfg.gains)
+    jerk_c = tracking_jerk(ref.position.tolist(), rv, ra, ref.jerk.tolist(),
+                           np.asarray(position, dtype=float).tolist(),
+                           np.asarray(velocity, dtype=float).tolist(),
+                           np.asarray(acceleration, dtype=float).tolist(), cfg.gains)
     a_vx_dot, omega_vx, a_vz_dot = _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk_c)
 
     if state is None:
@@ -232,7 +225,7 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     a_T = (a_vx_i + drag_accel) / math.cos(alpha_est)
     a_T = min(max(a_T, 0.0), a_T_max)
 
-    phi, theta_frame, _ = _euler(R)
+    phi, theta_frame, _ = euler_zyx(R)
     phi_c = phi
     clamped = False
     if abs(phi_c) > cfg.phi_limit:
@@ -247,7 +240,7 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
 
 def path_param_inputs(pp: PathParamState, dx_ds, d2x_ds2, d3x_ds3,
                       x_ref, position, velocity, acceleration,
-                      frame: CoordinatedFrame, gains=(8.0, 12.0, 6.0),
+                      frame: CoordinatedFrame, gains=CASCADE_GAINS,
                       a_vx_dot: float = 0.0):
     """Arc-length-parameterized inversion: returns (s_dddot, omega_vx, a_vz_dot).
 

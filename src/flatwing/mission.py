@@ -25,8 +25,8 @@ from .flatness import (
     FlatState,
     FlatnessSingularityError,
     V_EPS,
-    _euler,
     command_from_flat,
+    euler_zyx,
     flat_inputs,
     frame_from_flat,
 )
@@ -36,10 +36,10 @@ from .simulator import (
     AircraftState,
     IntegrationFault,
     WindField,
-    _attitude_rates,
-    _dynamic_accel,
-    _lift_drag,
+    aero_accels,
+    attitude_inner_loop,
     coordinated_trim,
+    dynamic_accel,
     input_accels,
     solve_alpha,
     step,
@@ -511,21 +511,30 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
 
     def make_loiter_span(i: int, t0: float, phase0: float) -> _LoiterSpan:
         loiter = plan.loiters[i]
-        exit_angle = _exit_state(plan, i).angle if i < n_legs else None
+        try:
+            exit_angle = _exit_state(plan, i).angle if i < n_legs else None
+        except ValueError as exc:
+            raise MissionAbort(f"loiter {i} exit tangent failed: {exc}") from exc
         t1 = t0 + loiter_duration(loiter, V, phase0, exit_angle)
         return _LoiterSpan(i, loiter, t0, t1, phase0)
 
     def make_leg_span(i: int, t0: float) -> _LegSpan:
-        entry_st, wps = leg_sequence(plan, i)
-        res = planner.plan(wps, pcfg, t0=t0)
-        if not res.ok:
-            raise MissionAbort(res.status)
-        times = t0 + planner.allocate_times(wps, V)
+        try:
+            entry_st, wps = leg_sequence(plan, i)
+            res = planner.plan(wps, pcfg, t0=t0)
+            if not res.ok:
+                raise MissionAbort(res.status)
+            times = t0 + planner.allocate_times(wps, V)
+        except (MissionAbort, ValueError, FlatnessSingularityError) as exc:
+            raise MissionAbort(f"leg {i} initial plan failed: {exc}") from exc
         return _LegSpan(i, res.trajectory, wps, entry_st.angle, times[:-1],
                         last_qp=res.qp_solution)
 
     # Phase bootstrap: mission starts on the first circle at angle zero.
-    phase: object = make_loiter_span(0, 0.0, 0.0)
+    try:
+        phase: object = make_loiter_span(0, 0.0, 0.0)
+    except MissionAbort as exc:
+        return MissionResult(log, events, {}, True, str(exc))
 
     def reference(t: float) -> FlatState:
         if isinstance(phase, _LoiterSpan):
@@ -555,26 +564,21 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
         t = k * dt
 
         # Advance phases past boundaries that t has crossed.
-        while True:
-            if isinstance(phase, _LoiterSpan):
-                if t < phase.t1 - 1e-9:
+        try:
+            while phase is not None:
+                if isinstance(phase, _LoiterSpan):
+                    if t < phase.t1 - 1e-9:
+                        break
+                    # The end of the final loiter completes the mission.
+                    phase = (make_leg_span(phase.index, phase.t1)
+                             if phase.index < n_legs else None)
+                elif t < phase.traj.t_end - 1e-9:
                     break
-                if phase.index >= n_legs:
-                    # Final loiter finished: mission complete.
-                    phase = None
-                    break
-                try:
-                    phase = make_leg_span(phase.index, phase.t1)
-                except (MissionAbort, ValueError, FlatnessSingularityError) as exc:
-                    aborted = True
-                    abort_reason = f"leg {phase.index} initial plan failed: {exc}"
-                    phase = None
-                    break
-            else:
-                if t < phase.traj.t_end - 1e-9:
-                    break
-                phase = make_loiter_span(phase.index + 1, phase.traj.t_end,
-                                         phase.entry_angle)
+                else:
+                    phase = make_loiter_span(phase.index + 1, phase.traj.t_end,
+                                             phase.entry_angle)
+        except MissionAbort as exc:
+            aborted, abort_reason, phase = True, str(exc), None
         if phase is None:
             break
 
@@ -622,17 +626,17 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                      r20 * b0 + r21 * b1 + r22 * b2]
             # Airspeed and density, hence k_dyn, hold across the tick; only
             # alpha changes between the two lift/drag evaluations.
-            k_dyn = _dynamic_accel(params, st.v.tolist(), w.tolist(), float(st.x[2]))
-            _, a_D = _lift_drag(params, k_dyn, st.alpha)
+            k_dyn = dynamic_accel(params, st.v.tolist(), w, float(st.x[2]))
+            _, a_D = aero_accels(params, k_dyn, st.alpha)
             cmd, cmd_state = command_from_flat(
                 ref, st.x, st.v, a_est, ctrl, cmd_state, dt,
                 drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
             )
             st.alpha = solve_alpha(params, st.V_a, float(st.x[2]), cmd.a_T,
                                    cmd_state.a_vz)
-            euler = _euler(R)
-            omega_v = _attitude_rates(R, euler, st.alpha, st.V_a, cmd, mcfg.tau_att, dt)
-            a_L, a_D = _lift_drag(params, k_dyn, st.alpha)
+            euler = euler_zyx(R)
+            omega_v = attitude_inner_loop(R, euler, st.alpha, st.V_a, cmd, mcfg.tau_att, dt)
+            a_L, a_D = aero_accels(params, k_dyn, st.alpha)
             a_vx_real, a_vz_real = input_accels(cmd.a_T, a_D, a_L, st.alpha)
 
             leg_id = phase.index if isinstance(phase, _LegSpan) else -1

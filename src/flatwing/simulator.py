@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flatness import GRAVITY, V_EPS, CommandedInput, _G, _euler
+from .flatness import GRAVITY, V_EPS, CommandedInput, _G
 
 RHO_SEA_LEVEL = 1.225
 DENSITY_SCALE_HEIGHT = 8500.0
@@ -72,13 +72,14 @@ class WindField:
         self._phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=2).tolist())
 
 
-def wind_at(wind: WindField, t: float) -> np.ndarray:
-    if not wind.gust_amplitude > 0.0:
-        return wind.mean.copy()
+def wind_at(wind: WindField, t: float) -> tuple:
+    """Wind velocity (east, north, up) at time t, as three floats."""
     wx, wy, wz = wind.mean.tolist()
+    if not wind.gust_amplitude > 0.0:
+        return wx, wy, wz
     arg = 2.0 * math.pi * t / wind.gust_period
-    return np.array([wx + wind.gust_amplitude * math.sin(arg + wind._phases[0]),
-                     wy + wind.gust_amplitude * math.sin(arg + wind._phases[1]), wz])
+    return (wx + wind.gust_amplitude * math.sin(arg + wind._phases[0]),
+            wy + wind.gust_amplitude * math.sin(arg + wind._phases[1]), wz)
 
 
 @dataclass
@@ -99,27 +100,24 @@ def air_density(x_z: float) -> float:
     return RHO_SEA_LEVEL * math.exp(-x_z / DENSITY_SCALE_HEIGHT)
 
 
-def aero_accels(state: AircraftState, params: AeroParams, wind_vec=None):
-    """Lift and drag accelerations (a_L, a_D) at the state's angle of attack."""
-    wind = [0.0] * 3 if wind_vec is None else np.asarray(wind_vec, dtype=float).tolist()
-    k_dyn = _dynamic_accel(params, state.v.tolist(), wind, float(state.x[2]))
-    return _lift_drag(params, k_dyn, state.alpha)
-
-
-def _dynamic_accel(params: AeroParams, v, wind, x_z: float) -> float:
-    """rho V_a^2 S / (2 m) for the air-relative velocity v - wind (3-lists).
+def _k_dyn(params: AeroParams, V_a: float, x_z: float) -> float:
+    """rho V_a^2 S / (2 m) at airspeed V_a and altitude x_z.
 
     Lift and drag accelerations are this times the lift and drag
     coefficients; only the coefficients depend on the angle of attack.
     """
-    (vx, vy, vz), (wx, wy, wz) = v, wind
-    vx, vy, vz = vx - wx, vy - wy, vz - wz
-    V_a = math.sqrt(vx * vx + vy * vy + vz * vz)
     return air_density(x_z) * V_a**2 * params.wing_area / (2.0 * params.mass)
 
 
-def _lift_drag(params: AeroParams, k_dyn: float, alpha: float):
-    """(a_L, a_D) from `_dynamic_accel` and the angle of attack."""
+def dynamic_accel(params: AeroParams, v, wind, x_z: float) -> float:
+    """`_k_dyn` for the air-relative velocity v - wind (three floats each)."""
+    (vx, vy, vz), (wx, wy, wz) = v, wind
+    vx, vy, vz = vx - wx, vy - wy, vz - wz
+    return _k_dyn(params, math.sqrt(vx * vx + vy * vy + vz * vz), x_z)
+
+
+def aero_accels(params: AeroParams, k_dyn: float, alpha: float):
+    """Lift and drag accelerations (a_L, a_D) from `dynamic_accel` and alpha."""
     c_l = params.c_l0 + params.c_l_alpha * alpha
     c_d = params.c_d0 + params.k_induced * c_l**2
     return k_dyn * c_l + params.a_l0, k_dyn * c_d
@@ -137,7 +135,7 @@ def solve_alpha(params: AeroParams, V_a: float, x_z: float, a_T: float,
     Solves -a_T*alpha - (k_dyn*(c_l0 + c_l_alpha*alpha) + a_l0) = a_vz_req
     in the small-angle approximation, clamped to +/- ALPHA_LIMIT.
     """
-    k_dyn = air_density(x_z) * V_a**2 * params.wing_area / (2.0 * params.mass)
+    k_dyn = _k_dyn(params, V_a, x_z)
     denom = a_T + k_dyn * params.c_l_alpha
     if abs(denom) < 1e-9:
         return 0.0
@@ -153,11 +151,10 @@ def coordinated_trim(params: AeroParams, V_a: float, a_n_mag: float = 9.81,
     the axis, lift plus the thrust normal component carries the load.
     """
     alpha, a_T = 0.0, 0.0
+    k_dyn = _k_dyn(params, V_a, x_z)
     for _ in range(6):
         alpha = solve_alpha(params, V_a, x_z, a_T, -a_n_mag)
-        k_dyn = air_density(x_z) * V_a**2 * params.wing_area / (2.0 * params.mass)
-        c_l = params.c_l0 + params.c_l_alpha * alpha
-        a_D = k_dyn * (params.c_d0 + params.k_induced * c_l**2)
+        _, a_D = aero_accels(params, k_dyn, alpha)
         a_T = min(max(a_D / math.cos(alpha), 0.0), params.a_T_max)
     return alpha, a_T
 
@@ -245,7 +242,8 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
     The rotation R_dot = R*skew(omega_v) is advanced exactly for the held
     omega_v (`_rotation_step`); x_dot = V_a R e1 + w and
     V_a_dot = a_vx + (R'g)_x are integrated by RK4 along that exact
-    rotation, which keeps the step fourth order. The normal channel a_vz is
+    rotation, which keeps the step fourth order. The wind w is three floats,
+    as `wind_at` returns it. The normal channel a_vz is
     realized through the pitch rate omega_v[1] under the coordinated
     constraint, so it is accepted for bookkeeping but does not enter the
     quadrature directly.
@@ -254,7 +252,7 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
         raise ValueError(f"dt={dt} outside (0, 0.02]")
     if state.V_a <= 1e-9:
         raise ValueError("coordinated model requires positive airspeed")
-    wx, wy, wz = [0.0] * 3 if wind_vec is None else np.asarray(wind_vec, dtype=float).tolist()
+    wx, wy, wz = wind_vec
     gz = _G[2]
 
     R = state.R.ravel().tolist()
@@ -288,20 +286,15 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
                          alpha=state.alpha, V_a=Vn)
 
 
-def attitude_inner_loop(state: AircraftState, cmd: CommandedInput,
-                        tau_att: float = 0.1, dt: float = 0.01) -> np.ndarray:
+def attitude_inner_loop(R, euler, alpha: float, V_a: float, cmd: CommandedInput,
+                        tau_att: float, dt: float) -> tuple:
     """First-order attitude tracking: commanded rates plus error feedback.
 
-    The yaw-axis rate is not commanded; it follows the coordinated-flight
-    constraint at the current state. All rates clamp to +/- RATE_LIMIT.
+    R is the row-major velocity-frame rotation and euler its `euler_zyx`
+    angles. The yaw-axis rate is not commanded; it follows the
+    coordinated-flight constraint at the current state. All rates clamp to
+    +/- RATE_LIMIT.
     """
-    R = state.R.ravel().tolist()
-    return np.array(_attitude_rates(R, _euler(R), state.alpha, state.V_a, cmd, tau_att, dt))
-
-
-def _attitude_rates(R, euler, alpha: float, V_a: float, cmd: CommandedInput,
-                    tau_att: float, dt: float) -> tuple:
-    """attitude_inner_loop on a row-major R given its Euler angles."""
     if tau_att <= 0.0:
         raise ValueError("tau_att must be positive")
     phi, theta_frame, _ = euler

@@ -43,6 +43,7 @@ FD_STEPS = {1: 1e-4, 2: 1e-3, 3: 1e-3}
 
 V = 14.0
 R_LOITER = 45.0
+CALM = (0.0, 0.0, 0.0)
 MISSION_FILE = Path(__file__).resolve().parents[1] / "missions" / "two_loiter_survey.txt"
 PARAMS_FILE = Path(__file__).resolve().parents[1] / "missions" / "breezy_northeast.txt"
 
@@ -221,7 +222,8 @@ def test_commanded_bank_matches_coordinated_turn_identity():
         a_est = st.R @ np.array(
             [vdot, st.V_a * prev_omega[2], -st.V_a * prev_omega[1]]
         )
-        a_L, a_D = sim.aero_accels(st, params)
+        k_dyn = sim.dynamic_accel(params, st.v.tolist(), CALM, float(st.x[2]))
+        _, a_D = sim.aero_accels(params, k_dyn, st.alpha)
         cmd, cmd_state = fl.command_from_flat(
             ref, st.x, st.v, a_est, ctrl, cmd_state, dt,
             drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
@@ -229,14 +231,15 @@ def test_commanded_bank_matches_coordinated_turn_identity():
         st.alpha = sim.solve_alpha(
             params, st.V_a, float(st.x[2]), cmd.a_T, cmd_state.a_vz
         )
-        omega_v = sim.attitude_inner_loop(st, cmd, 0.1, dt)
-        a_L, a_D = sim.aero_accels(st, params)
+        R = st.R.ravel().tolist()
+        omega_v = sim.attitude_inner_loop(R, fl.euler_zyx(R), st.alpha, st.V_a, cmd, 0.1, dt)
+        a_L, a_D = sim.aero_accels(params, k_dyn, st.alpha)
         a_vx, a_vz = sim.input_accels(cmd.a_T, a_D, a_L, st.alpha)
-        st = sim.step(st, omega_v, a_vx, a_vz, None, dt)
+        st = sim.step(st, omega_v, a_vx, a_vz, CALM, dt)
         prev_omega, prev_a_vx = omega_v, a_vx
         if k * dt >= 15.0:
             banks.append(cmd.phi_c)
-            rolls.append(fl.euler_zyx(st.R)[0])
+            rolls.append(fl.euler_zyx(st.R.ravel())[0])
 
     ideal = V**2 / (R_LOITER * 9.81)
     for phi_c in banks:
@@ -361,7 +364,7 @@ def test_integrator_order_and_rotation_drift():
     def endpoint_error(dt, horizon=2.0):
         st = sim.AircraftState(np.zeros(3), np.array([V, 0, 0]), np.eye(3), 0.0, V)
         for _ in range(int(round(horizon / dt))):
-            st = sim.step(st, np.array([0.0, 0.0, wz]), 0.0, -9.81, None, dt)
+            st = sim.step(st, np.array([0.0, 0.0, wz]), 0.0, -9.81, CALM, dt)
         return float(np.abs(st.x - exact_pos(horizon)).max())
 
     ratio = endpoint_error(0.02) / endpoint_error(0.01)

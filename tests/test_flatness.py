@@ -50,7 +50,7 @@ def test_level_turn_normal_acceleration():
     fr = turn_frame()
     assert fr.a_vx == pytest.approx(0.0, abs=1e-12)
     assert fr.a_vz == pytest.approx(-np.hypot(A_CENTRIP, 9.81), abs=1e-9)
-    phi, theta, _ = fl.euler_zyx(fr.R)
+    phi, theta, _ = fl.euler_zyx(fr.R.ravel())
     assert abs(phi) == pytest.approx(np.arctan(A_CENTRIP / 9.81), abs=1e-12)
     assert theta == pytest.approx(0.0, abs=1e-12)
 
@@ -60,7 +60,7 @@ def test_turn_rates_close_the_circle():
     # total constrained rate equals V/r for a level coordinated turn, and the
     # yaw component matches g*sin(phi)/V
     assert np.hypot(fr.omega_vy, fr.omega_vz) == pytest.approx(V / R_TURN, abs=1e-9)
-    phi = abs(fl.euler_zyx(fr.R)[0])
+    phi = abs(fl.euler_zyx(fr.R.ravel())[0])
     assert abs(fr.omega_vz) == pytest.approx(9.81 * np.sin(phi) / V, abs=1e-9)
     period = 2 * np.pi * R_TURN / V
     assert period == pytest.approx(20.2, abs=0.01)
@@ -145,21 +145,23 @@ def test_forward_jerk_and_flat_inputs_are_inverses():
 
 def test_tracking_jerk_zero_error_passthrough():
     ref = circle_flat_state()
-    out = fl.tracking_jerk(ref, ref.position, ref.velocity, ref.acceleration)
+    p, v, a, j = (u.tolist() for u in (ref.position, ref.velocity, ref.acceleration, ref.jerk))
+    out = fl.tracking_jerk(p, v, a, j, p, v, a, fl.CASCADE_GAINS)
     assert np.array_equal(out, ref.jerk)
 
 
 def test_tracking_jerk_position_term():
-    ref = fl.FlatState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    out = fl.tracking_jerk(
-        ref, np.array([-1.0, 0, 0]), np.zeros(3), np.zeros(3), gains=(8.0, 12.0, 6.0)
-    )
+    zero = [0.0, 0.0, 0.0]
+    out = fl.tracking_jerk(zero, zero, zero, zero, [-1.0, 0.0, 0.0], zero, zero,
+                           gains=(8.0, 12.0, 6.0))
     assert np.allclose(out, [8.0, 0, 0])
 
 
 def test_default_gains_place_all_poles_at_minus_two():
-    # s^3 + 6 s^2 + 12 s + 8 = (s + 2)^3
-    assert np.allclose(np.poly([-2.0, -2.0, -2.0]), [1.0, 6.0, 12.0, 8.0])
+    # s^3 + k2 s^2 + k1 s + k0 = (s + 2)^3 = s^3 + 6 s^2 + 12 s + 8
+    k0, k1, k2 = fl.CASCADE_GAINS
+    assert np.allclose(np.poly([-2.0, -2.0, -2.0]), [1.0, k2, k1, k0])
+    assert fl.ControlConfig().gains == fl.CASCADE_GAINS
 
 
 def test_error_dynamics_match_critically_damped_solution():
@@ -189,25 +191,25 @@ def test_euler_heading_convention():
     # level flight east gives compass yaw pi/2, north gives zero; both are
     # wings-level, nose-level attitudes
     east = fl.frame_from_flat(np.array([V, 0.0, 0.0]), np.zeros(3))
-    phi, theta, psi = fl.euler_zyx(east.R)
+    phi, theta, psi = fl.euler_zyx(east.R.ravel())
     assert (phi, theta) == (pytest.approx(0.0, abs=1e-12),) * 2
     assert psi == pytest.approx(np.pi / 2, abs=1e-12)
     north = fl.frame_from_flat(np.array([0.0, V, 0.0]), np.zeros(3))
-    phi, theta, psi = fl.euler_zyx(north.R)
+    phi, theta, psi = fl.euler_zyx(north.R.ravel())
     assert (phi, theta) == (pytest.approx(0.0, abs=1e-12),) * 2
     assert psi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_euler_left_turn_banks_negative():
     # counter-clockwise (left) level turn carries negative roll
-    phi, _, _ = fl.euler_zyx(turn_frame().R)
+    phi, _, _ = fl.euler_zyx(turn_frame().R.ravel())
     assert phi == pytest.approx(-np.arctan(A_CENTRIP / 9.81), abs=1e-12)
 
 
 def test_euler_climb_pitches_up():
     v = np.array([13.0, 0.0, 2.0])
     fr = fl.frame_from_flat(v, np.zeros(3))
-    _, theta, _ = fl.euler_zyx(fr.R)
+    _, theta, _ = fl.euler_zyx(fr.R.ravel())
     assert theta == pytest.approx(np.arctan2(2.0, 13.0), abs=1e-9)
 
 
@@ -230,7 +232,7 @@ def test_scalar_euler_matches_matrix_formula():
                 frames.append(R @ Rotation.from_rotvec([0.0, eps, 0.0]).as_matrix())
     degenerate = 0
     for R in frames:
-        diff = np.subtract(fl.euler_zyx(R), euler_zyx_matrix(R))
+        diff = np.subtract(fl.euler_zyx(R.ravel().tolist()), euler_zyx_matrix(R))
         # Compared modulo 2*pi: where an entry of R is exactly zero the
         # scalar kernel keeps its sign, which the permutation-matrix product
         # lost, so the same roll can come out as -pi instead of +pi.

@@ -496,6 +496,28 @@ def test_mission_aborts_when_loiters_overlap_the_leg():
     assert res.metrics  # computed from the partial log
 
 
+def test_mission_aborts_before_the_first_tick_on_a_waypoint_inside_loiter_0():
+    text = ("version 1\ncruise_speed 14\nloiter 0 0 50 45 ccw 0\nwaypoint 10 5 50\n"
+            "loiter 300 0 50 45 ccw 0\n")
+    res = ms.run_mission(ms.parse_mission(text))
+    assert res.aborted
+    assert res.abort_reason.startswith("loiter 0 ")
+    assert "inside" in res.abort_reason
+    assert res.log.rows == [] and res.metrics == {}
+
+
+def test_mission_aborts_after_a_leg_on_a_waypoint_inside_the_next_loiter():
+    # Leg 0 flies; leg 1's first waypoint lies 11 m from loiter 1's center.
+    text = ("version 1\ncruise_speed 14\nloiter 0 0 60 45 ccw 0\nloiter 185 0 60 45 ccw 0\n"
+            "waypoint 190 10 60\nloiter 400 0 60 45 ccw 0\n")
+    res = ms.run_mission(ms.parse_mission(text))
+    assert res.aborted
+    assert res.abort_reason.startswith("loiter 1 ")
+    assert "inside" in res.abort_reason
+    assert res.log.rows[-1][17] == 0  # the partial log ends on leg 0
+    assert res.metrics
+
+
 def test_mission_flies_on_when_a_replan_raises():
     # With v_eps just below the cruise speed, linearizing about the current
     # reference hits the planar-speed check in many replans. Each becomes a
