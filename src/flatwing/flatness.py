@@ -202,17 +202,17 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
                       alpha_est: float = 0.0, a_T_max: float = math.inf):
     """Full command synthesis: returns (CommandedInput, CommandState).
 
-    The commanded frame is built from the reference flat derivatives, the
-    feedback enters through the commanded jerk, and the axial/normal
-    acceleration channels are integrated (with a slow leak toward the
-    reference trim values) to produce thrust and pitch-rate commands.
+    position, velocity and acceleration are the vehicle's, three floats
+    each, as `tracking_jerk` takes them. The commanded frame is built from
+    the reference flat derivatives, the feedback enters through the
+    commanded jerk, and the axial/normal acceleration channels are
+    integrated (with a slow leak toward the reference trim values) to
+    produce thrust and pitch-rate commands.
     """
     rv, ra = ref.velocity.tolist(), ref.acceleration.tolist()
     R, a_vx, a_vz, V, omega_vy, omega_vz = _frame(rv, ra, _G)
     jerk_c = tracking_jerk(ref.position.tolist(), rv, ra, ref.jerk.tolist(),
-                           np.asarray(position, dtype=float).tolist(),
-                           np.asarray(velocity, dtype=float).tolist(),
-                           np.asarray(acceleration, dtype=float).tolist(), cfg.gains)
+                           position, velocity, acceleration, cfg.gains)
     a_vx_dot, omega_vx, a_vz_dot = _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk_c)
 
     if state is None:

@@ -626,13 +626,14 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                      r20 * b0 + r21 * b1 + r22 * b2]
             # Airspeed and density, hence k_dyn, hold across the tick; only
             # alpha changes between the two lift/drag evaluations.
-            k_dyn = dynamic_accel(params, st.v.tolist(), w, float(st.x[2]))
+            x, v = st.x.tolist(), st.v.tolist()
+            k_dyn = dynamic_accel(params, v, w, x[2])
             _, a_D = aero_accels(params, k_dyn, st.alpha)
             cmd, cmd_state = command_from_flat(
-                ref, st.x, st.v, a_est, ctrl, cmd_state, dt,
+                ref, x, v, a_est, ctrl, cmd_state, dt,
                 drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
             )
-            st.alpha = solve_alpha(params, st.V_a, float(st.x[2]), cmd.a_T,
+            st.alpha = solve_alpha(params, st.V_a, x[2], cmd.a_T,
                                    cmd_state.a_vz)
             euler = euler_zyx(R)
             omega_v = attitude_inner_loop(R, euler, st.alpha, st.V_a, cmd, mcfg.tau_att, dt)

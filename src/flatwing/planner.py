@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import qp
 from .bernstein import (
@@ -210,8 +211,11 @@ class _Shape:
     assemble's rows (derivative bounds with chord rows, then curvature);
     the variable entries of their window blocks, flat positions
     `row_src`, land at `row_dst` of the flat A. Each segment's T'GT block
-    on each axis adds entries `gram_src` to Q at `gram_dst`, and its
-    fixed-entry products `fixed_src` to q at `fixed_dst`.
+    on each axis adds entries `gram_src` to Q at `gram_dst[gram_sum]`, and
+    its fixed-entry products `fixed_src` to q at `fixed_dst`.
+    `row_dst` and `gram_dst` hold each position once, in row-major order,
+    and `row_ptr`, `row_col`, `gram_ptr` and `gram_col` are the CSR row
+    pointers and column indices of those positions.
     """
 
     window: np.ndarray
@@ -227,8 +231,13 @@ class _Shape:
     seg: np.ndarray
     row_src: np.ndarray
     row_dst: np.ndarray
+    row_ptr: np.ndarray
+    row_col: np.ndarray
     gram_src: np.ndarray
+    gram_sum: np.ndarray
     gram_dst: np.ndarray
+    gram_ptr: np.ndarray
+    gram_col: np.ndarray
     fixed_src: np.ndarray
     fixed_dst: np.ndarray
 
@@ -276,20 +285,55 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
 
     at = cols[seg]
     hit = np.nonzero(at >= 0)
+    row_dst = hit[0] * N + at[hit]
+    by_dst = np.argsort(row_dst)
+    row_dst = row_dst[by_dst]
     Gx_at = np.arange(M * (n + 1) ** 2).reshape(M, 1, n + 1, n + 1)
     row, col = cols[..., :, None], cols[..., None, :]
     pair = (row >= 0) & (col >= 0)
+    gram_dst, gram_sum = np.unique((row * N + col)[pair], return_inverse=True)
+    row_ptr, row_col = _csr_pattern(row_dst, seg.size, N)
+    gram_ptr, gram_col = _csr_pattern(gram_dst, N, N)
     shape = _Shape(
         window=window, size=size, start=start, end=end, waypoints=waypoints, cols=cols, n_vars=N,
         bound_blocks=blocks.reshape(-1, 3, n + 1)[keep], bound_order=order[keep],
         bound_of=np.tile(bound_of, M), seg=seg,
-        row_src=np.flatnonzero(at >= 0), row_dst=hit[0] * N + at[hit],
-        gram_src=np.broadcast_to(Gx_at, pair.shape)[pair], gram_dst=(row * N + col)[pair],
+        row_src=np.flatnonzero(at >= 0)[by_dst], row_dst=row_dst, row_ptr=row_ptr,
+        row_col=row_col, gram_src=np.broadcast_to(Gx_at, pair.shape)[pair], gram_sum=gram_sum,
+        gram_dst=gram_dst, gram_ptr=gram_ptr, gram_col=gram_col,
         fixed_src=np.flatnonzero(cols >= 0), fixed_dst=cols[cols >= 0])
     for arr in vars(shape).values():
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return shape
+
+
+def _csr_pattern(dst, n_rows: int, n_cols: int):
+    """CSR row pointers and column indices of the flat positions dst
+    (sorted, each once) in an (n_rows, n_cols) matrix, in the index dtype
+    that scipy.sparse gives a dense matrix of that shape and fill."""
+    idx = np.int32 if max(n_rows, n_cols, dst.size) <= np.iinfo(np.int32).max else np.int64
+    row, col = np.divmod(dst, n_cols)
+    ptr = np.zeros(n_rows + 1, dtype=idx)
+    ptr[1:] = np.cumsum(np.bincount(row, minlength=n_rows))
+    return ptr, col.astype(idx)
+
+
+def _matrix(values, dst, ptr, col, shape, sparse: bool):
+    """The matrix of the given shape with values at the flat positions dst
+    and zeros elsewhere: dense, or CSR with the exact zeros among values
+    dropped, as `sp.csr_array` of the dense matrix stores it. ptr and col
+    are dst's `_csr_pattern`."""
+    if not sparse:
+        out = np.zeros(shape[0] * shape[1])
+        out[dst] = values
+        return out.reshape(shape)
+    zero = values == 0.0
+    if zero.any():
+        gone = np.concatenate(([0], np.cumsum(zero)))
+        keep = ~zero
+        values, col, ptr = values[keep], col[keep], ptr - gone[ptr].astype(ptr.dtype)
+    return sp.csr_array((values, col, ptr), shape=shape)
 
 
 def _coordinates(wps: WaypointSequence, shift, shape: _Shape) -> np.ndarray:
@@ -302,8 +346,9 @@ def _coordinates(wps: WaypointSequence, shift, shape: _Shape) -> np.ndarray:
     return value[shape.window]
 
 
-def _layout(W, T, fixed, shape: _Shape):
-    """Dense QP rows, and their offsets, from per-segment weight blocks.
+def _layout(W, T, fixed, shape: _Shape, sparse: bool):
+    """QP rows, dense or CSR, and their offsets, from per-segment weight
+    blocks.
 
     W holds (R, 3, n+1) blocks, axis by control point: row r weighs the
     control points of segment shape.seg[r]. Through T of that segment the
@@ -313,22 +358,24 @@ def _layout(W, T, fixed, shape: _Shape):
     """
     Wx = W @ T[shape.seg]
     offset = (Wx * fixed[shape.seg]).sum(axis=(1, 2))
-    rows = np.zeros(len(W) * shape.n_vars)
-    rows[shape.row_dst] = Wx.ravel()[shape.row_src]
-    return rows.reshape(len(W), shape.n_vars), offset
+    rows = _matrix(Wx.ravel()[shape.row_src], shape.row_dst, shape.row_ptr, shape.row_col,
+                   (len(W), shape.n_vars), sparse)
+    return rows, offset
 
 
-def _quadratic(G, T, fixed, shape: _Shape):
-    """Q, q and the offset for which the Gram blocks G, summed over segments
-    and axes, give x'Qx + 2q'x + offset. Each segment adds T'GT on each
-    axis: between its variables to Q, and where fixed entries take part to
-    q and the offset."""
+def _quadratic(G, T, fixed, shape: _Shape, sparse: bool):
+    """Q, dense or CSR, q and the offset for which the Gram blocks G, summed
+    over segments and axes, give x'Qx + 2q'x + offset. Each segment adds
+    T'GT on each axis: between its variables to Q, and where fixed entries
+    take part to q and the offset."""
     N = shape.n_vars
     Gx = np.swapaxes(T, 1, 2) @ G @ T
     g = (Gx[:, None] @ fixed[..., None])[..., 0]  # Gx times the fixed entries
-    Q = np.bincount(shape.gram_dst, Gx.ravel()[shape.gram_src], minlength=N * N)
+    # bincount sums each position's entries in the order they come.
+    sums = np.bincount(shape.gram_sum, Gx.ravel()[shape.gram_src], minlength=shape.gram_dst.size)
+    Q = _matrix(sums, shape.gram_dst, shape.gram_ptr, shape.gram_col, (N, N), sparse)
     q = np.bincount(shape.fixed_dst, g.ravel()[shape.fixed_src], minlength=N)
-    return Q.reshape(N, N), q, float(fixed.ravel() @ g.ravel())
+    return Q, q, float(fixed.ravel() @ g.ravel())
 
 
 def build_cost(config: PlannerConfig, durations) -> np.ndarray:
@@ -512,12 +559,14 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     chords = (wps.waypoints[1:] - wps.waypoints[:-1]) / wps.gaps[:, None]
 
     shape = _shape_of(config, durations.size)
+    # Built in the form the solve works on: a large QP never exists dense.
+    sparse = qp.csr_form(shape.seg.size, shape.n_vars)
     T = build_continuity_constraints(config, durations)
     fixed = _coordinates(wps, shift, shape)
-    Q, q, jerk_offset = _quadratic(build_cost(config, durations), T, fixed, shape)
+    Q, q, jerk_offset = _quadratic(build_cost(config, durations), T, fixed, shape, sparse)
     W_db, _, l_db, u_db = build_derivative_bounds(config, durations, chords)
     W_cv, _, l_cv, u_cv = build_curvature_constraints(prev_traj, config, durations, t0)
-    A, offset = _layout(np.concatenate([W_db, W_cv]), T, fixed, shape)
+    A, offset = _layout(np.concatenate([W_db, W_cv]), T, fixed, shape, sparse)
     l = np.concatenate([l_db, l_cv]) - offset
     u = np.concatenate([u_db, u_cv]) - offset
     return (qp.QpProblem(Q, q, A, l, u), durations,

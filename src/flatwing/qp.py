@@ -1,12 +1,16 @@
 """Convex QP solver: ADMM with over-relaxation, equilibration, and polish.
 
 Solves min 1/2 x'Qx + q'x subject to l <= Ax <= u, with equality rows
-encoded as l == u. A solve works on dense Q and A below a size threshold
-and on CSR copies above it, where the planner's large, sparse problems
-fall. The form also picks the KKT factorization: dense Cholesky for dense
-matrices, banded Cholesky for CSR ones. The KKT system is factored up
-front and refactored only when the penalty rebalances, so iterations stay
-cheap, which suits repeated solves at a fixed rate with warm starting.
+encoded as l == u. A problem keeps Q and A in the form it was given, dense
+or scipy-sparse (stored as CSR). A solve works on dense matrices when m*n
+is at most a size threshold and on CSR above it, where the planner's large,
+sparse problems fall; `csr_form` is that rule. The planner builds such
+problems in CSR directly, so a solve reads the stored matrices and copies
+only a matrix given in the other form. The form also picks the KKT
+factorization: dense Cholesky for dense matrices, banded Cholesky for CSR
+ones. The KKT system is factored up front and refactored only when the
+penalty rebalances, so iterations stay cheap, which suits repeated solves
+at a fixed rate with warm starting.
 
 Polish is tried at a residual check whose iterate has converged or whose
 active set, read off the duals, held since the previous check: one KKT
@@ -39,9 +43,17 @@ from scipy.linalg import cho_factor, cholesky_banded
 from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrs, dpotrs
 from scipy.sparse.linalg import splu
 
-# Size m*n of A above which a solve works on CSR copies of Q and A: below
-# it scipy.sparse's per-call cost outweighs what sparsity saves.
-_SPARSE_ABOVE = 200_000
+# Size m*n of A above which a solve works on Q and A in CSR: below it
+# scipy.sparse's per-call cost outweighs what sparsity saves. Planner QPs
+# built in CSR plan about as fast as dense ones at 10 waypoints
+# (m*n = 46,332) and faster from 11 (57,420).
+_SPARSE_ABOVE = 50_000
+
+
+def csr_form(m: int, n: int) -> bool:
+    """Whether a solve works on CSR matrices, rather than dense ones, for a
+    problem with m constraint rows over n variables."""
+    return m * n > _SPARSE_ABOVE
 
 
 class IllPosedProblem(ValueError):
@@ -84,42 +96,67 @@ class QpSettings:
 
 
 class QpProblem:
-    """Immutable dense QP data; Q is symmetrized at construction."""
+    """Immutable QP data; Q is symmetrized at construction.
+
+    Q and A may be dense or scipy-sparse, and each is kept in the form it
+    was given, a sparse one as CSR. The solver reads that stored form. `Q`
+    and `A` are read-only dense arrays; a matrix stored sparse is densified
+    on each access.
+    """
 
     def __init__(self, Q, q, A=None, l=None, u=None):
-        Q = np.asarray(Q, dtype=float)
+        Q = sp.csr_array(Q, dtype=float) if sp.issparse(Q) else np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
         n = Q.shape[0]
-        self.Q = 0.5 * (Q + Q.T)
+        self._Q = 0.5 * (Q + Q.T)
         self.q = np.zeros(n) if q is None else np.asarray(q, dtype=float).reshape(-1)
         if self.q.shape[0] != n:
             raise ValueError(f"q has length {self.q.shape[0]}, expected {n}")
         if A is None:
             A = np.zeros((0, n))
-        self.A = np.asarray(A, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[1] != n:
+        self._A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
+        if self._A.ndim != 2 or self._A.shape[1] != n:
             raise ValueError("A must have shape (m, n)")
-        m = self.A.shape[0]
+        m = self._A.shape[0]
         self.l = np.full(m, -np.inf) if l is None else np.asarray(l, dtype=float).reshape(-1)
         self.u = np.full(m, np.inf) if u is None else np.asarray(u, dtype=float).reshape(-1)
         if self.l.shape[0] != m or self.u.shape[0] != m:
             raise ValueError("bound lengths must match the number of constraint rows")
         if np.any(self.l > self.u):
             raise ValueError("lower bounds exceed upper bounds")
-        for arr in (self.Q, self.q, self.A, self.l, self.u):
+        arrays = [self.q, self.l, self.u]
+        for M in (self._Q, self._A):
+            arrays += [M.data, M.indices, M.indptr] if sp.issparse(M) else [M]
+        for arr in arrays:
             arr.setflags(write=False)
 
     @property
+    def Q(self) -> np.ndarray:
+        return _dense(self._Q)
+
+    @property
+    def A(self) -> np.ndarray:
+        return _dense(self._A)
+
+    @property
     def n(self) -> int:
-        return self.Q.shape[0]
+        return self._Q.shape[0]
 
     @property
     def m(self) -> int:
-        return self.A.shape[0]
+        return self._A.shape[0]
 
     def objective(self, x) -> float:
-        return float(0.5 * x @ self.Q @ x + self.q @ x)
+        return float(0.5 * x @ self._Q @ x + self.q @ x)
+
+
+def _dense(M) -> np.ndarray:
+    """M as a read-only dense array: itself, or a copy of a sparse M."""
+    if sp.issparse(M):
+        M = M.toarray()
+        M.setflags(write=False)
+    return M
 
 
 @dataclass
@@ -140,11 +177,16 @@ def _inf_norm(v) -> float:
 
 
 def _working_form(prob: QpProblem):
-    """Q and A as a solve works on them: the problem's dense arrays, or CSR
-    copies when m*n exceeds `_SPARSE_ABOVE`."""
-    if prob.m * prob.n > _SPARSE_ABOVE:
-        return sp.csr_array(prob.Q), sp.csr_array(prob.A)
-    return prob.Q, prob.A
+    """Q and A as a solve works on them, CSR or dense as `csr_form` says:
+    the stored matrices, or a copy of one stored in the other form."""
+    sparse = csr_form(prob.m, prob.n)
+
+    def form(M):
+        if sp.issparse(M) == sparse:
+            return M
+        return sp.csr_array(M) if sparse else M.toarray()
+
+    return form(prob._Q), form(prob._A)
 
 
 @functools.cache
@@ -253,6 +295,12 @@ def _ruiz_equilibrate(Q, q, A, iters):
     return Q * c, qs * c, A, D, E, c
 
 
+def _diagonal(v, form):
+    """diag(v) as a scipy.sparse array of the given class (CSR or CSC)."""
+    k = np.arange(v.size + 1)
+    return form((v, k[:-1], k), shape=(v.size, v.size))
+
+
 class _KktOperator:
     """Factor K = Q + sigma*I + A' diag(rho) A once; solve cheaply.
 
@@ -267,12 +315,16 @@ class _KktOperator:
         self.banded = sp.issparse(A)
         try:
             if self.banded:
-                K = Q + sigma * sp.eye(n) + A.T @ sp.diags(rho) @ A
-                rows, cols = K.nonzero()
-                bw = int(np.abs(rows - cols).max(initial=0))
-                ab = np.zeros((bw + 1, n))
-                for k in range(bw + 1):
-                    ab[k, : n - k] = K.diagonal(-k)
+                # sigma*I and diag(rho) built directly as the CSR and CSC
+                # arrays that scipy would convert dia matrices to, at less
+                # per-call cost. The band comes from K's stored entries; a
+                # sparse sum stores no explicit zeros.
+                K = Q + _diagonal(np.full(n, sigma), sp.csr_array) \
+                    + A.T @ _diagonal(rho, sp.csc_array) @ A
+                rows, cols = np.repeat(np.arange(n), np.diff(K.indptr)), K.indices
+                ab = np.zeros((int(np.abs(rows - cols).max(initial=0)) + 1, n))
+                low = rows >= cols  # row k of ab is K's k-th subdiagonal
+                ab[rows[low] - cols[low], cols[low]] = K.data[low]
                 self._factor = cholesky_banded(ab, lower=True)
             else:
                 K = Q + (A.T * rho) @ A
@@ -348,8 +400,16 @@ def _polish(prob: QpProblem, Q, A, active):
     # Factor the regularized KKT system once; iterative refinement against
     # the unregularized one reuses the factorization.
     if sp.issparse(A):
-        kkt = sp.bmat([[Q + delta * sp.eye(n), A_act.T], [A_act, -delta * sp.eye(k)]],
-                      format="csc")
+        # [[Q + delta*I, A_act'], [A_act, -delta*I]] from COO triplets: the
+        # CSC conversion sums the diagonal into Q's, as sp.bmat would build
+        # it, without bmat's per-block cost.
+        Qc, Ac = Q.tocoo(), A_act.tocoo()
+        ii = np.arange(n + k)
+        kkt = sp.coo_array(
+            (np.concatenate([Qc.data, Ac.data, Ac.data, np.repeat([delta, -delta], [n, k])]),
+             (np.concatenate([Qc.row, Ac.col, n + Ac.row, ii]),
+              np.concatenate([Qc.col, n + Ac.row, Ac.col, ii]))),
+            shape=(n + k, n + k)).tocsc()
         try:
             factor = splu(kkt).solve
         except RuntimeError:

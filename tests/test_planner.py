@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from flatwing import planner as pl
 from flatwing import qp
@@ -656,6 +657,38 @@ def test_warm_cache_assembles_bit_for_bit_like_a_cold_one(M):
         for name, val in fields.items():
             other = vars(b)[name] if name else b
             assert np.asarray(val).tobytes() == np.asarray(other).tobytes(), name
+
+
+def test_large_plan_is_built_in_csr_equal_to_the_dense_assembly(monkeypatch):
+    # Above the size threshold assemble builds Q and A in CSR directly,
+    # with the bits `sp.csr_array` stores for the dense assembly: exact
+    # zeros, such as the curvature rows' z weights, are dropped, and each
+    # position of Q sums its Gram entries (at most two, from the segments
+    # that share a junction) as the dense bincount does. The solve and the
+    # residuals read those matrices, copying neither.
+    rng = np.random.default_rng(20)
+    pts = np.cumsum(rng.uniform(40.0, 80.0, size=(21, 3)) * [1.0, 1.0, 0.1], axis=0)
+    s, cfg = seq(pts), pl.PlannerConfig()
+    prob, _, _ = pl.assemble(s, cfg)
+    assert qp.csr_form(prob.m, prob.n)
+    with monkeypatch.context() as mp:
+        mp.setattr(qp, "_SPARSE_ABOVE", math.inf)
+        dense, _, _ = pl.assemble(s, cfg)
+    for got, want in ((prob._Q, dense._Q), (prob._A, dense._A)):
+        assert isinstance(want, np.ndarray) and got.format == "csr"
+        want = sp.csr_array(want)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    Q, A = qp._working_form(prob)
+    assert Q is prob._Q and A is prob._A
+    seen = []
+    residuals = qp._residuals
+    monkeypatch.setattr(qp, "_residuals", lambda p, Qw, Aw, *a: seen.append((Qw, Aw))
+                        or residuals(p, Qw, Aw, *a))
+    x, y = np.ones(prob.n), np.ones(prob.m)
+    assert qp.kkt_residuals(prob, x, y) == qp.kkt_residuals(dense, x, y)
+    assert seen[0][0] is prob._Q and seen[0][1] is prob._A
 
 
 # ---------------------------------------------------------------- scaling

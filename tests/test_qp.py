@@ -158,6 +158,41 @@ def test_q_symmetrized_at_construction():
     assert np.array_equal(prob.Q, prob.Q.T)
 
 
+def test_sparse_q_symmetrized_at_construction():
+    # A sparse Q stays sparse, as CSR, with the bits of the dense formula:
+    # an entry that cancels in Q + Q' is not stored, as in `sp.csr_array`
+    # of the dense result. Both views are read-only.
+    rng = np.random.default_rng(3)
+    Q = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.5)
+    Q[1, 2], Q[2, 1] = 0.25, -0.25
+    prob = qp.QpProblem(sp.csc_array(Q), None)
+    assert prob._Q.format == "csr"
+    want = sp.csr_array(qp.QpProblem(Q, None).Q)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(prob._Q, field), getattr(want, field)), field
+    assert np.array_equal(prob.Q, prob.Q.T)
+    with pytest.raises(ValueError):
+        prob._Q.data[0] = 1.0
+    with pytest.raises(ValueError):
+        prob.Q[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
+def test_sparse_input_solves_like_its_dense_twin(monkeypatch, sparse_above):
+    # Each matrix is stored in the form it was given; in either working
+    # form the solve sees the same bits, so it gives the same answer.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+    for seed in range(4):
+        Q, qv, A, lo, hi, _ = random_box_qp(np.random.default_rng(seed))
+        dense = qp.solve_qp(qp.QpProblem(Q, qv, A, lo, hi))
+        assert dense.status == "solved"
+        for twin in (qp.QpProblem(sp.coo_array(Q), qv, sp.csr_array(A), lo, hi),
+                     qp.QpProblem(Q, qv, sp.csr_array(A), lo, hi)):
+            sol = qp.solve_qp(twin)
+            assert sol.status == "solved"
+            assert np.array_equal(sol.x, dense.x), seed
+
+
 def test_non_psd_cost_raises_ill_posed():
     with pytest.raises(qp.IllPosedProblem):
         qp.solve_qp(qp.QpProblem(np.array([[-1.0]]), None))
@@ -381,22 +416,20 @@ def test_residuals_computed_once_per_answer(monkeypatch):
             assert len(calls) == checks + len(polish)
             assert (sol.primal_residual, sol.dual_residual) == qp.kkt_residuals(prob, sol.x, sol.y)
 
-    # Still in the CSR form: the solver works on copies, and nothing
-    # multiplies by the problem's own dense matrices, residuals included.
-    products = []
-
-    class Counted(np.ndarray):
-        def __matmul__(self, other):
-            if self.ndim == 2:
-                products.append(self.shape)
-            return np.asarray(self) @ other
-
-    prob.Q, prob.A = prob.Q.view(Counted), prob.A.view(Counted)
+    # Still in the CSR form, on the problem stored in CSR: the solver works
+    # on the stored matrices, reads neither dense view and multiplies by no
+    # dense matrix, residuals included.
+    prob = qp.QpProblem(sp.csr_array(Q), qv, sp.csr_array(A), lo, hi)
+    forms = []
+    monkeypatch.setattr(qp, "_residuals",
+                        lambda p, Qw, Aw, *a: forms.append((Qw, Aw)) or _residuals(p, Qw, Aw, *a))
+    for view in ("Q", "A"):
+        monkeypatch.setattr(qp.QpProblem, view, property(lambda self: pytest.fail("dense view read")))
     sol = qp.solve_qp(prob, qp.QpSettings(rho=1e-4, adaptive_rho=False))
     # ADMM alone runs out of iterations here (seed 11 of
     # test_polish_stops_admm_once_active_set_settles): the polish stopped it.
     assert sol.polished and sol.iterations <= 100
-    assert products == []
+    assert forms and all(Qw is prob._Q and Aw is prob._A for Qw, Aw in forms)
 
 
 @pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
