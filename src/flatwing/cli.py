@@ -119,7 +119,11 @@ def linear_fit_r2(x, y):
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise msn.MissionFormatError(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if any(s < 2 for s in sizes) or len(sizes) < 2:
         raise msn.MissionFormatError("bench needs at least two sizes, each >= 2")
     results = bench_planner(sizes, seed=args.seed)
@@ -179,7 +183,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (msn.MissionFormatError, FileNotFoundError) as exc:
+    except (msn.MissionFormatError, OSError) as exc:
+        # OSError: a path that is missing, a directory or unreadable.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (msn.MissionAbort, FlatnessSingularityError, ValueError) as exc:

@@ -253,8 +253,9 @@ def parse_mission(text: str) -> MissionPlan:
                 # geodetic origin: checked, not used (coordinates are local)
                 _, _, _ = map(_finite, tok[1:])
             elif key == "loiter":
-                cx, cy, cz, r = map(_finite, tok[1:5])
-                sense, laps = tok[5], int(tok[6])
+                cx, cy, cz, r, sense, laps = tok[1:]
+                cx, cy, cz, r = map(_finite, (cx, cy, cz, r))
+                laps = int(laps)
                 if laps > MAX_LOITER_LAPS:
                     raise MissionFormatError(
                         f"line {i}: loiter laps must be at most {MAX_LOITER_LAPS}"

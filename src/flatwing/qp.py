@@ -1,12 +1,12 @@
 """Convex QP solver: ADMM with over-relaxation, equilibration, and polish.
 
 Solves min 1/2 x'Qx + q'x subject to l <= Ax <= u, with equality rows
-encoded as l == u. A problem keeps Q and A in the form it was given, dense
-or scipy-sparse (stored as CSR). A solve works on dense matrices when m*n
-is at most a size threshold and on CSR above it, where the planner's large,
-sparse problems fall; `csr_form` is that rule. The planner builds such
-problems in CSR directly, so a solve reads the stored matrices and copies
-only a matrix given in the other form. The form also picks the KKT
+encoded as l == u. A problem stores Q and A in the form its solve works
+on: dense when m*n is at most a size threshold, CSR above it, where the
+planner's large, sparse problems fall; `csr_form` is that rule. A matrix
+given in the other form is converted once, at construction, and every
+solver stage reads the stored matrices. The planner builds each problem in
+that form, so nothing it builds is converted. The form also picks the KKT
 factorization: dense Cholesky for dense matrices, banded Cholesky for CSR
 ones. The KKT system is factored up front and refactored only when the
 penalty rebalances, so iterations stay cheap, which suits repeated solves
@@ -62,13 +62,13 @@ class IllPosedProblem(ValueError):
 
 # Fixed ADMM constants: the x-update's proximal weight sigma, the
 # over-relaxation alpha, the Ruiz passes, the tolerance of the
-# infeasibility certificate and the iterations without primal progress
-# before it is tried, and the primal/dual imbalance that rebalances rho.
+# infeasibility certificate and the iteration from which every residual
+# check tries it, and the primal/dual imbalance that rebalances rho.
 _SIGMA = 1e-6
 _ALPHA = 1.6
 _SCALING_ITERS = 10
 _EPS_INFEASIBLE = 1e-4
-_STAGNATION_ITERS = 200
+_CERTIFICATE_FROM_ITER = 200
 _ADAPTIVE_RHO_TOLERANCE = 5.0
 
 
@@ -96,12 +96,13 @@ class QpSettings:
 
 
 class QpProblem:
-    """Immutable QP data; Q is symmetrized at construction.
+    """Immutable QP data, stored in the form its solve works on.
 
-    Q and A may be dense or scipy-sparse, and each is kept in the form it
-    was given, a sparse one as CSR. The solver reads that stored form. `Q`
-    and `A` are read-only dense arrays; a matrix stored sparse is densified
-    on each access.
+    Q and A may be given dense or scipy-sparse. Each is stored as `csr_form`
+    says for the problem's size, dense or CSR; a matrix given in the other
+    form is converted here, once. Q is then symmetrized. The solver reads
+    the stored matrices. `Q` and `A` are read-only dense arrays; a matrix
+    stored as CSR is densified on each access.
     """
 
     def __init__(self, Q, q, A=None, l=None, u=None):
@@ -109,16 +110,17 @@ class QpProblem:
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
         n = Q.shape[0]
-        self._Q = 0.5 * (Q + Q.T)
         self.q = np.zeros(n) if q is None else np.asarray(q, dtype=float).reshape(-1)
         if self.q.shape[0] != n:
             raise ValueError(f"q has length {self.q.shape[0]}, expected {n}")
         if A is None:
             A = np.zeros((0, n))
-        self._A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
-        if self._A.ndim != 2 or self._A.shape[1] != n:
+        A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != n:
             raise ValueError("A must have shape (m, n)")
-        m = self._A.shape[0]
+        m = A.shape[0]
+        Q, self._A = (sp.csr_array(M) if csr_form(m, n) else _dense(M) for M in (Q, A))
+        self._Q = 0.5 * (Q + Q.T)
         self.l = np.full(m, -np.inf) if l is None else np.asarray(l, dtype=float).reshape(-1)
         self.u = np.full(m, np.inf) if u is None else np.asarray(u, dtype=float).reshape(-1)
         if self.l.shape[0] != m or self.u.shape[0] != m:
@@ -176,19 +178,6 @@ def _inf_norm(v) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _working_form(prob: QpProblem):
-    """Q and A as a solve works on them, CSR or dense as `csr_form` says:
-    the stored matrices, or a copy of one stored in the other form."""
-    sparse = csr_form(prob.m, prob.n)
-
-    def form(M):
-        if sp.issparse(M) == sparse:
-            return M
-        return sp.csr_array(M) if sparse else M.toarray()
-
-    return form(prob._Q), form(prob._A)
-
-
 @functools.cache
 def _blas_pools():
     """(get, set) thread-count functions of the OpenBLAS builds that numpy
@@ -227,28 +216,28 @@ def _one_blas_thread():
             put(k)
 
 
-def _residuals(prob: QpProblem, Q, A, x, y):
-    """Primal and dual residuals of the unscaled problem (Q and A in the
-    working form), then the scales their tolerances grow with:
-    max(|Ax|, |clip(Ax)|) and max(|Qx|, |A'y|, |q|)."""
-    ax = A @ x
+def _residuals(prob: QpProblem, x, y):
+    """Primal and dual residuals of the unscaled problem, then the scales
+    their tolerances grow with: max(|Ax|, |clip(Ax)|) and
+    max(|Qx|, |A'y|, |q|)."""
+    ax = prob._A @ x
     ax_c = np.minimum(np.maximum(ax, prob.l), prob.u)  # np.clip, less dispatch
-    qx, aty = Q @ x, A.T @ y
+    qx, aty = prob._Q @ x, prob._A.T @ y
     return (_inf_norm(ax - ax_c), _inf_norm(qx + prob.q + aty),
             max(_inf_norm(ax), _inf_norm(ax_c)),
             max(_inf_norm(qx), _inf_norm(aty), _inf_norm(prob.q)))
 
 
 def kkt_residuals(prob: QpProblem, x, y):
-    """Constraint violation and stationarity, in `solve_qp`'s working form."""
+    """Constraint violation and stationarity, as `solve_qp` computes them."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] != prob.n or y.shape[0] != prob.m:
         raise ValueError("residual arguments have inconsistent dimensions")
-    return _residuals(prob, *_working_form(prob), x, y)[:2]
+    return _residuals(prob, x, y)[:2]
 
 
-# The CSR branches of _abs_max and _scaled work on the stored entries;
+# The CSR branches of _abs_max and _scale work on the stored entries;
 # scipy's abs(M).max(axis) and diags products cost several times more.
 def _abs_max(M, axis) -> np.ndarray:
     """Largest absolute entry along an axis (0.0 for an empty line)."""
@@ -261,21 +250,23 @@ def _abs_max(M, axis) -> np.ndarray:
     return np.abs(M).max(axis=axis, initial=0.0)
 
 
-def _scaled(M, row, col):
-    """diag(row) @ M @ diag(col), in M's own form (dense or CSR)."""
+def _scale(M, row, col):
+    """M <- diag(row) @ M @ diag(col), in place, in M's own form (dense or CSR)."""
     if sp.issparse(M):
-        M = M.copy()
         M.data *= np.repeat(row, np.diff(M.indptr))
         M.data *= col[M.indices]
-        return M
-    return row[:, None] * M * col[None, :]
+    else:
+        M *= row[:, None]
+        M *= col[None, :]
 
 
 def _ruiz_equilibrate(Q, q, A, iters):
     """Modified Ruiz scaling on the stacked KKT matrix plus cost scaling.
 
-    Q and A come dense or CSR, and their scaled versions keep that form.
+    Q and A come dense or CSR; they are copied once, and the scaled copies
+    keep their form.
     """
+    Q, A = Q.copy(), A.copy()
     D = np.ones(Q.shape[0])
     E = np.ones(A.shape[0])
     qs = q.copy()
@@ -284,8 +275,8 @@ def _ruiz_equilibrate(Q, q, A, iters):
         cz = _abs_max(A, 1)
         dx = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(cx, 1e-8)), 1e-4), 1e4)
         dz = np.minimum(np.maximum(1.0 / np.sqrt(np.maximum(cz, 1e-8)), 1e-4), 1e4)
-        Q = _scaled(Q, dx, dx)
-        A = _scaled(A, dz, dx)
+        _scale(Q, dx, dx)
+        _scale(A, dz, dx)
         qs = dx * qs
         D *= dx
         E *= dz
@@ -350,12 +341,12 @@ class _KktOperator:
         return x
 
 
-def _infeasibility_certificate(prob: QpProblem, A, dy, eps) -> bool:
+def _infeasibility_certificate(prob: QpProblem, dy, eps) -> bool:
     nd = _inf_norm(dy)
     if nd < 1e-12:
         return False
     dyn = dy / nd
-    if _inf_norm(A.T @ dyn) > eps:
+    if _inf_norm(prob._A.T @ dyn) > eps:
         return False
     pos = dyn > 1e-12
     neg = dyn < -1e-12
@@ -379,17 +370,16 @@ def _active_set(prob: QpProblem, y, eq):
             (y > tol) & ~eq & np.isfinite(prob.u))
 
 
-def _polish(prob: QpProblem, Q, A, active):
+def _polish(prob: QpProblem, active):
     """Re-solve on the active set for high-accuracy primal/dual values.
 
-    Q and A are the problem's unscaled matrices in the solve's working
-    form; a dense KKT system goes through LAPACK's LU (getrf/getrs), a CSR
-    one through a sparse LU. Returns x, y and the four values of
-    `_residuals` at them, or None when the KKT factorization fails. The
-    result depends on the active set alone, not on the ADMM iterate that
-    suggested it.
+    Works on the problem's unscaled matrices in their stored form; a dense
+    KKT system goes through LAPACK's LU (getrf/getrs), a CSR one through a
+    sparse LU. Returns x, y and the four values of `_residuals` at them, or
+    None when the KKT factorization fails. The result depends on the active
+    set alone, not on the ADMM iterate that suggested it.
     """
-    n = prob.n
+    n, Q, A = prob.n, prob._Q, prob._A
     eq, low, upp = active
     rows = np.concatenate([np.flatnonzero(eq), np.flatnonzero(low), np.flatnonzero(upp)])
     A_act = A[rows]
@@ -437,7 +427,7 @@ def _polish(prob: QpProblem, Q, A, active):
     x_p = sol[:n]
     y_p = np.zeros(prob.m)
     y_p[rows] = sol[n:]
-    return (x_p, y_p, *_residuals(prob, Q, A, x_p, y_p))
+    return (x_p, y_p, *_residuals(prob, x_p, y_p))
 
 
 def _polish_is_optimal(s: QpSettings, active, y, prim, dual, p_scale, d_scale) -> bool:
@@ -467,15 +457,14 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
         raise ValueError(f"warm start has x {np.shape(warm_start.x)} and y "
                          f"{np.shape(warm_start.y)}, expected ({n},) and ({m},)")
 
-    # The working form, dense or CSR, chosen once; every stage below follows
-    # the form it is given. Dense solves run on one BLAS thread.
-    Q, A = _working_form(prob)
-    with nullcontext() if sp.issparse(A) else _one_blas_thread():
-        return _solve(prob, s, Q, A, warm_start, t_begin)
+    # Every stage follows the problem's stored form. Dense solves run on
+    # one BLAS thread.
+    with nullcontext() if sp.issparse(prob._A) else _one_blas_thread():
+        return _solve(prob, s, warm_start, t_begin)
 
 
-def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolution:
-    """The hot start, then ADMM, on Q and A in the working form."""
+def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
+    """The hot start, then ADMM, on the problem's stored matrices."""
     n, m = prob.n, prob.m
     eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-9)
     if warm_start is not None and s.polish:
@@ -487,14 +476,14 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
         # is the optimum, so ADMM, its scaling and its factorization are
         # skipped.
         active = _active_set(prob, warm_start.y, eq)
-        res = _polish(prob, Q, A, active)
+        res = _polish(prob, active)
         if res is not None:
-            ax = A @ res[0]
+            ax = prob._A @ res[0]
             low = (ax < prob.l) & ~eq & ~active[1]
             upp = (ax > prob.u) & ~eq & ~active[2]
             if low.any() or upp.any():
                 active = (eq, active[1] | low, active[2] | upp)
-                res = _polish(prob, Q, A, active)
+                res = _polish(prob, active)
         if res is not None and _polish_is_optimal(s, active, *res[1:]):
             x_p, y_p, prim, dual = res[:4]
             return QpSolution(x=x_p, y=y_p, status="solved", iterations=0,
@@ -502,7 +491,7 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
                               solve_time=time.perf_counter() - t_begin,
                               objective=prob.objective(x_p), polished=True)
 
-    Qs, qs, As, D, E, c = _ruiz_equilibrate(Q, prob.q, A, _SCALING_ITERS)
+    Qs, qs, As, D, E, c = _ruiz_equilibrate(prob._Q, prob.q, prob._A, _SCALING_ITERS)
     At = As.T
     ls = E * prob.l
     us = E * prob.u
@@ -522,8 +511,6 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
     status = "max-iterations"
     it = 0
     y_at_check = y.copy()
-    best_prim = np.inf
-    stagnant = 0
     polished = False
     prev_active = None
     tried = False
@@ -541,7 +528,7 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
             # The unscaled iterate, its residuals and the scales that the
             # tolerances and the penalty balance measure them against.
             x_u, y_u = D * x, (E / c) * y
-            prim, dual, p_scale, d_scale = _residuals(prob, Q, A, x_u, y_u)
+            prim, dual, p_scale, d_scale = _residuals(prob, x_u, y_u)
             converged = (prim <= s.eps_abs + s.eps_rel * p_scale
                          and dual <= s.eps_abs + s.eps_rel * d_scale)
             if s.polish:
@@ -556,7 +543,7 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
                 tried = tried and held
                 if (converged or held) and not tried:
                     tried = True
-                    res = _polish(prob, Q, A, active)
+                    res = _polish(prob, active)
                     polished = res is not None and _polish_is_optimal(s, active, *res[1:])
                     if polished:
                         x_u, y_u, prim, dual = res[:4]
@@ -564,14 +551,9 @@ def _solve(prob: QpProblem, s: QpSettings, Q, A, warm_start, t_begin) -> QpSolut
             if converged or polished:
                 status = "solved"
                 break
-            if prim < best_prim - 1e-12 * max(1.0, best_prim):
-                best_prim = prim
-                stagnant = 0
-            else:
-                stagnant += s.check_every
-            if stagnant >= _STAGNATION_ITERS:
+            if it >= _CERTIFICATE_FROM_ITER:
                 dy = (E / c) * (y - y_at_check)
-                if _infeasibility_certificate(prob, A, dy, _EPS_INFEASIBLE):
+                if _infeasibility_certificate(prob, dy, _EPS_INFEASIBLE):
                     status = "primal-infeasible-detected"
                     break
             y_at_check = y.copy()

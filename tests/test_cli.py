@@ -82,6 +82,16 @@ def test_plan_command_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_directory_for_an_input_file_is_an_unusable_input(mission_file, tmp_path, capsys):
+    # Reading a directory raises IsADirectoryError, not FileNotFoundError.
+    for argv in (["plan", "--mission", str(tmp_path)],
+                 ["simulate", "--mission", str(mission_file), "--params", str(tmp_path)]):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_plan_command_malformed_mission(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("loiter before version\n")
@@ -162,6 +172,11 @@ def test_bench_command_reports_fit(tmp_path, capsys):
 def test_bench_command_rejects_single_size(capsys):
     rc = cli.main(["bench", "--sizes", "8"])
     assert rc == 2
+
+
+def test_bench_command_rejects_a_size_that_is_not_an_integer(capsys):
+    assert cli.main(["bench", "--sizes", "4,x"]) == 2
+    assert capsys.readouterr().err == "error: --sizes must be comma-separated integers, got '4,x'\n"
 
 
 def test_cli_requires_subcommand():

@@ -65,6 +65,8 @@ def test_parse_mission_rejects_bad_lines():
         ms.parse_mission(head + "circle 0 0 60 45\n")
     with pytest.raises(ms.MissionFormatError, match="line 3.*malformed"):
         ms.parse_mission(head + "loiter 0 0 sixty 45 ccw 0\n")
+    with pytest.raises(ms.MissionFormatError, match="line 3.*malformed loiter"):
+        ms.parse_mission(head + "loiter 0 0 60 45 ccw 0 7 junk\nloiter 300 0 60 45 ccw 0\n")
     with pytest.raises(ms.MissionFormatError, match="after the final loiter"):
         ms.parse_mission(
             head + "loiter 0 0 60 45 ccw 0\nloiter 300 0 60 45 ccw 0\nwaypoint 1 2 3\n"

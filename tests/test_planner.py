@@ -664,13 +664,17 @@ def test_large_plan_is_built_in_csr_equal_to_the_dense_assembly(monkeypatch):
     # with the bits `sp.csr_array` stores for the dense assembly: exact
     # zeros, such as the curvature rows' z weights, are dropped, and each
     # position of Q sums its Gram entries (at most two, from the segments
-    # that share a junction) as the dense bincount does. The solve and the
-    # residuals read those matrices, copying neither.
+    # that share a junction) as the dense bincount does. The problem
+    # stores what the planner built, converting nothing.
     rng = np.random.default_rng(20)
     pts = np.cumsum(rng.uniform(40.0, 80.0, size=(21, 3)) * [1.0, 1.0, 0.1], axis=0)
     s, cfg = seq(pts), pl.PlannerConfig()
+    built, matrix = [], pl._matrix
+    monkeypatch.setattr(pl, "_matrix", lambda *a: built.append(matrix(*a)) or built[-1])
     prob, _, _ = pl.assemble(s, cfg)
     assert qp.csr_form(prob.m, prob.n)
+    assert [M.format for M in built] == ["csr", "csr"]
+    assert np.shares_memory(prob._A.data, built[1].data)
     with monkeypatch.context() as mp:
         mp.setattr(qp, "_SPARSE_ABOVE", math.inf)
         dense, _, _ = pl.assemble(s, cfg)
@@ -680,15 +684,8 @@ def test_large_plan_is_built_in_csr_equal_to_the_dense_assembly(monkeypatch):
         for field in ("indptr", "indices", "data"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    Q, A = qp._working_form(prob)
-    assert Q is prob._Q and A is prob._A
-    seen = []
-    residuals = qp._residuals
-    monkeypatch.setattr(qp, "_residuals", lambda p, Qw, Aw, *a: seen.append((Qw, Aw))
-                        or residuals(p, Qw, Aw, *a))
     x, y = np.ones(prob.n), np.ones(prob.m)
     assert qp.kkt_residuals(prob, x, y) == qp.kkt_residuals(dense, x, y)
-    assert seen[0][0] is prob._Q and seen[0][1] is prob._A
 
 
 # ---------------------------------------------------------------- scaling

@@ -140,6 +140,8 @@ def test_infeasible_problem_detected():
     )
     sol = qp.solve_qp(prob)
     assert sol.status == "primal-infeasible-detected"
+    # The certificate is tried at every residual check from iteration 200.
+    assert sol.iterations == 200
 
 
 def test_problem_validation():
@@ -158,28 +160,34 @@ def test_q_symmetrized_at_construction():
     assert np.array_equal(prob.Q, prob.Q.T)
 
 
-def test_sparse_q_symmetrized_at_construction():
-    # A sparse Q stays sparse, as CSR, with the bits of the dense formula:
-    # an entry that cancels in Q + Q' is not stored, as in `sp.csr_array`
-    # of the dense result. Both views are read-only.
+def test_sparse_q_symmetrized_at_construction(monkeypatch):
+    # Q given dense or sparse is stored in the form its solve works on and
+    # symmetrized there, with the bits of the dense formula: in the CSR
+    # form an entry that cancels in Q + Q' is not stored, as in
+    # `sp.csr_array` of the dense result. Both views are read-only.
     rng = np.random.default_rng(3)
     Q = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.5)
     Q[1, 2], Q[2, 1] = 0.25, -0.25
-    prob = qp.QpProblem(sp.csc_array(Q), None)
-    assert prob._Q.format == "csr"
-    want = sp.csr_array(qp.QpProblem(Q, None).Q)
-    for field in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(prob._Q, field), getattr(want, field)), field
-    assert np.array_equal(prob.Q, prob.Q.T)
-    with pytest.raises(ValueError):
-        prob._Q.data[0] = 1.0
-    with pytest.raises(ValueError):
-        prob.Q[0, 0] = 1.0
+    dense = qp.QpProblem(Q, None)._Q
+    assert isinstance(qp.QpProblem(sp.csc_array(Q), None)._Q, np.ndarray)
+    assert np.array_equal(qp.QpProblem(sp.csc_array(Q), None)._Q, dense)
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", -1)
+    want = sp.csr_array(dense)
+    for given in (Q, sp.csc_array(Q)):
+        prob = qp.QpProblem(given, None)
+        assert prob._Q.format == "csr"
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(prob._Q, field), getattr(want, field)), field
+        assert np.array_equal(prob.Q, prob.Q.T)
+        with pytest.raises(ValueError):
+            prob._Q.data[0] = 1.0
+        with pytest.raises(ValueError):
+            prob.Q[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
 def test_sparse_input_solves_like_its_dense_twin(monkeypatch, sparse_above):
-    # Each matrix is stored in the form it was given; in either working
+    # Each matrix is converted to the form its solve works on; in either
     # form the solve sees the same bits, so it gives the same answer.
     monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
     for seed in range(4):
@@ -188,6 +196,7 @@ def test_sparse_input_solves_like_its_dense_twin(monkeypatch, sparse_above):
         assert dense.status == "solved"
         for twin in (qp.QpProblem(sp.coo_array(Q), qv, sp.csr_array(A), lo, hi),
                      qp.QpProblem(Q, qv, sp.csr_array(A), lo, hi)):
+            assert sp.issparse(twin._Q) == sp.issparse(twin._A) == (sparse_above < 0)
             sol = qp.solve_qp(twin)
             assert sol.status == "solved"
             assert np.array_equal(sol.x, dense.x), seed
@@ -230,7 +239,9 @@ def test_banded_structure_agrees_with_oracle(monkeypatch):
     xo, _ = active_set_qp(Q, None, A, lo, hi, x0)
     for sparse_above in (qp._SPARSE_ABOVE, 0):
         monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
-        sol = qp.solve_qp(qp.QpProblem(Q, None, A, lo, hi))
+        prob = qp.QpProblem(Q, None, A, lo, hi)
+        assert sp.issparse(prob._A) == (sparse_above == 0)
+        sol = qp.solve_qp(prob)
         assert sol.status == "solved"
         assert np.abs(sol.x - xo).max() < 1e-6
 
@@ -308,14 +319,10 @@ def test_kkt_solve_rejects_non_finite_right_hand_side(bad):
 
 
 def test_dense_and_csr_forms_give_the_same_answer(monkeypatch):
-    # Each problem is solved in the dense form, as its size selects, and
-    # with the threshold at zero in the CSR form: Ruiz, the KKT factor
-    # (dense Cholesky for the random problems, banded for the planner's)
-    # and the polish all run on CSR matrices.
-    problems = []
-    for seed in range(8):
-        Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
-        problems.append((qp.QpProblem(Q, qv, A, lo, hi), x_feas))
+    # Each problem is built and solved in the dense form, as its size
+    # selects, and with the threshold at zero in the CSR form: Ruiz, the
+    # KKT factor (dense Cholesky for the random problems, banded for the
+    # planner's) and the polish all run on CSR matrices.
     pts = cli.waypoint_field(6)
     d0, d1 = pts[1] - pts[0], pts[-1] - pts[-2]
     wps = pl.WaypointSequence(
@@ -323,14 +330,21 @@ def test_dense_and_csr_forms_give_the_same_answer(monkeypatch):
         pl.BoundaryState(pts[0], 14.0 * d0 / np.linalg.norm(d0), np.zeros(3)),
         pl.BoundaryState(pts[-1], 14.0 * d1 / np.linalg.norm(d1), np.zeros(3)),
     )
-    prob, _, _ = pl.assemble(wps, pl.PlannerConfig())
-    assert prob.m * prob.n <= qp._SPARSE_ABOVE
-    problems.append((prob, None))
-    for prob, x_feas in problems:
-        dense = qp.solve_qp(prob)
-        with monkeypatch.context() as mp:
-            mp.setattr(qp, "_SPARSE_ABOVE", 0)
-            csr = qp.solve_qp(prob)
+
+    def problems():
+        for seed in range(8):
+            Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
+            yield qp.QpProblem(Q, qv, A, lo, hi), x_feas
+        yield pl.assemble(wps, pl.PlannerConfig())[0], None
+
+    dense_problems = list(problems())
+    with monkeypatch.context() as mp:
+        mp.setattr(qp, "_SPARSE_ABOVE", 0)
+        csr_problems = list(problems())
+    # A solve follows the form its problem was stored in.
+    for (prob, x_feas), (twin, _) in zip(dense_problems, csr_problems):
+        assert isinstance(prob._A, np.ndarray) and twin._A.format == "csr"
+        dense, csr = qp.solve_qp(prob), qp.solve_qp(twin)
         assert csr.status == dense.status == "solved"
         assert csr.polished
         assert np.abs(csr.x - dense.x).max() <= 1e-9
@@ -400,13 +414,14 @@ def test_residuals_computed_once_per_answer(monkeypatch):
     monkeypatch.setattr(qp, "_residuals", lambda *a: calls.append(1) or _residuals(*a))
     monkeypatch.setattr(qp, "_polish", lambda *a: polish.append(1) or _polish(*a))
     Q, qv, A, lo, hi, _ = random_box_qp(np.random.default_rng(11))
-    prob = qp.QpProblem(Q, qv, A, lo, hi)
     cases = ((qp.QpSettings(), "solved", True),
              (qp.QpSettings(rho=1e-4, adaptive_rho=False), "solved", True),
              (qp.QpSettings(polish=False), "solved", False),
              (qp.QpSettings(max_iter=30, polish=False), "max-iterations", False))
     for sparse_above in (qp._SPARSE_ABOVE, 0):
         monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+        prob = qp.QpProblem(Q, qv, A, lo, hi)
+        assert sp.issparse(prob._A) == (sparse_above == 0)
         for settings, status, polished in cases:
             calls.clear()
             polish.clear()
@@ -416,20 +431,18 @@ def test_residuals_computed_once_per_answer(monkeypatch):
             assert len(calls) == checks + len(polish)
             assert (sol.primal_residual, sol.dual_residual) == qp.kkt_residuals(prob, sol.x, sol.y)
 
-    # Still in the CSR form, on the problem stored in CSR: the solver works
-    # on the stored matrices, reads neither dense view and multiplies by no
-    # dense matrix, residuals included.
-    prob = qp.QpProblem(sp.csr_array(Q), qv, sp.csr_array(A), lo, hi)
-    forms = []
-    monkeypatch.setattr(qp, "_residuals",
-                        lambda p, Qw, Aw, *a: forms.append((Qw, Aw)) or _residuals(p, Qw, Aw, *a))
+    # Still in the CSR form: every stage reads the stored CSR matrices, so
+    # with neither dense view readable the solve multiplies by no dense
+    # matrix, residuals included.
+    prob = qp.QpProblem(Q, qv, A, lo, hi)
+    assert prob._Q.format == prob._A.format == "csr"
     for view in ("Q", "A"):
         monkeypatch.setattr(qp.QpProblem, view, property(lambda self: pytest.fail("dense view read")))
     sol = qp.solve_qp(prob, qp.QpSettings(rho=1e-4, adaptive_rho=False))
     # ADMM alone runs out of iterations here (seed 11 of
     # test_polish_stops_admm_once_active_set_settles): the polish stopped it.
     assert sol.polished and sol.iterations <= 100
-    assert forms and all(Qw is prob._Q and Aw is prob._A for Qw, Aw in forms)
+    assert (sol.primal_residual, sol.dual_residual) == qp.kkt_residuals(prob, sol.x, sol.y)
 
 
 @pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
@@ -444,6 +457,7 @@ def test_unconstrained_problem_cold_and_warm(monkeypatch, sparse_above):
     M = rng.normal(size=(8, 8))
     Q, qv = M @ M.T + 0.5 * np.eye(8), rng.normal(size=8)
     prob = qp.QpProblem(Q, qv)
+    assert sp.issparse(prob._A) == (sparse_above < 0)
     x_ref = dense_solve(Q, -qv)
     cold = qp.solve_qp(prob)
     warm = qp.solve_qp(prob, warm_start=cold)
@@ -563,6 +577,7 @@ def test_hot_start_keeps_infeasibility_detection():
     cold = qp.solve_qp(prob)
     warm = qp.solve_qp(prob, warm_start=cold)
     assert cold.status == warm.status == "primal-infeasible-detected"
+    assert cold.iterations == 200
     assert warm.iterations > 0 and not warm.polished
 
 
@@ -579,7 +594,7 @@ def test_no_hot_start_without_polish(monkeypatch):
 
 
 def test_mismatched_warm_start_is_rejected_up_front(monkeypatch):
-    monkeypatch.setattr(qp, "_working_form", None)  # no work may start
+    monkeypatch.setattr(qp, "_solve", None)  # no work may start
     prob = qp.QpProblem(np.eye(3), None, np.ones((1, 3)), [0.0], [1.0])
     other = qp.QpSolution(np.zeros(4), np.zeros(1), "solved", 0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match=r"x \(4,\) and y \(1,\), expected \(3,\) and \(1,\)"):
@@ -610,5 +625,7 @@ def test_dense_solves_run_on_one_blas_thread(monkeypatch):
     assert counts == {"numpy": 4, "scipy": 3}
     seen.clear()
     monkeypatch.setattr(qp, "_SPARSE_ABOVE", 0)
+    prob = qp.QpProblem(*random_box_qp(np.random.default_rng(6))[:5])
+    assert sp.issparse(prob._A)
     assert qp.solve_qp(prob).status == "solved"
     assert seen and all(c == {"numpy": 4, "scipy": 3} for c in seen)
