@@ -26,23 +26,29 @@ def _basis(n: int, u):
 
     u is a float, giving a list of floats, or a 1-D array of S samples,
     giving an (S, n+1) array. Both form the powers by repeated
-    multiplication and each term as (C(n,i) u^i) (1-u)^(n-i), so a sample's
-    row equals the float's bit for bit. np.power would not: it rounds
-    differently on some hosts.
+    multiplication, an array by one cumulative product per power, and each
+    term as (C(n,i) u^i) (1-u)^(n-i), so a sample's row equals the float's
+    bit for bit. np.power would not: it rounds differently on some hosts.
     """
-    w = 1.0 - u
-    row = list(_binomials(n))
-    p = 1.0
-    for i in range(1, n + 1):
-        p *= u
-        row[i] *= p
-    p = 1.0
-    for i in range(n - 1, -1, -1):
-        p *= w
-        row[i] *= p
     if isinstance(u, float):
+        w = 1.0 - u
+        row = list(_binomials(n))
+        p = 1.0
+        for i in range(1, n + 1):
+            p *= u
+            row[i] *= p
+        p = 1.0
+        for i in range(n - 1, -1, -1):
+            p *= w
+            row[i] *= p
         return row
-    return np.stack(np.broadcast_arrays(u, *row)[1:], axis=-1)
+    # Running products of (1, u, u, ...) and (1, w, w, ...) are the powers
+    # 0..n, each the product the float branch forms.
+    p = np.ones((2,) + u.shape + (n + 1,))
+    p[0, ..., 1:] = u[..., None]
+    p[1, ..., 1:] = (1.0 - u)[..., None]
+    p = np.cumprod(p, axis=-1)
+    return np.multiply(_binomials(n), p[0]) * p[1, ..., ::-1]
 
 
 def basis_row(n: int, u) -> np.ndarray:
@@ -115,6 +121,16 @@ def elevated_stencil(n: int, k: int) -> np.ndarray:
                     / math.comb(n, i) for l in range(n + 1)]
     E.setflags(write=False)
     return E
+
+
+@functools.cache
+def _derivative_stack(n: int) -> np.ndarray:
+    """n!/(n-k)! elevated_stencil(n, k) for k = 0..3, stacked (4, n+1, n+1)
+    and read-only: a segment of duration d maps its control points through
+    entry k, then 1/d**k, to its k-th derivative's elevated points."""
+    S = np.stack([math.perm(n, k) * elevated_stencil(n, k) for k in range(4)])
+    S.setflags(write=False)
+    return S
 
 
 @dataclass(frozen=True)
@@ -210,11 +226,13 @@ class PiecewiseTrajectory:
             idx = [j for j, s in enumerate(segments) if s.degree == n]
             G = len(idx)
             pts = np.array([segments[j].control_points for j in idx]).reshape(G, n + 1, -1)
-            ops = np.stack([elevated_stencil(n, k) for k in range(4)])
-            scale = np.stack([derivative_scale(n, k, self._spans[2, idx]) for k in range(4)], axis=1)
+            # 1/d**k, k = 0..3, as running products of 1/d
+            scale = np.ones((G, 4))
+            scale[:, 1:] = 1.0 / self._spans[2, idx, None]
+            scale = np.cumprod(scale, axis=1)
             # (G, 4, n+1, d) derivative control points, rearranged to (G, n+1, 4d)
-            tables = (scale[:, :, None, None] * (ops @ pts[:, None])).transpose(0, 2, 1, 3)
-            tables = tables.reshape(G, n + 1, -1)
+            tables = scale[:, :, None, None] * (_derivative_stack(n) @ pts[:, None])
+            tables = tables.transpose(0, 2, 1, 3).reshape(G, n + 1, -1)
             pos = np.full(len(segments), -1)  # each segment's place in the group
             pos[idx] = range(G)
             groups.append((n, pos, tables))

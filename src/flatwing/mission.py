@@ -489,6 +489,21 @@ def leg_sequence(plan: MissionPlan, i: int):
     )
 
 
+def _check_boundaries(wps: WaypointSequence, pcfg: PlannerConfig, i: int) -> None:
+    """Raise MissionAbort if a boundary state of leg i, the tangent state of
+    loiter i or i+1, breaks the planner's componentwise v_max or a_max: its
+    end control points would, so no plan of the leg is feasible."""
+    for j, bnd in ((i, wps.boundary_start), (i + 1, wps.boundary_end)):
+        for what, vec, name, lim, unit in (
+                ("velocity", bnd.velocity, "v_max", pcfg.v_max_vec(), "m/s"),
+                ("acceleration", bnd.acceleration, "a_max", pcfg.a_max_vec(), "m/s²")):
+            over = np.flatnonzero(np.abs(vec) > lim)
+            if over.size:
+                a = over[0]
+                raise MissionAbort(f"loiter {j} tangent {what} {abs(vec[a]):.2f} {unit} "
+                                   f"on {'xyz'[a]} exceeds {name} {lim[a]:g}")
+
+
 def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 wind: WindField | None = None,
                 pcfg: PlannerConfig | None = None,
@@ -522,6 +537,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
     def make_leg_span(i: int, t0: float) -> _LegSpan:
         try:
             entry_st, wps = leg_sequence(plan, i)
+            _check_boundaries(wps, pcfg, i)
             res = planner.plan(wps, pcfg, t0=t0)
             if not res.ok:
                 raise MissionAbort(res.status)

@@ -8,7 +8,9 @@ middle control points (Richter, Bry & Roy, ISRR 2013). A segment's control
 points are a fixed map of its junctions and middle points, and neighbouring
 segments share a junction, so continuity holds by construction. Waypoints
 and the boundary velocity and acceleration are fixed entries, substituted
-out, so the QP has no equality rows. Replanning re-solves from a handoff
+out, so the QP has no equality rows. A segment's blocks depend on its
+duration d only through powers of d, so each shape caches them at unit
+duration and a plan scales them. Replanning re-solves from a handoff
 state a short horizon ahead so the swap is continuous.
 """
 
@@ -186,6 +188,12 @@ class Coordinates:
 # (one per segment count), a bench in one per size.
 _SHAPES_KEPT = 32
 
+# The powers of a segment's duration d that scale its unit blocks lie in
+# -_TOP.._TOP: the jerk Gram scales as d**-5, (d**-3)**2 from the third
+# derivative and d from the integral, and a window entry of derivative
+# order k as d**k, with k at most continuity_order <= (12 - 1) // 2.
+_TOP = 5
+
 
 @dataclass(frozen=True)
 class _Shape:
@@ -201,11 +209,17 @@ class _Shape:
     junction (`waypoints`); the rest become the QP's variables, in the same
     order, and `cols` is -1 at a fixed entry.
 
-    `bound_blocks` holds one segment's derivative-bound weight blocks,
-    unscaled: the velocity and acceleration difference stencils on each
-    axis, less the rows whose bound is infinite; `bound_order` is each
-    row's derivative order. Entry r of `bound_of` picks row r's bound from
-    (v_max, a_max, v_min) over all segments, with their chord rows.
+    The unit blocks are one segment's, at duration 1, in window
+    coordinates, from the public builders: `T` is T(1); `bounds` the
+    derivative-bound rows and then the n chord rows (on every axis, as for
+    a chord of ones) times T(1); `curv`, (2, K, n+1), the curvature
+    samples' velocity and acceleration rows times T(1); `cost`
+    T(1)'G(1)T(1). The derivative maps scale exactly as n!/(n-k)!/d**k, so
+    at duration d each entry is its unit entry times d to a power: the
+    matching entry of `T_pow`, `bound_pow`, `curv_pow` or `cost_pow`, each
+    the shape of its block, is that power's column in `_powers`' table.
+    Entry r of `bound_of` picks row r's bound from (v_max, a_max, v_min)
+    over all segments, with their chord rows.
 
     The rest are scatter indices. `seg` is the segment of each of
     assemble's rows (derivative bounds with chord rows, then curvature);
@@ -225,8 +239,14 @@ class _Shape:
     waypoints: np.ndarray
     cols: np.ndarray
     n_vars: int
-    bound_blocks: np.ndarray
-    bound_order: np.ndarray
+    T: np.ndarray
+    T_pow: np.ndarray
+    bounds: np.ndarray
+    bound_pow: np.ndarray
+    curv: np.ndarray
+    curv_pow: np.ndarray
+    cost: np.ndarray
+    cost_pow: np.ndarray
     bound_of: np.ndarray
     seg: np.ndarray
     row_src: np.ndarray
@@ -242,12 +262,42 @@ class _Shape:
     fixed_dst: np.ndarray
 
 
+def _finite(config: PlannerConfig) -> tuple:
+    """Which of (v_max, a_max) on x, y, z are finite."""
+    return tuple(np.isfinite(np.concatenate([config.v_max_vec(), config.a_max_vec()])).tolist())
+
+
+def _curved(config: PlannerConfig) -> bool:
+    """Whether config bounds curvature, so that plans carry curvature rows."""
+    return math.isfinite(config.kappa_min) or math.isfinite(config.kappa_max)
+
+
 def _shape_of(config: PlannerConfig, M: int) -> _Shape:
     """The `_Shape` of an M-segment plan under config."""
-    finite = np.isfinite(np.concatenate([config.v_max_vec(), config.a_max_vec()]))
-    curved = math.isfinite(config.kappa_min) or math.isfinite(config.kappa_max)
-    return _shape(config.degree, config.continuity_order, M, tuple(finite.tolist()),
-                  curved, config.n_curv_samples)
+    return _shape(config.degree, config.continuity_order, M, _finite(config),
+                  _curved(config), config.n_curv_samples)
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_rows(n: int, finite: tuple):
+    """One segment's derivative-bound rows, read-only: the unscaled weight
+    blocks (R, 3, n+1), the velocity and acceleration difference stencils
+    on each axis less the rows whose bound is infinite; each row's
+    derivative order; and which of (v_max, a_max, v_min) bounds each row,
+    followed by the segment's n chord rows (v_min)."""
+    axis = np.arange(3)[:, None]
+    S = np.concatenate([difference_stencil(n, 1), difference_stencil(n, 2)])
+    blocks = np.zeros((3, 2 * n - 1, 3, n + 1))
+    for a in range(3):
+        blocks[a, :, a] = S
+    order = np.tile(np.repeat([1, 2], [n, n - 1]), 3)
+    bound_of = (axis + np.repeat([0, 3], [n, n - 1])).ravel()
+    keep = np.asarray(finite)[bound_of]
+    rows = (blocks.reshape(-1, 3, n + 1)[keep], order[keep],
+            np.concatenate([bound_of[keep], np.full(n, 6)]))
+    for arr in rows:
+        arr.setflags(write=False)
+    return rows
 
 
 @functools.lru_cache(maxsize=_SHAPES_KEPT)
@@ -269,16 +319,23 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
     cols = var[window]
     N = int(cols.max(initial=-1)) + 1
 
-    # Per axis, n velocity then n-1 acceleration rows, less those whose
-    # bound is infinite; block [a, r] is stencil row r on axis a.
-    S = np.concatenate([difference_stencil(n, 1), difference_stencil(n, 2)])
-    blocks = np.zeros((3, 2 * n - 1, 3, n + 1))
-    for a in range(3):
-        blocks[a, :, a] = S
-    order = np.tile(np.repeat([1, 2], [n, n - 1]), 3)
-    bound_of = (axis + np.repeat([0, 3], [n, n - 1])).ravel()
-    keep = np.asarray(finite)[bound_of]
-    bound_of = np.concatenate([bound_of[keep], np.full(n, 6)])  # 6: v_min
+    # The unit blocks, from the builders at d = 1, which read only the
+    # degree, the order, the samples and which bounds are finite.
+    lim = tuple(1.0 if f else math.inf for f in finite)
+    unit = PlannerConfig(degree=n, continuity_order=c, n_curv_samples=K,
+                         v_max=lim[:3], a_max=lim[3:])
+    T = build_continuity_constraints(unit, [1.0])[0]
+    W, _, _, _ = build_derivative_bounds(unit, [1.0], np.ones((1, 3)))
+    _, w_v, w_a = _curvature_basis(n, K)
+    bounds = W @ T
+    curv = np.stack([derivative_scale(n, 1, 1.0) * w_v, derivative_scale(n, 2, 1.0) * w_a]) @ T
+    cost = T.T @ build_cost(unit, [1.0])[0] @ T
+    # At duration d, T scales window column j by d**k[j], k[j] its
+    # derivative order, and a row of derivative order r scales by d**-r.
+    k = np.concatenate([np.arange(c1), np.zeros(mid, dtype=int), np.arange(c1)])
+    _, order, bound_of = _bound_rows(n, finite)
+    order = np.append(order, np.ones(n, dtype=int))  # the chord rows: velocity
+
     per_seg = bound_of.size
     seg = np.concatenate([np.repeat(np.arange(M), per_seg),
                           np.repeat(np.arange(M), K if curved else 0)])
@@ -296,7 +353,10 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
     gram_ptr, gram_col = _csr_pattern(gram_dst, N, N)
     shape = _Shape(
         window=window, size=size, start=start, end=end, waypoints=waypoints, cols=cols, n_vars=N,
-        bound_blocks=blocks.reshape(-1, 3, n + 1)[keep], bound_order=order[keep],
+        T=T, T_pow=_power_column(np.broadcast_to(k, T.shape)), bounds=bounds,
+        bound_pow=_power_column(np.broadcast_to((k - order[:, None])[:, None], bounds.shape)),
+        curv=curv, curv_pow=_power_column(np.broadcast_to((k - [[1], [2]])[:, None], curv.shape)),
+        cost=cost, cost_pow=_power_column(k[:, None] + k - 5),
         bound_of=np.tile(bound_of, M), seg=seg,
         row_src=np.flatnonzero(at >= 0)[by_dst], row_dst=row_dst, row_ptr=row_ptr,
         row_col=row_col, gram_src=np.broadcast_to(Gx_at, pair.shape)[pair], gram_sum=gram_sum,
@@ -306,6 +366,21 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return shape
+
+
+def _powers(durations) -> np.ndarray:
+    """(M, 2 * _TOP + 2) table of the powers of each duration d, formed by
+    repeated multiplication: d**0, d**-1, ..., d**-_TOP, then d**0, d**1,
+    ..., d**_TOP. `_power_column` gives the column of each power."""
+    p = np.ones((durations.size, 2, _TOP + 1))
+    p[:, 0, 1:] = 1.0 / durations[:, None]
+    p[:, 1, 1:] = durations[:, None]
+    return np.cumprod(p, axis=2).reshape(durations.size, -1)
+
+
+def _power_column(e) -> np.ndarray:
+    """The column of d**e in `_powers`' table, for integer powers e."""
+    return np.where(e < 0, -e, _TOP + 1 + e)
 
 
 def _csr_pattern(dst, n_rows: int, n_cols: int):
@@ -346,30 +421,27 @@ def _coordinates(wps: WaypointSequence, shift, shape: _Shape) -> np.ndarray:
     return value[shape.window]
 
 
-def _layout(W, T, fixed, shape: _Shape, sparse: bool):
-    """QP rows, dense or CSR, and their offsets, from per-segment weight
-    blocks.
+def _layout(Wx, fixed, shape: _Shape, sparse: bool):
+    """QP rows, dense or CSR, and their offsets, from window blocks.
 
-    W holds (R, 3, n+1) blocks, axis by control point: row r weighs the
-    control points of segment shape.seg[r]. Through T of that segment the
-    block weighs the segment's window (laid out as in `Coordinates`); its
+    Wx holds (R, 3, n+1) blocks, axis by window entry: row r weighs the
+    window of segment shape.seg[r] (laid out as in `Coordinates`). Its
     variable entries fill the row's columns and its fixed entries sum to
     the row's offset, which the bounds lose.
     """
-    Wx = W @ T[shape.seg]
     offset = (Wx * fixed[shape.seg]).sum(axis=(1, 2))
     rows = _matrix(Wx.ravel()[shape.row_src], shape.row_dst, shape.row_ptr, shape.row_col,
-                   (len(W), shape.n_vars), sparse)
+                   (len(Wx), shape.n_vars), sparse)
     return rows, offset
 
 
-def _quadratic(G, T, fixed, shape: _Shape, sparse: bool):
-    """Q, dense or CSR, q and the offset for which the Gram blocks G, summed
-    over segments and axes, give x'Qx + 2q'x + offset. Each segment adds
-    T'GT on each axis: between its variables to Q, and where fixed entries
-    take part to q and the offset."""
+def _quadratic(Gx, fixed, shape: _Shape, sparse: bool):
+    """Q, dense or CSR, q and the offset for which the window Gram blocks
+    Gx, (M, n+1, n+1), summed over segments and axes, give
+    x'Qx + 2q'x + offset. Each segment adds Gx on each axis: between its
+    variables to Q, and where fixed entries take part to q and the
+    offset."""
     N = shape.n_vars
-    Gx = np.swapaxes(T, 1, 2) @ G @ T
     g = (Gx[:, None] @ fixed[..., None])[..., 0]  # Gx times the fixed entries
     # bincount sums each position's entries in the order they come.
     sums = np.bincount(shape.gram_sum, Gx.ravel()[shape.gram_src], minlength=shape.gram_dst.size)
@@ -427,24 +499,30 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
     n = config.degree
     durations = np.asarray(durations, dtype=float)
     M = durations.size
-    shape = _shape_of(config, M)
+    blocks, order, bound_of = _bound_rows(n, _finite(config))
+    bound_of = np.tile(bound_of, M)
     # Column k scales order k. One scalar call per segment and order:
     # numpy's power on arrays does not round like its scalar power on every
     # host, and the scales must equal derivative_map's bit for bit.
     scale = np.array([[0.0, derivative_scale(n, 1, d), derivative_scale(n, 2, d)]
                       for d in durations])
-    W = scale[:, shape.bound_order, None, None] * shape.bound_blocks
-    lim = np.concatenate([config.v_max_vec(), config.a_max_vec()])
-    lo = np.append(-lim, config.v_min)[shape.bound_of]
-    hi = np.append(lim, np.inf)[shape.bound_of]
+    W = scale[:, order, None, None] * blocks
+    lo, hi = _limits(config, bound_of)
     if chords is None:
-        keep = shape.bound_of < 6
+        keep = bound_of < 6
         lo, hi = lo[keep], hi[keep]
     else:
         D1 = scale[:, 1, None, None] * difference_stencil(n, 1)
         W_chord = np.asarray(chords, dtype=float)[:, None, :, None] * D1[:, :, None, :]
         W = np.concatenate([W, W_chord], axis=1)
     return W.reshape(-1, 3, n + 1), np.repeat(np.arange(M), W.shape[1]), lo, hi
+
+
+def _limits(config: PlannerConfig, bound_of):
+    """Lower and upper bounds of derivative-bound rows: entry r of bound_of
+    picks row r's from v_max (0-2, by axis), a_max (3-5) or v_min (6)."""
+    lim = np.concatenate([config.v_max_vec(), config.a_max_vec()])
+    return np.append(-lim, config.v_min)[bound_of], np.append(lim, np.inf)[bound_of]
 
 
 def curvature(v_xy, a_xy, v_eps: float = V_EPS):
@@ -505,6 +583,37 @@ def _curvature_basis(n: int, n_samples: int):
     return u, w_v, w_a
 
 
+def _linearization(prev_traj: PiecewiseTrajectory, config: PlannerConfig, durations, t0: float):
+    """Where the curvature rows linearize: the gradient (M, K, 4) of the
+    curvature wrt (vx, vy, ax, ay), and kbar - grad.(vx, vy, ax, ay), (M*K,),
+    at each segment's samples.
+
+    The points come from prev_traj evaluated at the matching absolute times
+    (clamped to its domain), all in one batch.
+    """
+    M, K = durations.size, config.n_curv_samples
+    u = _curvature_basis(config.degree, K)[0]
+    seg_start = np.cumsum(np.concatenate([[t0], durations]))[:-1]
+    t_abs = seg_start[:, None] + u * durations[:, None]
+    t_prev = np.minimum(np.maximum(t_abs, prev_traj.t_start), prev_traj.t_end)
+    vel, acc = prev_traj.velocity_acceleration(t_prev.ravel())
+    kbar, grad = curvature(vel[:, :2], acc[:, :2], config.v_eps)
+    # kbar - grad.(vx, vy, ax, ay), the products summed left to right.
+    va = np.concatenate([vel[:, :2], acc[:, :2]], axis=1)
+    return grad.reshape(M, K, 4), kbar - np.add.accumulate(grad * va, axis=1)[:, -1]
+
+
+def _curvature_rows(grad, W_v, W_a) -> np.ndarray:
+    """Curvature weight blocks, (M*K, 3, n+1), from the gradient (M, K, 4)
+    and each sample's velocity and acceleration rows W_v and W_a,
+    (M, K, n+1). Row (segment m, sample k) touches only the x and y axes:
+    g_vx*W_v + g_ax*W_a and g_vy*W_v + g_ay*W_a."""
+    M, K, width = W_v.shape
+    W = np.zeros((M, K, 3, width))
+    W[:, :, :2] = grad[..., :2, None] * W_v[:, :, None] + grad[..., 2:, None] * W_a[:, :, None]
+    return W.reshape(-1, 3, width)
+
+
 def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerConfig,
                                 durations, t0: float = 0.0):
     """Taylor-linearized curvature rows at collocation times per segment.
@@ -518,27 +627,13 @@ def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerC
     durations = np.asarray(durations, dtype=float)
     M = durations.size
     K = config.n_curv_samples
-    if not (np.isfinite(config.kappa_min) or np.isfinite(config.kappa_max)):
+    if not _curved(config):
         return np.zeros((0, 3, n + 1)), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
-    u, w_v, w_a = _curvature_basis(n, K)
-    seg_start = np.cumsum(np.concatenate([[t0], durations]))[:-1]
-    t_abs = seg_start[:, None] + u * durations[:, None]
-    t_prev = np.minimum(np.maximum(t_abs, prev_traj.t_start), prev_traj.t_end)
-    vel, acc = prev_traj.velocity_acceleration(t_prev.ravel())
-    kbar, grad = curvature(vel[:, :2], acc[:, :2], config.v_eps)
-    # kbar - grad.(vx, vy, ax, ay), the products summed left to right.
-    va = np.concatenate([vel[:, :2], acc[:, :2]], axis=1)
-    c0 = kbar - np.add.accumulate(grad * va, axis=1)[:, -1]
-
-    # Row (segment m, sample k) touches only segment m's x and y points.
-    # Axes x and y: g_vx*W_v + g_ax*W_a and g_vy*W_v + g_ay*W_a.
-    g = grad.reshape(M, K, 4, 1)
-    W_v = derivative_scale(n, 1, durations)[:, None, None] * w_v
-    W_a = derivative_scale(n, 2, durations)[:, None, None] * w_a
-    W = np.zeros((M, K, 3, n + 1))
-    W[:, :, :2] = g[:, :, :2] * W_v[:, :, None] + g[:, :, 2:] * W_a[:, :, None]
-    return (W.reshape(-1, 3, n + 1), np.repeat(np.arange(M), K),
-            config.kappa_min - c0, config.kappa_max - c0)
+    grad, c0 = _linearization(prev_traj, config, durations, t0)
+    _, w_v, w_a = _curvature_basis(n, K)
+    W = _curvature_rows(grad, derivative_scale(n, 1, durations)[:, None, None] * w_v,
+                        derivative_scale(n, 2, durations)[:, None, None] * w_a)
+    return W, np.repeat(np.arange(M), K), config.kappa_min - c0, config.kappa_max - c0
 
 
 def assemble(wps: WaypointSequence, config: PlannerConfig,
@@ -550,26 +645,37 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     turns them into control points. The problem is posed relative to the
     first waypoint, which makes the planner exactly translation-equivariant
     regardless of solver tolerances.
+
+    Every block is the shape's unit-duration block times powers of the
+    segment durations, so no T(d), W @ T or T'GT is formed per plan.
     """
+    n = config.degree
     durations = _durations(wps, config)
     shift = wps.waypoints[0].copy()
-    if prev_traj is None:
-        prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
-
     chords = (wps.waypoints[1:] - wps.waypoints[:-1]) / wps.gaps[:, None]
 
     shape = _shape_of(config, durations.size)
     # Built in the form the solve works on: a large QP never exists dense.
     sparse = qp.csr_form(shape.seg.size, shape.n_vars)
-    T = build_continuity_constraints(config, durations)
     fixed = _coordinates(wps, shift, shape)
-    Q, q, jerk_offset = _quadratic(build_cost(config, durations), T, fixed, shape, sparse)
-    W_db, _, l_db, u_db = build_derivative_bounds(config, durations, chords)
-    W_cv, _, l_cv, u_cv = build_curvature_constraints(prev_traj, config, durations, t0)
-    A, offset = _layout(np.concatenate([W_db, W_cv]), T, fixed, shape, sparse)
-    l = np.concatenate([l_db, l_cv]) - offset
-    u = np.concatenate([u_db, u_cv]) - offset
-    return (qp.QpProblem(Q, q, A, l, u), durations,
+    pw = _powers(durations)
+    Q, q, jerk_offset = _quadratic(shape.cost * pw.take(shape.cost_pow, axis=1),
+                                   fixed, shape, sparse)
+    W = shape.bounds * pw.take(shape.bound_pow, axis=1)
+    W[:, -n:] *= chords[:, None, :, None]  # each segment's chord rows come last
+    W = W.reshape(-1, 3, n + 1)
+    lo, hi = _limits(config, shape.bound_of)
+    if _curved(config):
+        if prev_traj is None:
+            prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
+        grad, c0 = _linearization(prev_traj, config, durations, t0)
+        va = shape.curv * pw.take(shape.curv_pow, axis=1)
+        W = np.concatenate([W, _curvature_rows(grad, va[:, 0], va[:, 1])])
+        lo = np.concatenate([lo, config.kappa_min - c0])
+        hi = np.concatenate([hi, config.kappa_max - c0])
+    A, offset = _layout(W, fixed, shape, sparse)
+    T = shape.T * pw.take(shape.T_pow, axis=1)
+    return (qp.QpProblem(Q, q, A, lo - offset, hi - offset), durations,
             Coordinates(T, shape.cols, fixed, shift, jerk_offset))
 
 
@@ -625,12 +731,13 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
         return PlanResult(trajectory=None, status="rejected")
 
     pos, vel, acc, _ = current.eval(t_h)
-    remaining = [np.asarray(w, dtype=float) for w in np.atleast_2d(wps_remaining)]
-    while remaining and np.linalg.norm(remaining[0] - pos) < max(
-        1.0, 0.5 * config.cruise_speed
-    ) and len(remaining) > 1:
-        remaining.pop(0)
-    if not remaining or np.linalg.norm(remaining[-1] - pos) < 1.0:
+    remaining = np.atleast_2d(np.asarray(wps_remaining, dtype=float))
+    dist = np.linalg.norm(remaining - pos, axis=1)
+    # Drop the leading waypoints within reach, keeping at least the last.
+    near = dist[:-1] < max(1.0, 0.5 * config.cruise_speed)
+    first = near.size if near.all() else int(near.argmin())
+    remaining, dist = remaining[first:], dist[first:]
+    if not dist.size or dist[-1] < 1.0:
         return PlanResult(trajectory=None, status="rejected")
 
     if boundary_end is None:

@@ -103,6 +103,11 @@ class QpProblem:
     form is converted here, once. Q is then symmetrized. The solver reads
     the stored matrices. `Q` and `A` are read-only dense arrays; a matrix
     stored as CSR is densified on each access.
+
+    A, q, l and u are stored as read-only views of the caller's arrays
+    where no conversion was needed (for a CSR A, views of its data,
+    indices and indptr), so the caller's own arrays stay writable; writing
+    to them afterwards changes the problem.
     """
 
     def __init__(self, Q, q, A=None, l=None, u=None):
@@ -119,8 +124,11 @@ class QpProblem:
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError("A must have shape (m, n)")
         m = A.shape[0]
-        Q, self._A = (sp.csr_array(M) if csr_form(m, n) else _dense(M) for M in (Q, A))
+        Q, A = (sp.csr_array(M) if csr_form(m, n) else _dense(M) for M in (Q, A))
         self._Q = 0.5 * (Q + Q.T)
+        # Views, frozen below, so the caller's arrays keep their flags.
+        self._A = (sp.csr_array((A.data.view(), A.indices.view(), A.indptr.view()),
+                                shape=A.shape) if sp.issparse(A) else A.view())
         self.l = np.full(m, -np.inf) if l is None else np.asarray(l, dtype=float).reshape(-1)
         self.u = np.full(m, np.inf) if u is None else np.asarray(u, dtype=float).reshape(-1)
         if self.l.shape[0] != m or self.u.shape[0] != m:

@@ -50,6 +50,15 @@ def test_basis_row_agrees_with_basis_eval(n):
             assert row[i] == pytest.approx(basis_eval(n, i, u), abs=1e-14)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_basis_rows_of_an_array_equal_the_floats_bit_for_bit(n):
+    u = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(n).uniform(0.0, 1.0, 61)])
+    rows = bz.basis_row(n, u)
+    assert rows.shape == (u.size, n + 1)
+    for uk, row in zip(u, rows):
+        assert np.array_equal(row, bz.basis_row(n, float(uk)))
+
+
 @given(
     n=st.integers(min_value=3, max_value=12),
     u=st.floats(min_value=0.0, max_value=1.0),

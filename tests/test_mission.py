@@ -1,6 +1,7 @@
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,6 +497,36 @@ def test_mission_aborts_when_loiters_overlap_the_leg():
     assert "inside" in res.abort_reason
     assert len(res.log.rows) > 0  # partial log survives
     assert res.metrics  # computed from the partial log
+
+
+def test_mission_aborts_on_a_loiter_whose_tangent_breaks_a_max():
+    # 14 m/s on a 25 m circle needs V^2/r = 7.84 m/s^2, above a_max 6, so
+    # leg 0 cannot end on loiter 1's tangent; the check names the loiter,
+    # the axis and the bound before any QP is built.
+    text = "version 1\ncruise_speed 14\nloiter 0 0 50 45 ccw 0\nloiter 300 0 50 25 ccw 0\n"
+    plan = ms.parse_mission(text)
+    entry_st, _ = ms.leg_sequence(plan, 0)
+    assert np.linalg.norm(entry_st.acceleration) == pytest.approx(14.0**2 / 25.0)
+    axis = int(np.flatnonzero(np.abs(entry_st.acceleration) > 6.0)[0])
+    res = ms.run_mission(plan)
+    assert res.aborted
+    assert res.abort_reason == (
+        f"leg 0 initial plan failed: loiter 1 tangent acceleration "
+        f"{abs(entry_st.acceleration[axis]):.2f} m/s² on {'xyz'[axis]} exceeds a_max 6")
+    assert len(res.log.rows) > 0  # loiter 0 flew
+
+
+def test_bundled_survey_tangents_pass_the_boundary_check():
+    from flatwing.planner import PlannerConfig
+
+    survey = Path(__file__).resolve().parents[1] / "missions" / "two_loiter_survey.txt"
+    plan = ms.parse_mission(survey.read_text())
+    pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
+    for i in range(len(plan.legs)):
+        _, wps = ms.leg_sequence(plan, i)
+        for b in (wps.boundary_start, wps.boundary_end):
+            assert np.linalg.norm(b.acceleration) == pytest.approx(14.0**2 / 45.0)
+        ms._check_boundaries(wps, pcfg, i)  # raises on a violation
 
 
 def test_mission_aborts_before_the_first_tick_on_a_waypoint_inside_loiter_0():

@@ -591,6 +591,22 @@ def test_replan_rejects_when_target_reached():
     assert re.status == "rejected"
 
 
+def test_replan_drops_the_waypoints_within_reach_but_not_the_last():
+    s = seq([[0, 0, 0], [60, 0, 0], [120, 0, 0], [180, 0, 0]])
+    first = pl.plan(s, pl.PlannerConfig())
+    # The handoff point lies about 3 m short of the first interior waypoint
+    # (reach: half the cruise speed, 7 m), so the replan starts there and
+    # plans through the other two.
+    t_h = 57.0 / CRUISE
+    re = pl.replan(first.trajectory, t_h - 0.05, 0.05, s.waypoints[1:], pl.PlannerConfig())
+    assert re.ok and len(re.trajectory.segments) == 2
+    # Only the last waypoint is left when the others are within reach.
+    re = pl.replan(first.trajectory, t_h - 0.05, 0.05, [[60.0, 0, 0], [62.0, 0, 0], [180.0, 0, 0]],
+                   pl.PlannerConfig())
+    assert re.ok and len(re.trajectory.segments) == 1
+    assert np.allclose(re.trajectory.eval(re.trajectory.t_end)[0], [180.0, 0, 0])
+
+
 def test_replan_warm_start_converges_faster():
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
     first = pl.plan(s, pl.PlannerConfig())
@@ -686,6 +702,109 @@ def test_large_plan_is_built_in_csr_equal_to_the_dense_assembly(monkeypatch):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
     x, y = np.ones(prob.n), np.ones(prob.m)
     assert qp.kkt_residuals(prob, x, y) == qp.kkt_residuals(dense, x, y)
+
+
+def reference_assembly(wps, cfg, prev, t0):
+    """The planner QP composed from the public builders at the real
+    durations: the derivative-bound and curvature rows times
+    build_continuity_constraints' T, the cost through T'GT, placed by the
+    planner's window layout. Returns Q, q, A, l, u, T and the jerk offset,
+    each with the magnitude of the terms it sums where that is not its
+    largest entry, and the fixed window entries."""
+    d = np.diff(np.concatenate([[0.0], pl.allocate_times(wps, cfg.cruise_speed)]))
+    M, n, c = d.size, cfg.degree, cfg.continuity_order
+    shift = wps.waypoints[0]
+    # The fixed window entries: boundary states at both ends, each interior
+    # waypoint at the junction two segments share.
+    fixed = np.zeros((M, 3, n + 1))
+    for m, col, b in ((0, 0, wps.boundary_start), (M - 1, n - c, wps.boundary_end)):
+        fixed[m, :, col:col + 3] = np.stack([b.position - shift, b.velocity, b.acceleration]).T
+    for m, w in enumerate(wps.waypoints[1:-1], start=1):
+        fixed[m, :, 0] = fixed[m - 1, :, n - c] = w - shift
+    cols = pl._shape_of(cfg, M).cols
+    assert np.all((cols < 0) | (fixed == 0))
+    N = int(cols.max()) + 1
+
+    T = pl.build_continuity_constraints(cfg, d)
+    Gx = np.swapaxes(T, 1, 2) @ pl.build_cost(cfg, d) @ T
+    Q, q, q_terms, jerk, jerk_terms = np.zeros((N, N)), np.zeros(N), np.zeros(N), 0.0, 0.0
+    for m in range(M):
+        for a in range(3):
+            idx, f = cols[m, a], fixed[m, a]
+            var = idx >= 0
+            Q[np.ix_(idx[var], idx[var])] += Gx[m][np.ix_(var, var)]
+            q[idx[var]] += Gx[m][var] @ f
+            q_terms[idx[var]] += np.abs(Gx[m][var]) @ np.abs(f)
+            jerk += f @ Gx[m] @ f
+            jerk_terms += np.abs(f) @ np.abs(Gx[m]) @ np.abs(f)
+
+    chords = np.diff(wps.waypoints, axis=0) / wps.gaps[:, None]
+    W_db, seg_db, l_db, u_db = pl.build_derivative_bounds(cfg, d, chords)
+    W_cv, seg_cv, l_cv, u_cv = pl.build_curvature_constraints(prev, cfg, d, t0)
+    seg = np.concatenate([seg_db, seg_cv])
+    Wx = np.concatenate([W_db, W_cv]) @ T[seg]
+    A, offset, terms = np.zeros((seg.size, N)), np.zeros(seg.size), np.zeros(seg.size)
+    for r, m in enumerate(seg):
+        for a in range(3):
+            var = cols[m, a] >= 0
+            A[r, cols[m, a][var]] += Wx[r, a, var]
+            offset[r] += Wx[r, a] @ fixed[m, a]
+            terms[r] += np.abs(Wx[r, a]) @ np.abs(fixed[m, a])
+    l, u = np.concatenate([l_db, l_cv]), np.concatenate([u_db, u_cv])
+    return {"Q": (0.5 * (Q + Q.T), None), "q": (q, q_terms), "A": (A, None),
+            "l": (l - offset, np.abs(l) + terms), "u": (u - offset, np.abs(u) + terms),
+            "T": (T, None), "jerk_offset": (jerk, jerk_terms), "fixed": fixed}
+
+
+def assert_close(got, want, terms=None):
+    """Equal within 1e-12 of the magnitude of the terms each entry sums,
+    by default the largest finite entry; infinities match."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    if terms is None:
+        terms = np.abs(want[finite]).max(initial=0.0)
+    else:
+        terms = np.broadcast_to(terms, want.shape)[finite]
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * terms)
+
+
+@pytest.mark.parametrize("n, c", [(n, c) for n in range(5, 13) for c in range(2, (n - 1) // 2 + 1)])
+def test_unit_blocks_assemble_like_the_builders_at_the_real_durations(n, c, monkeypatch):
+    # Every block is a cached unit-duration block times powers of the
+    # durations; composed from the public builders at the durations
+    # themselves, the problem and its coordinates must agree.
+    from flatwing.bernstein import BernsteinSegment, PiecewiseTrajectory
+
+    rng = np.random.default_rng(100 * n + c)
+    t0 = 3.1
+    # A planar-moving reference for the curvature linearization.
+    prev = PiecewiseTrajectory([BernsteinSegment(
+        [[0, 0, 0], [90, 40, 5], [180, -30, 0], [270, 20, 10]], t0 - 1.0, t0 + 40.0)])
+    configs = {
+        1: dict(v_max=(25.0, np.inf, 20.0), a_max=6.0),
+        2: dict(v_max=np.inf, a_max=(4.0, np.inf, 3.0), kappa_min=-np.inf, kappa_max=np.inf),
+        5: dict(v_max=25.0, a_max=(np.inf, 6.0, 5.0), kappa_min=-np.inf),
+    }
+    for M, bounds in configs.items():
+        cfg = pl.PlannerConfig(degree=n, continuity_order=c, **bounds)
+        pts = np.cumsum(rng.uniform(20.0, 90.0, (M + 1, 3)) * [1.0, 0.5, 0.1], axis=0)
+        s = pl.WaypointSequence(
+            pts, pl.BoundaryState(pts[0], rng.normal(size=3) * 8, rng.normal(size=3)),
+            pl.BoundaryState(pts[-1], rng.normal(size=3) * 8, rng.normal(size=3)))
+        ref = reference_assembly(s, cfg, prev, t0)
+        for threshold in (math.inf, -1):  # dense, then CSR
+            with monkeypatch.context() as mp:
+                mp.setattr(qp, "_SPARSE_ABOVE", threshold)
+                prob, durations, coords = pl.assemble(s, cfg, prev, t0)
+            assert sp.issparse(prob._A) == (threshold < 0)
+            for name, got in (("Q", prob.Q), ("q", prob.q), ("A", prob.A), ("l", prob.l),
+                              ("u", prob.u), ("T", coords.T), ("jerk_offset", coords.jerk_offset)):
+                assert_close(got, *ref[name])
+            assert np.array_equal(coords.shift, pts[0])
+            assert np.array_equal(coords.fixed, ref["fixed"])
+            assert np.array_equal(coords.cols, pl._shape_of(cfg, M).cols)
 
 
 # ---------------------------------------------------------------- scaling

@@ -160,6 +160,26 @@ def test_q_symmetrized_at_construction():
     assert np.array_equal(prob.Q, prob.Q.T)
 
 
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_problem_leaves_the_callers_arrays_writable(form, monkeypatch):
+    # The problem freezes views of A, q, l and u, not the caller's arrays;
+    # a CSR A is stored as CSR, as given.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", -1 if form == "csr" else 50_000)
+    A = np.array([[1.0, 2.0], [0.0, 3.0]])
+    if form == "csr":
+        A = sp.csr_array(A)
+    q, l, u = np.ones(2), np.zeros(2), np.full(2, 4.0)
+    prob = qp.QpProblem(np.eye(2), q, A, l, u)
+    own = [prob.q, prob.l, prob.u]
+    own += [prob._A.data, prob._A.indices, prob._A.indptr] if form == "csr" else [prob._A]
+    for arr in own:
+        assert not arr.flags.writeable
+    for arr in ([A.data, A.indices, A.indptr] if form == "csr" else [A]) + [q, l, u]:
+        arr[0] = arr[0]
+        assert arr.flags.writeable
+    assert np.array_equal(prob.A, [[1.0, 2.0], [0.0, 3.0]])
+
+
 def test_sparse_q_symmetrized_at_construction(monkeypatch):
     # Q given dense or sparse is stored in the form its solve works on and
     # symmetrized there, with the bits of the dense formula: in the CSR
