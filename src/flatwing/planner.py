@@ -153,11 +153,6 @@ def allocate_times(wps: WaypointSequence, cruise_speed: float) -> np.ndarray:
     return np.cumsum(wps.gaps / cruise_speed)
 
 
-def _durations(wps: WaypointSequence, config: PlannerConfig) -> np.ndarray:
-    times = allocate_times(wps, config.cruise_speed)
-    return np.diff(np.concatenate([[0.0], times]))
-
-
 @dataclass(frozen=True)
 class Coordinates:
     """How a planner QP's variables give control points.
@@ -188,13 +183,6 @@ class Coordinates:
 # (one per segment count), a bench in one per size.
 _SHAPES_KEPT = 32
 
-# The powers of a segment's duration d that scale its unit blocks lie in
-# -_TOP.._TOP: the jerk Gram scales as d**-5, (d**-3)**2 from the third
-# derivative and d from the integral, and a window entry of derivative
-# order k as d**k, with k at most continuity_order <= (12 - 1) // 2.
-_TOP = 5
-
-
 @dataclass(frozen=True)
 class _Shape:
     """What a planner QP's shape fixes, built once per shape, read-only.
@@ -215,9 +203,12 @@ class _Shape:
     a chord of ones) times T(1); `curv`, (2, K, n+1), the curvature
     samples' velocity and acceleration rows times T(1); `cost`
     T(1)'G(1)T(1). The derivative maps scale exactly as n!/(n-k)!/d**k, so
-    at duration d each entry is its unit entry times d to a power: the
-    matching entry of `T_pow`, `bound_pow`, `curv_pow` or `cost_pow`, each
-    the shape of its block, is that power's column in `_powers`' table.
+    at duration d a block is its unit block with window column j times
+    d**k[j], `k` holding each column's derivative order, and each row of
+    derivative order r times d**-r: r is `order` for the bound and chord
+    rows and 1 and 2 for the curvature rows' velocity and acceleration
+    parts. The Gram takes the column factors on both sides and d**-5
+    overall ((d**-3)**2 from the jerk, d from the integral).
     Entry r of `bound_of` picks row r's bound from (v_max, a_max, v_min)
     over all segments, with their chord rows.
 
@@ -240,13 +231,11 @@ class _Shape:
     cols: np.ndarray
     n_vars: int
     T: np.ndarray
-    T_pow: np.ndarray
     bounds: np.ndarray
-    bound_pow: np.ndarray
     curv: np.ndarray
-    curv_pow: np.ndarray
     cost: np.ndarray
-    cost_pow: np.ndarray
+    k: np.ndarray
+    order: np.ndarray
     bound_of: np.ndarray
     seg: np.ndarray
     row_src: np.ndarray
@@ -330,8 +319,6 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
     bounds = W @ T
     curv = np.stack([derivative_scale(n, 1, 1.0) * w_v, derivative_scale(n, 2, 1.0) * w_a]) @ T
     cost = T.T @ build_cost(unit, [1.0])[0] @ T
-    # At duration d, T scales window column j by d**k[j], k[j] its
-    # derivative order, and a row of derivative order r scales by d**-r.
     k = np.concatenate([np.arange(c1), np.zeros(mid, dtype=int), np.arange(c1)])
     _, order, bound_of = _bound_rows(n, finite)
     order = np.append(order, np.ones(n, dtype=int))  # the chord rows: velocity
@@ -353,10 +340,7 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
     gram_ptr, gram_col = _csr_pattern(gram_dst, N, N)
     shape = _Shape(
         window=window, size=size, start=start, end=end, waypoints=waypoints, cols=cols, n_vars=N,
-        T=T, T_pow=_power_column(np.broadcast_to(k, T.shape)), bounds=bounds,
-        bound_pow=_power_column(np.broadcast_to((k - order[:, None])[:, None], bounds.shape)),
-        curv=curv, curv_pow=_power_column(np.broadcast_to((k - [[1], [2]])[:, None], curv.shape)),
-        cost=cost, cost_pow=_power_column(k[:, None] + k - 5),
+        T=T, bounds=bounds, curv=curv, cost=cost, k=k, order=order,
         bound_of=np.tile(bound_of, M), seg=seg,
         row_src=np.flatnonzero(at >= 0)[by_dst], row_dst=row_dst, row_ptr=row_ptr,
         row_col=row_col, gram_src=np.broadcast_to(Gx_at, pair.shape)[pair], gram_sum=gram_sum,
@@ -368,19 +352,12 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
     return shape
 
 
-def _powers(durations) -> np.ndarray:
-    """(M, 2 * _TOP + 2) table of the powers of each duration d, formed by
-    repeated multiplication: d**0, d**-1, ..., d**-_TOP, then d**0, d**1,
-    ..., d**_TOP. `_power_column` gives the column of each power."""
-    p = np.ones((durations.size, 2, _TOP + 1))
-    p[:, 0, 1:] = 1.0 / durations[:, None]
-    p[:, 1, 1:] = durations[:, None]
-    return np.cumprod(p, axis=2).reshape(durations.size, -1)
-
-
-def _power_column(e) -> np.ndarray:
-    """The column of d**e in `_powers`' table, for integer powers e."""
-    return np.where(e < 0, -e, _TOP + 1 + e)
+def _powers(x) -> np.ndarray:
+    """(M, 6) running products x**0, ..., x**5 of each entry of x: the
+    powers a unit block's scaling reads, the Gram's d**-5 the highest."""
+    p = np.ones((x.size, 6))
+    p[:, 1:] = x[:, None]
+    return np.cumprod(p, axis=1)
 
 
 def _csr_pattern(dst, n_rows: int, n_cols: int):
@@ -646,11 +623,12 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     first waypoint, which makes the planner exactly translation-equivariant
     regardless of solver tolerances.
 
-    Every block is the shape's unit-duration block times powers of the
-    segment durations, so no T(d), W @ T or T'GT is formed per plan.
+    Every block is the shape's unit-duration block with its rows and
+    columns scaled by powers of the segment durations, so no T(d), W @ T
+    or T'GT is formed per plan.
     """
     n = config.degree
-    durations = _durations(wps, config)
+    durations = wps.gaps / config.cruise_speed
     shift = wps.waypoints[0].copy()
     chords = (wps.waypoints[1:] - wps.waypoints[:-1]) / wps.gaps[:, None]
 
@@ -658,10 +636,11 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     # Built in the form the solve works on: a large QP never exists dense.
     sparse = qp.csr_form(shape.seg.size, shape.n_vars)
     fixed = _coordinates(wps, shift, shape)
-    pw = _powers(durations)
-    Q, q, jerk_offset = _quadratic(shape.cost * pw.take(shape.cost_pow, axis=1),
-                                   fixed, shape, sparse)
-    W = shape.bounds * pw.take(shape.bound_pow, axis=1)
+    up, down = _powers(durations), _powers(1.0 / durations)
+    col = up[:, shape.k]  # window column j of segment m scales by d_m**k[j]
+    Q, q, jerk_offset = _quadratic(shape.cost * down[:, 5, None, None] * col[:, :, None]
+                                   * col[:, None, :], fixed, shape, sparse)
+    W = shape.bounds * (down[:, shape.order, None, None] * col[:, None, None, :])
     W[:, -n:] *= chords[:, None, :, None]  # each segment's chord rows come last
     W = W.reshape(-1, 3, n + 1)
     lo, hi = _limits(config, shape.bound_of)
@@ -669,12 +648,12 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
         if prev_traj is None:
             prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
         grad, c0 = _linearization(prev_traj, config, durations, t0)
-        va = shape.curv * pw.take(shape.curv_pow, axis=1)
+        va = shape.curv * (down[:, 1:3, None, None] * col[:, None, None, :])
         W = np.concatenate([W, _curvature_rows(grad, va[:, 0], va[:, 1])])
         lo = np.concatenate([lo, config.kappa_min - c0])
         hi = np.concatenate([hi, config.kappa_max - c0])
     A, offset = _layout(W, fixed, shape, sparse)
-    T = shape.T * pw.take(shape.T_pow, axis=1)
+    T = shape.T * col[:, None, :]
     return (qp.QpProblem(Q, q, A, lo - offset, hi - offset), durations,
             Coordinates(T, shape.cols, fixed, shift, jerk_offset))
 

@@ -179,6 +179,18 @@ def test_bench_command_rejects_a_size_that_is_not_an_integer(capsys):
     assert capsys.readouterr().err == "error: --sizes must be comma-separated integers, got '4,x'\n"
 
 
+def test_bench_command_rejects_a_negative_seed(capsys):
+    assert cli.main(["bench", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_bench_command_rejects_a_size_above_the_cap(capsys):
+    # 10**11 waypoints: were it not rejected, numpy would refuse the array.
+    assert cli.main(["bench", "--sizes", "4,100000000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --sizes must be at most {cli.MAX_BENCH_WAYPOINTS} waypoints, got 100000000000\n")
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -825,3 +825,33 @@ def test_stacked_problem_dimensions():
     res = pl.plan(s, cfg)
     assert res.n_vars == prob.n
     assert res.n_constraints == prob.m
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5, 3.0])
+def test_planner_is_equivariant_under_time_scaling(s):
+    # Flying the same path s times slower divides every velocity by s and
+    # every acceleration by s**2: the durations grow by s, the control
+    # points stay and the squared-jerk integral shrinks by s**-5. The
+    # velocity and acceleration bounds are off, since they do not scale
+    # with s. So are the curvature rows: with them the solve can stop at
+    # an unpolished iterate, within a tolerance set by the m/s rows, which
+    # do scale with s. v_min = 1e-3 keeps the chord rows but leaves them
+    # inactive.
+    pts = np.array([[0, 0, 50], [80, 30, 52], [160, -10, 50], [240, 40, 55]], dtype=float)
+    v0, a0 = np.array([14.0, 3.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    v1, a1 = np.array([12.0, 6.0, 0.5]), np.array([0.3, -0.5, 0.0])
+
+    def plan_at(scale):
+        cfg = pl.PlannerConfig(cruise_speed=CRUISE / scale, v_max=np.inf, a_max=np.inf,
+                               v_min=1e-3, kappa_min=-np.inf, kappa_max=np.inf)
+        wps = pl.WaypointSequence(pts, pl.BoundaryState(pts[0], v0 / scale, a0 / scale**2),
+                                  pl.BoundaryState(pts[-1], v1 / scale, a1 / scale**2))
+        res = pl.plan(wps, cfg)
+        assert res.status == "solved"
+        return res
+
+    base, slow = plan_at(1.0), plan_at(s)
+    for a, b in zip(base.trajectory.segments, slow.trajectory.segments):
+        assert np.abs(b.control_points - a.control_points).max() <= 1e-12
+    assert slow.objective == pytest.approx(base.objective * s**-5, rel=1e-12)
+    assert slow.trajectory.t_end == pytest.approx(s * base.trajectory.t_end, rel=1e-14)
