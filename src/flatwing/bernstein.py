@@ -91,16 +91,6 @@ def derivative_scale(n: int, k: int, duration: float) -> float:
     return s / duration**k
 
 
-def derivative_map(n: int, k: int, duration: float) -> np.ndarray:
-    """Map from control points to k-th-derivative control points, (n+1-k, n+1).
-
-    The difference stencil scaled by n!/(n-k)!/duration**k.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return derivative_scale(n, k, duration) * difference_stencil(n, k)
-
-
 @functools.cache
 def elevated_stencil(n: int, k: int) -> np.ndarray:
     """Difference stencil raised back to degree n, E(n-k -> n) @ S_k, (n+1, n+1).
@@ -166,28 +156,12 @@ class BernsteinSegment:
         return self.tf - self.t0
 
 
-def eval_segment(seg: BernsteinSegment, t: float):
-    """Basis row times control points at time t within [t0, tf]; no extrapolation."""
-    slack = 1e-9 * max(1.0, seg.duration)
-    if not seg.t0 - slack <= t <= seg.tf + slack:
-        raise DomainError(f"t={t} outside segment domain [{seg.t0}, {seg.tf}]")
-    u = float((min(max(t, seg.t0), seg.tf) - seg.t0) / seg.duration)
-    return np.array(_basis(seg.degree, u)) @ seg.control_points
-
-
-def derivative_segment(seg: BernsteinSegment, k: int) -> BernsteinSegment:
-    """Segment of degree n-k whose evaluation is the k-th time derivative."""
-    n = seg.degree
-    if k > n:
-        raise ValueError(f"derivative order {k} exceeds segment degree {n}")
-    if k == 0:
-        return seg
-    return BernsteinSegment(derivative_map(n, k, seg.duration) @ seg.control_points,
-                            seg.t0, seg.tf)
-
-
 def _check_junction(a: BernsteinSegment, b: BernsteinSegment) -> None:
-    """Raise ValueError unless segment b starts where and when a ends."""
+    """Raise ValueError unless segment b, of a's degree, starts where and
+    when a ends."""
+    if a.degree != b.degree:
+        raise ValueError(f"segment degrees differ at junction t={b.t0}: "
+                         f"{a.degree} vs {b.degree}")
     if abs(a.tf - b.t0) > 1e-9:
         raise ValueError(f"segment times disagree at junction: {a.tf} vs {b.t0}")
     gap = np.linalg.norm(np.atleast_1d(a.control_points[-1] - b.control_points[0]))
@@ -196,7 +170,8 @@ def _check_junction(a: BernsteinSegment, b: BernsteinSegment) -> None:
 
 
 class PiecewiseTrajectory:
-    """M stacked segments with matching junction times, queryable to jerk.
+    """M stacked segments of one degree with matching junction times,
+    queryable to jerk.
 
     Immutable after construction; a query exactly at a junction time
     evaluates the later segment.
@@ -210,6 +185,8 @@ class PiecewiseTrajectory:
         self.segments = tuple(segments)
         self._t_interior = [s.tf for s in segments[:-1]]
         self._spans = np.array([(s.t0, s.tf, s.duration) for s in segments]).T
+        M, n = len(segments), segments[0].degree
+        pts = np.array([s.control_points for s in segments]).reshape(M, n + 1, -1)
         # Where position, velocity, acceleration and jerk sit in a table row.
         if segments[0].control_points.ndim == 1:
             self._parts = (0, 1, 2, 3)
@@ -219,28 +196,17 @@ class PiecewiseTrajectory:
         # Per segment, one (n+1, 4d) table: the control points of position,
         # velocity, acceleration and jerk, each derivative degree-elevated
         # back to degree n (zero above the degree), so one degree-n basis
-        # row times the table evaluates all four. Built per degree in one
-        # batched product; velocity_acceleration gathers from the groups.
-        pieces, groups = [None] * len(segments), []
-        for n in sorted({s.degree for s in segments}):
-            idx = [j for j, s in enumerate(segments) if s.degree == n]
-            G = len(idx)
-            pts = np.array([segments[j].control_points for j in idx]).reshape(G, n + 1, -1)
-            # 1/d**k, k = 0..3, as running products of 1/d
-            scale = np.ones((G, 4))
-            scale[:, 1:] = 1.0 / self._spans[2, idx, None]
-            scale = np.cumprod(scale, axis=1)
-            # (G, 4, n+1, d) derivative control points, rearranged to (G, n+1, 4d)
-            tables = scale[:, :, None, None] * (_derivative_stack(n) @ pts[:, None])
-            tables = tables.transpose(0, 2, 1, 3).reshape(G, n + 1, -1)
-            pos = np.full(len(segments), -1)  # each segment's place in the group
-            pos[idx] = range(G)
-            groups.append((n, pos, tables))
-            for j, table in zip(idx, tables):
-                seg = segments[j]
-                pieces[j] = (seg.t0, seg.tf, seg.duration, n, table)
-        self._pieces = tuple(pieces)
-        self._groups = tuple(groups)
+        # row times the table evaluates all four. 1/d**k, k = 0..3, are
+        # running products of 1/d.
+        scale = np.ones((M, 4))
+        scale[:, 1:] = 1.0 / self._spans[2, :, None]
+        scale = np.cumprod(scale, axis=1)
+        # (M, 4, n+1, d) derivative control points, rearranged to (M, n+1, 4d)
+        tables = scale[:, :, None, None] * (_derivative_stack(n) @ pts[:, None])
+        self._n = n
+        self._tables = tables.transpose(0, 2, 1, 3).reshape(M, n + 1, -1)
+        self._pieces = tuple((s.t0, s.tf, s.duration, table)
+                             for s, table in zip(segments, self._tables))
 
     @property
     def t_start(self) -> float:
@@ -264,8 +230,8 @@ class PiecewiseTrajectory:
 
         Picks segments and clamps u exactly as `eval` does, then stacks each
         sample's basis row and table into one (S,1,n+1) @ (S,n+1,4d)
-        product per degree: per sample the same product as `eval`'s, so each
-        row equals `eval`'s bit for bit.
+        product: per sample the same product as `eval`'s, so each row
+        equals `eval`'s bit for bit.
         """
         ts = np.asarray(ts, dtype=float)
         outside = ~((ts >= self.t_start - 1e-9) & (ts <= self.t_end + 1e-9))
@@ -275,11 +241,7 @@ class PiecewiseTrajectory:
         seg = np.searchsorted(self._t_interior, ts, side="right")
         t0, tf, dur = self._spans[:, seg]
         u = (np.minimum(np.maximum(ts, t0), tf) - t0) / dur
-        out = np.empty((ts.size, self._groups[0][2].shape[2]))
-        for n, pos, tables in self._groups:
-            at = pos[seg]
-            sel = at >= 0
-            out[sel] = (_basis(n, u[sel])[:, None] @ tables[at[sel]])[:, 0]
+        out = (_basis(self._n, u)[:, None] @ self._tables[seg])[:, 0]
         _, vel, acc, _ = self._parts
         return out[:, vel], out[:, acc]
 
@@ -288,9 +250,9 @@ class PiecewiseTrajectory:
 
         The degree-n basis row at t times the segment's table.
         """
-        t0, tf, dur, n, table = self._pieces[self.segment_index(t)]
+        t0, tf, dur, table = self._pieces[self.segment_index(t)]
         u = float((min(max(t, t0), tf) - t0) / dur)
-        out = np.array(_basis(n, u)) @ table
+        out = np.array(_basis(self._n, u)) @ table
         p, v, a, j = self._parts
         return out[p], out[v], out[a], out[j]
 
@@ -319,23 +281,6 @@ def _gram_parts(n: int):
     for arr in parts:
         arr.setflags(write=False)
     return parts
-
-
-def arc_length(traj, n_samples: int = 128) -> float:
-    """Chordal arc length from n_samples+1 evaluations per segment.
-
-    Accepts a single segment or a piecewise trajectory. Monotone
-    non-decreasing under dyadic refinement of n_samples and convergent
-    to the true integral of the speed.
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    if isinstance(traj, PiecewiseTrajectory):
-        return sum(arc_length(seg, n_samples) for seg in traj.segments)
-    seg = traj
-    u = (np.linspace(seg.t0, seg.tf, n_samples + 1) - seg.t0) / seg.duration
-    pts = _basis(seg.degree, u) @ seg.control_points.reshape(seg.degree + 1, -1)
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
 
 def write_trajectory(traj: PiecewiseTrajectory, f) -> None:

@@ -47,6 +47,7 @@ def _cmd_plan(args) -> int:
         raise msn.MissionFormatError("mission has no transit leg to plan")
     _, wps = msn.leg_sequence(plan, 0)
     pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
+    msn.check_boundaries(wps, pcfg, 0)  # names the bound a tangent breaks
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_qp:

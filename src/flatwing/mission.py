@@ -489,7 +489,7 @@ def leg_sequence(plan: MissionPlan, i: int):
     )
 
 
-def _check_boundaries(wps: WaypointSequence, pcfg: PlannerConfig, i: int) -> None:
+def check_boundaries(wps: WaypointSequence, pcfg: PlannerConfig, i: int) -> None:
     """Raise MissionAbort if a boundary state of leg i, the tangent state of
     loiter i or i+1, breaks the planner's componentwise v_max or a_max: its
     end control points would, so no plan of the leg is feasible."""
@@ -537,7 +537,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
     def make_leg_span(i: int, t0: float) -> _LegSpan:
         try:
             entry_st, wps = leg_sequence(plan, i)
-            _check_boundaries(wps, pcfg, i)
+            check_boundaries(wps, pcfg, i)
             res = planner.plan(wps, pcfg, t0=t0)
             if not res.ok:
                 raise MissionAbort(res.status)

@@ -444,9 +444,10 @@ def build_continuity_constraints(config: PlannerConfig, durations) -> np.ndarray
     T[m] takes segment m's window on one axis (the derivatives 0..c at its
     start junction, its n+1-2(c+1) middle control points, the derivatives
     0..c at its end junction) to its control points: the inverses of the
-    first and last c+1 rows of derivative_map 0..c at the ends, the
-    identity in the middle. Segments that share a junction share its
-    derivatives, so they agree to order c.
+    first and last c+1 rows of the derivative maps 0..c at the ends (map k
+    is derivative_scale(n, k, d) * difference_stencil(n, k)), the identity
+    in the middle. Segments that share a junction share its derivatives,
+    so they agree to order c.
     """
     n, c = config.degree, config.continuity_order
     durations = np.asarray(durations, dtype=float)
@@ -480,7 +481,7 @@ def build_derivative_bounds(config: PlannerConfig, durations, chords=None):
     bound_of = np.tile(bound_of, M)
     # Column k scales order k. One scalar call per segment and order:
     # numpy's power on arrays does not round like its scalar power on every
-    # host, and the scales must equal derivative_map's bit for bit.
+    # host, and each scale must equal a scalar derivative_scale call's.
     scale = np.array([[0.0, derivative_scale(n, 1, d), derivative_scale(n, 2, d)]
                       for d in durations])
     W = scale[:, order, None, None] * blocks

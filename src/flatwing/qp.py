@@ -26,7 +26,13 @@ with zero iterations. Replans of one leg mostly keep their active set, so
 most of them end there; the rest run ADMM from the warm start.
 
 Dense solves run with numpy's and scipy's OpenBLAS pools on one thread:
-their BLAS and LAPACK calls are small, and threads only add stalls.
+their BLAS and LAPACK calls are small, and threads only add stalls. On a
+2-core x86_64 host (OpenBLAS 0.3.31), without the pinning an 8-waypoint
+`bench_planner` plan took 56-64 ms a call against 7.1-7.6 ms pinned, a
+4-waypoint plan 7.7-8.3 ms against 4.6-4.9 ms, and the plan-time linearity
+test in the acceptance suite failed 6 runs of 6 (r^2 below 0.01). The
+survey's replans, whose QPs are too small for OpenBLAS to thread, stayed
+within run-to-run noise.
 """
 
 from __future__ import annotations
@@ -236,12 +242,19 @@ def _residuals(prob: QpProblem, x, y):
             max(_inf_norm(qx), _inf_norm(aty), _inf_norm(prob.q)))
 
 
+def _check_shapes(prob: QpProblem, x, y, what: str) -> None:
+    """Raise ValueError unless x has shape (n,) and y (m,): a column vector
+    would broadcast through the residuals instead of failing."""
+    if np.shape(x) != (prob.n,) or np.shape(y) != (prob.m,):
+        raise ValueError(f"{what} x {np.shape(x)} and y {np.shape(y)}, "
+                         f"expected ({prob.n},) and ({prob.m},)")
+
+
 def kkt_residuals(prob: QpProblem, x, y):
     """Constraint violation and stationarity, as `solve_qp` computes them."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape[0] != prob.n or y.shape[0] != prob.m:
-        raise ValueError("residual arguments have inconsistent dimensions")
+    _check_shapes(prob, x, y, "kkt_residuals got")
     return _residuals(prob, x, y)[:2]
 
 
@@ -459,11 +472,8 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     """
     s = settings or QpSettings()
     t_begin = time.perf_counter()
-    n, m = prob.n, prob.m
-    if warm_start is not None and (np.shape(warm_start.x) != (n,)
-                                   or np.shape(warm_start.y) != (m,)):
-        raise ValueError(f"warm start has x {np.shape(warm_start.x)} and y "
-                         f"{np.shape(warm_start.y)}, expected ({n},) and ({m},)")
+    if warm_start is not None:
+        _check_shapes(prob, warm_start.x, warm_start.y, "warm start has")
 
     # Every stage follows the problem's stored form. Dense solves run on
     # one BLAS thread.

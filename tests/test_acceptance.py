@@ -25,8 +25,6 @@ from flatwing.bernstein import (
     BernsteinSegment,
     PiecewiseTrajectory,
     basis_row,
-    eval_segment,
-    derivative_segment,
     gram_matrix,
 )
 
@@ -320,20 +318,18 @@ def test_bernstein_basis_property_suite():
 
         dur = 2.0 + 0.3 * n
         cps = rng.normal(size=(n + 1, 3))
-        seg = BernsteinSegment(cps, 0.0, dur)
-        assert np.abs(np.asarray(eval_segment(seg, 0.0)) - cps[0]).max() <= 1e-12
-        assert np.abs(np.asarray(eval_segment(seg, dur)) - cps[-1]).max() <= 1e-12
+        curve = PiecewiseTrajectory([BernsteinSegment(cps, 0.0, dur)])
+        assert np.abs(curve.eval(0.0)[0] - cps[0]).max() <= 1e-12
+        assert np.abs(curve.eval(dur)[0] - cps[-1]).max() <= 1e-12
         for t in np.linspace(0.0, dur, 17):
-            val = np.asarray(eval_segment(seg, float(t)))
+            val = curve.eval(float(t))[0]
             assert np.all(val <= cps.max(axis=0) + 1e-12)
             assert np.all(val >= cps.min(axis=0) - 1e-12)
 
-        small = BernsteinSegment(0.3 * cps, 0.0, dur)
-        traj = PiecewiseTrajectory([small])
+        traj = PiecewiseTrajectory([BernsteinSegment(0.3 * cps, 0.0, dur)])
         for k in (1, 2, 3):
-            dseg = derivative_segment(small, k)
             for t in (0.31 * dur, 0.77 * dur):
-                exact = np.asarray(eval_segment(dseg, t))
+                exact = traj.eval(t)[k]
                 approx = fd_richardson(
                     lambda s: traj.eval(s)[0], t, k, FD_STEPS[k]
                 )

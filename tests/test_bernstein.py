@@ -24,6 +24,11 @@ def random_segment(rng, n, dims=3, t0=0.0, dur=1.0):
     return bz.BernsteinSegment(rng.normal(size=(n + 1, dims)), t0, t0 + dur)
 
 
+def position(seg, t):
+    """The segment's value at t, read through a one-segment trajectory."""
+    return bz.PiecewiseTrajectory([seg]).eval(t)[0]
+
+
 # ---------------------------------------------------------------- basis
 
 
@@ -72,24 +77,25 @@ def test_partition_of_unity(n, u):
 
 def test_linear_segment_midpoint():
     seg = bz.BernsteinSegment(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.0, 1.0)
-    assert np.allclose(bz.eval_segment(seg, 0.0), [0, 0, 0])
-    assert np.allclose(bz.eval_segment(seg, 0.5), [0.5, 0, 0])
+    assert np.allclose(position(seg, 0.0), [0, 0, 0])
+    assert np.allclose(position(seg, 0.5), [0.5, 0, 0])
 
 
 def test_quadratic_segment_known_value():
     # scalar points [0, 1, 4] describe C(t) = 2t + 2t^2
     seg = bz.BernsteinSegment(np.array([[0.0], [1.0], [4.0]]), 0.0, 1.0)
-    assert bz.eval_segment(seg, 0.5)[0] == pytest.approx(1.5, abs=1e-14)
+    assert position(seg, 0.5)[0] == pytest.approx(1.5, abs=1e-14)
 
 
 def test_de_casteljau_matches_basis_expansion():
     rng = np.random.default_rng(3)
     for n in DEGREES:
         seg = random_segment(rng, n, dur=1.7)
+        traj = bz.PiecewiseTrajectory([seg])
         for t in np.linspace(0.0, 1.7, 11):
             u = t / 1.7
             direct = bz.basis_row(n, u) @ seg.control_points
-            assert np.abs(bz.eval_segment(seg, t) - direct).max() < 1e-12
+            assert np.abs(traj.eval(t)[0] - direct).max() < 1e-12
 
 
 @settings(max_examples=60)
@@ -106,7 +112,7 @@ def test_convex_hull_property(data):
     u = data.draw(st.floats(min_value=0.0, max_value=1.0))
     cps = np.array(pts).reshape(-1, 1)
     seg = bz.BernsteinSegment(cps, 0.0, 1.0)
-    val = bz.eval_segment(seg, u)[0]
+    val = position(seg, u)[0]
     assert cps.min() - 1e-12 <= val <= cps.max() + 1e-12
 
 
@@ -114,16 +120,16 @@ def test_endpoint_interpolation():
     rng = np.random.default_rng(4)
     for n in DEGREES:
         seg = random_segment(rng, n, t0=2.0, dur=3.0)
-        assert np.abs(bz.eval_segment(seg, 2.0) - seg.control_points[0]).max() <= 1e-12
-        assert np.abs(bz.eval_segment(seg, 5.0) - seg.control_points[-1]).max() <= 1e-12
+        assert np.abs(position(seg, 2.0) - seg.control_points[0]).max() <= 1e-12
+        assert np.abs(position(seg, 5.0) - seg.control_points[-1]).max() <= 1e-12
 
 
 def test_segment_domain_is_closed_no_extrapolation():
     seg = bz.BernsteinSegment(np.array([[0.0], [1.0]]), 1.0, 2.0)
     with pytest.raises(bz.DomainError):
-        bz.eval_segment(seg, 0.999999)
+        position(seg, 0.999999)
     with pytest.raises(bz.DomainError):
-        bz.eval_segment(seg, 2.000001)
+        position(seg, 2.000001)
 
 
 def test_degenerate_duration_rejected():
@@ -160,32 +166,37 @@ def test_derivative_scale_value():
 
 
 def test_derivative_of_quadratic_known_points():
-    # C(t) = 2t + 2t^2 on [0,1] has C'(t) = 2 + 4t: degree-1 points [2, 6]
-    seg = bz.BernsteinSegment(np.array([[0.0], [1.0], [4.0]]), 0.0, 1.0)
-    d = bz.derivative_segment(seg, 1)
-    assert d.degree == 1
-    assert np.allclose(d.control_points.ravel(), [2.0, 6.0])
+    # C(t) = 2t + 2t^2 on [0,1] has C'(t) = 2 + 4t, whose degree-1 points
+    # [2, 6] are the velocity at the ends, a constant acceleration 4 and
+    # zero jerk
+    traj = bz.PiecewiseTrajectory([
+        bz.BernsteinSegment(np.array([[0.0], [1.0], [4.0]]), 0.0, 1.0)])
+    for t, speed in ((0.0, 2.0), (0.5, 4.0), (1.0, 6.0)):
+        _, vel, acc, jerk = traj.eval(t)
+        assert np.allclose([vel[0], acc[0], jerk[0]], [speed, 4.0, 0.0])
 
 
 def test_derivative_of_constant_is_zero():
-    seg = bz.BernsteinSegment(np.full((6, 3), 2.5), 0.0, 4.0)
-    d = bz.derivative_segment(seg, 1)
-    assert np.abs(d.control_points).max() == 0.0
+    traj = bz.PiecewiseTrajectory([bz.BernsteinSegment(np.full((6, 3), 2.5), 0.0, 4.0)])
+    for t in (0.0, 1.3, 4.0):
+        _, vel, acc, jerk = traj.eval(t)
+        assert np.abs([vel, acc, jerk]).max() == 0.0
 
 
 def test_derivative_composition_first_twice_equals_second():
-    rng = np.random.default_rng(5)
+    # The first-derivative map of degree n-1 after that of degree n is the
+    # second-derivative map of degree n: stencils and scales compose.
     for n in (5, 7, 9):
-        seg = random_segment(rng, n, dur=2.3)
-        twice = bz.derivative_segment(bz.derivative_segment(seg, 1), 1)
-        once = bz.derivative_segment(seg, 2)
-        assert np.abs(twice.control_points - once.control_points).max() <= 1e-12
+        for d in (0.4, 2.3):
+            twice = (bz.derivative_scale(n - 1, 1, d) * bz.difference_stencil(n - 1, 1)
+                     @ (bz.derivative_scale(n, 1, d) * bz.difference_stencil(n, 1)))
+            once = bz.derivative_scale(n, 2, d) * bz.difference_stencil(n, 2)
+            assert np.abs(twice - once).max() <= 1e-12 * np.abs(once).max()
 
 
 def test_derivative_order_exceeding_degree_rejected():
-    seg = bz.BernsteinSegment(np.zeros((3, 1)), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        bz.derivative_segment(seg, 3)
+    with pytest.raises(ValueError, match="difference order 3 invalid for degree 2"):
+        bz.difference_stencil(2, 3)
 
 
 # Step sizes per order: the k=3 stencil divides by 2h^3, so its h cannot be
@@ -200,21 +211,12 @@ FD_STEPS = {1: 1e-4, 2: 1e-3, 3: 1e-3}
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_derivative_matches_finite_differences(n, k):
     rng = np.random.default_rng(100 + n)
-    seg = bz.BernsteinSegment(0.3 * rng.normal(size=(n + 1, 1)), 0.0, 1.0)
-    dseg = bz.derivative_segment(seg, k)
+    traj = bz.PiecewiseTrajectory([
+        bz.BernsteinSegment(0.3 * rng.normal(size=(n + 1, 1)), 0.0, 1.0)])
     h = FD_STEPS[k]
     for t in np.linspace(3 * h, 1.0 - 3 * h, 7):
-        approx = fd_richardson(lambda s: bz.eval_segment(seg, s)[0], t, k, h)
-        assert bz.eval_segment(dseg, t)[0] == pytest.approx(approx, abs=1e-5)
-
-
-def test_derivative_map_matches_derivative_segment():
-    rng = np.random.default_rng(6)
-    seg = random_segment(rng, 7, dur=1.9)
-    dm = bz.derivative_map(7, 2, 1.9)
-    assert dm.shape == (6, 8)
-    expected = bz.derivative_segment(seg, 2).control_points
-    assert np.abs(dm @ seg.control_points - expected).max() <= 1e-12
+        approx = fd_richardson(lambda s: traj.eval(s)[0][0], t, k, h)
+        assert traj.eval(t)[k][0] == pytest.approx(approx, abs=1e-5)
 
 
 # ---------------------------------------------------------------- Gram matrix
@@ -286,6 +288,13 @@ def test_piecewise_requires_contiguous_segments():
         bz.PiecewiseTrajectory([a, b])
 
 
+def test_piecewise_rejects_segments_of_different_degrees():
+    a = bz.BernsteinSegment(np.array([[0.0], [1.0]]), 0.0, 1.0)
+    b = bz.BernsteinSegment(np.array([[1.0], [3.0], [2.0]]), 1.0, 2.0)
+    with pytest.raises(ValueError, match="segment degrees differ at junction t=1.0: 1 vs 2"):
+        bz.PiecewiseTrajectory([a, b])
+
+
 def test_piecewise_constant_velocity_has_zero_higher_derivatives():
     traj = two_segment_trajectory()
     pos, vel, acc, jerk = traj.eval(0.25)
@@ -318,33 +327,35 @@ def test_piecewise_domain_error():
 
 def test_batched_velocity_acceleration_equals_eval_bit_for_bit():
     rng = np.random.default_rng(12)
-    segs = []
-    t = 0.5
-    prev_end = rng.normal(size=3) * 50
-    for n, dur in ((7, 2.0), (2, 0.7), (9, 3.1), (1, 1.3), (5, 0.25)):
-        cps = rng.normal(size=(n + 1, 3)) * 50
-        cps[0] = prev_end
-        prev_end = cps[-1]
-        segs.append(bz.BernsteinSegment(cps, t, t + dur))
-        t += dur
-    traj = bz.PiecewiseTrajectory(segs)
-    ts = np.concatenate([
-        rng.uniform(traj.t_start, traj.t_end, 240),
-        [traj.t_start, traj.t_end, traj.t_end + 5e-10, traj.t_start - 5e-10],
-        traj.junction_times,  # exact junctions belong to the later segment
-    ])
-    vel, acc = traj.velocity_acceleration(ts)
-    assert vel.shape == acc.shape == (ts.size, 3)
-    for t, v, a in zip(ts, vel, acc):
-        _, v_ref, a_ref, _ = traj.eval(t)
-        assert np.array_equal(v, v_ref) and np.array_equal(a, a_ref)
+    # Degrees 1 and 2 have exact-zero columns above their degree.
+    for n in (7, 2, 9, 1, 5):
+        segs = []
+        t = 0.5
+        prev_end = rng.normal(size=3) * 50
+        for dur in (2.0, 0.7, 3.1, 1.3, 0.25):
+            cps = rng.normal(size=(n + 1, 3)) * 50
+            cps[0] = prev_end
+            prev_end = cps[-1]
+            segs.append(bz.BernsteinSegment(cps, t, t + dur))
+            t += dur
+        traj = bz.PiecewiseTrajectory(segs)
+        ts = np.concatenate([
+            rng.uniform(traj.t_start, traj.t_end, 240),
+            [traj.t_start, traj.t_end, traj.t_end + 5e-10, traj.t_start - 5e-10],
+            traj.junction_times,  # exact junctions belong to the later segment
+        ])
+        vel, acc = traj.velocity_acceleration(ts)
+        assert vel.shape == acc.shape == (ts.size, 3)
+        for t, v, a in zip(ts, vel, acc):
+            _, v_ref, a_ref, _ = traj.eval(t)
+            assert np.array_equal(v, v_ref) and np.array_equal(a, a_ref)
     with pytest.raises(bz.DomainError):
         traj.velocity_acceleration([traj.t_start, traj.t_end + 0.01])
 
 
-def mixed_degree_trajectory(rng):
+def three_segment_trajectory(rng):
     segs, t, end = [], 0.0, rng.normal(size=3) * 20
-    for n, dur in ((5, 1.5), (2, 0.8), (5, 2.2)):
+    for n, dur in ((5, 1.5), (5, 0.8), (5, 2.2)):
         cps = rng.normal(size=(n + 1, 3)) * 20
         cps[0] = end
         end = cps[-1]
@@ -355,10 +366,10 @@ def mixed_degree_trajectory(rng):
 
 @pytest.mark.parametrize("count", [0, 1, 31])
 def test_batched_velocity_acceleration_takes_any_sample_count_in_any_order(count):
-    # Unsorted times over three segments whose degrees (5, 2, 5) put the
-    # first and last in one batch: each row is still eval's, in ts order.
+    # Unsorted times over three segments: each row is still eval's, in ts
+    # order.
     rng = np.random.default_rng(count)
-    traj = mixed_degree_trajectory(rng)
+    traj = three_segment_trajectory(rng)
     ts = rng.permutation(np.concatenate([rng.uniform(traj.t_start, traj.t_end, count),
                                          traj.junction_times[:-1]]))[:count]
     vel, acc = traj.velocity_acceleration(ts)
@@ -377,14 +388,12 @@ def test_non_finite_times_raise_domain_error(bad):
     with pytest.raises(bz.DomainError, match=name):
         traj.eval(bad)
     with pytest.raises(bz.DomainError, match=name):
-        bz.eval_segment(traj.segments[0], bad)
-    with pytest.raises(bz.DomainError, match=name):
         traj.velocity_acceleration([0.5, bad])
 
 
 def test_batched_velocity_acceleration_of_scalar_trajectory():
     traj = bz.PiecewiseTrajectory([
-        bz.BernsteinSegment(np.array([0.0, 10.0]), 0.0, 1.0),
+        bz.BernsteinSegment(np.array([0.0, 5.0, 10.0]), 0.0, 1.0),
         bz.BernsteinSegment(np.array([10.0, 11.0, 6.0]), 1.0, 2.0),
     ])
     ts = np.linspace(0.0, 2.0, 9)
@@ -395,40 +404,6 @@ def test_batched_velocity_acceleration_of_scalar_trajectory():
         assert v == v_ref and a == a_ref
 
 
-# ---------------------------------------------------------------- arc length
-
-
-def test_arc_length_straight_segment():
-    seg = bz.BernsteinSegment(np.array([[0.0, 0, 0], [100.0, 0, 0]]), 0.0, 10.0)
-    assert bz.arc_length(seg) == pytest.approx(100.0, abs=1e-9)
-
-
-def test_arc_length_quarter_circle_approximation():
-    # cubic Bezier fit of a 45 m quarter arc (standard 0.5523 handle length)
-    r, k = 45.0, 0.5522847498307936
-    cps = np.array([[r, 0, 0], [r, r * k, 0], [r * k, r, 0], [0, r, 0]])
-    seg = bz.BernsteinSegment(cps, 0.0, 5.0)
-    assert bz.arc_length(seg, 4096) == pytest.approx(math.pi * r / 2, abs=0.05)
-
-
-def test_arc_length_monotone_under_refinement():
-    rng = np.random.default_rng(8)
-    seg = random_segment(rng, 7, dur=3.0)
-    lengths = [bz.arc_length(seg, n) for n in (4, 8, 16, 32, 64, 128, 256)]
-    for coarse, fine in zip(lengths, lengths[1:]):
-        assert fine >= coarse - 1e-12
-
-
-def test_arc_length_zero_for_stationary_segment():
-    seg = bz.BernsteinSegment(np.full((4, 3), 7.0), 0.0, 2.0)
-    assert bz.arc_length(seg) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_arc_length_accepts_whole_trajectory():
-    traj = two_segment_trajectory()
-    assert bz.arc_length(traj) == pytest.approx(15.0, abs=1e-9)
-
-
 # ---------------------------------------------------------------- serialization
 
 
@@ -437,7 +412,7 @@ def test_serialization_round_trip_is_exact():
     segs = []
     t = 0.0
     prev_end = rng.normal(size=3) * 100
-    for n in (7, 5, 9):
+    for n in (7, 7, 7):
         dur = float(rng.uniform(0.5, 3.0))
         cps = rng.normal(size=(n + 1, 3)) * 100
         cps[0] = prev_end  # keep junctions position-continuous
@@ -487,7 +462,7 @@ def test_read_trajectory_rejects_a_second_block():
 def test_serialization_round_trip_of_scalar_trajectory():
     traj = bz.PiecewiseTrajectory([
         bz.BernsteinSegment(np.array([0.0, 10.0]), 0.0, 1.0),
-        bz.BernsteinSegment(np.array([10.0, 11.0, 6.0]), 1.0, 2.0),
+        bz.BernsteinSegment(np.array([10.0, 6.0]), 1.0, 2.0),
     ])
     buf = io.StringIO()
     bz.write_trajectory(traj, buf)
@@ -496,7 +471,7 @@ def test_serialization_round_trip_of_scalar_trajectory():
         assert s1.control_points.shape == s0.control_points.shape
         assert np.array_equal(s0.control_points, s1.control_points)
     # every derivative of a scalar trajectory is a float, including those
-    # above the degree-1 segment's degree
+    # above the segments' degree 1
     for t in (0.5, 1.5):
         for value in back.eval(t):
             assert type(value) is np.float64
@@ -515,11 +490,13 @@ GOOD_BLOCK = "trajectory v1\nsegments 2\nsegment 1 0 1\n0 0 0\n1 0 0\nsegment 1 
     ("segment 1 0 1", "segment 1 1 0", "line 3: segment 0: segment duration"),
     ("segment 1 1 2", "segment 1 1.5 2", "line 6: segment 1: segment times disagree"),
     ("1 0 0\nsegment", "1 0 5\nsegment", "line 6: segment 1: position discontinuity"),
+    ("segment 1 1 2\n1 0 0\n1 1 0", "segment 2 1 2\n1 0 0\n1 1 0\n1 2 0",
+     "line 6: segment 1: segment degrees differ"),
     ("0 0 0\n1 0 0", "0 0 0\n1 0 nope", "line 5: bad number 'nope'"),
     ("0 0 0\n1 0 0", "0 0 0\n1 0 nan", "line 5: non-finite number 'nan'"),
     ("0 0 0\n1 0 0", "0 0 0\n1 0", "line 5: control point 1 of segment 0 has 2 coordinates"),
     ("1 0 0\n1 1 0", "1 0 0 0\n1 1 0 0", "line 7: control point 0 of segment 1 has 4"),
-], ids=['count-word', 'count-zero', 'time-word', 'degree-word', 'degree-negative', 'time-inf', 'time-reversed', 'junction-time', 'junction-position', 'point-word', 'point-nan', 'point-short', 'point-wide'])
+], ids=['count-word', 'count-zero', 'time-word', 'degree-word', 'degree-negative', 'time-inf', 'time-reversed', 'junction-time', 'junction-position', 'junction-degree', 'point-word', 'point-nan', 'point-short', 'point-wide'])
 def test_read_trajectory_errors_name_the_line(old, new, message):
     assert bz.read_trajectory(io.StringIO(GOOD_BLOCK)).t_end == 2.0
     assert old in GOOD_BLOCK
@@ -575,7 +552,7 @@ def test_read_trajectory_fuzz_parses_or_names_a_line(data):
 @pytest.mark.parametrize("n", range(13))
 @pytest.mark.parametrize("vector", [True, False], ids=["3d", "scalar"])
 def test_evaluation_matches_scipy_bpoly(n, vector):
-    """eval, velocity_acceleration and eval_segment against scipy's BPoly.
+    """eval and velocity_acceleration against scipy's BPoly.
 
     BPoly is an independent Bernstein evaluator; the bound on the k-th
     derivative is 1e-12 times the largest of its Bernstein coefficients.
@@ -604,6 +581,7 @@ def test_evaluation_matches_scipy_bpoly(n, vector):
     vel, acc = traj.velocity_acceleration(ts)
     assert np.abs(vel - ref[1](ts)).max() <= bound[1]
     assert np.abs(acc - ref[2](ts)).max() <= bound[2]
+    # A one-segment trajectory owns its end time too.
     for seg in segs:
         for t in (seg.t0, 0.3 * seg.t0 + 0.7 * seg.tf, seg.tf):
-            assert np.abs(bz.eval_segment(seg, t) - ref[0](t)).max() <= bound[0]
+            assert np.abs(position(seg, t) - ref[0](t)).max() <= bound[0]

@@ -76,6 +76,22 @@ def test_plan_command_reports_a_singular_leg(tmp_path, capsys, dump_qp):
     assert capsys.readouterr().err == "error: planar speed 0.000 m/s below 1.0 m/s\n"
 
 
+@pytest.mark.parametrize("dump_qp", [False, True])
+def test_plan_command_names_the_tangent_bound_a_loiter_breaks(tmp_path, capsys, dump_qp):
+    # 14 m/s on a 25 m circle needs V^2/r = 7.84 m/s^2; its y component at
+    # leg 0's exit tangent is above a_max 6, so no plan of the leg exists.
+    path = tmp_path / "tight.txt"
+    path.write_text("version 1\ncruise_speed 14\nloiter 0 0 50 25 ccw 0\n"
+                    "loiter 300 0 50 45 ccw 0\n")
+    argv = ["plan", "--mission", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--dump-qp"] * dump_qp) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: loiter 0 tangent acceleration 7.81 m/s² on y "
+                            "exceeds a_max 6\n")
+    assert captured.out == ""  # no QP was built or solved
+    assert not (tmp_path / "o").exists()
+
+
 def test_plan_command_missing_file(tmp_path, capsys):
     rc = cli.main(["plan", "--mission", str(tmp_path / "nope.txt")])
     assert rc == 2

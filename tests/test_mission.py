@@ -526,7 +526,7 @@ def test_bundled_survey_tangents_pass_the_boundary_check():
         _, wps = ms.leg_sequence(plan, i)
         for b in (wps.boundary_start, wps.boundary_end):
             assert np.linalg.norm(b.acceleration) == pytest.approx(14.0**2 / 45.0)
-        ms._check_boundaries(wps, pcfg, i)  # raises on a violation
+        ms.check_boundaries(wps, pcfg, i)  # raises on a violation
 
 
 def test_mission_aborts_before_the_first_tick_on_a_waypoint_inside_loiter_0():
@@ -594,3 +594,29 @@ def test_mission_abort_names_its_tick_and_phase(happy_run, monkeypatch, phase):
                                 "non-finite state after integration step")
     assert len(res.log.rows) == k + 1  # the failing tick was logged before its step
     assert res.log.rows[k][17] == (0 if phase == "leg" else -1)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_missions_return_and_name_every_abort(data):
+    # Two small loiters (laps 0) in calm air, with up to two waypoints
+    # scattered about the chord between them. Whether the mission flies or
+    # aborts, run_mission returns, and an abort names its leg, its loiter
+    # or its tick.
+    def num(lo, hi):
+        return data.draw(st.floats(lo, hi))
+
+    heading, dist = num(-math.pi, math.pi), num(150.0, 250.0)
+    end = np.array([dist * math.cos(heading), dist * math.sin(heading), num(40.0, 70.0)])
+    lines = ["version 1", f"cruise_speed {num(10.0, 16.0):.3f}"]
+    loiter = "loiter {:.3f} {:.3f} {:.3f} {:.3f} " + data.draw(st.sampled_from(["ccw", "cw"]))
+    lines.append(loiter.format(0.0, 0.0, 50.0, num(35.0, 60.0)) + " 0")
+    count = data.draw(st.integers(0, 2))
+    normal = np.array([-math.sin(heading), math.cos(heading), 0.0])
+    for k in range(count):
+        p = (k + 1) / (count + 1) * end + num(-40.0, 40.0) * normal
+        lines.append("waypoint {:.3f} {:.3f} {:.3f}".format(p[0], p[1], 50.0 + num(-10.0, 10.0)))
+    lines.append(loiter.format(*end, num(35.0, 60.0)) + " 0")
+    res = ms.run_mission(ms.parse_mission("\n".join(lines) + "\n"))
+    if res.aborted:
+        assert re.match(r"(leg \d+ |loiter \d+ |t=)", res.abort_reason), res.abort_reason

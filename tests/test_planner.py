@@ -183,11 +183,11 @@ def test_derivative_bounds_rows():
 def scalar_linear_rows(cfg, durations, chords):
     """Derivative-bound rows, one row at a time.
 
-    Each row is a zero vector with derivative_map rows written at explicit
+    Each row is a zero vector with derivative-map rows written at explicit
     column offsets: control point i of axis a on segment m is column
     m*3*(n+1) + a*(n+1) + i.
     """
-    from flatwing.bernstein import derivative_map
+    from flatwing.bernstein import derivative_scale, difference_stencil
 
     n = cfg.degree
     M = len(durations)
@@ -204,7 +204,8 @@ def scalar_linear_rows(cfg, durations, chords):
 
     A_db, lo, hi = [], [], []
     for m, d in enumerate(durations):
-        D1, D2 = derivative_map(n, 1, d), derivative_map(n, 2, d)
+        D1 = derivative_scale(n, 1, d) * difference_stencil(n, 1)
+        D2 = derivative_scale(n, 2, d) * difference_stencil(n, 2)
         for axis in range(3):
             for D, lim in ((D1, cfg.v_max_vec()[axis]), (D2, cfg.a_max_vec()[axis])):
                 if np.isfinite(lim):
@@ -245,7 +246,7 @@ def test_junction_maps_return_the_junction_derivatives():
     # derivatives 0..c the window opens with, and at the end those it
     # closes with; the middle points pass through unchanged. Each error is
     # measured against the magnitude of the terms its product sums.
-    from flatwing.bernstein import derivative_map
+    from flatwing.bernstein import derivative_scale, difference_stencil
 
     rng = np.random.default_rng(12)
     for n in range(5, 13):
@@ -259,7 +260,7 @@ def test_junction_maps_return_the_junction_derivatives():
                 p = Tm @ window
                 assert np.array_equal(p[c + 1 : n - c], window[c + 1 : n - c])
                 for k in range(c + 1):
-                    D = derivative_map(n, k, d)
+                    D = derivative_scale(n, k, d) * difference_stencil(n, k)
                     for row, want in ((D[0], window[k]), (D[-1], window[n - c + k])):
                         assert abs(row @ p - want) <= 1e-12 * (np.abs(row) @ np.abs(p))
 
@@ -330,16 +331,16 @@ def test_curvature_rows_one_per_sample():
 
 
 def scalar_curvature_rows(prev, cfg, durations, t0):
-    """One row per sample from curvature(), basis_row and derivative_map."""
-    from flatwing.bernstein import basis_row, derivative_map
+    """One row per sample from curvature(), basis_row and the derivative maps."""
+    from flatwing.bernstein import basis_row, derivative_scale, difference_stencil
 
     n = cfg.degree
     N = 3 * len(durations) * (n + 1)
     rows, lo, hi = [], [], []
     seg_start = t0
     for m, d in enumerate(durations):
-        D1 = derivative_map(n, 1, d)
-        D2 = derivative_map(n, 2, d)
+        D1 = derivative_scale(n, 1, d) * difference_stencil(n, 1)
+        D2 = derivative_scale(n, 2, d) * difference_stencil(n, 2)
         for k in range(cfg.n_curv_samples):
             u = (k + 0.5) / cfg.n_curv_samples
             t = min(max(seg_start + u * d, prev.t_start), prev.t_end)
@@ -455,16 +456,17 @@ def test_plan_satisfies_boundary_and_waypoints():
 
 
 def test_plan_junctions_are_smooth():
-    from flatwing.bernstein import derivative_segment, eval_segment
+    from flatwing.bernstein import PiecewiseTrajectory
 
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
     res = pl.plan(s, pl.PlannerConfig())
     first, second = res.trajectory.segments
     t_j = first.tf
+    # One-segment trajectories, so that the first segment owns t_j too.
+    left = PiecewiseTrajectory([first]).eval(t_j)
+    right = PiecewiseTrajectory([second]).eval(t_j)
     for k in range(4):  # continuity through jerk
-        left = np.asarray(eval_segment(derivative_segment(first, k), t_j))
-        right = np.asarray(eval_segment(derivative_segment(second, k), t_j))
-        assert np.abs(left - right).max() <= 1e-9
+        assert np.abs(left[k] - right[k]).max() <= 1e-9
 
 
 def test_plan_junctions_and_waypoints_are_exact():

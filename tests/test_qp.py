@@ -82,6 +82,19 @@ def test_kkt_residuals_trivial_cases():
     assert prim >= 0.5 - 1e-15
 
 
+def test_kkt_residuals_reject_arguments_of_the_wrong_shape():
+    # A column x would broadcast Q @ x + q into a matrix and report its
+    # largest entry; a scalar x has no length. Both must be refused.
+    prob = qp.QpProblem(np.eye(2), np.array([-1.0, -2.0]), np.eye(2),
+                        np.zeros(2), np.full(2, 1.5))
+    sol = qp.solve_qp(prob)
+    assert qp.kkt_residuals(prob, sol.x, sol.y)[1] <= 1e-5
+    for x, y in ((sol.x[:, None], sol.y), (sol.x, sol.y[:, None]), (1.0, sol.y),
+                 (sol.x, sol.y[:1])):
+        with pytest.raises(ValueError, match=r"expected \(2,\) and \(2,\)"):
+            qp.kkt_residuals(prob, x, y)
+
+
 def test_dual_sign_convention():
     # minimize (x-2)^2 with l <= x <= u: lower-active dual <= 0, upper >= 0
     Q = np.array([[2.0]])
