@@ -61,13 +61,11 @@ def basis_row(n: int, u) -> np.ndarray:
     return np.array(_basis(n, float(u)))
 
 
-@functools.lru_cache(maxsize=None)
 def difference_stencil(n: int, k: int) -> np.ndarray:
     """Unscaled k-th forward-difference stencil, shape (n+1-k, n+1).
 
     Maps control points to the (unscaled) control points of the k-th
     derivative; repeated convolution with [-1, 1]. Every row sums to zero.
-    Cached per (n, k) and returned read-only.
     """
     if k < 0 or k > n:
         raise ValueError(f"difference order {k} invalid for degree {n}")
@@ -79,7 +77,6 @@ def difference_stencil(n: int, k: int) -> np.ndarray:
         D[idx, idx] = -1.0
         D[idx, idx + 1] = 1.0
         S = D @ S
-    S.setflags(write=False)
     return S
 
 
@@ -91,7 +88,6 @@ def derivative_scale(n: int, k: int, duration: float) -> float:
     return s / duration**k
 
 
-@functools.cache
 def elevated_stencil(n: int, k: int) -> np.ndarray:
     """Difference stencil raised back to degree n, E(n-k -> n) @ S_k, (n+1, n+1).
 
@@ -99,7 +95,7 @@ def elevated_stencil(n: int, k: int) -> np.ndarray:
     degree-elevated to degree n, so that one degree-n basis row evaluates
     every derivative. Entry (i, l) is sum_j C(n-k, j) C(k, i-j) S_k[j, l]
     over C(n, i), its numerator summed in integers. Zero for k > n; the
-    identity for k = 0. Cached per (n, k) and returned read-only.
+    identity for k = 0.
     """
     E = np.zeros((n + 1, n + 1))
     if k <= n:
@@ -109,7 +105,6 @@ def elevated_stencil(n: int, k: int) -> np.ndarray:
             js = range(max(0, i - k), min(m, i) + 1)
             E[i] = [sum(math.comb(m, j) * math.comb(k, i - j) * S[j][l] for j in js)
                     / math.comb(n, i) for l in range(n + 1)]
-    E.setflags(write=False)
     return E
 
 
@@ -183,7 +178,7 @@ class PiecewiseTrajectory:
         for a, b in zip(segments, segments[1:]):
             _check_junction(a, b)
         self.segments = tuple(segments)
-        self._t_interior = [s.tf for s in segments[:-1]]
+        self._t_interior = [s.tf for s in segments[:-1]]  # bisect reads a list fastest
         self._spans = np.array([(s.t0, s.tf, s.duration) for s in segments]).T
         M, n = len(segments), segments[0].degree
         pts = np.array([s.control_points for s in segments]).reshape(M, n + 1, -1)
@@ -238,7 +233,7 @@ class PiecewiseTrajectory:
         if outside.any():
             raise DomainError(f"t={ts[outside][0]} outside trajectory domain "
                               f"[{self.t_start}, {self.t_end}]")
-        seg = np.searchsorted(self._t_interior, ts, side="right")
+        seg = np.searchsorted(self._spans[1, :-1], ts, side="right")
         t0, tf, dur = self._spans[:, seg]
         u = (np.minimum(np.maximum(ts, t0), tf) - t0) / dur
         out = (_basis(self._n, u)[:, None] @ self._tables[seg])[:, 0]
@@ -271,16 +266,12 @@ def gram_matrix(n: int, duration) -> np.ndarray:
     return duration[..., None, None] * outer / denom
 
 
-@functools.lru_cache(maxsize=None)
 def _gram_parts(n: int):
-    """C(n,i) C(n,j) and (2n+1) C(2n, i+j) of `gram_matrix`, read-only."""
+    """C(n,i) C(n,j) and (2n+1) C(2n, i+j) of `gram_matrix`."""
     i = np.arange(n + 1)
     bi = np.array([math.comb(n, k) for k in i], dtype=float)
     b2 = np.array([math.comb(2 * n, k) for k in range(2 * n + 1)], dtype=float)
-    parts = np.outer(bi, bi), (2 * n + 1) * b2[np.add.outer(i, i)]
-    for arr in parts:
-        arr.setflags(write=False)
-    return parts
+    return np.outer(bi, bi), (2 * n + 1) * b2[np.add.outer(i, i)]
 
 
 def write_trajectory(traj: PiecewiseTrajectory, f) -> None:

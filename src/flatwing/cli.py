@@ -43,8 +43,6 @@ def _load_setup(args):
 
 def _cmd_plan(args) -> int:
     plan = _load_mission(args.mission)
-    if not plan.legs:
-        raise msn.MissionFormatError("mission has no transit leg to plan")
     _, wps = msn.leg_sequence(plan, 0)
     pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
     msn.check_boundaries(wps, pcfg, 0)  # names the bound a tangent breaks
@@ -148,7 +146,7 @@ def _cmd_bench(args) -> int:
     lines.append(f"fit_slope_s_per_wp {a:.6g}")
     lines.append(f"fit_intercept_s {b:.6g}")
     lines.append(f"fit_r2 {r2:.6f}")
-    # Dense solves pin the BLAS pools that qp found to one thread each.
+    # Every solve pins the BLAS pools that qp found to one thread each.
     pools = len(qp._blas_pools())
     lines.append(f"blas_pinning {'active' if pools else 'inactive'} pools {pools}")
     text = "\n".join(lines)

@@ -62,7 +62,6 @@ class CommandedInput:
     omega_vx: float
     omega_vy: float
     a_T: float
-    phi_clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -74,12 +73,6 @@ class PathParamState:
     def __post_init__(self):
         if self.s_dot <= 0.0:
             raise ValueError("path parameterization requires forward progress (s_dot > 0)")
-
-
-@dataclass
-class ControlConfig:
-    gains: tuple = CASCADE_GAINS
-    phi_limit: float = 1.0
 
 
 @dataclass
@@ -197,7 +190,7 @@ def forward_jerk(frame: CoordinatedFrame, a_vx_dot, omega_vx, a_vz_dot):
 
 
 def command_from_flat(ref: FlatState, position, velocity, acceleration,
-                      cfg: ControlConfig, state: CommandState | None = None,
+                      phi_limit: float, state: CommandState | None = None,
                       dt: float = 0.01, drag_accel: float = 0.0,
                       alpha_est: float = 0.0, a_T_max: float = math.inf):
     """Full command synthesis: returns (CommandedInput, CommandState).
@@ -207,12 +200,13 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     the reference flat derivatives, the feedback enters through the
     commanded jerk, and the axial/normal acceleration channels are
     integrated (with a slow leak toward the reference trim values) to
-    produce thrust and pitch-rate commands.
+    produce thrust and pitch-rate commands. The feedback gains are
+    `CASCADE_GAINS`, and the bank command is clamped to +/- phi_limit.
     """
     rv, ra = ref.velocity.tolist(), ref.acceleration.tolist()
     R, a_vx, a_vz, V, omega_vy, omega_vz = _frame(rv, ra, _G)
     jerk_c = tracking_jerk(ref.position.tolist(), rv, ra, ref.jerk.tolist(),
-                           position, velocity, acceleration, cfg.gains)
+                           position, velocity, acceleration, CASCADE_GAINS)
     a_vx_dot, omega_vx, a_vz_dot = _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk_c)
 
     if state is None:
@@ -226,15 +220,9 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     a_T = min(max(a_T, 0.0), a_T_max)
 
     phi, theta_frame, _ = euler_zyx(R)
-    phi_c = phi
-    clamped = False
-    if abs(phi_c) > cfg.phi_limit:
-        phi_c = math.copysign(cfg.phi_limit, phi_c)
-        clamped = True
-    theta_c = theta_frame + alpha_est
-
-    cmd = CommandedInput(theta_c=theta_c, phi_c=phi_c, omega_vx=omega_vx,
-                         omega_vy=omega_vy_c, a_T=a_T, phi_clamped=clamped)
+    cmd = CommandedInput(theta_c=theta_frame + alpha_est,
+                         phi_c=min(max(phi, -phi_limit), phi_limit),
+                         omega_vx=omega_vx, omega_vy=omega_vy_c, a_T=a_T)
     return cmd, CommandState(a_vx_i, a_vz_i)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from . import planner
 from .bernstein import PiecewiseTrajectory
 from .flatness import (
     GRAVITY,
-    ControlConfig,
     CommandState,
     FlatState,
     FlatnessSingularityError,
@@ -132,14 +131,6 @@ class MissionConfig:
 # Circle geometry.
 
 
-@dataclass(frozen=True)
-class TangentState:
-    point: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    angle: float
-
-
 def _angular_rate(loiter: Loiter, speed: float) -> float:
     w = speed / loiter.radius
     return w if loiter.ccw else -w
@@ -163,8 +154,10 @@ def loiter_reference(loiter: Loiter, speed: float, t: float,
 
 
 def tangent_handoff(loiter: Loiter, point, speed: float,
-                    mode: str = "exit") -> TangentState:
-    """Tangent point of the circle whose tangent line reaches `point`.
+                    mode: str = "exit") -> tuple:
+    """(angle, BoundaryState) of the circle's tangent point whose tangent
+    line reaches `point`: its phase on the circle, and its position,
+    velocity and acceleration flying the loiter at speed.
 
     mode 'exit' picks the tangent where travel continues from the circle
     toward the point; 'entry' the one where travel arrives from the point
@@ -186,7 +179,7 @@ def tangent_handoff(loiter: Loiter, point, speed: float,
     else:
         angle = theta_w + gamma if mode == "exit" else theta_w - gamma
     on_circle = loiter_reference(loiter, speed, 0.0, angle)
-    return TangentState(on_circle.position, on_circle.velocity, on_circle.acceleration, angle)
+    return angle, BoundaryState(on_circle.position, on_circle.velocity, on_circle.acceleration)
 
 
 def _forward_sweep(delta: float, ccw: bool) -> float:
@@ -265,7 +258,7 @@ def parse_mission(text: str) -> MissionPlan:
                         f"line {i}: loiter direction must be ccw or cw"
                     )
                 if loiters:
-                    legs.append(Leg(np.array(pending_wps).reshape(-1, 3)))
+                    legs.append(Leg(pending_wps))
                     pending_wps = []
                 loiters.append(Loiter(np.array([cx, cy, cz]), r, sense == "ccw", laps))
             elif key == "waypoint":
@@ -295,11 +288,9 @@ def parse_mission(text: str) -> MissionPlan:
         raise MissionFormatError(str(exc)) from exc
 
 
-_PARAM_KEYS = {
-    "mass", "wing_area", "c_l0", "c_l_alpha", "c_d0", "k_induced", "a_l0",
-    "thrust_max", "phi_limit", "wind_east", "wind_north", "wind_up",
-    "gust_amplitude", "gust_period", "seed", "tau_att",
-}
+_AERO_KEYS = {f.name for f in fields(AeroParams)}
+_PARAM_KEYS = _AERO_KEYS | {"wind_east", "wind_north", "wind_up", "gust_amplitude",
+                            "gust_period", "seed", "tau_att"}
 
 
 def parse_params(text: str) -> dict:
@@ -322,9 +313,7 @@ def parse_params(text: str) -> dict:
 
 def build_setup(params: dict):
     """Split a parameter dict into airframe, wind, and attitude settings."""
-    aero_keys = {"mass", "wing_area", "c_l0", "c_l_alpha", "c_d0",
-                 "k_induced", "a_l0", "thrust_max", "phi_limit"}
-    aero = AeroParams(**{k: v for k, v in params.items() if k in aero_keys})
+    aero = AeroParams(**{k: v for k, v in params.items() if k in _AERO_KEYS})
     wind = WindField(
         mean=np.array([params.get("wind_east", 0.0),
                        params.get("wind_north", 0.0),
@@ -457,36 +446,31 @@ class _LegSpan:
     traj: PiecewiseTrajectory
     wps: WaypointSequence  # as first planned; ends at the entry tangent point
     entry_angle: float  # where the leg joins the next loiter
-    wp_times: np.ndarray  # absolute nominal passage times of interior points
+    wp_times: np.ndarray  # first plan's passage times of interior points
     last_qp: object = None
-    pending: PiecewiseTrajectory | None = None
-    pending_t: float = 0.0
+    pending: PiecewiseTrajectory | None = None  # flown from its t_start
 
 
-def _exit_state(plan: MissionPlan, i: int) -> TangentState:
-    """Where leg i leaves loiter i: the tangent toward its first waypoint."""
+def _exit_state(plan: MissionPlan, i: int) -> tuple:
+    """Where leg i leaves loiter i, as `tangent_handoff` gives it: the
+    tangent toward its first waypoint."""
     interior = plan.legs[i].waypoints
     anchor = interior[0] if len(interior) else plan.loiters[i + 1].center
     return tangent_handoff(plan.loiters[i], anchor, plan.cruise_speed, "exit")
 
 
 def leg_sequence(plan: MissionPlan, i: int):
-    """Leg i as flown: (entry tangent state on loiter i+1, WaypointSequence).
+    """Leg i as flown: (the angle where it joins loiter i+1, WaypointSequence).
 
     The sequence runs from the exit tangent point of loiter i through the
     leg's waypoints to the entry tangent point, with the circles' tangent
-    velocity and acceleration as boundary states.
+    states as boundary states.
     """
-    exit_st, interior = _exit_state(plan, i), plan.legs[i].waypoints
-    anchor = interior[-1] if len(interior) else exit_st.point
-    entry_st = tangent_handoff(plan.loiters[i + 1], anchor, plan.cruise_speed, "entry")
-    pts = np.vstack([exit_st.point[None, :], interior.reshape(-1, 3),
-                     entry_st.point[None, :]])
-    return entry_st, WaypointSequence(
-        pts,
-        BoundaryState(exit_st.point, exit_st.velocity, exit_st.acceleration),
-        BoundaryState(entry_st.point, entry_st.velocity, entry_st.acceleration),
-    )
+    (_, start), interior = _exit_state(plan, i), plan.legs[i].waypoints
+    anchor = interior[-1] if len(interior) else start.position
+    entry_angle, end = tangent_handoff(plan.loiters[i + 1], anchor, plan.cruise_speed, "entry")
+    pts = np.vstack([start.position[None, :], interior, end.position[None, :]])
+    return entry_angle, WaypointSequence(pts, start, end)
 
 
 def check_boundaries(wps: WaypointSequence, pcfg: PlannerConfig, i: int) -> None:
@@ -511,7 +495,6 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
     """Fly the mission closed-loop and return the log, events, and metrics."""
     params = params or AeroParams()
     wind = wind or WindField()
-    ctrl = ControlConfig(phi_limit=params.phi_limit)
     pcfg = pcfg or PlannerConfig(cruise_speed=plan.cruise_speed)
     mcfg = mcfg or MissionConfig()
     if abs(pcfg.cruise_speed - plan.cruise_speed) > 1e-9:
@@ -528,7 +511,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
     def make_loiter_span(i: int, t0: float, phase0: float) -> _LoiterSpan:
         loiter = plan.loiters[i]
         try:
-            exit_angle = _exit_state(plan, i).angle if i < n_legs else None
+            exit_angle = _exit_state(plan, i)[0] if i < n_legs else None
         except ValueError as exc:
             raise MissionAbort(f"loiter {i} exit tangent failed: {exc}") from exc
         t1 = t0 + loiter_duration(loiter, V, phase0, exit_angle)
@@ -536,16 +519,15 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
 
     def make_leg_span(i: int, t0: float) -> _LegSpan:
         try:
-            entry_st, wps = leg_sequence(plan, i)
+            entry_angle, wps = leg_sequence(plan, i)
             check_boundaries(wps, pcfg, i)
             res = planner.plan(wps, pcfg, t0=t0)
             if not res.ok:
                 raise MissionAbort(res.status)
-            times = t0 + planner.allocate_times(wps, V)
         except (MissionAbort, ValueError, FlatnessSingularityError) as exc:
             raise MissionAbort(f"leg {i} initial plan failed: {exc}") from exc
-        return _LegSpan(i, res.trajectory, wps, entry_st.angle, times[:-1],
-                        last_qp=res.qp_solution)
+        return _LegSpan(i, res.trajectory, wps, entry_angle,
+                        np.array(res.trajectory.junction_times[:-1]), last_qp=res.qp_solution)
 
     # Phase bootstrap: mission starts on the first circle at angle zero.
     try:
@@ -601,7 +583,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
 
         replan_flag = 0
         if isinstance(phase, _LegSpan):
-            if phase.pending is not None and t >= phase.pending_t - 1e-9:
+            if phase.pending is not None and t >= phase.pending.t_start - 1e-9:
                 phase.traj = phase.pending
                 phase.pending = None
             if (phase.pending is None and k % replan_ticks == 0
@@ -626,7 +608,6 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                                           wall, res.ok))
                 if res.ok:
                     phase.pending = res.trajectory
-                    phase.pending_t = t + mcfg.handoff_budget
                     phase.last_qp = res.qp_solution
 
         try:
@@ -647,7 +628,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             k_dyn = dynamic_accel(params, v, w, x[2])
             _, a_D = aero_accels(params, k_dyn, st.alpha)
             cmd, cmd_state = command_from_flat(
-                ref, x, v, a_est, ctrl, cmd_state, dt,
+                ref, x, v, a_est, params.phi_limit, cmd_state, dt,
                 drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
             )
             st.alpha = solve_alpha(params, st.V_a, x[2], cmd.a_T,
@@ -659,11 +640,17 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
 
             leg_id = phase.index if isinstance(phase, _LegSpan) else -1
             log.append(t, ref, st, euler, cmd.a_T, leg_id, replan_flag)
+            # The bank command is clamped at phi_limit, so a roll beyond it
+            # means the attitude loop has lost control.
+            if abs(euler[0]) > params.phi_limit:
+                raise MissionAbort(f"roll {euler[0]:.3f} rad beyond phi_limit "
+                                   f"{params.phi_limit:g} rad")
 
             st = step(st, omega_v, a_vx_real, a_vz_real, w, dt)
             prev_omega = omega_v
             prev_a_vx = a_vx_real
-        except (FlatnessSingularityError, IntegrationFault, ValueError) as exc:
+        except (FlatnessSingularityError, IntegrationFault, ValueError,
+                MissionAbort) as exc:
             aborted = True
             where = "leg" if isinstance(phase, _LegSpan) else "loiter"
             abort_reason = f"t={t:.2f} (tick {k}, {where} {phase.index}): {exc}"

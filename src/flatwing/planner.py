@@ -267,9 +267,8 @@ def _shape_of(config: PlannerConfig, M: int) -> _Shape:
                   _curved(config), config.n_curv_samples)
 
 
-@functools.lru_cache(maxsize=None)
 def _bound_rows(n: int, finite: tuple):
-    """One segment's derivative-bound rows, read-only: the unscaled weight
+    """One segment's derivative-bound rows: the unscaled weight
     blocks (R, 3, n+1), the velocity and acceleration difference stencils
     on each axis less the rows whose bound is infinite; each row's
     derivative order; and which of (v_max, a_max, v_min) bounds each row,
@@ -282,11 +281,8 @@ def _bound_rows(n: int, finite: tuple):
     order = np.tile(np.repeat([1, 2], [n, n - 1]), 3)
     bound_of = (axis + np.repeat([0, 3], [n, n - 1])).ravel()
     keep = np.asarray(finite)[bound_of]
-    rows = (blocks.reshape(-1, 3, n + 1)[keep], order[keep],
+    return (blocks.reshape(-1, 3, n + 1)[keep], order[keep],
             np.concatenate([bound_of[keep], np.full(n, 6)]))
-    for arr in rows:
-        arr.setflags(write=False)
-    return rows
 
 
 @functools.lru_cache(maxsize=_SHAPES_KEPT)

@@ -25,14 +25,19 @@ iteration, and a point that passes the same acceptance test is returned
 with zero iterations. Replans of one leg mostly keep their active set, so
 most of them end there; the rest run ADMM from the warm start.
 
-Dense solves run with numpy's and scipy's OpenBLAS pools on one thread:
-their BLAS and LAPACK calls are small, and threads only add stalls. On a
+Every solve runs with numpy's and scipy's OpenBLAS pools on one thread:
+its BLAS and LAPACK calls are small, and threads only add stalls. On a
 2-core x86_64 host (OpenBLAS 0.3.31), without the pinning an 8-waypoint
 `bench_planner` plan took 56-64 ms a call against 7.1-7.6 ms pinned, a
 4-waypoint plan 7.7-8.3 ms against 4.6-4.9 ms, and the plan-time linearity
 test in the acceptance suite failed 6 runs of 6 (r^2 below 0.01). The
 survey's replans, whose QPs are too small for OpenBLAS to thread, stayed
-within run-to-run noise.
+within run-to-run noise. CSR solves are pinned too, and no measured size
+showed a consistent cost: over 30 interleaved pairs of
+`bench_planner([64, 128])`, run twice, the median call took 66.0 and
+66.9 ms unpinned against 64.6 and 63.9 ms pinned, and over 40 pairs at 16,
+32 and 64 waypoints alone 14.80, 21.07 and 29.64 ms unpinned against 14.91,
+21.02 and 23.70 ms pinned.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,7 +222,7 @@ def _blas_pools():
 @contextmanager
 def _one_blas_thread():
     """Run the block with numpy's and scipy's BLAS pools on one thread each,
-    then restore their counts. A dense solve's BLAS and LAPACK calls are too
+    then restore their counts. A solve's BLAS and LAPACK calls are too
     small to gain from threads, and on a loaded host they stall on them."""
     pools = _blas_pools()
     saved = [get() for get, _ in pools]
@@ -475,9 +480,8 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
     if warm_start is not None:
         _check_shapes(prob, warm_start.x, warm_start.y, "warm start has")
 
-    # Every stage follows the problem's stored form. Dense solves run on
-    # one BLAS thread.
-    with nullcontext() if sp.issparse(prob._A) else _one_blas_thread():
+    # Every stage follows the problem's stored form, on one BLAS thread.
+    with _one_blas_thread():
         return _solve(prob, s, warm_start, t_begin)
 
 

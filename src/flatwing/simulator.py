@@ -45,8 +45,9 @@ class AeroParams:
         for name in ("mass", "wing_area", "c_l_alpha", "thrust_max", "phi_limit"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.a_l0 < 0:
-            raise ValueError("a_l0 must be non-negative")
+        for name in ("c_d0", "k_induced", "a_l0"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     @property
     def a_T_max(self) -> float:

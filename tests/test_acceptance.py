@@ -199,7 +199,6 @@ def test_commanded_bank_matches_coordinated_turn_identity():
     t_begin = time.perf_counter()
     loiter = ms.Loiter(np.array([0.0, 0.0, 60.0]), R_LOITER, ccw=True)
     params = sim.AeroParams()
-    ctrl = fl.ControlConfig(phi_limit=params.phi_limit)
 
     ref0 = ms.loiter_reference(loiter, V, 0.0)
     frame0 = fl.frame_from_flat(ref0.velocity, ref0.acceleration)
@@ -223,7 +222,7 @@ def test_commanded_bank_matches_coordinated_turn_identity():
         k_dyn = sim.dynamic_accel(params, st.v.tolist(), CALM, float(st.x[2]))
         _, a_D = sim.aero_accels(params, k_dyn, st.alpha)
         cmd, cmd_state = fl.command_from_flat(
-            ref, st.x, st.v, a_est, ctrl, cmd_state, dt,
+            ref, st.x, st.v, a_est, params.phi_limit, cmd_state, dt,
             drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
         )
         st.alpha = sim.solve_alpha(

@@ -155,7 +155,10 @@ def test_simulate_command_aborted_mission(tmp_path, capsys):
     (MINI_MISSION, "mass -1\n", "mass must be strictly positive"),
     (MINI_MISSION, "gust_amplitude 1\ngust_period 0\n", "gust_period must be positive"),
     (MINI_MISSION, "tau_att -1\n", "tau_att must be positive"),
-], ids=['cruise-nan', 'radius-nan', 'seed-inf', 'seed-fraction', 'mass-negative', 'gust-period-zero', 'tau-att-negative'])
+    (MINI_MISSION, "k_induced -0.05\n", "k_induced must be non-negative"),
+    (MINI_MISSION, "c_d0 -0.5\n", "c_d0 must be non-negative"),
+], ids=['cruise-nan', 'radius-nan', 'seed-inf', 'seed-fraction', 'mass-negative', 'gust-period-zero',
+        'tau-att-negative', 'k-induced-negative', 'c-d0-negative'])
 def test_simulate_command_rejects_malformed_inputs(tmp_path, capsys, mission, params,
                                                    message):
     mpath = tmp_path / "m.txt"

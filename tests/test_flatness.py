@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ G = np.array([0.0, 0.0, -9.81])
 V = 14.0
 R_TURN = 45.0
 A_CENTRIP = V**2 / R_TURN  # 4.3556 m/s^2
+PHI_LIMIT = 1.0  # rad, AeroParams' default
 
 
 def level_frame():
@@ -161,7 +163,7 @@ def test_default_gains_place_all_poles_at_minus_two():
     # s^3 + k2 s^2 + k1 s + k0 = (s + 2)^3 = s^3 + 6 s^2 + 12 s + 8
     k0, k1, k2 = fl.CASCADE_GAINS
     assert np.allclose(np.poly([-2.0, -2.0, -2.0]), [1.0, k2, k1, k0])
-    assert fl.ControlConfig().gains == fl.CASCADE_GAINS
+    assert inspect.signature(fl.path_param_inputs).parameters["gains"].default == fl.CASCADE_GAINS
 
 
 def test_error_dynamics_match_critically_damped_solution():
@@ -247,44 +249,46 @@ def test_scalar_euler_matches_matrix_formula():
 def test_command_perfect_tracking_straight_line():
     ref = fl.FlatState(np.zeros(3), np.array([V, 0, 0]), np.zeros(3), np.zeros(3))
     cmd, cs = fl.command_from_flat(
-        ref, ref.position, ref.velocity, ref.acceleration, fl.ControlConfig()
+        ref, ref.position, ref.velocity, ref.acceleration, PHI_LIMIT
     )
     assert cmd.phi_c == pytest.approx(0.0, abs=1e-12)
     assert cmd.omega_vx == pytest.approx(0.0, abs=1e-12)
     assert cmd.omega_vy == pytest.approx(0.0, abs=1e-12)
-    assert not cmd.phi_clamped
+    assert abs(cmd.phi_c) < PHI_LIMIT  # not clamped
     assert cs.a_vz == pytest.approx(-9.81, abs=1e-12)
 
 
 def test_command_steady_circle_bank():
     ref = circle_flat_state()
     cmd, _ = fl.command_from_flat(
-        ref, ref.position, ref.velocity, ref.acceleration, fl.ControlConfig()
+        ref, ref.position, ref.velocity, ref.acceleration, PHI_LIMIT
     )
     assert np.tan(abs(cmd.phi_c)) == pytest.approx(V**2 / (R_TURN * 9.81), abs=1e-9)
     assert cmd.phi_c < 0  # left turn
 
 
-def test_command_bank_clamp_sets_flag():
+def test_command_bank_clamps_at_phi_limit():
     ref = circle_flat_state()
-    cmd, _ = fl.command_from_flat(
-        ref, ref.position, ref.velocity, ref.acceleration,
-        fl.ControlConfig(phi_limit=0.3),
+    free, _ = fl.command_from_flat(
+        ref, ref.position, ref.velocity, ref.acceleration, PHI_LIMIT
     )
-    assert cmd.phi_clamped
+    cmd, _ = fl.command_from_flat(
+        ref, ref.position, ref.velocity, ref.acceleration, 0.3
+    )
+    assert abs(free.phi_c) > 0.3  # the bank the turn asks for is clamped
     assert abs(cmd.phi_c) == 0.3
 
 
 def test_command_thrust_inverse_includes_drag_and_alpha():
     ref = fl.FlatState(np.zeros(3), np.array([V, 0, 0]), np.zeros(3), np.zeros(3))
     cmd, _ = fl.command_from_flat(
-        ref, ref.position, ref.velocity, ref.acceleration, fl.ControlConfig(),
+        ref, ref.position, ref.velocity, ref.acceleration, PHI_LIMIT,
         drag_accel=0.8, alpha_est=0.05,
     )
     # level cruise needs a_vx = 0, so a_T cos(alpha) = drag
     assert cmd.a_T == pytest.approx(0.8 / np.cos(0.05), rel=1e-12)
     capped, _ = fl.command_from_flat(
-        ref, ref.position, ref.velocity, ref.acceleration, fl.ControlConfig(),
+        ref, ref.position, ref.velocity, ref.acceleration, PHI_LIMIT,
         drag_accel=50.0, a_T_max=8.0,
     )
     assert capped.a_T == 8.0

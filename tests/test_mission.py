@@ -291,13 +291,13 @@ def test_loiter_reference_derivative_consistency():
 def test_tangent_handoff_angles_at_double_radius():
     lo = ms.Loiter(np.zeros(3), 45.0, ccw=True)
     target = np.array([90.0, 0.0, 0.0])
-    exit_st = ms.tangent_handoff(lo, target, V, "exit")
-    entry_st = ms.tangent_handoff(lo, target, V, "entry")
-    assert exit_st.angle == pytest.approx(-math.pi / 3.0, abs=1e-12)
-    assert entry_st.angle == pytest.approx(math.pi / 3.0, abs=1e-12)
+    exit_angle, _ = ms.tangent_handoff(lo, target, V, "exit")
+    entry_angle, _ = ms.tangent_handoff(lo, target, V, "entry")
+    assert exit_angle == pytest.approx(-math.pi / 3.0, abs=1e-12)
+    assert entry_angle == pytest.approx(math.pi / 3.0, abs=1e-12)
     # clockwise mirror
     cw = ms.Loiter(np.zeros(3), 45.0, ccw=False)
-    assert ms.tangent_handoff(cw, target, V, "exit").angle == pytest.approx(
+    assert ms.tangent_handoff(cw, target, V, "exit")[0] == pytest.approx(
         math.pi / 3.0, abs=1e-12
     )
 
@@ -306,13 +306,13 @@ def test_tangent_handoff_geometry_invariants():
     lo = ms.Loiter(np.array([20.0, -10.0, 60.0]), 45.0, ccw=True)
     target = np.array([180.0, 70.0, 60.0])
     for mode in ("exit", "entry"):
-        st = ms.tangent_handoff(lo, target, V, mode)
-        radial = st.point - lo.center
+        _, st = ms.tangent_handoff(lo, target, V, mode)
+        radial = st.position - lo.center
         assert np.hypot(*radial[:2]) == pytest.approx(45.0, abs=1e-9)
         assert abs(float(radial @ st.velocity)) <= 1e-9  # velocity is tangent
         assert np.allclose(st.acceleration, -((V / 45.0) ** 2) * radial, atol=1e-9)
         # the tangent line through the point passes through the target
-        chord = target - st.point
+        chord = target - st.position
         cross = chord[0] * st.velocity[1] - chord[1] * st.velocity[0]
         assert abs(cross) / np.linalg.norm(chord) <= 1e-9
         # travel direction: exit moves toward the target, entry arrives from it
@@ -505,7 +505,7 @@ def test_mission_aborts_on_a_loiter_whose_tangent_breaks_a_max():
     # the axis and the bound before any QP is built.
     text = "version 1\ncruise_speed 14\nloiter 0 0 50 45 ccw 0\nloiter 300 0 50 25 ccw 0\n"
     plan = ms.parse_mission(text)
-    entry_st, _ = ms.leg_sequence(plan, 0)
+    entry_st = ms.leg_sequence(plan, 0)[1].boundary_end
     assert np.linalg.norm(entry_st.acceleration) == pytest.approx(14.0**2 / 25.0)
     axis = int(np.flatnonzero(np.abs(entry_st.acceleration) > 6.0)[0])
     res = ms.run_mission(plan)
@@ -620,3 +620,34 @@ def test_fuzzed_missions_return_and_name_every_abort(data):
     res = ms.run_mission(ms.parse_mission("\n".join(lines) + "\n"))
     if res.aborted:
         assert re.match(r"(leg \d+ |loiter \d+ |t=)", res.abort_reason), res.abort_reason
+    else:  # a run that flies keeps its roll within the clamp on the command
+        m = res.metrics
+        assert max(-m["roll_min"], m["roll_max"]) <= sim.AeroParams().phi_limit
+
+
+# A descending leg in calm air (its thrust sits at 0 and the aircraft falls
+# behind), two loiters 37 m apart in height in calm air, and the bundled
+# survey in steady winds along the breeze's north-east direction.
+DESCENT_MISSION = ("version 1\ncruise_speed 10.138\nloiter 0 0 50 60 ccw 0\n"
+                   "waypoint 1.002 90.202 41.323\nloiter -62.176 154.591 67.437 60 ccw 0\n")
+DROP_MISSION = ("version 1\ncruise_speed 12.133\nloiter 98.55 110.60 77.33 73.85 cw 0\n"
+                "loiter 268.37 220.07 40.50 51.87 cw 0\n")
+SURVEY = Path(__file__).resolve().parents[1] / "missions" / "two_loiter_survey.txt"
+
+
+@pytest.mark.parametrize("mission, wind, where", [
+    (DESCENT_MISSION, 0.0, "t=13.87 (tick 1387, leg 0)"),
+    (DROP_MISSION, 0.0, "t=43.69 (tick 4369, loiter 1)"),
+    (None, 8.0, "t=71.13 (tick 7113, loiter 2)"),
+    (None, 10.0, "t=18.69 (tick 1869, leg 0)"),
+], ids=["descent", "drop", "survey-wind-8", "survey-wind-10"])
+def test_mission_aborts_when_roll_leaves_phi_limit(mission, wind, where):
+    aero, wind_field, mcfg = ms.build_setup({"wind_east": wind / math.sqrt(2.0),
+                                             "wind_north": wind / math.sqrt(2.0)})
+    plan = ms.parse_mission(mission or SURVEY.read_text())
+    res = ms.run_mission(plan, params=aero, wind=wind_field, mcfg=mcfg)
+    assert res.aborted
+    assert re.fullmatch(re.escape(where) + r": roll -?1\.\d{3} rad beyond phi_limit 1 rad",
+                        res.abort_reason), res.abort_reason
+    rolls = np.abs(res.log.columns()[:, 13])
+    assert rolls[-1] > aero.phi_limit >= rolls[:-1].max()  # the tick that lost it is logged

@@ -642,8 +642,8 @@ def test_dense_solves_run_on_one_blas_thread(monkeypatch):
         assert all(get() == 1 for get, _ in qp._blas_pools())
     assert [get() for get, _ in qp._blas_pools()] == before
 
-    # A dense solve factors on one thread and restores the counts, also
-    # when it raises; a CSR solve leaves the pools alone.
+    # A solve, dense or CSR, factors on one thread and restores the
+    # counts, also when it raises.
     counts = {"numpy": 4, "scipy": 3}
     monkeypatch.setattr(qp, "_blas_pools", lambda: tuple(
         (lambda k=k: counts[k], lambda v, k=k: counts.__setitem__(k, v)) for k in counts))
@@ -661,4 +661,5 @@ def test_dense_solves_run_on_one_blas_thread(monkeypatch):
     prob = qp.QpProblem(*random_box_qp(np.random.default_rng(6))[:5])
     assert sp.issparse(prob._A)
     assert qp.solve_qp(prob).status == "solved"
-    assert seen and all(c == {"numpy": 4, "scipy": 3} for c in seen)
+    assert seen and all(c == {"numpy": 1, "scipy": 1} for c in seen)
+    assert counts == {"numpy": 4, "scipy": 3}

@@ -330,7 +330,6 @@ def test_attitude_loop_passthrough_at_command():
     st = level_state()
     cmd = fl.CommandedInput(
         theta_c=0.0, phi_c=0.0, omega_vx=0.3, omega_vy=0.1, a_T=1.0,
-        phi_clamped=False,
     )
     p, q, r = rates(st, cmd, tau_att=0.1)
     assert p == pytest.approx(0.3, abs=1e-12)
@@ -340,10 +339,10 @@ def test_attitude_loop_passthrough_at_command():
 
 def test_attitude_loop_proportional_error_and_clamp():
     st = level_state()
-    cmd = fl.CommandedInput(0.0, 0.15, 0.0, 0.0, 1.0, False)
+    cmd = fl.CommandedInput(0.0, 0.15, 0.0, 0.0, 1.0)
     p, _, _ = rates(st, cmd, tau_att=0.1)
     assert p == pytest.approx(1.5, abs=1e-12)
-    big = fl.CommandedInput(0.0, 3.0, 0.0, 0.0, 1.0, False)
+    big = fl.CommandedInput(0.0, 3.0, 0.0, 0.0, 1.0)
     p, _, _ = rates(st, big, tau_att=0.1)
     assert p == sim.RATE_LIMIT
 
@@ -353,7 +352,7 @@ def test_attitude_loop_pitch_error_uses_body_angle():
     # frame attitude produces no pitch rate
     st = level_state()
     st.alpha = 0.05
-    cmd = fl.CommandedInput(0.05, 0.0, 0.0, 0.0, 1.0, False)
+    cmd = fl.CommandedInput(0.05, 0.0, 0.0, 0.0, 1.0)
     _, q, _ = rates(st, cmd, tau_att=0.1)
     assert q == pytest.approx(0.0, abs=1e-12)
 
@@ -380,14 +379,14 @@ def test_scalar_attitude_loop_matches_matrix_formula():
 
 def test_attitude_loop_rejects_bad_time_constant():
     st = level_state()
-    cmd = fl.CommandedInput(0.0, 0.0, 0.0, 0.0, 1.0, False)
+    cmd = fl.CommandedInput(0.0, 0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         rates(st, cmd, tau_att=0.0)
 
 
 def test_attitude_loop_first_order_roll_response():
     st = level_state()
-    cmd = fl.CommandedInput(0.0, 0.15, 0.0, 0.0, 1.0, False)
+    cmd = fl.CommandedInput(0.0, 0.15, 0.0, 0.0, 1.0)
     for _ in range(30):  # 3 time constants
         om = rates(st, cmd, tau_att=0.1, dt=0.01)
         st = sim.step(st, om, 0.0, -9.81, CALM, 0.01)
