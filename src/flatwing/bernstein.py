@@ -241,13 +241,14 @@ class PiecewiseTrajectory:
         return out[:, vel], out[:, acc]
 
     def eval(self, t: float):
-        """Return (position, velocity, acceleration, jerk) at time t.
+        """Return (position, velocity, acceleration, jerk) at time t: four
+        tuples of d floats, or four floats for a scalar trajectory.
 
         The degree-n basis row at t times the segment's table.
         """
         t0, tf, dur, table = self._pieces[self.segment_index(t)]
         u = float((min(max(t, t0), tf) - t0) / dur)
-        out = np.array(_basis(self._n, u)) @ table
+        out = tuple((np.array(_basis(self._n, u)) @ table).tolist())
         p, v, a, j = self._parts
         return out[p], out[v], out[a], out[j]
 

@@ -4,13 +4,15 @@ Everything here is a pure algebraic function of the flat output (position
 and its derivatives): velocity-frame reconstruction, inversion from
 commanded jerk to the model inputs, the cascade feedback jerk law, the
 coordinated-turn rate constraints, and the arc-length-parameterized
-inversion through the 3x3 decoupling matrix.
+inversion through the 3x3 decoupling matrix. The 100 Hz tick's records
+(`FlatState`, `CommandedInput`, `CommandState`) are named tuples of floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +35,13 @@ class FlatnessSingularityError(RuntimeError):
     """The flat map is not invertible at this state (slow flight or zero normal load)."""
 
 
-@dataclass(frozen=True)
-class FlatState:
-    """Flat output sample: position and its first three time derivatives."""
+class FlatState(NamedTuple):
+    """Flat output sample: position and its first three time derivatives, 3 floats each."""
 
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    jerk: np.ndarray
+    position: tuple
+    velocity: tuple
+    acceleration: tuple
+    jerk: tuple
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,7 @@ class CoordinatedFrame:
     omega_vz: float
 
 
-@dataclass(frozen=True)
-class CommandedInput:
+class CommandedInput(NamedTuple):
     theta_c: float
     phi_c: float
     omega_vx: float
@@ -75,8 +75,7 @@ class PathParamState:
             raise ValueError("path parameterization requires forward progress (s_dot > 0)")
 
 
-@dataclass
-class CommandState:
+class CommandState(NamedTuple):
     """Integrated axial/normal acceleration commands carried between ticks."""
 
     a_vx: float
@@ -177,9 +176,8 @@ def flat_inputs(flat: FlatState, frame: CoordinatedFrame):
     diag(1, -1/a_vz, 1) applied to the frame-resolved jerk, so the
     inversion is exact wherever a_vz stays away from zero.
     """
-    return _jerk_inputs(np.asarray(frame.R, dtype=float).ravel().tolist(),
-                        frame.a_vx, frame.a_vz, frame.omega_vy, frame.omega_vz,
-                        np.asarray(flat.jerk, dtype=float).tolist())
+    return _jerk_inputs(np.asarray(frame.R, dtype=float).ravel().tolist(), frame.a_vx,
+                        frame.a_vz, frame.omega_vy, frame.omega_vz, flat.jerk)
 
 
 def forward_jerk(frame: CoordinatedFrame, a_vx_dot, omega_vx, a_vz_dot):
@@ -195,18 +193,19 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
                       alpha_est: float = 0.0, a_T_max: float = math.inf):
     """Full command synthesis: returns (CommandedInput, CommandState).
 
-    position, velocity and acceleration are the vehicle's, three floats
-    each, as `tracking_jerk` takes them. The commanded frame is built from
-    the reference flat derivatives, the feedback enters through the
-    commanded jerk, and the axial/normal acceleration channels are
-    integrated (with a slow leak toward the reference trim values) to
-    produce thrust and pitch-rate commands. The feedback gains are
-    `CASCADE_GAINS`, and the bank command is clamped to +/- phi_limit.
+    The reference's vectors and the vehicle's position, velocity and
+    acceleration are three floats each, as `tracking_jerk` takes them. The
+    commanded frame is built from the reference flat derivatives, the
+    feedback enters through the commanded jerk, and the axial/normal
+    acceleration channels are integrated (with a slow leak toward the
+    reference trim values) to produce thrust and pitch-rate commands. The
+    feedback gains are `CASCADE_GAINS`, and the bank command is clamped to
+    +/- phi_limit.
     """
-    rv, ra = ref.velocity.tolist(), ref.acceleration.tolist()
+    rp, rv, ra, rj = ref
     R, a_vx, a_vz, V, omega_vy, omega_vz = _frame(rv, ra, _G)
-    jerk_c = tracking_jerk(ref.position.tolist(), rv, ra, ref.jerk.tolist(),
-                           position, velocity, acceleration, CASCADE_GAINS)
+    jerk_c = tracking_jerk(rp, rv, ra, rj, position, velocity, acceleration,
+                           CASCADE_GAINS)
     a_vx_dot, omega_vx, a_vz_dot = _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk_c)
 
     if state is None:
@@ -220,9 +219,8 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     a_T = min(max(a_T, 0.0), a_T_max)
 
     phi, theta_frame, _ = euler_zyx(R)
-    cmd = CommandedInput(theta_c=theta_frame + alpha_est,
-                         phi_c=min(max(phi, -phi_limit), phi_limit),
-                         omega_vx=omega_vx, omega_vy=omega_vy_c, a_T=a_T)
+    cmd = CommandedInput(theta_frame + alpha_est, min(max(phi, -phi_limit), phi_limit),
+                         omega_vx, omega_vy_c, a_T)
     return cmd, CommandState(a_vx_i, a_vz_i)
 
 

@@ -66,13 +66,13 @@ class MissionAbort(RuntimeError):
 
 @dataclass
 class Loiter:
-    center: np.ndarray
+    center: tuple  # three floats
     radius: float
     ccw: bool = True
     laps: int = 0
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
+        self.center = tuple(map(float, self.center))
         if not 1.0 <= self.radius < math.inf:
             raise ValueError("loiter radius must be at least 1 m and finite")
         if self.laps < 0:
@@ -138,19 +138,18 @@ def _angular_rate(loiter: Loiter, speed: float) -> float:
 
 def loiter_reference(loiter: Loiter, speed: float, t: float,
                      phase0: float = 0.0) -> FlatState:
-    """Flat reference on the circle, t seconds after passing phase0."""
+    """Flat reference on the circle, t seconds after passing phase0, as
+    tuples of floats."""
     if speed <= 0:
         raise ValueError("loiter speed must be positive")
     w = _angular_rate(loiter, speed)
     th = phase0 + w * t
     c, s = math.cos(th), math.sin(th)
     r = loiter.radius
-    cx, cy, cz = loiter.center.tolist()
+    cx, cy, cz = loiter.center
     rw, rww, rwww = r * w, -r * w * w, r * w**3
-    return FlatState(np.array([cx + r * c, cy + r * s, cz]),
-                     np.array([rw * -s, rw * c, 0.0]),
-                     np.array([rww * c, rww * s, 0.0]),
-                     np.array([rwww * s, rwww * -c, 0.0]))
+    return FlatState((cx + r * c, cy + r * s, cz), (rw * -s, rw * c, 0.0),
+                     (rww * c, rww * s, 0.0), (rwww * s, rwww * -c, 0.0))
 
 
 def tangent_handoff(loiter: Loiter, point, speed: float,
@@ -260,7 +259,7 @@ def parse_mission(text: str) -> MissionPlan:
                 if loiters:
                     legs.append(Leg(pending_wps))
                     pending_wps = []
-                loiters.append(Loiter(np.array([cx, cy, cz]), r, sense == "ccw", laps))
+                loiters.append(Loiter((cx, cy, cz), r, sense == "ccw", laps))
             elif key == "waypoint":
                 x, y, z = map(_finite, tok[1:])
                 if not loiters:
@@ -315,9 +314,8 @@ def build_setup(params: dict):
     """Split a parameter dict into airframe, wind, and attitude settings."""
     aero = AeroParams(**{k: v for k, v in params.items() if k in _AERO_KEYS})
     wind = WindField(
-        mean=np.array([params.get("wind_east", 0.0),
-                       params.get("wind_north", 0.0),
-                       params.get("wind_up", 0.0)]),
+        mean=(params.get("wind_east", 0.0), params.get("wind_north", 0.0),
+              params.get("wind_up", 0.0)),
         gust_amplitude=params.get("gust_amplitude", 0.0),
         gust_period=params.get("gust_period", 60.0),
         seed=int(params.get("seed", 0)),
@@ -347,10 +345,8 @@ class SimLog:
 
     def append(self, t, ref: FlatState, st: AircraftState, euler, a_T,
                leg_id, replan_flag):
-        self.rows.append((
-            t, *ref.position.tolist(), *ref.velocity.tolist(), *st.x.tolist(),
-            *st.v.tolist(), *euler, a_T, leg_id, replan_flag,
-        ))
+        self.rows.append((t, *ref.position, *ref.velocity, *st.x, *st.v, *euler,
+                          a_T, leg_id, replan_flag))
 
     def columns(self) -> np.ndarray:
         return np.asarray(self.rows, dtype=float)
@@ -543,14 +539,14 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
     # Initial state: coordinated trim on the circle against the t=0 wind.
     ref0 = reference(0.0)
     w0 = wind_at(wind, 0.0)
-    v_air0 = ref0.velocity - w0
+    v_air0 = np.subtract(ref0.velocity, w0)
     V_a0 = float(np.linalg.norm(v_air0))
     if V_a0 < V_EPS:
         return MissionResult(log, events, {}, True, "initial airspeed too low")
     frame0 = frame_from_flat(v_air0, ref0.acceleration)
-    alpha0, _ = coordinated_trim(params, V_a0, -frame0.a_vz, float(ref0.position[2]))
-    st = AircraftState(x=ref0.position.copy(), v=V_a0 * frame0.R[:, 0] + w0,
-                       R=frame0.R.copy(), alpha=alpha0, V_a=V_a0)
+    alpha0, _ = coordinated_trim(params, V_a0, -frame0.a_vz, ref0.position[2])
+    st = AircraftState(ref0.position, tuple((V_a0 * frame0.R[:, 0] + w0).tolist()),
+                       tuple(frame0.R.ravel().tolist()), alpha0, V_a0)
     omega_vx0 = flat_inputs(ref0, frame0)[1]
     prev_omega = (omega_vx0, frame0.omega_vy, frame0.omega_vz)
     prev_a_vx = frame0.a_vx
@@ -615,7 +611,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
             w = wind_at(wind, t)
             # Acceleration estimate from the previously applied inputs:
             # R (V_a_dot, V_a*omega_z, -V_a*omega_y).
-            R = st.R.ravel().tolist()
+            R = st.R
             r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
             _, om_y, om_z = prev_omega
             b0, b1, b2 = prev_a_vx + gz * r20, st.V_a * om_z, -st.V_a * om_y
@@ -624,19 +620,17 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                      r20 * b0 + r21 * b1 + r22 * b2]
             # Airspeed and density, hence k_dyn, hold across the tick; only
             # alpha changes between the two lift/drag evaluations.
-            x, v = st.x.tolist(), st.v.tolist()
-            k_dyn = dynamic_accel(params, v, w, x[2])
+            k_dyn = dynamic_accel(params, st.v, w, st.x[2])
             _, a_D = aero_accels(params, k_dyn, st.alpha)
             cmd, cmd_state = command_from_flat(
-                ref, x, v, a_est, params.phi_limit, cmd_state, dt,
+                ref, st.x, st.v, a_est, params.phi_limit, cmd_state, dt,
                 drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
             )
-            st.alpha = solve_alpha(params, st.V_a, x[2], cmd.a_T,
-                                   cmd_state.a_vz)
+            st.alpha = solve_alpha(params, st.V_a, st.x[2], cmd.a_T, cmd_state.a_vz)
             euler = euler_zyx(R)
             omega_v = attitude_inner_loop(R, euler, st.alpha, st.V_a, cmd, mcfg.tau_att, dt)
             a_L, a_D = aero_accels(params, k_dyn, st.alpha)
-            a_vx_real, a_vz_real = input_accels(cmd.a_T, a_D, a_L, st.alpha)
+            a_vx_real, _ = input_accels(cmd.a_T, a_D, a_L, st.alpha)
 
             leg_id = phase.index if isinstance(phase, _LegSpan) else -1
             log.append(t, ref, st, euler, cmd.a_T, leg_id, replan_flag)
@@ -646,7 +640,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 raise MissionAbort(f"roll {euler[0]:.3f} rad beyond phi_limit "
                                    f"{params.phi_limit:g} rad")
 
-            st = step(st, omega_v, a_vx_real, a_vz_real, w, dt)
+            st = step(st, omega_v, a_vx_real, w, dt)
             prev_omega = omega_v
             prev_a_vx = a_vx_real
         except (FlatnessSingularityError, IntegrationFault, ValueError,

@@ -706,7 +706,7 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
     if t_h > current.t_end or t_h < current.t_start:
         return PlanResult(trajectory=None, status="rejected")
 
-    pos, vel, acc, _ = current.eval(t_h)
+    pos, vel, acc = np.asarray(current.eval(t_h)[:3])
     remaining = np.atleast_2d(np.asarray(wps_remaining, dtype=float))
     dist = np.linalg.norm(remaining - pos, axis=1)
     # Drop the leading waypoints within reach, keeping at least the last.

@@ -5,13 +5,14 @@ with a lift/drag/thrust acceleration model, kinematic wind advection,
 quasi-static angle of attack, and a first-order stand-in for the autopilot
 attitude inner loop. The translational velocity is x_dot = V_a R e1 + w,
 so the coordinated-flight constraint (zero lateral velocity in the frame)
-holds on the air-relative velocity by construction.
+holds on the air-relative velocity by construction. The tick's kernels
+and `AircraftState` carry Python floats, so no tick builds a numpy array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +57,21 @@ class AeroParams:
 
 @dataclass
 class WindField:
-    """Mean wind plus a deterministic sinusoidal horizontal gust."""
+    """Mean wind, three floats, plus a deterministic sinusoidal horizontal gust."""
 
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    mean: tuple = (0.0, 0.0, 0.0)
     gust_amplitude: float = 0.0
     gust_period: float = 60.0
     seed: int = 0
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
+        try:
+            mean = tuple(map(float, self.mean))
+        except (TypeError, ValueError):
+            mean = ()
+        if len(mean) != 3 or not all(map(math.isfinite, mean)):
+            raise ValueError(f"mean must be 3 finite numbers, got {self.mean!r}")
+        self.mean = mean
         if self.gust_amplitude < 0:
             raise ValueError("gust_amplitude must be non-negative")
         if not self.gust_period > 0:
@@ -75,21 +82,22 @@ class WindField:
 
 def wind_at(wind: WindField, t: float) -> tuple:
     """Wind velocity (east, north, up) at time t, as three floats."""
-    wx, wy, wz = wind.mean.tolist()
     if not wind.gust_amplitude > 0.0:
-        return wx, wy, wz
+        return wind.mean
+    wx, wy, wz = wind.mean
     arg = 2.0 * math.pi * t / wind.gust_period
     return (wx + wind.gust_amplitude * math.sin(arg + wind._phases[0]),
             wy + wind.gust_amplitude * math.sin(arg + wind._phases[1]), wz)
 
 
-@dataclass
+@dataclass(slots=True)
 class AircraftState:
-    """Inertial position/velocity, velocity-frame rotation, and air data."""
+    """Inertial position and velocity, three floats each; the velocity-frame
+    rotation, row-major as 9 floats; and the air data."""
 
-    x: np.ndarray
-    v: np.ndarray
-    R: np.ndarray
+    x: tuple
+    v: tuple
+    R: tuple
     alpha: float
     V_a: float
 
@@ -236,18 +244,18 @@ def _rotation_step(R, omega_v, dt):
     return _matmul3(Rh, E), Rh
 
 
-def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
-         wind_vec, dt: float) -> AircraftState:
+def step(state: AircraftState, omega_v, a_vx: float, wind_vec,
+         dt: float) -> AircraftState:
     """One integration step of the coordinated kinematics.
 
     The rotation R_dot = R*skew(omega_v) is advanced exactly for the held
     omega_v (`_rotation_step`); x_dot = V_a R e1 + w and
     V_a_dot = a_vx + (R'g)_x are integrated by RK4 along that exact
-    rotation, which keeps the step fourth order. The wind w is three floats,
-    as `wind_at` returns it. The normal channel a_vz is
-    realized through the pitch rate omega_v[1] under the coordinated
-    constraint, so it is accepted for bookkeeping but does not enter the
-    quadrature directly.
+    rotation, which keeps the step fourth order. omega_v and the wind w
+    are three floats each, as `attitude_inner_loop` and `wind_at` return
+    them, and the new state holds floats as the old one does. The normal
+    acceleration is realized through the pitch rate omega_v[1] under the
+    coordinated constraint, so it has no argument of its own.
     """
     if not 0.0 < dt <= 0.02:
         raise ValueError(f"dt={dt} outside (0, 0.02]")
@@ -256,8 +264,8 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
     wx, wy, wz = wind_vec
     gz = _G[2]
 
-    R = state.R.ravel().tolist()
-    Rn, Rh = _rotation_step(R, np.asarray(omega_v, dtype=float).tolist(), dt)
+    R = state.R
+    Rn, Rh = _rotation_step(R, omega_v, dt)
     # Velocity axes: the first columns of the stage rotations R, Rh and Rn.
     a0, a1, a2 = R[0::3]
     b0, b1, b2 = Rh[0::3]
@@ -275,16 +283,15 @@ def step(state: AircraftState, omega_v, a_vx: float, a_vz: float,
     h6 = dt / 6.0
     Vn = V + h6 * (vd1 + 4.0 * vd2 + vd4)
     V23 = 2.0 * (V2 + V3)
-    x0, x1, x2 = state.x.tolist()
-    xn = [x0 + h6 * (V * a0 + V23 * b0 + V4 * c0 + 6.0 * wx),
+    x0, x1, x2 = state.x
+    xn = (x0 + h6 * (V * a0 + V23 * b0 + V4 * c0 + 6.0 * wx),
           x1 + h6 * (V * a1 + V23 * b1 + V4 * c1 + 6.0 * wy),
-          x2 + h6 * (V * a2 + V23 * b2 + V4 * c2 + 6.0 * wz)]
+          x2 + h6 * (V * a2 + V23 * b2 + V4 * c2 + 6.0 * wz))
 
-    if not all(map(math.isfinite, [Vn, *xn])):
+    if not all(map(math.isfinite, (Vn, *xn))):
         raise IntegrationFault("non-finite state after integration step")
-    vn = [Vn * c0 + wx, Vn * c1 + wy, Vn * c2 + wz]
-    return AircraftState(x=np.array(xn), v=np.array(vn), R=np.array(Rn).reshape(3, 3),
-                         alpha=state.alpha, V_a=Vn)
+    return AircraftState(xn, (Vn * c0 + wx, Vn * c1 + wy, Vn * c2 + wz), Rn,
+                         state.alpha, Vn)
 
 
 def attitude_inner_loop(R, euler, alpha: float, V_a: float, cmd: CommandedInput,

@@ -204,7 +204,7 @@ def test_commanded_bank_matches_coordinated_turn_identity():
     frame0 = fl.frame_from_flat(ref0.velocity, ref0.acceleration)
     alpha0, _ = sim.coordinated_trim(params, V, -frame0.a_vz, 60.0)
     st = sim.AircraftState(
-        ref0.position.copy(), ref0.velocity.copy(), frame0.R.copy(), alpha0, V
+        ref0.position, ref0.velocity, tuple(frame0.R.ravel().tolist()), alpha0, V
     )
     prev_omega = np.array(
         [fl.flat_inputs(ref0, frame0)[1], frame0.omega_vy, frame0.omega_vz]
@@ -215,28 +215,28 @@ def test_commanded_bank_matches_coordinated_turn_identity():
     banks, rolls = [], []
     for k in range(2000):  # 20 s: two laps, transient long gone
         ref = ms.loiter_reference(loiter, V, k * dt)
-        vdot = prev_a_vx - 9.81 * st.R[2, 0]
-        a_est = st.R @ np.array(
+        vdot = prev_a_vx - 9.81 * st.R[6]
+        a_est = np.reshape(st.R, (3, 3)) @ np.array(
             [vdot, st.V_a * prev_omega[2], -st.V_a * prev_omega[1]]
         )
-        k_dyn = sim.dynamic_accel(params, st.v.tolist(), CALM, float(st.x[2]))
+        k_dyn = sim.dynamic_accel(params, st.v, CALM, st.x[2])
         _, a_D = sim.aero_accels(params, k_dyn, st.alpha)
         cmd, cmd_state = fl.command_from_flat(
             ref, st.x, st.v, a_est, params.phi_limit, cmd_state, dt,
             drag_accel=a_D, alpha_est=st.alpha, a_T_max=params.a_T_max,
         )
         st.alpha = sim.solve_alpha(
-            params, st.V_a, float(st.x[2]), cmd.a_T, cmd_state.a_vz
+            params, st.V_a, st.x[2], cmd.a_T, cmd_state.a_vz
         )
-        R = st.R.ravel().tolist()
-        omega_v = sim.attitude_inner_loop(R, fl.euler_zyx(R), st.alpha, st.V_a, cmd, 0.1, dt)
+        omega_v = sim.attitude_inner_loop(st.R, fl.euler_zyx(st.R), st.alpha, st.V_a,
+                                          cmd, 0.1, dt)
         a_L, a_D = sim.aero_accels(params, k_dyn, st.alpha)
-        a_vx, a_vz = sim.input_accels(cmd.a_T, a_D, a_L, st.alpha)
-        st = sim.step(st, omega_v, a_vx, a_vz, CALM, dt)
+        a_vx, _ = sim.input_accels(cmd.a_T, a_D, a_L, st.alpha)
+        st = sim.step(st, omega_v, a_vx, CALM, dt)
         prev_omega, prev_a_vx = omega_v, a_vx
         if k * dt >= 15.0:
             banks.append(cmd.phi_c)
-            rolls.append(fl.euler_zyx(st.R.ravel())[0])
+            rolls.append(fl.euler_zyx(st.R)[0])
 
     ideal = V**2 / (R_LOITER * 9.81)
     for phi_c in banks:
@@ -330,7 +330,7 @@ def test_bernstein_basis_property_suite():
             for t in (0.31 * dur, 0.77 * dur):
                 exact = traj.eval(t)[k]
                 approx = fd_richardson(
-                    lambda s: traj.eval(s)[0], t, k, FD_STEPS[k]
+                    lambda s: np.array(traj.eval(s)[0]), t, k, FD_STEPS[k]
                 )
                 assert np.abs(exact - approx).max() <= 1e-5
 
@@ -357,10 +357,11 @@ def test_integrator_order_and_rotation_drift():
         return V * lever @ e1
 
     def endpoint_error(dt, horizon=2.0):
-        st = sim.AircraftState(np.zeros(3), np.array([V, 0, 0]), np.eye(3), 0.0, V)
+        st = sim.AircraftState((0.0, 0.0, 0.0), (V, 0.0, 0.0),
+                               tuple(np.eye(3).ravel().tolist()), 0.0, V)
         for _ in range(int(round(horizon / dt))):
-            st = sim.step(st, np.array([0.0, 0.0, wz]), 0.0, -9.81, CALM, dt)
-        return float(np.abs(st.x - exact_pos(horizon)).max())
+            st = sim.step(st, (0.0, 0.0, wz), 0.0, CALM, dt)
+        return float(np.abs(np.subtract(st.x, exact_pos(horizon))).max())
 
     ratio = endpoint_error(0.02) / endpoint_error(0.01)
     assert 8.0 <= ratio <= 32.0  # fourth order: halving dt gains ~16x

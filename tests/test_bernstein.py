@@ -474,7 +474,7 @@ def test_serialization_round_trip_of_scalar_trajectory():
     # above the segments' degree 1
     for t in (0.5, 1.5):
         for value in back.eval(t):
-            assert type(value) is np.float64
+            assert type(value) is float
 
 
 GOOD_BLOCK = "trajectory v1\nsegments 2\nsegment 1 0 1\n0 0 0\n1 0 0\nsegment 1 1 2\n1 0 0\n1 1 0\n"

@@ -146,7 +146,7 @@ def test_cost_equals_integrated_squared_jerk():
     t = 0.5 * dur * (nodes + 1.0)
     total = 0.0
     for ti, wi in zip(t, weights):
-        _, _, _, j = traj.eval(ti)
+        _, _, _, j = np.array(traj.eval(ti))
         total += wi * float(j @ j)
     total *= 0.5 * dur
     assert quad_form == pytest.approx(total, rel=1e-8)
@@ -409,7 +409,7 @@ def test_plan_straight_leg_is_a_straight_line():
     assert res.status == "solved" and res.ok
     assert res.objective <= 1e-9
     for t in np.linspace(0.0, 10.0, 101):
-        p, v, _, _ = res.trajectory.eval(t)
+        p, v, _, _ = np.array(res.trajectory.eval(t))
         assert np.abs(p - [CRUISE * t, 0.0, 0.0]).max() <= 1e-6
         assert np.abs(v - [CRUISE, 0.0, 0.0]).max() <= 1e-5
     assert "status=solved" in res.summary()
@@ -422,8 +422,8 @@ def test_plan_s_curve_is_point_symmetric():
     half = (tr.t_end - tr.t_start) / 2.0
     center = np.array([60.0, 20.0, 0.0])
     for s in np.linspace(0.0, half, 40):
-        pa, _, _, _ = tr.eval(tr.t_start + s)
-        pb, _, _, _ = tr.eval(tr.t_end - s)
+        pa, _, _, _ = np.array(tr.eval(tr.t_start + s))
+        pb, _, _, _ = np.array(tr.eval(tr.t_end - s))
         assert np.abs(pa + pb - 2.0 * center).max() <= 1e-6
 
 
@@ -434,8 +434,8 @@ def test_plan_translation_equivariance():
     r1 = pl.plan(seq(base + shift), pl.PlannerConfig())
     assert r0.ok and r1.ok
     for t in np.linspace(r0.trajectory.t_start, r0.trajectory.t_end, 60):
-        a, _, _, _ = r0.trajectory.eval(t)
-        b, _, _, _ = r1.trajectory.eval(t)
+        a, _, _, _ = np.array(r0.trajectory.eval(t))
+        b, _, _, _ = np.array(r1.trajectory.eval(t))
         assert np.abs(b - a - shift).max() <= 1e-9
 
 
@@ -443,15 +443,15 @@ def test_plan_satisfies_boundary_and_waypoints():
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
     res = pl.plan(s, pl.PlannerConfig())
     tr = res.trajectory
-    p, v, a, _ = tr.eval(tr.t_start)
+    p, v, a, _ = np.array(tr.eval(tr.t_start))
     assert np.abs(p - s.boundary_start.position).max() <= 1e-6
     assert np.abs(v - s.boundary_start.velocity).max() <= 1e-6
     assert np.abs(a).max() <= 1e-6
-    p, v, a, _ = tr.eval(tr.t_end)
+    p, v, a, _ = np.array(tr.eval(tr.t_end))
     assert np.abs(p - s.boundary_end.position).max() <= 1e-6
     assert np.abs(v - s.boundary_end.velocity).max() <= 1e-6
     times = pl.allocate_times(s, CRUISE)
-    p, _, _, _ = tr.eval(times[0])
+    p, _, _, _ = np.array(tr.eval(times[0]))
     assert np.abs(p - [60.0, 20.0, 0.0]).max() <= 1e-6
 
 
@@ -463,8 +463,8 @@ def test_plan_junctions_are_smooth():
     first, second = res.trajectory.segments
     t_j = first.tf
     # One-segment trajectories, so that the first segment owns t_j too.
-    left = PiecewiseTrajectory([first]).eval(t_j)
-    right = PiecewiseTrajectory([second]).eval(t_j)
+    left = np.array(PiecewiseTrajectory([first]).eval(t_j))
+    right = np.array(PiecewiseTrajectory([second]).eval(t_j))
     for k in range(4):  # continuity through jerk
         assert np.abs(left[k] - right[k]).max() <= 1e-9
 
@@ -559,8 +559,8 @@ def test_replan_hands_off_continuously():
     assert re.ok
     t_h = t_now + t_opt
     assert re.trajectory.t_start == pytest.approx(t_h)
-    p0, v0, a0, _ = first.trajectory.eval(t_h)
-    p1, v1, a1, _ = re.trajectory.eval(t_h)
+    p0, v0, a0, _ = np.array(first.trajectory.eval(t_h))
+    p1, v1, a1, _ = np.array(re.trajectory.eval(t_h))
     assert np.abs(p1 - p0).max() <= 1e-6
     assert np.abs(v1 - v0).max() <= 1e-6
     assert np.abs(a1 - a0).max() <= 1e-5
@@ -572,8 +572,8 @@ def test_replan_of_optimal_plan_is_a_fixed_point():
     re = pl.replan(first.trajectory, 4.0, 0.3, [[140.0, 0.0, 0.0]], pl.PlannerConfig())
     assert re.ok
     for t in np.linspace(4.3, 10.0, 50):
-        a, _, _, _ = first.trajectory.eval(t)
-        b, _, _, _ = re.trajectory.eval(t)
+        a, _, _, _ = np.array(first.trajectory.eval(t))
+        b, _, _, _ = np.array(re.trajectory.eval(t))
         assert np.abs(b - a).max() <= 1e-3
 
 

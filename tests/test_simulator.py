@@ -12,29 +12,32 @@ from oracles import attitude_rates_matrix, coordinated_step_matrix
 V = 14.0
 R_TURN = 45.0
 CALM = (0.0, 0.0, 0.0)
+NO_RATES = (0.0, 0.0, 0.0)
 
 
 def level_frame():
     return fl.frame_from_flat(np.array([V, 0.0, 0.0]), np.zeros(3))
 
 
+def state(x, v, R, alpha, V_a):
+    """An AircraftState from arrays: x, v and the row-major R as floats."""
+    return sim.AircraftState(*(tuple(np.ravel(u).tolist()) for u in (x, v, R)), alpha, V_a)
+
+
 def level_state(fr=None):
     fr = fr or level_frame()
-    return sim.AircraftState(
-        x=np.zeros(3), v=fr.R[:, 0] * V, R=fr.R.copy(), alpha=0.0, V_a=V
-    )
+    return state(np.zeros(3), fr.R[:, 0] * V, fr.R, 0.0, V)
 
 
 def state_aero(st, p, wind=CALM):
     """(a_L, a_D) at the state's air-relative velocity, altitude and alpha."""
-    return sim.aero_accels(p, sim.dynamic_accel(p, st.v.tolist(), wind, float(st.x[2])),
-                           st.alpha)
+    return sim.aero_accels(p, sim.dynamic_accel(p, st.v, wind, st.x[2]), st.alpha)
 
 
 def rates(st, cmd, tau_att=0.1, dt=0.01):
     """attitude_inner_loop on a state, as the executive calls it."""
-    R = st.R.ravel().tolist()
-    return sim.attitude_inner_loop(R, fl.euler_zyx(R), st.alpha, st.V_a, cmd, tau_att, dt)
+    return sim.attitude_inner_loop(st.R, fl.euler_zyx(st.R), st.alpha, st.V_a, cmd,
+                                   tau_att, dt)
 
 
 # ---------------------------------------------------------------- atmosphere
@@ -67,7 +70,7 @@ def test_aero_params_validation():
 
 
 def test_aero_accels_vanish_at_zero_airspeed():
-    st = sim.AircraftState(np.zeros(3), np.zeros(3), np.eye(3), 0.05, 0.0)
+    st = state(np.zeros(3), np.zeros(3), np.eye(3), 0.05, 0.0)
     a_L, a_D = state_aero(st, sim.AeroParams())
     assert (a_L, a_D) == (0.0, 0.0)
     a_L, _ = state_aero(st, sim.AeroParams(a_l0=1.5))
@@ -76,8 +79,8 @@ def test_aero_accels_vanish_at_zero_airspeed():
 
 def test_aero_accels_scale_with_dynamic_pressure():
     p = sim.AeroParams()
-    s1 = sim.AircraftState(np.zeros(3), np.array([10.0, 0, 0]), np.eye(3), 0.03, 10.0)
-    s2 = sim.AircraftState(np.zeros(3), np.array([20.0, 0, 0]), np.eye(3), 0.03, 20.0)
+    s1 = state(np.zeros(3), np.array([10.0, 0, 0]), np.eye(3), 0.03, 10.0)
+    s2 = state(np.zeros(3), np.array([20.0, 0, 0]), np.eye(3), 0.03, 20.0)
     l1, d1 = state_aero(s1, p)
     l2, d2 = state_aero(s2, p)
     assert l2 / l1 == pytest.approx(4.0, rel=1e-12)
@@ -85,7 +88,7 @@ def test_aero_accels_scale_with_dynamic_pressure():
 
 
 def test_aero_accels_use_air_relative_speed():
-    st = sim.AircraftState(np.zeros(3), np.array([14.0, 0, 0]), np.eye(3), 0.02, 14.0)
+    st = state(np.zeros(3), np.array([14.0, 0, 0]), np.eye(3), 0.02, 14.0)
     still = state_aero(st, sim.AeroParams())
     headwind = state_aero(st, sim.AeroParams(), wind=(-2.0, 0.0, 0.0))
     assert headwind[0] > still[0]  # more lift into the wind
@@ -176,34 +179,41 @@ def test_wind_rejects_negative_gust():
             sim.WindField(gust_amplitude=0.5, gust_period=period)
 
 
+@pytest.mark.parametrize("mean", [[1.0, 2.0], [math.nan, 0.0, 0.0]],
+                         ids=["two-numbers", "nan"])
+def test_wind_rejects_malformed_mean(mean):
+    with pytest.raises(ValueError, match="mean must be 3 finite numbers"):
+        sim.WindField(mean=mean)
+
+
 # ---------------------------------------------------------------- integrator
 
 
 def test_step_argument_guards():
     st = level_state()
     with pytest.raises(ValueError):
-        sim.step(st, np.zeros(3), 0.0, -9.81, CALM, 0.05)
+        sim.step(st, NO_RATES, 0.0, CALM, 0.05)
     with pytest.raises(ValueError):
-        sim.step(st, np.zeros(3), 0.0, -9.81, CALM, 0.0)
+        sim.step(st, NO_RATES, 0.0, CALM, 0.0)
     dead = level_state()
     dead.V_a = 0.0
     with pytest.raises(ValueError):
-        sim.step(dead, np.zeros(3), 0.0, -9.81, CALM, 0.01)
+        sim.step(dead, NO_RATES, 0.0, CALM, 0.01)
 
 
 def test_step_faults_on_non_finite_state():
     st = level_state()
-    st.x = np.array([0.0, 0.0, np.nan])
+    st.x = (0.0, 0.0, math.nan)
     with pytest.raises(sim.IntegrationFault):
-        sim.step(st, np.zeros(3), 0.0, -9.81, CALM, 0.01)
+        sim.step(st, NO_RATES, 0.0, CALM, 0.01)
 
 
 def test_step_trim_hold_flies_straight():
     st = level_state()
     for _ in range(1000):
-        st = sim.step(st, np.zeros(3), 0.0, -9.81, CALM, 0.01)
+        st = sim.step(st, NO_RATES, 0.0, CALM, 0.01)
     assert st.V_a == pytest.approx(V, abs=1e-12)
-    assert np.abs(st.x - [V * 10.0, 0.0, 0.0]).max() <= 1e-9
+    assert np.abs(np.subtract(st.x, [V * 10.0, 0.0, 0.0])).max() <= 1e-9
 
 
 def test_step_quasi_static_aero_trim_holds_speed():
@@ -213,19 +223,19 @@ def test_step_quasi_static_aero_trim_holds_speed():
     st.alpha = alpha
     for _ in range(1000):
         a_L, a_D = state_aero(st, p)
-        a_vx, a_vz = sim.input_accels(a_T, a_D, a_L, alpha)
-        st = sim.step(st, np.zeros(3), a_vx, a_vz, CALM, 0.01)
+        a_vx, _ = sim.input_accels(a_T, a_D, a_L, alpha)
+        st = sim.step(st, CALM, a_vx, CALM, 0.01)
     assert abs(st.V_a - V) <= 0.05
     assert abs(st.x[2]) <= 0.1
 
 
 def test_step_level_circle_closes():
-    st = sim.AircraftState(np.zeros(3), np.array([V, 0, 0]), np.eye(3), 0.0, V)
+    st = state(np.zeros(3), np.array([V, 0, 0]), np.eye(3), 0.0, V)
     wz = V / R_TURN
     period = 2.0 * math.pi / wz
     n = int(round(period / 0.01))
     for _ in range(n):
-        st = sim.step(st, np.array([0.0, 0.0, wz]), 0.0, -9.81, CALM, period / n)
+        st = sim.step(st, (0.0, 0.0, wz), 0.0, CALM, period / n)
     assert np.linalg.norm(st.x) <= 1e-6
     assert st.V_a == pytest.approx(V, abs=1e-9)
 
@@ -238,7 +248,7 @@ def test_step_energy_conserved_without_thrust():
     t = 0.0
     for _ in range(1000):
         wy = 0.02 * math.sin(2.0 * math.pi * t / 5.0)
-        st = sim.step(st, np.array([0.0, wy, 0.0]), 0.0, -9.81, CALM, 0.01)
+        st = sim.step(st, (0.0, wy, 0.0), 0.0, CALM, 0.01)
         t += 0.01
     E = 0.5 * st.V_a**2 + 9.81 * st.x[2]
     assert abs(E - E0) / E0 <= 1e-9
@@ -248,11 +258,11 @@ def test_step_constant_wind_advects_exactly():
     st1 = level_state()
     st2 = level_state()
     w = np.array([1.2, -0.7, 0.3])
-    om = np.array([0.1, 0.05, -0.2])
+    om = (0.1, 0.05, -0.2)
     for _ in range(100):
-        st1 = sim.step(st1, om, 0.0, -9.81, CALM, 0.01)
-        st2 = sim.step(st2, om, 0.0, -9.81, w, 0.01)
-    assert np.abs(st2.x - st1.x - w * 1.0).max() <= 1e-10
+        st1 = sim.step(st1, om, 0.0, CALM, 0.01)
+        st2 = sim.step(st2, om, 0.0, tuple(w.tolist()), 0.01)
+    assert np.abs(np.subtract(st2.x, st1.x) - w * 1.0).max() <= 1e-10
     assert st2.V_a == st1.V_a  # airspeed is wind-invariant here
 
 
@@ -260,8 +270,8 @@ def test_step_keeps_air_relative_velocity_coordinated():
     st = level_state()
     w = np.array([2.0, 1.0, 0.0])
     for _ in range(50):
-        st = sim.step(st, np.array([0.05, 0.1, 0.2]), 0.1, -9.81, w, 0.01)
-        body_vel = st.R.T @ (st.v - w)
+        st = sim.step(st, (0.05, 0.1, 0.2), 0.1, tuple(w.tolist()), 0.01)
+        body_vel = np.reshape(st.R, (3, 3)).T @ (st.v - w)
         assert abs(body_vel[1]) <= 1e-12
         assert abs(body_vel[2]) <= 1e-12
         assert body_vel[0] == pytest.approx(st.V_a, abs=1e-12)
@@ -297,30 +307,30 @@ def test_scalar_step_matches_matrix_formula():
         a_vx = float(rng.normal(0.0, 3.0))
         dt = float(rng.uniform(0.001, 0.02))
         wind = CALM if k % 2 else tuple(rng.normal(0.0, 3.0, size=3).tolist())
-        st = sim.AircraftState(x=x, v=V_a * R[:, 0], R=R, alpha=0.05, V_a=V_a)
-        new = sim.step(st, omega, a_vx, -9.81, wind, dt)
+        st = state(x, V_a * R[:, 0], R, 0.05, V_a)
+        new = sim.step(st, tuple(omega.tolist()), a_vx, wind, dt)
         old = coordinated_step_matrix(x, R, V_a, omega, a_vx, np.array(wind), dt, fl.GRAVITY)
-        for got, want in zip((new.x, new.v, new.R, new.V_a), old):
+        for got, want in zip((new.x, new.v, np.reshape(new.R, (3, 3)), new.V_a), old):
             assert np.abs(np.subtract(got, want)).max() <= 1e-13
-        assert new.x.shape == new.v.shape == (3,) and new.R.shape == (3, 3)
+        assert (len(new.x), len(new.v), len(new.R)) == (3, 3, 9)
+        assert all(type(c) is float for c in (*new.x, *new.v, *new.R, new.V_a))
         assert new.alpha == st.alpha
 
 
 def test_rotation_stays_orthonormal_over_long_runs():
-    st = sim.AircraftState(np.zeros(3), np.array([V, 0, 0]), np.eye(3), 0.0, V)
+    st = state(np.zeros(3), np.array([V, 0, 0]), np.eye(3), 0.0, V)
     t = 0.0
     for _ in range(20000):
-        om = np.array(
-            [
-                0.3 * math.sin(0.7 * t),
-                0.2 * math.cos(1.3 * t),
-                0.25 * math.sin(0.4 * t + 1.0),
-            ]
+        om = (
+            0.3 * math.sin(0.7 * t),
+            0.2 * math.cos(1.3 * t),
+            0.25 * math.sin(0.4 * t + 1.0),
         )
-        st = sim.step(st, om, 9.81 * st.R[2, 0], -9.81, CALM, 0.01)
+        st = sim.step(st, om, 9.81 * st.R[6], CALM, 0.01)
         t += 0.01
-    assert np.abs(st.R.T @ st.R - np.eye(3)).max() <= 1e-12
-    assert np.linalg.det(st.R) == pytest.approx(1.0, abs=1e-12)
+    R = np.reshape(st.R, (3, 3))
+    assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-12
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- inner loop
@@ -361,9 +371,8 @@ def test_scalar_attitude_loop_matches_matrix_formula():
     rng = np.random.default_rng(17)
     clamped = 0
     for R in Rotation.random(300, random_state=9).as_matrix():
-        st = sim.AircraftState(x=np.zeros(3), v=np.zeros(3), R=R,
-                               alpha=float(rng.uniform(-0.3, 0.3)),
-                               V_a=float(rng.uniform(0.2, 30.0)))
+        st = state(np.zeros(3), np.zeros(3), R, float(rng.uniform(-0.3, 0.3)),
+                   float(rng.uniform(0.2, 30.0)))
         cmd = fl.CommandedInput(theta_c=float(rng.normal()), phi_c=float(rng.normal()),
                                 omega_vx=float(rng.normal()), omega_vy=float(rng.normal()),
                                 a_T=1.0)
@@ -389,8 +398,8 @@ def test_attitude_loop_first_order_roll_response():
     cmd = fl.CommandedInput(0.0, 0.15, 0.0, 0.0, 1.0)
     for _ in range(30):  # 3 time constants
         om = rates(st, cmd, tau_att=0.1, dt=0.01)
-        st = sim.step(st, om, 0.0, -9.81, CALM, 0.01)
-    phi = fl.euler_zyx(st.R.ravel())[0]
+        st = sim.step(st, om, 0.0, CALM, 0.01)
+    phi = fl.euler_zyx(st.R)[0]
     assert phi == pytest.approx(0.15 * (1.0 - math.exp(-3.0)), abs=0.01)
 
 
