@@ -1,11 +1,11 @@
-"""Bernstein polynomial segments, piecewise trajectories, and integral machinery."""
+"""Bernstein bases, piecewise trajectories (one control-point array and its
+knot times), and integral machinery."""
 
 from __future__ import annotations
 
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,110 +118,76 @@ def _derivative_stack(n: int) -> np.ndarray:
     return S
 
 
-@dataclass(frozen=True)
-class BernsteinSegment:
-    """One polynomial segment: control points on the time interval [t0, tf].
+def _checked(control_points, knots):
+    """control_points and knots as read-only float arrays.
 
-    Control points may be scalars (shape (n+1,)) or d-vectors (shape
-    (n+1, d)); the degree is inferred from the leading dimension.
+    Raises ValueError unless the points are an (M, n+1, d) array, the M+1
+    knots each follow the previous one by at least MIN_DURATION, and each
+    segment starts where the previous one ends.
     """
-
-    control_points: np.ndarray
-    t0: float
-    tf: float
-
-    def __post_init__(self):
-        pts = np.asarray(self.control_points, dtype=float)
-        if pts.ndim not in (1, 2) or pts.shape[0] < 1:
-            raise ValueError("control_points must be a (n+1,) or (n+1, d) array")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "control_points", pts)
-        if not self.tf - self.t0 >= MIN_DURATION:
-            raise ValueError(
-                f"segment duration {self.tf - self.t0} below minimum {MIN_DURATION}"
-            )
-
-    @property
-    def degree(self) -> int:
-        return self.control_points.shape[0] - 1
-
-    @property
-    def duration(self) -> float:
-        return self.tf - self.t0
-
-
-def _check_junction(a: BernsteinSegment, b: BernsteinSegment) -> None:
-    """Raise ValueError unless segment b, of a's degree, starts where and
-    when a ends."""
-    if a.degree != b.degree:
-        raise ValueError(f"segment degrees differ at junction t={b.t0}: "
-                         f"{a.degree} vs {b.degree}")
-    if abs(a.tf - b.t0) > 1e-9:
-        raise ValueError(f"segment times disagree at junction: {a.tf} vs {b.t0}")
-    gap = np.linalg.norm(np.atleast_1d(a.control_points[-1] - b.control_points[0]))
-    if gap > 1e-9:
-        raise ValueError(f"position discontinuity {gap} at junction t={b.t0}")
+    pts = np.array(control_points, dtype=float)
+    knots = np.array(knots, dtype=float)
+    if pts.ndim != 3 or 0 in pts.shape:
+        raise ValueError(f"control_points must be an (M, n+1, d) array, got shape {pts.shape}")
+    if knots.shape != (len(pts) + 1,):
+        raise ValueError(f"{len(pts)} segments need {len(pts) + 1} knots, got shape {knots.shape}")
+    step = np.diff(knots)
+    short = np.flatnonzero(~(step >= MIN_DURATION))
+    if short.size:
+        k = short[0]
+        raise ValueError(f"segment duration {step[k]} below minimum {MIN_DURATION} "
+                         f"at t={knots[k]}")
+    gap = np.linalg.norm(pts[1:, 0] - pts[:-1, -1], axis=-1)
+    apart = np.flatnonzero(gap > 1e-9)
+    if apart.size:
+        k = apart[0]
+        raise ValueError(f"position discontinuity {gap[k]} at junction t={knots[k + 1]}")
+    pts.setflags(write=False)
+    knots.setflags(write=False)
+    return pts, knots
 
 
 class PiecewiseTrajectory:
-    """M stacked segments of one degree with matching junction times,
-    queryable to jerk.
+    """M Bernstein segments of one degree, queryable to jerk.
 
-    Immutable after construction; a query exactly at a junction time
-    evaluates the later segment.
+    control_points is an (M, n+1, d) array, segment i's points on the
+    interval [knots[i], knots[i+1]]. Immutable after construction; a query
+    exactly at an interior knot evaluates the later segment.
     """
 
-    def __init__(self, segments):
-        if not segments:
-            raise ValueError("trajectory needs at least one segment")
-        for a, b in zip(segments, segments[1:]):
-            _check_junction(a, b)
-        self.segments = tuple(segments)
-        self._t_interior = [s.tf for s in segments[:-1]]  # bisect reads a list fastest
-        self._spans = np.array([(s.t0, s.tf, s.duration) for s in segments]).T
-        M, n = len(segments), segments[0].degree
-        pts = np.array([s.control_points for s in segments]).reshape(M, n + 1, -1)
-        # Where position, velocity, acceleration and jerk sit in a table row.
-        if segments[0].control_points.ndim == 1:
-            self._parts = (0, 1, 2, 3)
-        else:
-            d = segments[0].control_points.shape[1]
-            self._parts = tuple(slice(k * d, (k + 1) * d) for k in range(4))
+    def __init__(self, control_points, knots):
+        self.control_points, self.knots = _checked(control_points, knots)
+        M, n1, d = self.control_points.shape
+        self._n = n1 - 1
+        self._knots = self.knots.tolist()  # bisect reads a list fastest
         # Per segment, one (n+1, 4d) table: the control points of position,
         # velocity, acceleration and jerk, each derivative degree-elevated
         # back to degree n (zero above the degree), so one degree-n basis
         # row times the table evaluates all four. 1/d**k, k = 0..3, are
         # running products of 1/d.
         scale = np.ones((M, 4))
-        scale[:, 1:] = 1.0 / self._spans[2, :, None]
+        scale[:, 1:] = 1.0 / np.diff(self.knots)[:, None]
         scale = np.cumprod(scale, axis=1)
         # (M, 4, n+1, d) derivative control points, rearranged to (M, n+1, 4d)
-        tables = scale[:, :, None, None] * (_derivative_stack(n) @ pts[:, None])
-        self._n = n
-        self._tables = tables.transpose(0, 2, 1, 3).reshape(M, n + 1, -1)
-        self._pieces = tuple((s.t0, s.tf, s.duration, table)
-                             for s, table in zip(segments, self._tables))
+        tables = scale[:, :, None, None] * (_derivative_stack(self._n)
+                                            @ self.control_points[:, None])
+        self._tables = tables.transpose(0, 2, 1, 3).reshape(M, n1, 4 * d)
 
     @property
     def t_start(self) -> float:
-        return self.segments[0].t0
+        return self._knots[0]
 
     @property
     def t_end(self) -> float:
-        return self.segments[-1].tf
-
-    @property
-    def junction_times(self):
-        return tuple(s.tf for s in self.segments)
+        return self._knots[-1]
 
     def segment_index(self, t: float) -> int:
         if not self.t_start - 1e-9 <= t <= self.t_end + 1e-9:
             raise DomainError(f"t={t} outside trajectory domain [{self.t_start}, {self.t_end}]")
-        return bisect.bisect_right(self._t_interior, t)
+        return bisect.bisect_right(self._knots, t, 1, len(self._knots) - 1) - 1
 
     def velocity_acceleration(self, ts):
-        """Velocity and acceleration at each of S times: (S,) or (S, d) arrays.
+        """Velocity and acceleration at each of S times: two (S, d) arrays.
 
         Picks segments and clamps u exactly as `eval` does, then stacks each
         sample's basis row and table into one (S,1,n+1) @ (S,n+1,4d)
@@ -233,24 +199,25 @@ class PiecewiseTrajectory:
         if outside.any():
             raise DomainError(f"t={ts[outside][0]} outside trajectory domain "
                               f"[{self.t_start}, {self.t_end}]")
-        seg = np.searchsorted(self._spans[1, :-1], ts, side="right")
-        t0, tf, dur = self._spans[:, seg]
-        u = (np.minimum(np.maximum(ts, t0), tf) - t0) / dur
+        seg = np.searchsorted(self.knots[1:-1], ts, side="right")
+        t0, tf = self.knots[seg], self.knots[seg + 1]
+        u = (np.minimum(np.maximum(ts, t0), tf) - t0) / (tf - t0)
         out = (_basis(self._n, u)[:, None] @ self._tables[seg])[:, 0]
-        _, vel, acc, _ = self._parts
-        return out[:, vel], out[:, acc]
+        d = self.control_points.shape[2]
+        return out[:, d:2 * d], out[:, 2 * d:3 * d]
 
     def eval(self, t: float):
         """Return (position, velocity, acceleration, jerk) at time t: four
-        tuples of d floats, or four floats for a scalar trajectory.
+        tuples of d floats.
 
         The degree-n basis row at t times the segment's table.
         """
-        t0, tf, dur, table = self._pieces[self.segment_index(t)]
-        u = float((min(max(t, t0), tf) - t0) / dur)
-        out = tuple((np.array(_basis(self._n, u)) @ table).tolist())
-        p, v, a, j = self._parts
-        return out[p], out[v], out[a], out[j]
+        i = self.segment_index(t)
+        t0, tf = self._knots[i], self._knots[i + 1]
+        u = float((min(max(t, t0), tf) - t0) / (tf - t0))
+        out = tuple((np.array(_basis(self._n, u)) @ self._tables[i]).tolist())
+        d = len(out) // 4
+        return out[:d], out[d:2 * d], out[2 * d:3 * d], out[3 * d:]
 
 
 def gram_matrix(n: int, duration) -> np.ndarray:
@@ -285,10 +252,10 @@ def write_trajectory(traj: PiecewiseTrajectory, f) -> None:
             write_trajectory(traj, fh)
         return
     f.write("trajectory v1\n")
-    f.write(f"segments {len(traj.segments)}\n")
-    for seg in traj.segments:
-        f.write(f"segment {seg.degree} {seg.t0:.17g} {seg.tf:.17g}\n")
-        for p in seg.control_points.reshape(seg.degree + 1, -1):
+    f.write(f"segments {len(traj.control_points)}\n")
+    for pts, t0, tf in zip(traj.control_points, traj.knots[:-1], traj.knots[1:]):
+        f.write(f"segment {len(pts) - 1} {t0:.17g} {tf:.17g}\n")
+        for p in pts:
             f.write(" ".join(f"{c:.17g}" for c in p) + "\n")
 
 
@@ -297,6 +264,8 @@ def read_trajectory(f) -> PiecewiseTrajectory:
 
     Malformed, non-finite or truncated input raises ValueError naming the
     line at fault and, for a missing record, the record that was expected.
+    Each segment's start time is checked against the previous segment's
+    end time, which becomes their shared knot.
     """
     if not hasattr(f, "read"):
         with open(f) as fh:
@@ -330,7 +299,7 @@ def read_trajectory(f) -> PiecewiseTrajectory:
     count = number(i, tok[1], int)
     if count < 1:
         raise ValueError(f"line {i}: segment count must be positive, got {count}")
-    segs = []
+    points, knots = [], []
     width = 0  # coordinates per control point, fixed by the first one
     for j in range(count):
         i, ln = take(f"segment record {j}")
@@ -346,15 +315,23 @@ def read_trajectory(f) -> PiecewiseTrajectory:
             if len(pts[-1]) != width:
                 raise ValueError(f"line {i_pt}: control point {r} of segment {j} has "
                                  f"{len(pts[-1])} coordinates, the first has {width}")
+        if not j:
+            knots.append(t0)
         try:
-            # one coordinate per point: a scalar trajectory, (n+1,) points
-            segs.append(BernsteinSegment(np.ravel(pts) if width == 1 else pts, t0, tf))
-            if j:
-                _check_junction(segs[-2], segs[-1])
+            if j and n != len(points[-1]) - 1:
+                raise ValueError(f"segment degrees differ at junction t={t0}: "
+                                 f"{len(points[-1]) - 1} vs {n}")
+            if abs(knots[-1] - t0) > 1e-9:
+                raise ValueError(f"segment times disagree at junction: {knots[-1]} vs {t0}")
+            # The trajectory's own checks on this segment and its junction,
+            # so that a fault names this segment's line.
+            _checked(points[-1:] + [pts], knots[-2:] + [tf])
         except ValueError as exc:
             raise ValueError(f"line {i}: segment {j}: {exc}") from None
+        points.append(pts)
+        knots.append(tf)
     extra = next(records, None)
     if extra is not None:
         raise ValueError(f"line {extra[0]}: expected exactly one trajectory block, "
                          f"got {extra[1]!r} after it")
-    return PiecewiseTrajectory(segs)
+    return PiecewiseTrajectory(points, knots)

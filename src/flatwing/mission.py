@@ -523,7 +523,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
         except (MissionAbort, ValueError, FlatnessSingularityError) as exc:
             raise MissionAbort(f"leg {i} initial plan failed: {exc}") from exc
         return _LegSpan(i, res.trajectory, wps, entry_angle,
-                        np.array(res.trajectory.junction_times[:-1]), last_qp=res.qp_solution)
+                        res.trajectory.knots[1:-1], last_qp=res.qp_solution)
 
     # Phase bootstrap: mission starts on the first circle at angle zero.
     try:
@@ -537,17 +537,20 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
         return FlatState(*phase.traj.eval(t))
 
     # Initial state: coordinated trim on the circle against the t=0 wind.
-    ref0 = reference(0.0)
-    w0 = wind_at(wind, 0.0)
-    v_air0 = np.subtract(ref0.velocity, w0)
-    V_a0 = float(np.linalg.norm(v_air0))
-    if V_a0 < V_EPS:
-        return MissionResult(log, events, {}, True, "initial airspeed too low")
-    frame0 = frame_from_flat(v_air0, ref0.acceleration)
-    alpha0, _ = coordinated_trim(params, V_a0, -frame0.a_vz, ref0.position[2])
+    try:
+        ref0 = reference(0.0)
+        w0 = wind_at(wind, 0.0)
+        v_air0 = np.subtract(ref0.velocity, w0)
+        V_a0 = float(np.linalg.norm(v_air0))
+        if V_a0 < V_EPS:
+            raise MissionAbort("initial airspeed too low")
+        frame0 = frame_from_flat(v_air0, ref0.acceleration)
+        alpha0, _ = coordinated_trim(params, V_a0, -frame0.a_vz, ref0.position[2])
+        omega_vx0 = flat_inputs(ref0, frame0)[1]
+    except (FlatnessSingularityError, ValueError, MissionAbort) as exc:
+        return MissionResult(log, events, {}, True, f"t=0.00 (tick 0, loiter 0): {exc}")
     st = AircraftState(ref0.position, tuple((V_a0 * frame0.R[:, 0] + w0).tolist()),
                        tuple(frame0.R.ravel().tolist()), alpha0, V_a0)
-    omega_vx0 = flat_inputs(ref0, frame0)[1]
     prev_omega = (omega_vx0, frame0.omega_vy, frame0.omega_vz)
     prev_a_vx = frame0.a_vx
     cmd_state: CommandState | None = None

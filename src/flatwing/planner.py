@@ -25,7 +25,6 @@ import scipy.sparse as sp
 
 from . import qp
 from .bernstein import (
-    BernsteinSegment,
     PiecewiseTrajectory,
     basis_row,
     difference_stencil,
@@ -530,13 +529,10 @@ def curvature(v_xy, a_xy, v_eps: float = V_EPS):
 def straight_line_reference(waypoints, cruise_speed: float, t0: float = 0.0):
     """Degree-1 piecewise trajectory through the waypoints at cruise speed."""
     waypoints = np.atleast_2d(np.asarray(waypoints, dtype=float))
-    segs = []
-    t = t0
+    knots = [t0]
     for a, b in zip(waypoints, waypoints[1:]):
-        d = float(np.linalg.norm(b - a)) / cruise_speed
-        segs.append(BernsteinSegment(np.stack([a, b]), t, t + d))
-        t += d
-    return PiecewiseTrajectory(segs)
+        knots.append(knots[-1] + float(np.linalg.norm(b - a)) / cruise_speed)
+    return PiecewiseTrajectory(np.stack([waypoints[:-1], waypoints[1:]], axis=1), knots)
 
 
 @functools.lru_cache(maxsize=None)
@@ -685,9 +681,7 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
 
     # Junction points come from the same entries on both sides: identical.
     t = np.cumsum(np.concatenate([[t0], durations]))
-    result.trajectory = PiecewiseTrajectory(
-        [BernsteinSegment(p, a, b)
-         for p, a, b in zip(coords.control_points(sol.x), t[:-1], t[1:])])
+    result.trajectory = PiecewiseTrajectory(coords.control_points(sol.x), t)
     return result
 
 

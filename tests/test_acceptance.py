@@ -22,7 +22,6 @@ from flatwing import planner as pl
 from flatwing import qp
 from flatwing import simulator as sim
 from flatwing.bernstein import (
-    BernsteinSegment,
     PiecewiseTrajectory,
     basis_row,
     gram_matrix,
@@ -317,7 +316,7 @@ def test_bernstein_basis_property_suite():
 
         dur = 2.0 + 0.3 * n
         cps = rng.normal(size=(n + 1, 3))
-        curve = PiecewiseTrajectory([BernsteinSegment(cps, 0.0, dur)])
+        curve = PiecewiseTrajectory([cps], [0.0, dur])
         assert np.abs(curve.eval(0.0)[0] - cps[0]).max() <= 1e-12
         assert np.abs(curve.eval(dur)[0] - cps[-1]).max() <= 1e-12
         for t in np.linspace(0.0, dur, 17):
@@ -325,7 +324,7 @@ def test_bernstein_basis_property_suite():
             assert np.all(val <= cps.max(axis=0) + 1e-12)
             assert np.all(val >= cps.min(axis=0) - 1e-12)
 
-        traj = PiecewiseTrajectory([BernsteinSegment(0.3 * cps, 0.0, dur)])
+        traj = PiecewiseTrajectory([0.3 * cps], [0.0, dur])
         for k in (1, 2, 3):
             for t in (0.31 * dur, 0.77 * dur):
                 exact = traj.eval(t)[k]

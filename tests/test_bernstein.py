@@ -20,13 +20,13 @@ from oracles import (
 DEGREES = list(range(3, 13))
 
 
+def one_segment(cps, t0, tf):
+    """A one-segment trajectory with control points cps, (n+1, d), on [t0, tf]."""
+    return bz.PiecewiseTrajectory([cps], [t0, tf])
+
+
 def random_segment(rng, n, dims=3, t0=0.0, dur=1.0):
-    return bz.BernsteinSegment(rng.normal(size=(n + 1, dims)), t0, t0 + dur)
-
-
-def position(seg, t):
-    """The segment's value at t, read through a one-segment trajectory."""
-    return bz.PiecewiseTrajectory([seg]).eval(t)[0]
+    return one_segment(rng.normal(size=(n + 1, dims)), t0, t0 + dur)
 
 
 # ---------------------------------------------------------------- basis
@@ -76,25 +76,24 @@ def test_partition_of_unity(n, u):
 
 
 def test_linear_segment_midpoint():
-    seg = bz.BernsteinSegment(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.0, 1.0)
-    assert np.allclose(position(seg, 0.0), [0, 0, 0])
-    assert np.allclose(position(seg, 0.5), [0.5, 0, 0])
+    traj = one_segment([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 0.0, 1.0)
+    assert np.allclose(traj.eval(0.0)[0], [0, 0, 0])
+    assert np.allclose(traj.eval(0.5)[0], [0.5, 0, 0])
 
 
 def test_quadratic_segment_known_value():
-    # scalar points [0, 1, 4] describe C(t) = 2t + 2t^2
-    seg = bz.BernsteinSegment(np.array([[0.0], [1.0], [4.0]]), 0.0, 1.0)
-    assert position(seg, 0.5)[0] == pytest.approx(1.5, abs=1e-14)
+    # one-coordinate points [0, 1, 4] describe C(t) = 2t + 2t^2
+    traj = one_segment([[0.0], [1.0], [4.0]], 0.0, 1.0)
+    assert traj.eval(0.5)[0][0] == pytest.approx(1.5, abs=1e-14)
 
 
 def test_de_casteljau_matches_basis_expansion():
     rng = np.random.default_rng(3)
     for n in DEGREES:
-        seg = random_segment(rng, n, dur=1.7)
-        traj = bz.PiecewiseTrajectory([seg])
+        traj = random_segment(rng, n, dur=1.7)
         for t in np.linspace(0.0, 1.7, 11):
             u = t / 1.7
-            direct = bz.basis_row(n, u) @ seg.control_points
+            direct = bz.basis_row(n, u) @ traj.control_points[0]
             assert np.abs(traj.eval(t)[0] - direct).max() < 1e-12
 
 
@@ -111,30 +110,29 @@ def test_convex_hull_property(data):
     )
     u = data.draw(st.floats(min_value=0.0, max_value=1.0))
     cps = np.array(pts).reshape(-1, 1)
-    seg = bz.BernsteinSegment(cps, 0.0, 1.0)
-    val = position(seg, u)[0]
+    val = one_segment(cps, 0.0, 1.0).eval(u)[0][0]
     assert cps.min() - 1e-12 <= val <= cps.max() + 1e-12
 
 
 def test_endpoint_interpolation():
     rng = np.random.default_rng(4)
     for n in DEGREES:
-        seg = random_segment(rng, n, t0=2.0, dur=3.0)
-        assert np.abs(position(seg, 2.0) - seg.control_points[0]).max() <= 1e-12
-        assert np.abs(position(seg, 5.0) - seg.control_points[-1]).max() <= 1e-12
+        traj = random_segment(rng, n, t0=2.0, dur=3.0)
+        assert np.abs(traj.eval(2.0)[0] - traj.control_points[0, 0]).max() <= 1e-12
+        assert np.abs(traj.eval(5.0)[0] - traj.control_points[0, -1]).max() <= 1e-12
 
 
 def test_segment_domain_is_closed_no_extrapolation():
-    seg = bz.BernsteinSegment(np.array([[0.0], [1.0]]), 1.0, 2.0)
+    traj = one_segment([[0.0], [1.0]], 1.0, 2.0)
     with pytest.raises(bz.DomainError):
-        position(seg, 0.999999)
+        traj.eval(0.999999)
     with pytest.raises(bz.DomainError):
-        position(seg, 2.000001)
+        traj.eval(2.000001)
 
 
 def test_degenerate_duration_rejected():
     with pytest.raises(ValueError):
-        bz.BernsteinSegment(np.array([[0.0], [1.0]]), 0.0, 1e-8)
+        one_segment([[0.0], [1.0]], 0.0, 1e-8)
 
 
 # ---------------------------------------------------------------- derivatives
@@ -169,15 +167,14 @@ def test_derivative_of_quadratic_known_points():
     # C(t) = 2t + 2t^2 on [0,1] has C'(t) = 2 + 4t, whose degree-1 points
     # [2, 6] are the velocity at the ends, a constant acceleration 4 and
     # zero jerk
-    traj = bz.PiecewiseTrajectory([
-        bz.BernsteinSegment(np.array([[0.0], [1.0], [4.0]]), 0.0, 1.0)])
+    traj = one_segment([[0.0], [1.0], [4.0]], 0.0, 1.0)
     for t, speed in ((0.0, 2.0), (0.5, 4.0), (1.0, 6.0)):
         _, vel, acc, jerk = traj.eval(t)
         assert np.allclose([vel[0], acc[0], jerk[0]], [speed, 4.0, 0.0])
 
 
 def test_derivative_of_constant_is_zero():
-    traj = bz.PiecewiseTrajectory([bz.BernsteinSegment(np.full((6, 3), 2.5), 0.0, 4.0)])
+    traj = one_segment(np.full((6, 3), 2.5), 0.0, 4.0)
     for t in (0.0, 1.3, 4.0):
         _, vel, acc, jerk = traj.eval(t)
         assert np.abs([vel, acc, jerk]).max() == 0.0
@@ -211,8 +208,7 @@ FD_STEPS = {1: 1e-4, 2: 1e-3, 3: 1e-3}
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_derivative_matches_finite_differences(n, k):
     rng = np.random.default_rng(100 + n)
-    traj = bz.PiecewiseTrajectory([
-        bz.BernsteinSegment(0.3 * rng.normal(size=(n + 1, 1)), 0.0, 1.0)])
+    traj = one_segment(0.3 * rng.normal(size=(n + 1, 1)), 0.0, 1.0)
     h = FD_STEPS[k]
     for t in np.linspace(3 * h, 1.0 - 3 * h, 7):
         approx = fd_richardson(lambda s: traj.eval(s)[0][0], t, k, h)
@@ -259,40 +255,47 @@ def test_gram_quadratic_form_integrates_squared_curve():
 
 
 def two_segment_trajectory():
-    a = bz.BernsteinSegment(np.array([[0.0, 0, 0], [10.0, 0, 0]]), 0.0, 1.0)
-    b = bz.BernsteinSegment(np.array([[10.0, 0, 0], [10.0, 5, 0]]), 1.0, 2.0)
-    return bz.PiecewiseTrajectory([a, b])
+    return bz.PiecewiseTrajectory([[[0.0, 0, 0], [10.0, 0, 0]],
+                                   [[10.0, 0, 0], [10.0, 5, 0]]], [0.0, 1.0, 2.0])
 
 
 def test_piecewise_junction_belongs_to_later_segment():
     # position is continuous (enforced at construction) but the velocity has
     # a kink, so the junction sample reveals which segment owns the instant
-    a = bz.BernsteinSegment(np.array([[0.0], [10.0]]), 0.0, 1.0)  # slope +10
-    b = bz.BernsteinSegment(np.array([[10.0], [6.0]]), 1.0, 2.0)  # slope -4
-    traj = bz.PiecewiseTrajectory([a, b])
+    # slope +10, then -4
+    traj = bz.PiecewiseTrajectory([[[0.0], [10.0]], [[10.0], [6.0]]], [0.0, 1.0, 2.0])
     pos, vel, _, _ = traj.eval(1.0)
     assert pos[0] == 10.0
     assert vel[0] == -4.0
 
 
-def test_piecewise_junction_times_include_final_time():
+def test_piecewise_knots_hold_start_junction_and_end_times():
     traj = two_segment_trajectory()
-    assert traj.junction_times == (1.0, 2.0)
+    assert traj.knots.tolist() == [0.0, 1.0, 2.0]
     assert traj.t_start == 0.0 and traj.t_end == 2.0
+    # Both arrays are stored read-only.
+    with pytest.raises(ValueError):
+        traj.knots[1] = 1.5
+    with pytest.raises(ValueError):
+        traj.control_points[0, 0, 0] = 1.0
 
 
 def test_piecewise_requires_contiguous_segments():
-    a = bz.BernsteinSegment(np.array([[0.0], [1.0]]), 0.0, 1.0)
-    b = bz.BernsteinSegment(np.array([[1.0], [2.0]]), 1.5, 2.0)
-    with pytest.raises(ValueError):
-        bz.PiecewiseTrajectory([a, b])
+    # A gap of 1e-6 at the junction is refused; one of 1e-10 is within 1e-9.
+    with pytest.raises(ValueError, match=re.escape("position discontinuity 1e-06 at junction t=1.0")):
+        bz.PiecewiseTrajectory([[[1.0], [0.0]], [[1e-6], [2.0]]], [0.0, 1.0, 2.0])
+    bz.PiecewiseTrajectory([[[1.0], [0.0]], [[1e-10], [2.0]]], [0.0, 1.0, 2.0])
 
 
-def test_piecewise_rejects_segments_of_different_degrees():
-    a = bz.BernsteinSegment(np.array([[0.0], [1.0]]), 0.0, 1.0)
-    b = bz.BernsteinSegment(np.array([[1.0], [3.0], [2.0]]), 1.0, 2.0)
-    with pytest.raises(ValueError, match="segment degrees differ at junction t=1.0: 1 vs 2"):
-        bz.PiecewiseTrajectory([a, b])
+@pytest.mark.parametrize("points, knots, message", [
+    ([[0.0], [1.0]], [0.0, 1.0], "control_points must be an (M, n+1, d) array, got shape (2, 1)"),
+    ([[[0.0], [1.0]]], [0.0, 1.0, 2.0], "1 segments need 2 knots, got shape (3,)"),
+    ([[[0.0], [1.0]], [[1.0], [2.0]], [[2.0], [3.0]]], [0.0, 1.0, 1.0, 2.0],
+     "segment duration 0.0 below minimum 1e-06 at t=1.0"),
+], ids=["points-2d", "knot-count", "knot-step"])
+def test_piecewise_refuses_malformed_points_or_knots(points, knots, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bz.PiecewiseTrajectory(points, knots)
 
 
 def test_piecewise_constant_velocity_has_zero_higher_derivatives():
@@ -308,7 +311,7 @@ def test_piecewise_derivatives_match_analytic_cubic():
     dur = 2.0
     cps = np.array([[0.0], [0.0], [0.0], [dur**3]])
     # elevate: cubic Bezier of t^3 on [0,2] has points [0,0,0,8]
-    traj = bz.PiecewiseTrajectory([bz.BernsteinSegment(cps, 0.0, dur)])
+    traj = one_segment(cps, 0.0, dur)
     t = 1.3
     pos, vel, acc, jerk = traj.eval(t)
     assert pos[0] == pytest.approx(t**3, rel=1e-13)
@@ -329,20 +332,19 @@ def test_batched_velocity_acceleration_equals_eval_bit_for_bit():
     rng = np.random.default_rng(12)
     # Degrees 1 and 2 have exact-zero columns above their degree.
     for n in (7, 2, 9, 1, 5):
-        segs = []
-        t = 0.5
+        pts, knots = [], [0.5]
         prev_end = rng.normal(size=3) * 50
         for dur in (2.0, 0.7, 3.1, 1.3, 0.25):
             cps = rng.normal(size=(n + 1, 3)) * 50
             cps[0] = prev_end
             prev_end = cps[-1]
-            segs.append(bz.BernsteinSegment(cps, t, t + dur))
-            t += dur
-        traj = bz.PiecewiseTrajectory(segs)
+            pts.append(cps)
+            knots.append(knots[-1] + dur)
+        traj = bz.PiecewiseTrajectory(pts, knots)
         ts = np.concatenate([
             rng.uniform(traj.t_start, traj.t_end, 240),
             [traj.t_start, traj.t_end, traj.t_end + 5e-10, traj.t_start - 5e-10],
-            traj.junction_times,  # exact junctions belong to the later segment
+            traj.knots,  # exact junctions belong to the later segment
         ])
         vel, acc = traj.velocity_acceleration(ts)
         assert vel.shape == acc.shape == (ts.size, 3)
@@ -354,14 +356,14 @@ def test_batched_velocity_acceleration_equals_eval_bit_for_bit():
 
 
 def three_segment_trajectory(rng):
-    segs, t, end = [], 0.0, rng.normal(size=3) * 20
-    for n, dur in ((5, 1.5), (5, 0.8), (5, 2.2)):
-        cps = rng.normal(size=(n + 1, 3)) * 20
+    pts, knots, end = [], [0.0], rng.normal(size=3) * 20
+    for dur in (1.5, 0.8, 2.2):
+        cps = rng.normal(size=(6, 3)) * 20
         cps[0] = end
         end = cps[-1]
-        segs.append(bz.BernsteinSegment(cps, t, t + dur))
-        t += dur
-    return bz.PiecewiseTrajectory(segs)
+        pts.append(cps)
+        knots.append(knots[-1] + dur)
+    return bz.PiecewiseTrajectory(pts, knots)
 
 
 @pytest.mark.parametrize("count", [0, 1, 31])
@@ -371,7 +373,7 @@ def test_batched_velocity_acceleration_takes_any_sample_count_in_any_order(count
     rng = np.random.default_rng(count)
     traj = three_segment_trajectory(rng)
     ts = rng.permutation(np.concatenate([rng.uniform(traj.t_start, traj.t_end, count),
-                                         traj.junction_times[:-1]]))[:count]
+                                         traj.knots[1:-1]]))[:count]
     vel, acc = traj.velocity_acceleration(ts)
     assert vel.shape == acc.shape == (count, 3)
     for t, v, a in zip(ts, vel, acc):
@@ -392,16 +394,15 @@ def test_non_finite_times_raise_domain_error(bad):
 
 
 def test_batched_velocity_acceleration_of_scalar_trajectory():
-    traj = bz.PiecewiseTrajectory([
-        bz.BernsteinSegment(np.array([0.0, 5.0, 10.0]), 0.0, 1.0),
-        bz.BernsteinSegment(np.array([10.0, 11.0, 6.0]), 1.0, 2.0),
-    ])
+    # One coordinate per control point: (S, 1) rows.
+    traj = bz.PiecewiseTrajectory([[[0.0], [5.0], [10.0]], [[10.0], [11.0], [6.0]]],
+                                  [0.0, 1.0, 2.0])
     ts = np.linspace(0.0, 2.0, 9)
     vel, acc = traj.velocity_acceleration(ts)
-    assert vel.shape == acc.shape == (9,)
+    assert vel.shape == acc.shape == (9, 1)
     for t, v, a in zip(ts, vel, acc):
         _, v_ref, a_ref, _ = traj.eval(t)
-        assert v == v_ref and a == a_ref
+        assert np.array_equal(v, v_ref) and np.array_equal(a, a_ref)
 
 
 # ---------------------------------------------------------------- serialization
@@ -409,27 +410,25 @@ def test_batched_velocity_acceleration_of_scalar_trajectory():
 
 def test_serialization_round_trip_is_exact():
     rng = np.random.default_rng(9)
-    segs = []
-    t = 0.0
+    pts, knots = [], [0.0]
     prev_end = rng.normal(size=3) * 100
-    for n in (7, 7, 7):
+    for _ in range(3):
         dur = float(rng.uniform(0.5, 3.0))
-        cps = rng.normal(size=(n + 1, 3)) * 100
+        cps = rng.normal(size=(8, 3)) * 100
         cps[0] = prev_end  # keep junctions position-continuous
         prev_end = cps[-1]
-        segs.append(bz.BernsteinSegment(cps, t, t + dur))
-        t += dur
-    traj = bz.PiecewiseTrajectory(segs)
+        pts.append(cps)
+        knots.append(knots[-1] + dur)
+    traj = bz.PiecewiseTrajectory(pts, knots)
 
     buf = io.StringIO()
     bz.write_trajectory(traj, buf)
     back = bz.read_trajectory(io.StringIO(buf.getvalue()))
 
-    assert len(back.segments) == 3
-    for s0, s1 in zip(traj.segments, back.segments):
-        # 17 significant digits round-trip doubles bit-exactly
-        assert s0.t0 == s1.t0 and s0.tf == s1.tf
-        assert np.array_equal(s0.control_points, s1.control_points)
+    # 17 significant digits round-trip doubles bit-exactly
+    assert back.control_points.shape == (3, 8, 3)
+    assert np.array_equal(back.knots, traj.knots)
+    assert np.array_equal(back.control_points, traj.control_points)
 
 
 def test_serialization_via_path(tmp_path):
@@ -437,8 +436,7 @@ def test_serialization_via_path(tmp_path):
     p = tmp_path / "traj.txt"
     bz.write_trajectory(traj, p)
     back = bz.read_trajectory(p)
-    assert np.array_equal(back.segments[1].control_points,
-                          traj.segments[1].control_points)
+    assert np.array_equal(back.control_points, traj.control_points)
 
 
 @pytest.mark.parametrize("text, missing", [
@@ -460,21 +458,18 @@ def test_read_trajectory_rejects_a_second_block():
 
 
 def test_serialization_round_trip_of_scalar_trajectory():
-    traj = bz.PiecewiseTrajectory([
-        bz.BernsteinSegment(np.array([0.0, 10.0]), 0.0, 1.0),
-        bz.BernsteinSegment(np.array([10.0, 6.0]), 1.0, 2.0),
-    ])
+    # One coordinate per control point reads back as d = 1.
+    traj = bz.PiecewiseTrajectory([[[0.0], [10.0]], [[10.0], [6.0]]], [0.0, 1.0, 2.0])
     buf = io.StringIO()
     bz.write_trajectory(traj, buf)
     back = bz.read_trajectory(io.StringIO(buf.getvalue()))
-    for s0, s1 in zip(traj.segments, back.segments):
-        assert s1.control_points.shape == s0.control_points.shape
-        assert np.array_equal(s0.control_points, s1.control_points)
-    # every derivative of a scalar trajectory is a float, including those
-    # above the segments' degree 1
+    assert back.control_points.shape == (2, 2, 1)
+    assert np.array_equal(back.control_points, traj.control_points)
+    # every derivative is a 1-tuple of a float, including those above the
+    # segments' degree 1
     for t in (0.5, 1.5):
         for value in back.eval(t):
-            assert type(value) is float
+            assert len(value) == 1 and type(value[0]) is float
 
 
 GOOD_BLOCK = "trajectory v1\nsegments 2\nsegment 1 0 1\n0 0 0\n1 0 0\nsegment 1 1 2\n1 0 0\n1 1 0\n"
@@ -561,15 +556,15 @@ def test_evaluation_matches_scipy_bpoly(n, vector):
     """
     rng = np.random.default_rng(100 + n)
     breaks = 0.7 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 3.0, 3))])
-    segs, prev = [], None
-    for t0, tf in zip(breaks, breaks[1:]):
-        cps = rng.normal(size=(n + 1, 3) if vector else (n + 1,)) * 40.0
+    pts, prev = [], None
+    for _ in breaks[1:]:
+        cps = rng.normal(size=(n + 1, 3 if vector else 1)) * 40.0
         if prev is not None:
             cps[0] = prev  # junctions are C0 only, so derivatives jump there
         prev = cps[-1]
-        segs.append(bz.BernsteinSegment(cps, t0, tf))
-    traj = bz.PiecewiseTrajectory(segs)
-    ref = [BPoly(np.stack([s.control_points for s in segs], axis=1), breaks)]
+        pts.append(cps)
+    traj = bz.PiecewiseTrajectory(pts, breaks)
+    ref = [BPoly(np.stack(pts, axis=1), breaks)]
     ref += [ref[0].derivative(k) for k in (1, 2, 3)]
     bound = [1e-12 * np.abs(r.c).max() for r in ref]
     # Interior times, every junction (which belongs to the later segment)
@@ -582,6 +577,6 @@ def test_evaluation_matches_scipy_bpoly(n, vector):
     assert np.abs(vel - ref[1](ts)).max() <= bound[1]
     assert np.abs(acc - ref[2](ts)).max() <= bound[2]
     # A one-segment trajectory owns its end time too.
-    for seg in segs:
-        for t in (seg.t0, 0.3 * seg.t0 + 0.7 * seg.tf, seg.tf):
-            assert np.abs(position(seg, t) - ref[0](t)).max() <= bound[0]
+    for cps, t0, tf in zip(pts, breaks, breaks[1:]):
+        for t in (t0, 0.3 * t0 + 0.7 * tf, tf):
+            assert np.abs(one_segment(cps, t0, tf).eval(t)[0] - ref[0](t)).max() <= bound[0]

@@ -147,6 +147,19 @@ def test_simulate_command_aborted_mission(tmp_path, capsys):
         assert reason in err
 
 
+def test_simulate_command_aborts_at_tick_0_on_an_altitude_out_of_range(tmp_path, capsys):
+    # The trim at t=0 refuses the altitude: the run aborts before the first
+    # tick, names tick 0 and loiter 0, and leaves a header-only log.
+    path = tmp_path / "high.txt"
+    path.write_text("version 1\ncruise_speed 14\nloiter 0 0 20000 45 ccw 0\n"
+                    "loiter 300 0 20000 45 ccw 0\n")
+    rc = cli.main(["simulate", "--mission", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "mission aborted: t=0.00 (tick 0, loiter 0): altitude 20000.0 m outside supported range")
+    assert len((tmp_path / "o" / "mission_log.csv").read_text().splitlines()) == 1
+
+
 @pytest.mark.parametrize("mission, params, message", [
     (MINI_MISSION.replace("cruise_speed 14", "cruise_speed nan"), "", "line 2"),
     (MINI_MISSION.replace("45 ccw", "nan ccw", 1), "", "line 3"),

@@ -139,9 +139,9 @@ def test_cost_equals_integrated_squared_jerk():
     (G,) = pl.build_cost(cfg, [dur])
     quad_form = sum(p @ G @ p for p in cps)
 
-    from flatwing.bernstein import BernsteinSegment, PiecewiseTrajectory
+    from flatwing.bernstein import PiecewiseTrajectory
 
-    traj = PiecewiseTrajectory([BernsteinSegment(cps.T, 0.0, dur)])
+    traj = PiecewiseTrajectory([cps.T], [0.0, dur])
     nodes, weights = np.polynomial.legendre.leggauss(2 * n)
     t = 0.5 * dur * (nodes + 1.0)
     total = 0.0
@@ -460,11 +460,10 @@ def test_plan_junctions_are_smooth():
 
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
     res = pl.plan(s, pl.PlannerConfig())
-    first, second = res.trajectory.segments
-    t_j = first.tf
+    (t0, t_j, t1), (first, second) = res.trajectory.knots, res.trajectory.control_points
     # One-segment trajectories, so that the first segment owns t_j too.
-    left = np.array(PiecewiseTrajectory([first]).eval(t_j))
-    right = np.array(PiecewiseTrajectory([second]).eval(t_j))
+    left = np.array(PiecewiseTrajectory([first], [t0, t_j]).eval(t_j))
+    right = np.array(PiecewiseTrajectory([second], [t_j, t1]).eval(t_j))
     for k in range(4):  # continuity through jerk
         assert np.abs(left[k] - right[k]).max() <= 1e-9
 
@@ -482,10 +481,9 @@ def test_plan_junctions_and_waypoints_are_exact():
         s = seq(w)
         res = pl.plan(s, cfg)
         assert res.ok
-        segs = res.trajectory.segments
-        assert len(segs) == len(w) - 1
-        for a, b in zip(segs, segs[1:]):
-            assert np.array_equal(a.control_points[-1], b.control_points[0])
+        pts = res.trajectory.control_points
+        assert len(pts) == len(w) - 1
+        assert np.array_equal(pts[:-1, -1], pts[1:, 0])
         times = res.trajectory.t_start + pl.allocate_times(s, CRUISE)
         for t, wp in zip(times[:-1], w[1:-1]):
             assert np.abs(res.trajectory.eval(t)[0] - wp).max() <= 1e-9
@@ -519,8 +517,8 @@ def test_fully_determined_segment_plans_without_variables():
     cfg = pl.PlannerConfig(degree=5, continuity_order=2)
     res = pl.plan(seq([[0, 0, 0], [140, 0, 0]]), cfg)
     assert res.ok and res.n_vars == 0 and res.n_constraints > 0
-    (seg,) = res.trajectory.segments
-    assert np.allclose(seg.control_points[:, 0], np.linspace(0.0, 140.0, 6), atol=1e-12)
+    (pts,) = res.trajectory.control_points
+    assert np.allclose(pts[:, 0], np.linspace(0.0, 140.0, 6), atol=1e-12)
     tight = pl.PlannerConfig(degree=5, continuity_order=2, v_max=10.0)
     assert pl.plan(seq([[0, 0, 0], [140, 0, 0]]), tight).status == "primal-infeasible-detected"
 
@@ -601,11 +599,11 @@ def test_replan_drops_the_waypoints_within_reach_but_not_the_last():
     # plans through the other two.
     t_h = 57.0 / CRUISE
     re = pl.replan(first.trajectory, t_h - 0.05, 0.05, s.waypoints[1:], pl.PlannerConfig())
-    assert re.ok and len(re.trajectory.segments) == 2
+    assert re.ok and len(re.trajectory.control_points) == 2
     # Only the last waypoint is left when the others are within reach.
     re = pl.replan(first.trajectory, t_h - 0.05, 0.05, [[60.0, 0, 0], [62.0, 0, 0], [180.0, 0, 0]],
                    pl.PlannerConfig())
-    assert re.ok and len(re.trajectory.segments) == 1
+    assert re.ok and len(re.trajectory.control_points) == 1
     assert np.allclose(re.trajectory.eval(re.trajectory.t_end)[0], [180.0, 0, 0])
 
 
@@ -777,13 +775,13 @@ def test_unit_blocks_assemble_like_the_builders_at_the_real_durations(n, c, monk
     # Every block is a cached unit-duration block times powers of the
     # durations; composed from the public builders at the durations
     # themselves, the problem and its coordinates must agree.
-    from flatwing.bernstein import BernsteinSegment, PiecewiseTrajectory
+    from flatwing.bernstein import PiecewiseTrajectory
 
     rng = np.random.default_rng(100 * n + c)
     t0 = 3.1
     # A planar-moving reference for the curvature linearization.
-    prev = PiecewiseTrajectory([BernsteinSegment(
-        [[0, 0, 0], [90, 40, 5], [180, -30, 0], [270, 20, 10]], t0 - 1.0, t0 + 40.0)])
+    prev = PiecewiseTrajectory([[[0, 0, 0], [90, 40, 5], [180, -30, 0], [270, 20, 10]]],
+                               [t0 - 1.0, t0 + 40.0])
     configs = {
         1: dict(v_max=(25.0, np.inf, 20.0), a_max=6.0),
         2: dict(v_max=np.inf, a_max=(4.0, np.inf, 3.0), kappa_min=-np.inf, kappa_max=np.inf),
@@ -853,7 +851,7 @@ def test_planner_is_equivariant_under_time_scaling(s):
         return res
 
     base, slow = plan_at(1.0), plan_at(s)
-    for a, b in zip(base.trajectory.segments, slow.trajectory.segments):
-        assert np.abs(b.control_points - a.control_points).max() <= 1e-12
+    diff = slow.trajectory.control_points - base.trajectory.control_points
+    assert np.abs(diff).max() <= 1e-12
     assert slow.objective == pytest.approx(base.objective * s**-5, rel=1e-12)
     assert slow.trajectory.t_end == pytest.approx(s * base.trajectory.t_end, rel=1e-14)
