@@ -25,6 +25,7 @@ from .qp import dump_problem
 # about 1.3 s on a 2-core Xeon and 172 MiB of traced allocations at their
 # peak. A larger count is a typo that would exhaust memory, not a benchmark.
 MAX_BENCH_WAYPOINTS = 4096
+BENCH_CRUISE_SPEED = 14.0  # m/s, the benchmark field's boundary speed
 
 
 def _load_mission(path: str) -> msn.MissionPlan:
@@ -92,22 +93,18 @@ def waypoint_field(n_waypoints: int, seed: int = 0) -> np.ndarray:
     return pts
 
 
-def _field_sequence(pts: np.ndarray, cruise: float) -> WaypointSequence:
-    d0 = pts[1] - pts[0]
-    d1 = pts[-1] - pts[-2]
-    return WaypointSequence(
-        pts,
-        BoundaryState(pts[0], cruise * d0 / np.linalg.norm(d0), np.zeros(3)),
-        BoundaryState(pts[-1], cruise * d1 / np.linalg.norm(d1), np.zeros(3)),
-    )
-
-
-def bench_planner(sizes, seed: int = 0, cruise: float = 14.0):
-    """Solve the benchmark field at each size; returns a list of PlanResults."""
-    pcfg = PlannerConfig(cruise_speed=cruise)
+def bench_planner(sizes, seed: int = 0):
+    """Solve the benchmark field at each size, entering and leaving it along
+    its end chords; returns a list of PlanResults."""
+    V = BENCH_CRUISE_SPEED
+    pcfg = PlannerConfig(cruise_speed=V)
     results = []
     for n in sizes:
-        wps = _field_sequence(waypoint_field(n, seed), cruise)
+        pts = waypoint_field(n, seed)
+        d0, d1 = pts[1] - pts[0], pts[-1] - pts[-2]
+        v0, v1 = V * d0 / np.linalg.norm(d0), V * d1 / np.linalg.norm(d1)
+        wps = WaypointSequence(pts, BoundaryState(pts[0], v0, np.zeros(3)),
+                               BoundaryState(pts[-1], v1, np.zeros(3)))
         results.append(planner.plan(wps, pcfg))
     return results
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY = (0.0, 0.0, -9.81)
 
 # Singularity guards: minimum speed, minimum normal acceleration magnitude,
 # and minimum axial component of the path tangent in the velocity frame.
@@ -84,7 +84,6 @@ class CommandState(NamedTuple):
 
 # The per-tick kernels below work on Python floats. A rotation is carried as
 # its 9 entries in row-major order, (r00, r01, r02, r10, ..., r22).
-_G = tuple(GRAVITY.tolist())
 
 
 def _frame(v, a, g):
@@ -203,7 +202,7 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     +/- phi_limit.
     """
     rp, rv, ra, rj = ref
-    R, a_vx, a_vz, V, omega_vy, omega_vz = _frame(rv, ra, _G)
+    R, a_vx, a_vz, V, omega_vy, omega_vz = _frame(rv, ra, GRAVITY)
     jerk_c = tracking_jerk(rp, rv, ra, rj, position, velocity, acceleration,
                            CASCADE_GAINS)
     a_vx_dot, omega_vx, a_vz_dot = _jerk_inputs(R, a_vx, a_vz, omega_vy, omega_vz, jerk_c)
@@ -213,7 +212,7 @@ def command_from_flat(ref: FlatState, position, velocity, acceleration,
     a_vx_i = state.a_vx + dt * (a_vx_dot + _LEAK * (a_vx - state.a_vx))
     a_vz_i = state.a_vz + dt * (a_vz_dot + _LEAK * (a_vz - state.a_vz))
 
-    gx, gy, gz = _G
+    gx, gy, gz = GRAVITY
     omega_vy_c = -(a_vz_i + (R[2] * gx + R[5] * gy + R[8] * gz)) / V
     a_T = (a_vx_i + drag_accel) / math.cos(alpha_est)
     a_T = min(max(a_T, 0.0), a_T_max)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .flatness import (
 )
 from .planner import BoundaryState, PlannerConfig, WaypointSequence
 from .simulator import (
+    ALTITUDE_RANGE,
     AeroParams,
     AircraftState,
     IntegrationFault,
@@ -106,23 +108,20 @@ class MissionPlan:
 
 @dataclass
 class MissionConfig:
-    dt: float = 0.01
+    """The replan cadence and the attitude time constant; the control
+    tick, the handoff budget credited to every replan and the leg-end
+    freeze are fixed."""
+
+    dt: ClassVar[float] = 0.01
+    handoff_budget: ClassVar[float] = 0.05
+    leg_freeze: ClassVar[float] = 1.5  # no replans this close to the leg end
     replan_period: float = 0.1
-    handoff_budget: float = 0.05
-    leg_freeze: float = 1.5  # no replans this close to the leg end
     tau_att: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 0.02:
-            raise ValueError("dt must lie in (0, 0.02]")
         ticks = self.replan_period / self.dt
         if abs(ticks - round(ticks)) > 1e-9 or round(ticks) < 1:
             raise ValueError("replan_period must be a positive multiple of dt")
-        ticks = self.handoff_budget / self.dt
-        if abs(ticks - round(ticks)) > 1e-9 or round(ticks) < 1:
-            raise ValueError("handoff_budget must be a positive multiple of dt")
-        if self.handoff_budget >= self.leg_freeze:
-            raise ValueError("handoff_budget must be below leg_freeze")
         if not self.tau_att > 0:
             raise ValueError("tau_att must be positive")
 
@@ -228,6 +227,7 @@ def parse_mission(text: str) -> MissionPlan:
     pending_wps: list = []
     first_wp_line = 0
     saw_version = False
+    z_lo, z_hi = ALTITUDE_RANGE  # where the simulator's atmosphere holds
     for i, tok in _tokens(text):
         key = tok[0]
         if not saw_version:
@@ -245,8 +245,8 @@ def parse_mission(text: str) -> MissionPlan:
                 # geodetic origin: checked, not used (coordinates are local)
                 _, _, _ = map(_finite, tok[1:])
             elif key == "loiter":
-                cx, cy, cz, r, sense, laps = tok[1:]
-                cx, cy, cz, r = map(_finite, (cx, cy, cz, r))
+                cx, cy, z, r, sense, laps = tok[1:]
+                cx, cy, z, r = map(_finite, (cx, cy, z, r))
                 laps = int(laps)
                 if laps > MAX_LOITER_LAPS:
                     raise MissionFormatError(
@@ -259,7 +259,7 @@ def parse_mission(text: str) -> MissionPlan:
                 if loiters:
                     legs.append(Leg(pending_wps))
                     pending_wps = []
-                loiters.append(Loiter((cx, cy, cz), r, sense == "ccw", laps))
+                loiters.append(Loiter((cx, cy, z), r, sense == "ccw", laps))
             elif key == "waypoint":
                 x, y, z = map(_finite, tok[1:])
                 if not loiters:
@@ -271,6 +271,9 @@ def parse_mission(text: str) -> MissionPlan:
                 pending_wps.append([x, y, z])
             else:
                 raise MissionFormatError(f"line {i}: unknown directive {key!r}")
+            if key in ("loiter", "waypoint") and not z_lo <= z <= z_hi:
+                raise MissionFormatError(f"line {i}: altitude {z:g} m outside supported "
+                                         f"range [{z_lo:g}, {z_hi:g}]")
         except MissionFormatError:
             raise
         except (ValueError, IndexError) as exc:
@@ -374,11 +377,11 @@ def write_csv(log: SimLog, dest) -> None:
         dest.write(",".join(cells) + "\n")
 
 
-def metrics(log: SimLog, events=None, handoff_budget: float | None = None) -> dict:
+def metrics(log: SimLog, events: list, handoff_budget: float) -> dict:
     """Tracking and replanning summary statistics for a finished run.
 
-    With a handoff budget, `n_replans_over_budget` counts the replans whose
-    wall-clock solve time exceeded it.
+    `n_replans_over_budget` counts the replans whose wall-clock solve time
+    exceeded the handoff budget.
     """
     data = log.columns()
     if data.size == 0:
@@ -398,19 +401,15 @@ def metrics(log: SimLog, events=None, handoff_budget: float | None = None) -> di
         "roll_max": float(data[:, 13].max()),
         "path_length": float(seg.sum()),
     }
-    if events is not None:
-        acc = [e for e in events if e.accepted]
-        out["n_replans"] = len(events)
-        out["n_replans_accepted"] = len(acc)
-        if handoff_budget is not None:
-            out["n_replans_over_budget"] = sum(e.solve_time > handoff_budget
-                                               for e in events)
-        out["qp_iterations_max"] = max((e.iterations for e in events), default=0)
-        out["qp_iterations_sum"] = sum(e.iterations for e in events)
-        if events:
-            topt = [e.solve_time for e in events]
-            out["t_opt_mean"] = float(np.mean(topt))
-            out["t_opt_max"] = float(np.max(topt))
+    out["n_replans"] = len(events)
+    out["n_replans_accepted"] = sum(e.accepted for e in events)
+    out["n_replans_over_budget"] = sum(e.solve_time > handoff_budget for e in events)
+    out["qp_iterations_max"] = max((e.iterations for e in events), default=0)
+    out["qp_iterations_sum"] = sum(e.iterations for e in events)
+    if events:
+        topt = [e.solve_time for e in events]
+        out["t_opt_mean"] = float(np.mean(topt))
+        out["t_opt_max"] = float(np.max(topt))
     return out
 
 
@@ -486,19 +485,16 @@ def check_boundaries(wps: WaypointSequence, pcfg: PlannerConfig, i: int) -> None
 
 def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 wind: WindField | None = None,
-                pcfg: PlannerConfig | None = None,
                 mcfg: MissionConfig | None = None) -> MissionResult:
     """Fly the mission closed-loop and return the log, events, and metrics."""
     params = params or AeroParams()
     wind = wind or WindField()
-    pcfg = pcfg or PlannerConfig(cruise_speed=plan.cruise_speed)
+    pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
     mcfg = mcfg or MissionConfig()
-    if abs(pcfg.cruise_speed - plan.cruise_speed) > 1e-9:
-        raise ValueError("planner cruise_speed disagrees with the mission")
 
     V = plan.cruise_speed
     dt = mcfg.dt
-    gz = float(GRAVITY[2])
+    gz = GRAVITY[2]
     replan_ticks = round(mcfg.replan_period / dt)
     n_legs = len(plan.legs)
     log = SimLog()

@@ -46,7 +46,6 @@ class PlannerConfig:
     kappa_max: float = 0.02
     n_curv_samples: int = 20
     continuity_order: int = 3
-    v_eps: float = V_EPS
 
     def __post_init__(self):
         # Coerce first, as QpSettings does; each `not` test also rejects NaN.
@@ -55,7 +54,7 @@ class PlannerConfig:
             if not float(v).is_integer():
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             setattr(self, name, int(v))
-        for name in ("cruise_speed", "v_min", "kappa_min", "kappa_max", "v_eps"):
+        for name in ("cruise_speed", "v_min", "kappa_min", "kappa_max"):
             setattr(self, name, float(getattr(self, name)))
         for name, ok, rule in (
             ("degree", 5 <= self.degree <= 12, "lie in the supported range [5, 12]"),
@@ -66,7 +65,6 @@ class PlannerConfig:
             ("n_curv_samples", self.n_curv_samples >= 1, "be at least 1"),
             ("cruise_speed", 0.0 < self.cruise_speed < np.inf, "be positive and finite"),
             ("v_min", 0.0 < self.v_min < np.inf, "be positive and finite (forward flight)"),
-            ("v_eps", 0.0 < self.v_eps < np.inf, "be positive and finite"),
             ("kappa_min", self.kappa_min < np.inf, "be a number below +inf"),
             ("kappa_max", -np.inf < self.kappa_max and self.kappa_max >= self.kappa_min,
              "be a number above -inf and at least kappa_min"),
@@ -106,16 +104,26 @@ class WaypointSequence:
     gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
-        if self.waypoints.shape[0] < 2:
+        W = self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
+        if W.ndim != 2 or W.shape[1] != 3:
+            raise ValueError(f"waypoints must be (N, 3) points, got shape {W.shape}")
+        if W.shape[0] < 2:
             raise ValueError("need at least two waypoints")
-        gaps = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
+        ends = (("start", self.boundary_start), ("end", self.boundary_end))
+        vecs = [v for _, b in ends for v in (b.position, b.velocity, b.acceleration)]
+        if any(v.shape != (3,) for v in vecs):
+            raise ValueError("boundary position, velocity and acceleration must be 3-vectors")
+        finite = np.isfinite(np.vstack([W, *vecs])).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"waypoint {i} is not finite" if i < len(W) else
+                             f"boundary {ends[(i - len(W)) // 3][0]} state is not finite")
+        gaps = np.linalg.norm(np.diff(W, axis=0), axis=1)
         if np.any(gaps < 1.0):
             raise ValueError(f"consecutive waypoints closer than 1 m (min {gaps.min():.3f})")
         gaps.setflags(write=False)
         self.gaps = gaps
-        for bnd, wp, name in ((self.boundary_start, self.waypoints[0], "start"),
-                              (self.boundary_end, self.waypoints[-1], "end")):
+        for (name, bnd), wp in zip(ends, (W[0], W[-1])):
             if np.linalg.norm(bnd.position - wp) > 1e-3:
                 raise ValueError(f"boundary {name} position disagrees with the {name} waypoint")
 
@@ -498,7 +506,7 @@ def _limits(config: PlannerConfig, bound_of):
     return np.append(-lim, config.v_min)[bound_of], np.append(lim, np.inf)[bound_of]
 
 
-def curvature(v_xy, a_xy, v_eps: float = V_EPS):
+def curvature(v_xy, a_xy):
     """Planar curvature and its gradient wrt (vx, vy, ax, ay).
 
     Takes one sample as 2-vectors, giving a scalar curvature and a (4,)
@@ -509,10 +517,10 @@ def curvature(v_xy, a_xy, v_eps: float = V_EPS):
     vx, vy = v[..., 0], v[..., 1]
     ax, ay = a[..., 0], a[..., 1]
     s2 = vx * vx + vy * vy
-    slow = np.flatnonzero(s2 < v_eps * v_eps)
+    slow = np.flatnonzero(s2 < V_EPS * V_EPS)
     if slow.size:
         raise FlatnessSingularityError(
-            f"planar speed {np.sqrt(np.ravel(s2)[slow[0]]):.3f} m/s below {v_eps} m/s"
+            f"planar speed {np.sqrt(np.ravel(s2)[slow[0]]):.3f} m/s below {V_EPS} m/s"
         )
     c = vx * ay - vy * ax
     s15 = s2**1.5
@@ -567,7 +575,7 @@ def _linearization(prev_traj: PiecewiseTrajectory, config: PlannerConfig, durati
     t_abs = seg_start[:, None] + u * durations[:, None]
     t_prev = np.minimum(np.maximum(t_abs, prev_traj.t_start), prev_traj.t_end)
     vel, acc = prev_traj.velocity_acceleration(t_prev.ravel())
-    kbar, grad = curvature(vel[:, :2], acc[:, :2], config.v_eps)
+    kbar, grad = curvature(vel[:, :2], acc[:, :2])
     # kbar - grad.(vx, vy, ax, ay), the products summed left to right.
     va = np.concatenate([vel[:, :2], acc[:, :2]], axis=1)
     return grad.reshape(M, K, 4), kbar - np.add.accumulate(grad * va, axis=1)[:, -1]
@@ -686,15 +694,15 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
 
 
 def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
-           wps_remaining, config: PlannerConfig,
-           boundary_end: BoundaryState | None = None,
+           wps_remaining, config: PlannerConfig, boundary_end: BoundaryState,
            warm: qp.QpSolution | None = None) -> PlanResult:
     """Re-solve from the state the reference will occupy after t_opt_est.
 
-    wps_remaining holds the waypoints still ahead (the last one is the leg
-    end). Waypoints the handoff point has effectively reached are dropped;
-    if the handoff time falls outside the current trajectory, the replan is
-    rejected and the caller keeps the current trajectory.
+    wps_remaining holds the waypoints still ahead; the last one is the leg
+    end, where the plan meets boundary_end. Waypoints the handoff point has
+    effectively reached are dropped; if the handoff time falls outside the
+    current trajectory, the replan is rejected and the caller keeps the
+    current trajectory.
     """
     t_h = t_now + t_opt_est
     if t_h > current.t_end or t_h < current.t_start:
@@ -710,11 +718,6 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
     if not dist.size or dist[-1] < 1.0:
         return PlanResult(trajectory=None, status="rejected")
 
-    if boundary_end is None:
-        tail = remaining[-1] - (remaining[-2] if len(remaining) > 1 else pos)
-        tail = tail / np.linalg.norm(tail)
-        boundary_end = BoundaryState(remaining[-1], config.cruise_speed * tail,
-                                     np.zeros(3))
     try:
         wps = WaypointSequence(np.vstack([pos[None, :], remaining]),
                                BoundaryState(pos, vel, acc), boundary_end)

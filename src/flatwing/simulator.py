@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flatness import GRAVITY, V_EPS, CommandedInput, _G
+from .flatness import GRAVITY, V_EPS, CommandedInput
 
 RHO_SEA_LEVEL = 1.225
 DENSITY_SCALE_HEIGHT = 8500.0
+ALTITUDE_RANGE = (-500.0, 10000.0)  # m, where the atmosphere model holds
 ALPHA_LIMIT = 0.3
 RATE_LIMIT = 2.0
 
@@ -104,8 +105,9 @@ class AircraftState:
 
 def air_density(x_z: float) -> float:
     """Exponential-atmosphere density at altitude x_z meters."""
-    if not -500.0 <= x_z <= 10000.0:
-        raise ValueError(f"altitude {x_z} m outside supported range [-500, 10000]")
+    lo, hi = ALTITUDE_RANGE
+    if not lo <= x_z <= hi:
+        raise ValueError(f"altitude {x_z} m outside supported range [{lo:g}, {hi:g}]")
     return RHO_SEA_LEVEL * math.exp(-x_z / DENSITY_SCALE_HEIGHT)
 
 
@@ -262,7 +264,7 @@ def step(state: AircraftState, omega_v, a_vx: float, wind_vec,
     if state.V_a <= 1e-9:
         raise ValueError("coordinated model requires positive airspeed")
     wx, wy, wz = wind_vec
-    gz = _G[2]
+    gz = GRAVITY[2]
 
     R = state.R
     Rn, Rh = _rotation_step(R, omega_v, dt)
@@ -310,7 +312,7 @@ def attitude_inner_loop(R, euler, alpha: float, V_a: float, cmd: CommandedInput,
     tau = max(tau_att, dt)
     p = cmd.omega_vx + (cmd.phi_c - phi) / tau
     q = cmd.omega_vy + (cmd.theta_c - theta_body) / tau
-    gx, gy, gz = _G
+    gx, gy, gz = GRAVITY
     r = (R[1] * gx + R[4] * gy + R[7] * gz) / max(V_a, V_EPS)  # (R'g)_y / V_a
     lim = RATE_LIMIT
     return min(max(p, -lim), lim), min(max(q, -lim), lim), min(max(r, -lim), lim)

@@ -92,7 +92,7 @@ def test_replanning_drives_curvature_within_limits():
     for i in range(1, 6):  # replans at 10 Hz with a 50 ms handoff budget
         if history[-1] <= 0.021:
             break
-        res = pl.replan(traj, 0.1 * i, 0.05, corner[1:], cfg, warm=warm)
+        res = pl.replan(traj, 0.1 * i, 0.05, corner[1:], cfg, wps.boundary_end, warm=warm)
         assert res.ok, res.status
         traj, warm = res.trajectory, res.qp_solution
         history.append(lookahead_kappa(traj, 0.1 * i + 0.05))

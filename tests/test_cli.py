@@ -148,16 +148,18 @@ def test_simulate_command_aborted_mission(tmp_path, capsys):
 
 
 def test_simulate_command_aborts_at_tick_0_on_an_altitude_out_of_range(tmp_path, capsys):
-    # The trim at t=0 refuses the altitude: the run aborts before the first
-    # tick, names tick 0 and loiter 0, and leaves a header-only log.
+    # `plan` and `simulate` both refuse the file at parse time, naming the
+    # first loiter's line, and write nothing. (`run_mission` on such a plan
+    # built directly aborts at tick 0: see test_mission.)
     path = tmp_path / "high.txt"
     path.write_text("version 1\ncruise_speed 14\nloiter 0 0 20000 45 ccw 0\n"
                     "loiter 300 0 20000 45 ccw 0\n")
-    rc = cli.main(["simulate", "--mission", str(path), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(
-        "mission aborted: t=0.00 (tick 0, loiter 0): altitude 20000.0 m outside supported range")
-    assert len((tmp_path / "o" / "mission_log.csv").read_text().splitlines()) == 1
+    for command in ("plan", "simulate"):
+        rc = cli.main([command, "--mission", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: altitude 20000 m outside supported range [-500, 10000]\n")
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mission, params, message", [

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,12 @@ MISSION_LINES = ["version 1", "cruise_speed 14", "origin 47.6 -122.3 0",
     (3, "loiter 0 0 60 45 ccw 1.5", "line 4: malformed loiter line"),
     (3, "loiter 0 0 60 45 ccw 999999999999", "line 4: loiter laps must be at most 1000"),
     (4, "waypoint 150 nan 60", "line 5: malformed waypoint line .*non-finite"),
-], ids=['cruise-nan', 'cruise-inf', 'cruise-zero', 'cruise-negative', 'origin-nan', 'radius-nan', 'center-inf', 'radius-overflow', 'laps-fraction', 'laps-huge', 'waypoint-nan'])
+    (3, "loiter 0 0 20000 45 ccw 0",
+     r"line 4: altitude 20000 m outside supported range \[-500, 10000\]"),
+    (3, "loiter 0 0 10020 45 ccw 0", "line 4: altitude 10020 m outside"),
+    (4, "waypoint 150 40 -600", "line 5: altitude -600 m outside"),
+], ids=['cruise-nan', 'cruise-inf', 'cruise-zero', 'cruise-negative', 'origin-nan', 'radius-nan', 'center-inf', 'radius-overflow', 'laps-fraction', 'laps-huge', 'waypoint-nan',
+        'loiter-altitude-high', 'loiter-altitude-just-high', 'waypoint-altitude-low'])
 def test_parse_mission_rejects_non_finite_and_out_of_range_numbers(line, new, message):
     lines = list(MISSION_LINES)
     assert ms.parse_mission("\n".join(lines)).cruise_speed == 14.0
@@ -237,15 +243,15 @@ def test_build_setup_routes_parameters():
 
 def test_mission_config_validation():
     with pytest.raises(ValueError):
-        ms.MissionConfig(dt=0.05)
-    with pytest.raises(ValueError):
         ms.MissionConfig(replan_period=0.013)
-    with pytest.raises(ValueError):
-        ms.MissionConfig(handoff_budget=0.017)
-    with pytest.raises(ValueError):
-        ms.MissionConfig(handoff_budget=2.0, leg_freeze=1.5)
     with pytest.raises(ValueError, match="tau_att"):
         ms.MissionConfig(tau_att=-0.1)
+    # The tick, the handoff budget and the leg-end freeze are fixed.
+    for name in ("dt", "handoff_budget", "leg_freeze"):
+        with pytest.raises(TypeError):
+            ms.MissionConfig(**{name: 0.02})
+    assert [f.name for f in fields(ms.MissionConfig)] == ["replan_period", "tau_att"]
+    assert ms.MissionConfig().handoff_budget == 0.05
 
 
 # ---------------------------------------------------------------- geometry
@@ -398,7 +404,7 @@ def test_csv_writes_to_path(tmp_path):
 
 
 def test_metrics_on_synthetic_log():
-    m = ms.metrics(synthetic_log())
+    m = ms.metrics(synthetic_log(), [], 0.05)
     assert m["rmse_pos"] == pytest.approx(5.0, abs=1e-12)  # (3,4,0) offset
     assert m["max_pos_error"] == pytest.approx(5.0, abs=1e-12)
     assert m["rmse_vel"] == pytest.approx(2.0, abs=1e-12)
@@ -412,7 +418,7 @@ def test_metrics_event_statistics():
         ms.ReplanEvent(0.1, 0, "solved", 50, 1.0, 0.01, True),
         ms.ReplanEvent(0.2, 0, "rejected", 0, 0.0, 0.03, False),
     ]
-    m = ms.metrics(synthetic_log(), ev)
+    m = ms.metrics(synthetic_log(), ev, 0.05)
     assert m["n_replans"] == 2
     assert m["n_replans_accepted"] == 1
     assert m["qp_iterations_max"] == 50
@@ -420,7 +426,7 @@ def test_metrics_event_statistics():
     assert m["t_opt_mean"] == pytest.approx(0.02)
     assert m["t_opt_max"] == pytest.approx(0.03)
     with pytest.raises(ValueError):
-        ms.metrics(ms.SimLog())
+        ms.metrics(ms.SimLog(), [], 0.05)
 
 
 def test_metrics_count_replans_over_budget():
@@ -430,12 +436,10 @@ def test_metrics_count_replans_over_budget():
         ms.ReplanEvent(0.3, 0, "solved", 900, 1.0, 0.0501, True),
         ms.ReplanEvent(0.4, 0, "rejected", 0, 0.0, 0.2, False),
     ]
-    m = ms.metrics(synthetic_log(), ev, handoff_budget=0.05)
+    m = ms.metrics(synthetic_log(), ev, 0.05)
     assert m["n_replans_over_budget"] == 2
     assert ms.metrics(synthetic_log(), ev[:2], 0.05)["n_replans_over_budget"] == 0
     assert ms.metrics(synthetic_log(), [], 0.05)["n_replans_over_budget"] == 0
-    # without a budget the count is not reported
-    assert "n_replans_over_budget" not in ms.metrics(synthetic_log(), ev)
 
 
 def test_write_summary_round_trip(tmp_path):
@@ -541,6 +545,21 @@ def test_mission_aborts_before_the_first_tick_on_a_waypoint_inside_loiter_0():
     assert res.log.rows == [] and res.metrics == {}
 
 
+def test_mission_aborts_at_tick_0_on_an_altitude_out_of_range():
+    # parse_mission refuses this altitude; a plan built directly reaches the
+    # trim at t=0, which refuses it before the first tick is logged.
+    plan = ms.MissionPlan(V, [ms.Loiter((0, 0, 20000), 45.0), ms.Loiter((300, 0, 20000), 45.0)],
+                          [ms.Leg(np.empty((0, 3)))])
+    res = ms.run_mission(plan)
+    assert res.aborted
+    assert res.abort_reason.startswith(
+        "t=0.00 (tick 0, loiter 0): altitude 20000.0 m outside supported range")
+    assert res.log.rows == [] and res.metrics == {}
+    buf = io.StringIO()
+    ms.write_csv(res.log, buf)
+    assert buf.getvalue() == ms.CSV_HEADER + "\n"  # a header-only log
+
+
 def test_mission_aborts_after_a_leg_on_a_waypoint_inside_the_next_loiter():
     # Leg 0 flies; leg 1's first waypoint lies 11 m from loiter 1's center.
     text = ("version 1\ncruise_speed 14\nloiter 0 0 60 45 ccw 0\nloiter 185 0 60 45 ccw 0\n"
@@ -553,27 +572,30 @@ def test_mission_aborts_after_a_leg_on_a_waypoint_inside_the_next_loiter():
     assert res.metrics
 
 
-def test_mission_flies_on_when_a_replan_raises():
-    # With v_eps just below the cruise speed, linearizing about the current
-    # reference hits the planar-speed check in many replans. Each becomes a
-    # rejected event naming the failure, and the current reference is kept.
-    from flatwing.planner import PlannerConfig
+@pytest.mark.parametrize("error", [fl.FlatnessSingularityError, ValueError],
+                         ids=["FlatnessSingularityError", "ValueError"])
+def test_mission_flies_on_when_a_replan_raises(monkeypatch, error):
+    # Every other replan raises one of the two errors the executive catches.
+    # Each becomes a rejected event naming the failure, and the current
+    # reference is kept.
+    calls = []
+    replan = ms.planner.replan
 
-    plan = ms.parse_mission(HAPPY_MISSION)
-    res = ms.run_mission(plan, pcfg=PlannerConfig(cruise_speed=14.0, v_eps=13.9))
+    def flaky_replan(*args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2:
+            raise error("replan failed on purpose")
+        return replan(*args, **kwargs)
+
+    monkeypatch.setattr(ms.planner, "replan", flaky_replan)
+    res = ms.run_mission(ms.parse_mission(HAPPY_MISSION))
     assert not res.aborted
-    failed = [e for e in res.events if not e.accepted]
-    assert failed and any(e.accepted for e in res.events)
-    assert all(e.status.startswith("rejected: planar speed 13.") for e in failed)
+    assert len(res.events) == len(calls) > 2
+    raised = res.events[::2]
+    assert all(e.status == "rejected: replan failed on purpose" for e in raised)
+    assert not any(e.accepted for e in raised)
+    assert any(e.accepted for e in res.events[1::2])
     assert res.metrics["rmse_pos"] <= 0.5
-
-
-def test_mission_rejects_mismatched_planner_speed():
-    from flatwing.planner import PlannerConfig
-
-    plan = ms.parse_mission(HAPPY_MISSION)
-    with pytest.raises(ValueError, match="cruise_speed"):
-        ms.run_mission(plan, pcfg=PlannerConfig(cruise_speed=10.0))
 
 
 @pytest.mark.parametrize("phase", ["leg", "loiter"])

@@ -62,7 +62,7 @@ def test_config_validation():
                          ("a_max", (6.0, 6.0)), ("n_curv_samples", 0),
                          ("n_curv_samples", 2.5), ("continuity_order", -1),
                          ("degree", 7.5), ("kappa_max", np.nan), ("kappa_min", np.nan),
-                         ("kappa_min", np.inf), ("v_min", np.inf), ("v_eps", 0.0),
+                         ("kappa_min", np.inf), ("v_min", np.inf),
                          ("cruise_speed", np.nan)):
         with pytest.raises(ValueError, match=field):
             pl.PlannerConfig(**{field: value})
@@ -90,6 +90,30 @@ def test_waypoint_sequence_validation():
             pl.BoundaryState(w[0] + 5.0, np.zeros(3), np.zeros(3)),
             pl.BoundaryState(w[1], np.zeros(3), np.zeros(3)),
         )
+
+
+LINE3 = [[0.0, 0, 0], [60.0, 0, 0], [120.0, 0, 0]]
+
+
+@pytest.mark.parametrize("waypoints, start, end, message", [
+    ([[0, 0, 0], [60, np.nan, 0], [120, 0, 0]], {}, {}, "waypoint 1 is not finite"),
+    (LINE3, {"velocity": [np.inf, 0, 0]}, {}, "boundary start state is not finite"),
+    (LINE3, {}, {"position": [np.nan, 0, 0]}, "boundary end state is not finite"),
+    ([[0, 0], [60, 0], [120, 0]], {}, {}, r"waypoints must be \(N, 3\) points, got shape \(3, 2\)"),
+    ([[0, 0, 0, 1], [60, 0, 0, 1]], {}, {}, r"waypoints must be \(N, 3\) points"),
+    (LINE3, {"acceleration": [0.0, 0.0]}, {}, "must be 3-vectors"),
+], ids=["waypoint-nan", "start-velocity-inf", "end-position-nan", "two-columns",
+        "four-columns", "start-acceleration-2-vector"])
+def test_waypoint_sequence_refuses_malformed_input(waypoints, start, end, message):
+    # Each of these used to construct and fail later, deep in the planner or
+    # the solver, or not at all; now the sequence names the bad input.
+    w = np.asarray(waypoints, dtype=float)
+    v = np.zeros(w.shape[1])
+    v[0] = CRUISE
+    bnd = [pl.BoundaryState(**{"position": p, "velocity": v, "acceleration": np.zeros(3), **o})
+           for p, o in ((w[0], start), (w[-1], end))]
+    with pytest.raises(ValueError, match=message):
+        pl.WaypointSequence(w, *bnd)
 
 
 # ---------------------------------------------------------------- timing
@@ -345,7 +369,7 @@ def scalar_curvature_rows(prev, cfg, durations, t0):
             u = (k + 0.5) / cfg.n_curv_samples
             t = min(max(seg_start + u * d, prev.t_start), prev.t_end)
             _, vel, acc, _ = prev.eval(t)
-            kbar, grad = pl.curvature(vel[:2], acc[:2], cfg.v_eps)
+            kbar, grad = pl.curvature(vel[:2], acc[:2])
             w_v = basis_row(n - 1, u) @ D1
             w_a = basis_row(n - 2, u) @ D2
             row = np.zeros(N)
@@ -553,7 +577,8 @@ def test_replan_hands_off_continuously():
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
     first = pl.plan(s, pl.PlannerConfig())
     t_now, t_opt = 2.0, 0.5
-    re = pl.replan(first.trajectory, t_now, t_opt, s.waypoints[1:], pl.PlannerConfig())
+    re = pl.replan(first.trajectory, t_now, t_opt, s.waypoints[1:], pl.PlannerConfig(),
+                   s.boundary_end)
     assert re.ok
     t_h = t_now + t_opt
     assert re.trajectory.t_start == pytest.approx(t_h)
@@ -567,7 +592,8 @@ def test_replan_hands_off_continuously():
 def test_replan_of_optimal_plan_is_a_fixed_point():
     s = seq([[0, 0, 0], [140, 0, 0]])
     first = pl.plan(s, pl.PlannerConfig())
-    re = pl.replan(first.trajectory, 4.0, 0.3, [[140.0, 0.0, 0.0]], pl.PlannerConfig())
+    re = pl.replan(first.trajectory, 4.0, 0.3, [[140.0, 0.0, 0.0]], pl.PlannerConfig(),
+                   s.boundary_end)
     assert re.ok
     for t in np.linspace(4.3, 10.0, 50):
         a, _, _, _ = np.array(first.trajectory.eval(t))
@@ -578,7 +604,8 @@ def test_replan_of_optimal_plan_is_a_fixed_point():
 def test_replan_rejects_handoff_outside_domain():
     s = seq([[0, 0, 0], [140, 0, 0]])
     first = pl.plan(s, pl.PlannerConfig())
-    re = pl.replan(first.trajectory, 100.0, 0.5, [[140.0, 0.0, 0.0]], pl.PlannerConfig())
+    re = pl.replan(first.trajectory, 100.0, 0.5, [[140.0, 0.0, 0.0]], pl.PlannerConfig(),
+                   s.boundary_end)
     assert re.status == "rejected"
     assert not re.ok and re.trajectory is None
 
@@ -587,7 +614,8 @@ def test_replan_rejects_when_target_reached():
     s = seq([[0, 0, 0], [140, 0, 0]])
     first = pl.plan(s, pl.PlannerConfig())
     # handoff lands within a meter of the leg end
-    re = pl.replan(first.trajectory, 9.95, 0.05, [[140.0, 0.0, 0.0]], pl.PlannerConfig())
+    re = pl.replan(first.trajectory, 9.95, 0.05, [[140.0, 0.0, 0.0]], pl.PlannerConfig(),
+                   s.boundary_end)
     assert re.status == "rejected"
 
 
@@ -598,11 +626,12 @@ def test_replan_drops_the_waypoints_within_reach_but_not_the_last():
     # (reach: half the cruise speed, 7 m), so the replan starts there and
     # plans through the other two.
     t_h = 57.0 / CRUISE
-    re = pl.replan(first.trajectory, t_h - 0.05, 0.05, s.waypoints[1:], pl.PlannerConfig())
+    re = pl.replan(first.trajectory, t_h - 0.05, 0.05, s.waypoints[1:], pl.PlannerConfig(),
+                   s.boundary_end)
     assert re.ok and len(re.trajectory.control_points) == 2
     # Only the last waypoint is left when the others are within reach.
     re = pl.replan(first.trajectory, t_h - 0.05, 0.05, [[60.0, 0, 0], [62.0, 0, 0], [180.0, 0, 0]],
-                   pl.PlannerConfig())
+                   pl.PlannerConfig(), s.boundary_end)
     assert re.ok and len(re.trajectory.control_points) == 1
     assert np.allclose(re.trajectory.eval(re.trajectory.t_end)[0], [180.0, 0, 0])
 
@@ -610,9 +639,10 @@ def test_replan_drops_the_waypoints_within_reach_but_not_the_last():
 def test_replan_warm_start_converges_faster():
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
     first = pl.plan(s, pl.PlannerConfig())
-    cold = pl.replan(first.trajectory, 2.0, 0.5, s.waypoints[1:], pl.PlannerConfig())
+    cold = pl.replan(first.trajectory, 2.0, 0.5, s.waypoints[1:], pl.PlannerConfig(),
+                     s.boundary_end)
     warm = pl.replan(
-        first.trajectory, 2.0, 0.5, s.waypoints[1:], pl.PlannerConfig(),
+        first.trajectory, 2.0, 0.5, s.waypoints[1:], pl.PlannerConfig(), s.boundary_end,
         warm=cold.qp_solution,
     )
     assert warm.ok
