@@ -19,11 +19,20 @@ tolerance test and every active multiplier has its bound's sign, so a
 polished answer is the optimum; otherwise a converged iterate is returned
 as it is and an unconverged one iterates on.
 
-A warm start is first tried as an active-set hot start: its active set is
-polished on the new problem before equilibration, factorization or any
-iteration, and a point that passes the same acceptance test is returned
-with zero iterations. Replans of one leg mostly keep their active set, so
-most of them end there; the rest run ADMM from the warm start.
+With polish on, every solve first tries an active-set hot start: a guess
+at the active set is polished on the new problem before equilibration,
+factorization or any iteration, and a point that passes the same
+acceptance test is returned with zero iterations. A warm solve guesses
+the set its warm start's multipliers mark, a cold one the equality rows
+alone; either way the rows the polished point violates join the guess
+for one more polish. Replans of one leg mostly keep their active set, and
+a plan whose inequality rows are all slack at its optimum (every plan of
+`bench_planner`'s field, 4 to 128 waypoints) is the optimum of its
+equality rows, so most solves end there; the rest run ADMM, from the warm
+start where there is one. The acceptance test certifies the optimum only
+for a convex cost, so before it accepts a point it checks that Q + sigma*I
+has a Cholesky factor, or raises IllPosedProblem, as the ADMM path's KKT
+factorization does.
 
 Every solve runs with numpy's and scipy's OpenBLAS pools on one thread:
 its BLAS and LAPACK calls are small, and threads only add stalls. On a
@@ -51,14 +60,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cholesky_banded
-from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrs, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
 # Size m*n of A above which a solve works on Q and A in CSR: below it
-# scipy.sparse's per-call cost outweighs what sparsity saves. Planner QPs
-# built in CSR plan about as fast as dense ones at 10 waypoints
-# (m*n = 46,332) and faster from 11 (57,420).
-_SPARSE_ABOVE = 50_000
+# scipy.sparse's per-call cost outweighs what sparsity saves. The two ways
+# a cold plan of `bench_planner`'s field can end cross at different sizes
+# (2-core x86_64, OpenBLAS 0.3.31; dense against CSR, median per plan).
+# Ended by the hot start, as every such plan is: 1.60 against 2.88 ms at 11
+# waypoints (m*n = 57,420), 1.85 against 2.64 ms at 16 (130,680), 2.26
+# against 2.86 ms at 18 (168,300) and 2.77 against 2.94 ms at 24
+# (309,672). Ended by ADMM, as a plan with active inequality rows may be:
+# 10.6 against 9.5 ms at 11, 18.9 against 11.1 ms at 16 and 25.0 against
+# 12.0 ms at 18. The switch sits between 16 and 18 waypoints: below it the
+# dense form saves a hot-started plan 30-45 %, and a dense ADMM plan costs
+# less than twice a CSR one. It also keeps the CSR form's fixed cost, a
+# step in plan time, out of the 4-16 waypoint range.
+_SPARSE_ABOVE = 140_000
 
 
 def csr_form(m: int, n: int) -> bool:
@@ -238,13 +256,13 @@ def _one_blas_thread():
 def _residuals(prob: QpProblem, x, y):
     """Primal and dual residuals of the unscaled problem, then the scales
     their tolerances grow with: max(|Ax|, |clip(Ax)|) and
-    max(|Qx|, |A'y|, |q|)."""
+    max(|Qx|, |A'y|, |q|), then Ax itself."""
     ax = prob._A @ x
     ax_c = np.minimum(np.maximum(ax, prob.l), prob.u)  # np.clip, less dispatch
     qx, aty = prob._Q @ x, prob._A.T @ y
     return (_inf_norm(ax - ax_c), _inf_norm(qx + prob.q + aty),
             max(_inf_norm(ax), _inf_norm(ax_c)),
-            max(_inf_norm(qx), _inf_norm(aty), _inf_norm(prob.q)))
+            max(_inf_norm(qx), _inf_norm(aty), _inf_norm(prob.q)), ax)
 
 
 def _check_shapes(prob: QpProblem, x, y, what: str) -> None:
@@ -318,6 +336,17 @@ def _diagonal(v, form):
     return form((v, k[:-1], k), shape=(v.size, v.size))
 
 
+def _lower_band(K) -> np.ndarray:
+    """A symmetric CSR K in LAPACK's lower band storage: row k holds K's
+    k-th subdiagonal. The band comes from K's stored entries; a sparse sum
+    stores no explicit zeros."""
+    rows, cols = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr)), K.indices
+    ab = np.zeros((int(np.abs(rows - cols).max(initial=0)) + 1, K.shape[0]))
+    low = rows >= cols
+    ab[rows[low] - cols[low], cols[low]] = K.data[low]
+    return ab
+
+
 class _KktOperator:
     """Factor K = Q + sigma*I + A' diag(rho) A once; solve cheaply.
 
@@ -334,15 +363,10 @@ class _KktOperator:
             if self.banded:
                 # sigma*I and diag(rho) built directly as the CSR and CSC
                 # arrays that scipy would convert dia matrices to, at less
-                # per-call cost. The band comes from K's stored entries; a
-                # sparse sum stores no explicit zeros.
+                # per-call cost.
                 K = Q + _diagonal(np.full(n, sigma), sp.csr_array) \
                     + A.T @ _diagonal(rho, sp.csc_array) @ A
-                rows, cols = np.repeat(np.arange(n), np.diff(K.indptr)), K.indices
-                ab = np.zeros((int(np.abs(rows - cols).max(initial=0)) + 1, n))
-                low = rows >= cols  # row k of ab is K's k-th subdiagonal
-                ab[rows[low] - cols[low], cols[low]] = K.data[low]
-                self._factor = cholesky_banded(ab, lower=True)
+                self._factor = cholesky_banded(_lower_band(K), lower=True)
             else:
                 K = Q + (A.T * rho) @ A
                 K[np.diag_indices(n)] += sigma
@@ -401,9 +425,10 @@ def _polish(prob: QpProblem, active):
 
     Works on the problem's unscaled matrices in their stored form; a dense
     KKT system goes through LAPACK's LU (getrf/getrs), a CSR one through a
-    sparse LU. Returns x, y and the four values of `_residuals` at them, or
-    None when the KKT factorization fails. The result depends on the active
-    set alone, not on the ADMM iterate that suggested it.
+    sparse LU. Returns x, y and the five values of `_residuals` at them
+    (four residuals and scales, then Ax), or None when the KKT
+    factorization fails. The result depends on the active set alone, not
+    on the ADMM iterate that suggested it.
     """
     n, Q, A = prob.n, prob._Q, prob._A
     eq, low, upp = active
@@ -456,24 +481,58 @@ def _polish(prob: QpProblem, active):
     return (x_p, y_p, *_residuals(prob, x_p, y_p))
 
 
-def _polish_is_optimal(s: QpSettings, active, y, prim, dual, p_scale, d_scale) -> bool:
+def _require_convex(prob: QpProblem) -> None:
+    """Raise IllPosedProblem unless Q + sigma*I has a Cholesky factor.
+
+    LAPACK's dpotrf, or dpbtrf over a CSR Q's band, called directly as the
+    KKT solves call their LAPACK routines: without scipy's wrappers, whose
+    finiteness scans and dispatch a hot-started replan would pay for.
+    """
+    n = prob.n
+    if not n:  # LAPACK rejects an empty matrix
+        return
+    if sp.issparse(prob._Q):
+        ab = _lower_band(prob._Q)
+        ab[0] += _SIGMA  # row 0 is the diagonal
+        _, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    else:
+        K = prob._Q + _SIGMA * np.eye(n)
+        _, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise IllPosedProblem(f"the leading minor of order {info} of Q + {_SIGMA:g}*I "
+                              "is not positive definite")
+
+
+def _polish_is_optimal(s: QpSettings, prob: QpProblem, active,
+                       y, prim, dual, p_scale, d_scale) -> bool:
     """Acceptance test for a polished point: ADMM's own tolerance test,
     evaluated there, and every active multiplier's sign matching its bound
-    (a wrong active set can meet the residual tests with a wrong sign)."""
+    (a wrong active set can meet the residual tests with a wrong sign).
+
+    Those conditions make the point the optimum only for a convex cost, so
+    a point that meets them raises IllPosedProblem unless Q + sigma*I has a
+    Cholesky factor (`_require_convex`): a hot start skips the KKT
+    factorization that checks it on the ADMM path, and a Q that A'rho A
+    makes definite there is not convex either.
+    """
     _, low, upp = active
-    return (prim <= s.eps_abs + s.eps_rel * p_scale
+    if not (prim <= s.eps_abs + s.eps_rel * p_scale
             and dual <= s.eps_abs + s.eps_rel * d_scale
-            and bool(np.all(y[low] <= 0.0)) and bool(np.all(y[upp] >= 0.0)))
+            and bool(np.all(y[low] <= 0.0)) and bool(np.all(y[upp] >= 0.0))):
+        return False
+    _require_convex(prob)
+    return True
 
 
 def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
              warm_start: QpSolution | None = None) -> QpSolution:
     """ADMM solve of the boxed QP; returns primal/dual values and diagnostics.
 
-    A warm start, which must have this problem's sizes, first hot-starts:
-    its active set is polished before any ADMM work. Every answer is
-    accepted by one residual and sign test, with the residuals that test
-    computed for it, so they equal `kkt_residuals` at the answer.
+    With polish on, every solve first hot-starts: an active set is polished
+    before any ADMM work, the warm start's (which must have this problem's
+    sizes) or, with none, the equality rows alone. Every answer is accepted
+    by one residual and sign test, with the residuals that test computed
+    for it, so they equal `kkt_residuals` at the answer.
     """
     s = settings or QpSettings()
     t_begin = time.perf_counter()
@@ -489,24 +548,24 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
     """The hot start, then ADMM, on the problem's stored matrices."""
     n, m = prob.n, prob.m
     eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-9)
-    if warm_start is not None and s.polish:
+    if s.polish:
         # Hot start: the previous answer's active set, polished on this
-        # problem. The rows its point violates join the set, on the side
-        # they violate, for one more polish: the new optimum often needs a
-        # row the previous one did not, and a violation inside the
-        # tolerance would pass the acceptance test. A point that passes it
-        # is the optimum, so ADMM, its scaling and its factorization are
-        # skipped.
-        active = _active_set(prob, warm_start.y, eq)
+        # problem, or with no previous answer the equality rows alone. The
+        # rows its point violates join the set, on the side they violate,
+        # for one more polish: the new optimum often needs a row the
+        # previous one did not, and a violation inside the tolerance would
+        # pass the acceptance test. A point that passes it is the optimum,
+        # so ADMM, its scaling and its factorization are skipped.
+        active = _active_set(prob, np.zeros(m) if warm_start is None else warm_start.y, eq)
         res = _polish(prob, active)
         if res is not None:
-            ax = prob._A @ res[0]
+            ax = res[6]
             low = (ax < prob.l) & ~eq & ~active[1]
             upp = (ax > prob.u) & ~eq & ~active[2]
             if low.any() or upp.any():
                 active = (eq, active[1] | low, active[2] | upp)
                 res = _polish(prob, active)
-        if res is not None and _polish_is_optimal(s, active, *res[1:]):
+        if res is not None and _polish_is_optimal(s, prob, active, *res[1:6]):
             x_p, y_p, prim, dual = res[:4]
             return QpSolution(x=x_p, y=y_p, status="solved", iterations=0,
                               primal_residual=prim, dual_residual=dual,
@@ -550,7 +609,7 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
             # The unscaled iterate, its residuals and the scales that the
             # tolerances and the penalty balance measure them against.
             x_u, y_u = D * x, (E / c) * y
-            prim, dual, p_scale, d_scale = _residuals(prob, x_u, y_u)
+            prim, dual, p_scale, d_scale, _ = _residuals(prob, x_u, y_u)
             converged = (prim <= s.eps_abs + s.eps_rel * p_scale
                          and dual <= s.eps_abs + s.eps_rel * d_scale)
             if s.polish:
@@ -566,7 +625,7 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
                 if (converged or held) and not tried:
                     tried = True
                     res = _polish(prob, active)
-                    polished = res is not None and _polish_is_optimal(s, active, *res[1:])
+                    polished = res is not None and _polish_is_optimal(s, prob, active, *res[1:6])
                     if polished:
                         x_u, y_u, prim, dual = res[:4]
                 prev_active = active

@@ -135,7 +135,9 @@ def test_terminal_replans_stop_early(survey_mission):
 def test_most_replans_hot_start(survey_mission):
     """Consecutive replans of a leg mostly end on the same active set, so
     the previous answer's active set, polished, is accepted before any
-    ADMM iteration (434 of 441 replans on this host)."""
+    ADMM iteration; a replan whose segment count changed has no warm
+    start, and its equality rows, polished, are accepted (441 of 441
+    replans on this host)."""
     _, result, _, _ = survey_mission
     assert len(result.events) == 441
     hot = sum(e.iterations == 0 for e in result.events)

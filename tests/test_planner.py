@@ -636,17 +636,31 @@ def test_replan_drops_the_waypoints_within_reach_but_not_the_last():
     assert np.allclose(re.trajectory.eval(re.trajectory.t_end)[0], [180.0, 0, 0])
 
 
-def test_replan_warm_start_converges_faster():
-    s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
+def test_replan_warm_start_converges_faster(monkeypatch):
+    # A replan into the 60-degree turn meets its curvature rows: cold, the
+    # equality rows' polish is not the optimum and ADMM runs (without the
+    # curvature rows it would end there, with no iteration). Warm-started
+    # from that answer, the same replan takes fewer iterations and polishes.
+    polishes, polish = [], qp._polish
+    monkeypatch.setattr(qp, "_polish", lambda *a: polishes.append(1) or polish(*a))
+    s = dogleg(60.0)
     first = pl.plan(s, pl.PlannerConfig())
+    polishes.clear()
     cold = pl.replan(first.trajectory, 2.0, 0.5, s.waypoints[1:], pl.PlannerConfig(),
                      s.boundary_end)
+    cold_polishes = len(polishes)
+    polishes.clear()
     warm = pl.replan(
         first.trajectory, 2.0, 0.5, s.waypoints[1:], pl.PlannerConfig(), s.boundary_end,
         warm=cold.qp_solution,
     )
-    assert warm.ok
-    assert warm.iterations <= cold.iterations
+    assert cold.ok and warm.ok
+    assert cold.iterations > 0
+    assert warm.iterations < cold.iterations
+    assert len(polishes) < cold_polishes
+    straight = pl.PlannerConfig(kappa_min=-np.inf, kappa_max=np.inf)
+    assert pl.replan(first.trajectory, 2.0, 0.5, s.waypoints[1:], straight,
+                     s.boundary_end).iterations == 0
 
 
 def test_plan_drops_a_warm_start_of_another_size():

@@ -240,6 +240,87 @@ def test_non_psd_cost_raises_ill_posed():
         qp.solve_qp(qp.QpProblem(np.array([[-1.0]]), None))
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
+def test_saddle_cost_raises_ill_posed(monkeypatch, sparse_above, warm):
+    # diag(1, -1) over the box [-1, 1]^2 has its minimum -0.5 at x = (0, +-1),
+    # but x = 0 with no active row is a KKT point. The hot start polishes
+    # that set, cold (no equality rows) or warm from the answer of the
+    # convex twin diag(1, 1), and the point passes the residual and sign
+    # tests; it used to come back `solved` with objective 0 when warm.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+    A, lo, hi = np.eye(2), -np.ones(2), np.ones(2)
+    twin = qp.solve_qp(qp.QpProblem(np.eye(2), None, A, lo, hi))
+    assert twin.status == "solved" and not twin.x.any() and not twin.y.any()
+    prob = qp.QpProblem(np.diag([1.0, -1.0]), None, A, lo, hi)
+    assert sp.issparse(prob._Q) == (sparse_above < 0)
+    with pytest.raises(qp.IllPosedProblem):
+        qp.solve_qp(prob, warm_start=twin if warm else None)
+
+
+@pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
+def test_cost_convex_only_on_the_equality_rows_raises_ill_posed(monkeypatch, sparse_above):
+    # min x0^2/2 - x1^2/2 with x1 = 0 is a convex problem in x0, and ADMM's
+    # factor of Q + sigma*I + A'rho A exists. A polished answer is accepted
+    # only for a convex Q, so with polish on the solve raises; ADMM alone
+    # still solves it.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+    prob = qp.QpProblem(np.diag([1.0, -1.0]), np.array([-1.0, 0.0]),
+                        np.array([[0.0, 1.0]]), [0.0], [0.0])
+    with pytest.raises(qp.IllPosedProblem):
+        qp.solve_qp(prob)
+    plain = qp.solve_qp(prob, qp.QpSettings(polish=False))
+    assert plain.status == "solved"
+    assert np.abs(plain.x - [1.0, 0.0]).max() <= 1e-4
+
+
+def test_cold_bench_plans_end_in_the_equality_rows_hot_start(monkeypatch):
+    # Every inequality row of the bench field's plans is slack at the
+    # optimum, so the polish of the equality rows alone is the optimum, in
+    # the dense and in the CSR form: no Ruiz pass, KKT factorization or
+    # ADMM iteration runs.
+    calls, probs = [], []
+    for name in ("_ruiz_equilibrate", "_KktOperator"):
+        monkeypatch.setattr(qp, name, lambda *a, f=getattr(qp, name), name=name:
+                            calls.append(name) or f(*a))
+    solve = qp.solve_qp
+    monkeypatch.setattr(qp, "solve_qp", lambda prob, *a, **k: probs.append(prob) or
+                        solve(prob, *a, **k))
+    results = cli.bench_planner([4, 8, 16, 32, 64, 128])
+    assert calls == []
+    assert {sp.issparse(prob._A) for prob in probs} == {False, True}
+    s = qp.QpSettings()
+    for prob, res in zip(probs, results, strict=True):
+        sol = res.qp_solution
+        assert sol.status == "solved" and sol.polished and sol.iterations == 0
+        prim, dual = qp.kkt_residuals(prob, sol.x, sol.y)
+        ax, qx, aty = prob._A @ sol.x, prob._Q @ sol.x, prob._A.T @ sol.y
+        assert prim <= s.eps_abs + s.eps_rel * np.abs(ax).max()
+        assert dual <= s.eps_abs + s.eps_rel * max(np.abs(qx).max(), np.abs(aty).max(),
+                                                   np.abs(prob.q).max())
+
+
+def test_cold_solve_falls_back_to_admm_when_the_equality_rows_are_not_enough(monkeypatch):
+    # Each of these random box QPs has 4-16 active inequality rows, and
+    # the equality rows' polish, with the rows it violates added, misses
+    # some: its point fails the acceptance test, and ADMM, with its KKT
+    # factor, finds the optimum. With polish off no hot start runs, so
+    # ADMM does in any case.
+    ops, kkt = [], qp._KktOperator
+    monkeypatch.setattr(qp, "_KktOperator", lambda *a: ops.append(1) or kkt(*a))
+    for seed in range(10):
+        Q, qv, A, lo, hi, x_feas = random_box_qp(np.random.default_rng(seed))
+        prob = qp.QpProblem(Q, qv, A, lo, hi)
+        ops.clear()
+        sol = qp.solve_qp(prob)
+        assert sol.status == "solved" and sol.polished, seed
+        assert sol.iterations > 0 and ops, seed
+        xo, _ = active_set_qp(Q, qv, A, lo, hi, x_feas)
+        assert np.abs(sol.x - xo).max() <= 1e-9, seed
+        plain = qp.solve_qp(prob, qp.QpSettings(polish=False))
+        assert plain.status == "solved" and plain.iterations > 0 and not plain.polished
+
+
 def test_equality_rows_satisfied_tightly():
     rng = np.random.default_rng(17)
     n = 12
