@@ -64,18 +64,15 @@ from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
 # Size m*n of A above which a solve works on Q and A in CSR: below it
-# scipy.sparse's per-call cost outweighs what sparsity saves. The two ways
-# a cold plan of `bench_planner`'s field can end cross at different sizes
-# (2-core x86_64, OpenBLAS 0.3.31; dense against CSR, median per plan).
-# Ended by the hot start, as every such plan is: 1.60 against 2.88 ms at 11
-# waypoints (m*n = 57,420), 1.85 against 2.64 ms at 16 (130,680), 2.26
-# against 2.86 ms at 18 (168,300) and 2.77 against 2.94 ms at 24
-# (309,672). Ended by ADMM, as a plan with active inequality rows may be:
-# 10.6 against 9.5 ms at 11, 18.9 against 11.1 ms at 16 and 25.0 against
-# 12.0 ms at 18. The switch sits between 16 and 18 waypoints: below it the
-# dense form saves a hot-started plan 30-45 %, and a dense ADMM plan costs
-# less than twice a CSR one. It also keeps the CSR form's fixed cost, a
-# step in plan time, out of the 4-16 waypoint range.
+# scipy.sparse's per-call cost outweighs what sparsity saves. A cold plan
+# of `bench_planner`'s field, dense against CSR (2-core x86_64, OpenBLAS
+# 0.3.31, median per plan): ended by the hot start, as every such plan is,
+# 1.60 against 2.88 ms at 11 waypoints (m*n = 57,420), 1.85 against 2.64 ms
+# at 16 (130,680), 2.26 against 2.86 ms at 18 (168,300) and 2.77 against
+# 2.94 ms at 24 (309,672); ended by ADMM, as a plan with active inequality
+# rows may be, 10.6 against 9.5 ms at 11, 18.9 against 11.1 ms at 16 and
+# 25.0 against 12.0 ms at 18. Up to 16 waypoints the dense form saves a
+# hot-started plan 30-45 % and costs an ADMM plan less than twice as much.
 _SPARSE_ABOVE = 140_000
 
 
@@ -559,7 +556,7 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
         active = _active_set(prob, np.zeros(m) if warm_start is None else warm_start.y, eq)
         res = _polish(prob, active)
         if res is not None:
-            ax = res[6]
+            ax = res[-1]  # A @ x, from the polish's residuals
             low = (ax < prob.l) & ~eq & ~active[1]
             upp = (ax > prob.u) & ~eq & ~active[2]
             if low.any() or upp.any():
