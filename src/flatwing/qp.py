@@ -30,9 +30,10 @@ a plan whose inequality rows are all slack at its optimum (every plan of
 `bench_planner`'s field, 4 to 128 waypoints) is the optimum of its
 equality rows, so most solves end there; the rest run ADMM, from the warm
 start where there is one. The acceptance test certifies the optimum only
-for a convex cost, so before it accepts a point it checks that Q + sigma*I
-has a Cholesky factor, or raises IllPosedProblem, as the ADMM path's KKT
-factorization does.
+for a convex cost, so with polish on a solve first checks, once, that Q
+plus a small multiple of its largest diagonal entry has a Cholesky factor,
+and raises IllPosedProblem if not, as the ADMM path's KKT factorization
+does.
 
 Every solve runs with numpy's and scipy's OpenBLAS pools on one thread:
 its BLAS and LAPACK calls are small, and threads only add stalls. On a
@@ -64,15 +65,19 @@ from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
 # Size m*n of A above which a solve works on Q and A in CSR: below it
-# scipy.sparse's per-call cost outweighs what sparsity saves. A cold plan
-# of `bench_planner`'s field, dense against CSR (2-core x86_64, OpenBLAS
-# 0.3.31, median per plan): ended by the hot start, as every such plan is,
-# 1.60 against 2.88 ms at 11 waypoints (m*n = 57,420), 1.85 against 2.64 ms
-# at 16 (130,680), 2.26 against 2.86 ms at 18 (168,300) and 2.77 against
-# 2.94 ms at 24 (309,672); ended by ADMM, as a plan with active inequality
-# rows may be, 10.6 against 9.5 ms at 11, 18.9 against 11.1 ms at 16 and
-# 25.0 against 12.0 ms at 18. Up to 16 waypoints the dense form saves a
-# hot-started plan 30-45 % and costs an ADMM plan less than twice as much.
+# scipy.sparse's per-call cost outweighs what sparsity saves. Cold plans,
+# dense against CSR (2-core x86_64, OpenBLAS 0.3.31, median per plan), on
+# four fields whose plans end in the hot start (`bench_planner`'s at seeds
+# 0 and 7, a sine and a 120 m zigzag): dense saves 0.8-1.5 ms (32-49 %)
+# at 10-16 waypoints and 0.7-0.9 ms at 17 (m*n = 148,896). On three
+# zigzags of 70-85 m legs whose plans end in ADMM (one infeasible): no
+# consistent difference at 10-12 waypoints, dense 1-21 % slower at 13-14
+# and 47-58 % at 15-16 (e.g. 54 against 37 ms), 67-95 % at 17. The switch
+# sits at the smallest size that keeps 16 waypoints (130,680) dense. The
+# CSR form's fixed cost makes plan time step up at the switch; with the
+# switch at 50,000 (CSR from 11 waypoints) the acceptance suite's test of
+# linear plan time over 4-64 waypoints fell below r^2 0.9 in 20 of 40
+# runs of its procedure, against 2 of 40 with the switch here.
 _SPARSE_ABOVE = 140_000
 
 
@@ -478,47 +483,41 @@ def _polish(prob: QpProblem, active):
     return (x_p, y_p, *_residuals(prob, x_p, y_p))
 
 
-def _require_convex(prob: QpProblem) -> None:
-    """Raise IllPosedProblem unless Q + sigma*I has a Cholesky factor.
+def _require_convex(Q) -> None:
+    """Raise IllPosedProblem unless Q + shift*I has a Cholesky factor.
 
-    LAPACK's dpotrf, or dpbtrf over a CSR Q's band, called directly as the
-    KKT solves call their LAPACK routines: without scipy's wrappers, whose
-    finiteness scans and dispatch a hot-started replan would pay for.
+    The shift is _SIGMA times Q's largest diagonal magnitude, and at least
+    _SIGMA: relative to Q's size, as the ADMM factor's sigma is relative to
+    the equilibrated Q, so that it does not vanish in rounding on a
+    semidefinite Q with large entries. LAPACK's dpotrf, or dpbtrf over a
+    CSR Q's band, is called directly, as the KKT solves call their LAPACK
+    routines: without scipy's wrappers, whose finiteness scans and
+    dispatch every replan would pay for.
     """
-    n = prob.n
-    if not n:  # LAPACK rejects an empty matrix
+    if not Q.shape[0]:  # LAPACK rejects an empty matrix
         return
-    if sp.issparse(prob._Q):
-        ab = _lower_band(prob._Q)
-        ab[0] += _SIGMA  # row 0 is the diagonal
+    if sp.issparse(Q):
+        ab = _lower_band(Q)  # row 0 is the diagonal
+        shift = _SIGMA * max(1.0, float(np.abs(ab[0]).max()))
+        ab[0] += shift
         _, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     else:
-        K = prob._Q + _SIGMA * np.eye(n)
+        shift = _SIGMA * max(1.0, float(np.abs(np.diagonal(Q)).max()))
+        K = Q + shift * np.eye(Q.shape[0])
         _, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
     if info != 0:
-        raise IllPosedProblem(f"the leading minor of order {info} of Q + {_SIGMA:g}*I "
+        raise IllPosedProblem(f"the leading minor of order {info} of Q + {shift:g}*I "
                               "is not positive definite")
 
 
-def _polish_is_optimal(s: QpSettings, prob: QpProblem, active,
-                       y, prim, dual, p_scale, d_scale) -> bool:
+def _polish_is_optimal(s: QpSettings, active, y, prim, dual, p_scale, d_scale) -> bool:
     """Acceptance test for a polished point: ADMM's own tolerance test,
     evaluated there, and every active multiplier's sign matching its bound
-    (a wrong active set can meet the residual tests with a wrong sign).
-
-    Those conditions make the point the optimum only for a convex cost, so
-    a point that meets them raises IllPosedProblem unless Q + sigma*I has a
-    Cholesky factor (`_require_convex`): a hot start skips the KKT
-    factorization that checks it on the ADMM path, and a Q that A'rho A
-    makes definite there is not convex either.
-    """
+    (a wrong active set can meet the residual tests with a wrong sign)."""
     _, low, upp = active
-    if not (prim <= s.eps_abs + s.eps_rel * p_scale
+    return (prim <= s.eps_abs + s.eps_rel * p_scale
             and dual <= s.eps_abs + s.eps_rel * d_scale
-            and bool(np.all(y[low] <= 0.0)) and bool(np.all(y[upp] >= 0.0))):
-        return False
-    _require_convex(prob)
-    return True
+            and bool(np.all(y[low] <= 0.0)) and bool(np.all(y[upp] >= 0.0)))
 
 
 def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
@@ -546,6 +545,11 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
     n, m = prob.n, prob.m
     eq = np.isfinite(prob.l) & np.isfinite(prob.u) & (prob.u - prob.l < 1e-9)
     if s.polish:
+        # The acceptance test makes a polished point the optimum only for a
+        # convex cost, and the hot start skips the KKT factorization that
+        # would refuse a non-convex one (a Q that A'rho A makes definite
+        # there is not convex either), so Q is certified first, once.
+        _require_convex(prob._Q)
         # Hot start: the previous answer's active set, polished on this
         # problem, or with no previous answer the equality rows alone. The
         # rows its point violates join the set, on the side they violate,
@@ -562,7 +566,7 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
             if low.any() or upp.any():
                 active = (eq, active[1] | low, active[2] | upp)
                 res = _polish(prob, active)
-        if res is not None and _polish_is_optimal(s, prob, active, *res[1:6]):
+        if res is not None and _polish_is_optimal(s, active, *res[1:6]):
             x_p, y_p, prim, dual = res[:4]
             return QpSolution(x=x_p, y=y_p, status="solved", iterations=0,
                               primal_residual=prim, dual_residual=dual,
@@ -622,7 +626,7 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
                 if (converged or held) and not tried:
                     tried = True
                     res = _polish(prob, active)
-                    polished = res is not None and _polish_is_optimal(s, prob, active, *res[1:6])
+                    polished = res is not None and _polish_is_optimal(s, active, *res[1:6])
                     if polished:
                         x_u, y_u, prim, dual = res[:4]
                 prev_active = active

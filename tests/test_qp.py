@@ -259,6 +259,23 @@ def test_saddle_cost_raises_ill_posed(monkeypatch, sparse_above, warm):
 
 
 @pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
+def test_semidefinite_cost_with_large_entries_solves(monkeypatch, sparse_above):
+    # Q = 1e12 [[1, 1], [1, 1]] is convex but singular; over the box
+    # [-1, 1]^2 with q = -2e12 (1, 1) the minimum -2e12 is at (1, 1). The
+    # convexity check's shift grows with Q's diagonal: an absolute 1e-6
+    # rounds away against 1e12, Q's factor fails at its second pivot, and
+    # the solve raised IllPosedProblem.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+    prob = qp.QpProblem(1e12 * np.ones((2, 2)), np.array([-2e12, -2e12]),
+                        np.eye(2), -np.ones(2), np.ones(2))
+    assert sp.issparse(prob._Q) == (sparse_above < 0)
+    sol = qp.solve_qp(prob)
+    assert sol.status == "solved" and sol.polished
+    assert np.abs(sol.x - 1.0).max() <= 1e-9
+    assert sol.objective == -2e12
+
+
+@pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
 def test_cost_convex_only_on_the_equality_rows_raises_ill_posed(monkeypatch, sparse_above):
     # min x0^2/2 - x1^2/2 with x1 = 0 is a convex problem in x0, and ADMM's
     # factor of Q + sigma*I + A'rho A exists. A polished answer is accepted
