@@ -53,9 +53,6 @@ CSV_HEADER = ("t,ref_x,ref_y,ref_z,ref_vx,ref_vy,ref_vz,"
 # A thousand laps of a 1 km loiter at 14 m/s is five days of flight; a
 # larger count is a typo that would keep `simulate` running as long.
 MAX_LOITER_LAPS = 1000
-# A replan drops the waypoints that the reference passes within this many
-# seconds after the handoff.
-_WP_LEAD = 0.5
 
 
 class MissionFormatError(ValueError):
@@ -583,7 +580,7 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 phase.pending = None
             if (phase.pending is None and k % replan_ticks == 0
                     and phase.traj.t_end - t > mcfg.leg_freeze):
-                keep = phase.wp_times > t + mcfg.handoff_budget + _WP_LEAD
+                keep = phase.wp_times > t + mcfg.handoff_budget + planner.WAYPOINT_LEAD
                 remaining = np.vstack([phase.wps.waypoints[1:-1][keep],
                                        phase.wps.waypoints[-1:]])
                 tic = time.perf_counter()

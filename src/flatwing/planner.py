@@ -34,6 +34,10 @@ from .bernstein import (
 )
 from .flatness import FlatnessSingularityError, V_EPS
 
+# Seconds after a replan's handoff within which a waypoint counts as reached:
+# by passage time in the mission executive, at cruise speed in `replan`.
+WAYPOINT_LEAD = 0.5
+
 
 @dataclass
 class PlannerConfig:
@@ -712,7 +716,7 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
     remaining = np.atleast_2d(np.asarray(wps_remaining, dtype=float))
     dist = np.linalg.norm(remaining - pos, axis=1)
     # Drop the leading waypoints within reach, keeping at least the last.
-    near = dist[:-1] < max(1.0, 0.5 * config.cruise_speed)
+    near = dist[:-1] < max(1.0, WAYPOINT_LEAD * config.cruise_speed)
     first = near.size if near.all() else int(near.argmin())
     remaining, dist = remaining[first:], dist[first:]
     if not dist.size or dist[-1] < 1.0:

@@ -2,15 +2,14 @@
 
 Solves min 1/2 x'Qx + q'x subject to l <= Ax <= u, with equality rows
 encoded as l == u. A problem stores Q and A in the form its solve works
-on: dense when m*n is at most a size threshold, CSR above it, where the
-planner's large, sparse problems fall; `csr_form` is that rule. A matrix
-given in the other form is converted once, at construction, and every
-solver stage reads the stored matrices. The planner builds each problem in
-that form, so nothing it builds is converted. The form also picks the KKT
-factorization: dense Cholesky for dense matrices, banded Cholesky for CSR
-ones. The KKT system is factored up front and refactored only when the
-penalty rebalances, so iterations stay cheap, which suits repeated solves
-at a fixed rate with warm starting.
+on (`QpProblem`): dense when m*n is at most a size threshold, CSR above
+it, where the planner's large, sparse problems fall. One routine,
+`_cholesky`, factors Q + sigma*I, plus A' diag(rho) A for ADMM's KKT
+system, in that form: LAPACK's dpotrf dense, dpbtrf on a CSR band. LAPACK
+is called without scipy's finiteness scans, so a problem refuses
+non-finite data when it is built. The KKT system is factored up front and
+refactored only when the penalty rebalances, so iterations stay cheap,
+which suits repeated solves at a fixed rate with warm starting.
 
 Polish is tried at a residual check whose iterate has converged or whose
 active set, read off the duals, held since the previous check: one KKT
@@ -31,9 +30,9 @@ a plan whose inequality rows are all slack at its optimum (every plan of
 equality rows, so most solves end there; the rest run ADMM, from the warm
 start where there is one. The acceptance test certifies the optimum only
 for a convex cost, so with polish on a solve first checks, once, that Q
-plus a small multiple of its largest diagonal entry has a Cholesky factor,
-and raises IllPosedProblem if not, as the ADMM path's KKT factorization
-does.
+plus a small multiple of its largest diagonal entry has a Cholesky factor
+(`_cholesky` again), and raises IllPosedProblem if not, as the ADMM path's
+KKT factorization does.
 
 Every solve runs with numpy's and scipy's OpenBLAS pools on one thread:
 its BLAS and LAPACK calls are small, and threads only add stalls. On a
@@ -60,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cholesky_banded
 from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs, dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
@@ -133,7 +131,8 @@ class QpProblem:
     says for the problem's size, dense or CSR; a matrix given in the other
     form is converted here, once. Q is then symmetrized. The solver reads
     the stored matrices. `Q` and `A` are read-only dense arrays; a matrix
-    stored as CSR is densified on each access.
+    stored as CSR is densified on each access. A non-finite entry in Q, q
+    or A, or a NaN bound, raises ValueError (infinite bounds are allowed).
 
     A, q, l and u are stored as read-only views of the caller's arrays
     where no conversion was needed (for a CSR A, views of its data,
@@ -142,20 +141,20 @@ class QpProblem:
     """
 
     def __init__(self, Q, q, A=None, l=None, u=None):
-        Q = sp.csr_array(Q, dtype=float) if sp.issparse(Q) else np.asarray(Q, dtype=float)
+        Q = Q if sp.issparse(Q) else np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
         n = Q.shape[0]
         self.q = np.zeros(n) if q is None else np.asarray(q, dtype=float).reshape(-1)
         if self.q.shape[0] != n:
             raise ValueError(f"q has length {self.q.shape[0]}, expected {n}")
-        if A is None:
-            A = np.zeros((0, n))
-        A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
+        A = np.zeros((0, n)) if A is None else A if sp.issparse(A) else np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError("A must have shape (m, n)")
         m = A.shape[0]
-        Q, A = (sp.csr_array(M) if csr_form(m, n) else _dense(M) for M in (Q, A))
+        csr = csr_form(m, n)
+        Q, A = (sp.csr_array(M, dtype=float) if csr else
+                np.asarray(M.toarray() if sp.issparse(M) else M, dtype=float) for M in (Q, A))
         self._Q = 0.5 * (Q + Q.T)
         # Views, frozen below, so the caller's arrays keep their flags.
         self._A = (sp.csr_array((A.data.view(), A.indices.view(), A.indptr.view()),
@@ -164,8 +163,13 @@ class QpProblem:
         self.u = np.full(m, np.inf) if u is None else np.asarray(u, dtype=float).reshape(-1)
         if self.l.shape[0] != m or self.u.shape[0] != m:
             raise ValueError("bound lengths must match the number of constraint rows")
-        if np.any(self.l > self.u):
-            raise ValueError("lower bounds exceed upper bounds")
+        if not np.all(self.l <= self.u):  # also false where a bound is NaN
+            nan = [k for k, b in (("l", self.l), ("u", self.u)) if np.isnan(b).any()]
+            raise ValueError(f"{nan[0]} has a NaN entry" if nan
+                             else "lower bounds exceed upper bounds")
+        for name, M in (("Q", self._Q), ("q", self.q), ("A", self._A)):
+            if not np.isfinite(M.data if sp.issparse(M) else M).all():
+                raise ValueError(f"{name} has a non-finite entry")
         arrays = [self.q, self.l, self.u]
         for M in (self._Q, self._A):
             arrays += [M.data, M.indices, M.indptr] if sp.issparse(M) else [M]
@@ -349,39 +353,50 @@ def _lower_band(K) -> np.ndarray:
     return ab
 
 
-class _KktOperator:
-    """Factor K = Q + sigma*I + A' diag(rho) A once; solve cheaply.
+def _cholesky(Q, shift, A=None, rho=None) -> np.ndarray:
+    """LAPACK's lower Cholesky factor of K = Q + shift*I, plus A' diag(rho) A
+    when rows A are given, in Q's stored form: dpotrf on a dense K, dpbtrf
+    on a CSR K's lower band, without scipy's wrappers, whose finiteness
+    scans every solve would pay for. Raises IllPosedProblem unless K is
+    positive definite."""
+    n = Q.shape[0]
+    if not n:  # nothing to factor
+        return np.zeros((1, 0))
+    if sp.issparse(Q):
+        # The sum builds shift*I and diag(rho) directly as the CSR and CSC
+        # arrays that scipy would convert dia matrices to; Q alone is
+        # shifted on its band, with no sparse sum.
+        ab = _lower_band(Q if A is None else Q + _diagonal(np.full(n, shift), sp.csr_array)
+                         + A.T @ _diagonal(rho, sp.csc_array) @ A)
+        if A is None:
+            ab[0] += shift  # row 0 is the diagonal
+        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    else:
+        # Fortran order is LAPACK's, so dpotrf factors Q's copy in place.
+        K = Q.copy(order="F") if A is None else Q + (A.T * rho) @ A
+        K.flat[:: n + 1] += shift
+        factor, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        rows = "" if A is None else " + A' diag(rho) A"
+        raise IllPosedProblem(f"the leading minor of order {info} of Q + {shift:g}*I{rows} "
+                              "is not positive definite")
+    return factor
 
-    The form of Q and A picks the factorization: dense Cholesky for dense
-    matrices, banded Cholesky over K's band for CSR ones. The planner's
-    segment-ordered problems are narrow-banded; a CSR problem that is not
-    factors with a full band.
-    """
+
+class _KktOperator:
+    """Factor K = Q + sigma*I + A' diag(rho) A once (`_cholesky`, banded
+    for CSR matrices); solve cheaply. The planner's segment-ordered
+    problems are narrow-banded; a CSR problem that is not factors with a
+    full band."""
 
     def __init__(self, Q, A, rho, sigma):
-        n = Q.shape[0]
         self.banded = sp.issparse(A)
-        try:
-            if self.banded:
-                # sigma*I and diag(rho) built directly as the CSR and CSC
-                # arrays that scipy would convert dia matrices to, at less
-                # per-call cost.
-                K = Q + _diagonal(np.full(n, sigma), sp.csr_array) \
-                    + A.T @ _diagonal(rho, sp.csc_array) @ A
-                self._factor = cholesky_banded(_lower_band(K), lower=True)
-            else:
-                K = Q + (A.T * rho) @ A
-                K[np.diag_indices(n)] += sigma
-                self._factor, _ = cho_factor(K, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedProblem(str(exc)) from exc
+        self._factor = _cholesky(Q, sigma, A, rho)
 
     def solve(self, rhs):
-        # LAPACK's triangular solves on the lower factor, as scipy's
-        # cho_solve/cho_solve_banded would call them, without those
-        # wrappers' per-call finiteness scan of the factor (it was checked
-        # when it was made), which costs more than the solve itself on a
-        # replan's small systems.
+        # LAPACK's triangular solves on the lower factor, without scipy's
+        # per-call finiteness scan of the factor, which costs more than the
+        # solve itself on a replan's small systems.
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         if not rhs.size:  # LAPACK rejects an empty system
@@ -484,30 +499,11 @@ def _polish(prob: QpProblem, active):
 
 
 def _require_convex(Q) -> None:
-    """Raise IllPosedProblem unless Q + shift*I has a Cholesky factor.
-
-    The shift is _SIGMA times Q's largest diagonal magnitude, and at least
-    _SIGMA: relative to Q's size, as the ADMM factor's sigma is relative to
-    the equilibrated Q, so that it does not vanish in rounding on a
-    semidefinite Q with large entries. LAPACK's dpotrf, or dpbtrf over a
-    CSR Q's band, is called directly, as the KKT solves call their LAPACK
-    routines: without scipy's wrappers, whose finiteness scans and
-    dispatch every replan would pay for.
-    """
-    if not Q.shape[0]:  # LAPACK rejects an empty matrix
-        return
-    if sp.issparse(Q):
-        ab = _lower_band(Q)  # row 0 is the diagonal
-        shift = _SIGMA * max(1.0, float(np.abs(ab[0]).max()))
-        ab[0] += shift
-        _, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-    else:
-        shift = _SIGMA * max(1.0, float(np.abs(np.diagonal(Q)).max()))
-        K = Q + shift * np.eye(Q.shape[0])
-        _, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise IllPosedProblem(f"the leading minor of order {info} of Q + {shift:g}*I "
-                              "is not positive definite")
+    """Raise IllPosedProblem unless Q + shift*I has a Cholesky factor. The
+    shift is _SIGMA times Q's largest diagonal magnitude, and at least
+    _SIGMA, so that it does not vanish in rounding on a semidefinite Q with
+    large entries, as the ADMM factor's sigma does not on the scaled Q."""
+    _cholesky(Q, _SIGMA * max(1.0, _inf_norm(Q.diagonal())))
 
 
 def _polish_is_optimal(s: QpSettings, active, y, prim, dual, p_scale, d_scale) -> bool:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,25 @@ def test_bench_command_reports_fit(tmp_path, capsys):
     pools = len(qp._blas_pools())
     assert f"blas_pinning {'active' if pools else 'inactive'} pools {pools}\n" in text
     assert (out / "bench.txt").read_text().strip().endswith(text.strip().splitlines()[-1])
+
+
+def test_bench_times_no_first_call_cost(monkeypatch, capsys):
+    # A cost that only the process's first solve pays, here a BLAS pool
+    # lookup that sleeps, is paid before the timed plans: it would bend the
+    # fit, as the first size's solve would take longer than the next's.
+    calls = []
+
+    def pools():
+        if not calls:
+            time.sleep(0.2)
+        calls.append(1)
+        return ()
+
+    monkeypatch.setattr(qp, "_blas_pools", pools)
+    assert cli.main(["bench", "--sizes", "4,6"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("4 ") and float(rows[1].split()[3]) < 0.2
+    assert len(calls) > 2
 
 
 def test_bench_command_rejects_single_size(capsys):

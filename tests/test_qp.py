@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cholesky_banded
 from scipy.linalg import solve as dense_solve
 
 from flatwing import cli, qp
@@ -166,6 +167,34 @@ def test_problem_validation():
         qp.QpProblem(np.eye(2), None, np.ones((1, 3)), [0.0], [1.0])
     with pytest.raises(ValueError):
         qp.QpProblem(np.eye(1), None, np.eye(1), [2.0], [1.0])  # l > u
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
+def test_problem_refuses_non_finite_data(monkeypatch, sparse_above, bad):
+    # The solver's LAPACK calls scan nothing, so the problem refuses a
+    # non-finite entry in Q, q or A (given dense or sparse) and a NaN
+    # bound, and names the array. An infinite bound only drops its side.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+    good = dict(Q=np.eye(3), q=np.zeros(3), A=np.eye(3), l=-np.ones(3), u=np.ones(3))
+    for name, given, what in (("Q", np.asarray, "non-finite"), ("Q", sp.csr_array, "non-finite"),
+                              ("q", np.asarray, "non-finite"), ("A", np.asarray, "non-finite"),
+                              ("A", sp.csr_array, "non-finite"), ("l", np.asarray, "NaN"),
+                              ("u", np.asarray, "NaN")):
+        data = {k: v.copy() for k, v in good.items()}
+        data[name][(0, 1) if data[name].ndim == 2 else 1] = bad
+        data[name] = given(data[name])
+        if what == "NaN" and not np.isnan(bad):
+            if (name == "l") != (bad < 0):  # l = +inf or u = -inf: an empty row
+                with pytest.raises(ValueError, match="^lower bounds exceed upper bounds$"):
+                    qp.QpProblem(**data)
+                continue
+            prob = qp.QpProblem(**data)
+            assert sp.issparse(prob._A) == (sparse_above < 0)
+            assert qp.solve_qp(prob).status == "solved"
+            continue
+        with pytest.raises(ValueError, match=f"^{name} has a {what} entry$"):
+            qp.QpProblem(**data)
 
 
 def test_q_symmetrized_at_construction():
@@ -447,6 +476,59 @@ def test_kkt_solve_rejects_non_finite_right_hand_side(bad):
         rhs[n // 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             op.solve(rhs)
+
+
+@pytest.mark.parametrize("sparse_above", [qp._SPARSE_ABOVE, -1], ids=["dense", "csr"])
+def test_factor_has_the_bits_of_scipys_cholesky(monkeypatch, sparse_above):
+    # One routine factors the convexity check's Q + shift*I and ADMM's
+    # Q + sigma*I + A' diag(rho) A. Its factor is scipy's cho_factor (lower
+    # triangle) or cholesky_banded (whole band) of the same sum, built in
+    # the same order, byte for byte: on random problems and on a planner
+    # QP, before and after Ruiz scaling.
+    monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+    csr = sparse_above < 0
+    probs = [qp.QpProblem(*random_box_qp(np.random.default_rng(seed))[:5]) for seed in range(4)]
+    with monkeypatch.context() as mp:  # and a planner QP
+        mp.setattr(qp, "solve_qp", lambda prob, solve=qp.solve_qp, **k:
+                   probs.append(prob) or solve(prob, **k))
+        cli.bench_planner([6])
+    for prob in probs:
+        assert sp.issparse(prob._Q) == sp.issparse(prob._A) == csr
+        Qs, _, As, *_ = qp._ruiz_equilibrate(prob._Q, prob.q, prob._A, qp._SCALING_ITERS)
+        rho = np.where(np.arange(prob.m) % 3 == 0, 1e2, 0.1)
+        for Q, A in ((prob._Q, prob._A), (Qs, As)):
+            n = Q.shape[0]
+            shift = qp._SIGMA * max(1.0, np.abs(Q.diagonal()).max())
+            if csr:
+                band = qp._lower_band(Q)
+                band[0] += shift
+                K = (Q + qp._diagonal(np.full(n, qp._SIGMA), sp.csr_array)
+                     + A.T @ qp._diagonal(rho, sp.csc_array) @ A)
+                pairs = ((qp._cholesky(Q, shift), cholesky_banded(band, lower=True)),
+                         (qp._cholesky(Q, qp._SIGMA, A, rho),
+                          cholesky_banded(qp._lower_band(K), lower=True)))
+            else:
+                K = Q + (A.T * rho) @ A
+                K[np.diag_indices(n)] += qp._SIGMA
+                pairs = ((qp._cholesky(Q, shift),
+                          cho_factor(Q + shift * np.eye(n), lower=True)[0]),
+                         (qp._cholesky(Q, qp._SIGMA, A, rho), cho_factor(K, lower=True)[0]))
+            for ours, ref in pairs:
+                if not csr:
+                    ours, ref = np.tril(ours), np.tril(ref)
+                assert ours.shape == ref.shape
+                assert ours.tobytes() == ref.tobytes()
+
+    # An indefinite Q is refused by the convexity check with polish on and
+    # by ADMM's factor with polish off, each naming the failing minor.
+    prob = qp.QpProblem(np.diag([1.0, -1.0]), None)
+    assert sp.issparse(prob._Q) == csr
+    with pytest.raises(qp.IllPosedProblem,
+                       match=r"^the leading minor of order 2 of Q \+ 1e-06\*I is not positive"):
+        qp.solve_qp(prob)
+    with pytest.raises(qp.IllPosedProblem,
+                       match=r"order 2 of Q \+ 1e-06\*I \+ A' diag\(rho\) A is not positive"):
+        qp.solve_qp(prob, qp.QpSettings(polish=False))
 
 
 def test_dense_and_csr_forms_give_the_same_answer(monkeypatch):
