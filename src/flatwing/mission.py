@@ -584,15 +584,9 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
                 remaining = np.vstack([phase.wps.waypoints[1:-1][keep],
                                        phase.wps.waypoints[-1:]])
                 tic = time.perf_counter()
-                try:
-                    res = planner.replan(phase.traj, t, mcfg.handoff_budget,
-                                         remaining, pcfg,
-                                         boundary_end=phase.wps.boundary_end,
-                                         warm=phase.last_qp)
-                except (ValueError, FlatnessSingularityError) as exc:
-                    # Rejected like any failed replan: the current
-                    # reference stays.
-                    res = planner.PlanResult(None, f"rejected: {exc}")
+                # A failed replan comes back non-ok: the current reference stays.
+                res = planner.replan(phase.traj, t, mcfg.handoff_budget, remaining, pcfg,
+                                     boundary_end=phase.wps.boundary_end, warm=phase.last_qp)
                 wall = time.perf_counter() - tic
                 replan_flag = 1
                 events.append(ReplanEvent(t, phase.index, res.status,

@@ -704,13 +704,17 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
 
     wps_remaining holds the waypoints still ahead; the last one is the leg
     end, where the plan meets boundary_end. Waypoints the handoff point has
-    effectively reached are dropped; if the handoff time falls outside the
-    current trajectory, the replan is rejected and the caller keeps the
-    current trajectory.
+    effectively reached are dropped. A replan that cannot be made (a
+    handoff outside the current trajectory or within 1 m of the leg end,
+    or a ValueError or FlatnessSingularityError while the handoff sequence
+    is built or planned) comes back non-ok with a status that starts
+    "rejected: " and names the cause; the caller keeps the current
+    trajectory. Solver failures keep the solver's status.
     """
     t_h = t_now + t_opt_est
     if t_h > current.t_end or t_h < current.t_start:
-        return PlanResult(trajectory=None, status="rejected")
+        return PlanResult(None, f"rejected: handoff t={t_h:.3f} s outside the current "
+                                f"trajectory [{current.t_start:.3f}, {current.t_end:.3f}] s")
 
     pos, vel, acc = np.asarray(current.eval(t_h)[:3])
     remaining = np.atleast_2d(np.asarray(wps_remaining, dtype=float))
@@ -720,11 +724,11 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
     first = near.size if near.all() else int(near.argmin())
     remaining, dist = remaining[first:], dist[first:]
     if not dist.size or dist[-1] < 1.0:
-        return PlanResult(trajectory=None, status="rejected")
+        return PlanResult(None, "rejected: handoff within 1 m of the leg end")
 
     try:
         wps = WaypointSequence(np.vstack([pos[None, :], remaining]),
                                BoundaryState(pos, vel, acc), boundary_end)
-    except ValueError:
-        return PlanResult(trajectory=None, status="rejected")
-    return plan(wps, config, prev_traj=current, t0=t_h, warm=warm)
+        return plan(wps, config, prev_traj=current, t0=t_h, warm=warm)
+    except (ValueError, FlatnessSingularityError) as exc:
+        return PlanResult(None, f"rejected: {exc}")

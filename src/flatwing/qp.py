@@ -35,18 +35,15 @@ plus a small multiple of its largest diagonal entry has a Cholesky factor
 KKT factorization does.
 
 Every solve runs with numpy's and scipy's OpenBLAS pools on one thread:
-its BLAS and LAPACK calls are small, and threads only add stalls. On a
-2-core x86_64 host (OpenBLAS 0.3.31), without the pinning an 8-waypoint
-`bench_planner` plan took 56-64 ms a call against 7.1-7.6 ms pinned, a
-4-waypoint plan 7.7-8.3 ms against 4.6-4.9 ms, and the plan-time linearity
-test in the acceptance suite failed 6 runs of 6 (r^2 below 0.01). The
-survey's replans, whose QPs are too small for OpenBLAS to thread, stayed
-within run-to-run noise. CSR solves are pinned too, and no measured size
-showed a consistent cost: over 30 interleaved pairs of
-`bench_planner([64, 128])`, run twice, the median call took 66.0 and
-66.9 ms unpinned against 64.6 and 63.9 ms pinned, and over 40 pairs at 16,
-32 and 64 waypoints alone 14.80, 21.07 and 29.64 ms unpinned against 14.91,
-21.02 and 23.70 ms pinned.
+its BLAS and LAPACK calls are small, and threads only add stalls. Solves
+that run ADMM show it. On a 2-core x86_64 host (OpenBLAS 0.3.31, two
+threads by default), with the pinning on and off in turn in one process,
+cold dense plans of a zigzag (80 m legs, +-30 m offsets) took medians of
+169-185 ms pinned against 273-294 ms unpinned at 16 waypoints (1,675
+iterations) in 5 of 5 runs, and 69-122 against 87-128 ms at 12 (950
+iterations), pinned faster in 4 of 5. Solves that end in the hot start
+do not move: `bench_planner` plans at 4-64 waypoints, dense and CSR, took
+the same medians (0.6-4.6 ms) either way.
 """
 
 from __future__ import annotations
@@ -661,17 +658,17 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
 
 
 def dump_problem(prob: QpProblem, f) -> None:
-    """Write dimensions, matrices, and bounds as plain text for offline debugging."""
-    f.write(f"qp v1\nn {prob.n}\nm {prob.m}\n")
-
-    def block(name, arr):
-        f.write(name + "\n")
-        for row in np.atleast_2d(arr):
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-    block("Q", prob.Q)
-    block("q", prob.q)
-    if prob.m:
-        block("A", prob.A)
-        block("l", prob.l)
-        block("u", prob.u)
+    """Write the problem as plain text for offline debugging: n and m, the
+    nonzero entries of Q and A as `row col value` lines in row-major order,
+    read from the stored form (a dense and a CSR problem dump alike), then
+    q, l and u."""
+    f.write(f"qp v2\nn {prob.n}\nm {prob.m}\n")
+    for name, M in (("Q", prob._Q), ("A", prob._A)):
+        C = sp.coo_array(M)
+        nz = np.flatnonzero(C.data)
+        nz = nz[np.lexsort((C.col[nz], C.row[nz]))]
+        f.write(f"{name} {nz.size}\n")
+        f.writelines(f"{i} {j} {x:.17g}\n" for i, j, x in
+                     zip(C.row[nz].tolist(), C.col[nz].tolist(), C.data[nz].tolist()))
+    for name, vec in (("q", prob.q), ("l", prob.l), ("u", prob.u)):
+        f.write(name + "\n" + " ".join(f"{x:.17g}" for x in vec.tolist()) + "\n")

@@ -63,9 +63,22 @@ def test_plan_command_dumps_qp(mission_file, tmp_path):
     )
     assert rc == 0
     lines = (out / "leg0_qp.txt").read_text().splitlines()
-    assert lines[0] == "qp v1"
+    assert lines[0] == "qp v2"
     assert lines[1] == "n 6"
     assert lines[2].startswith("m ")
+
+
+def test_plan_command_exits_1_on_a_leg_without_a_solution(tmp_path, capsys):
+    # The leg turns 90 degrees onto a 30 m chord timed at cruise speed; no
+    # trajectory within v_max and a_max makes that turn, the solver
+    # certifies it, and no trajectory is written.
+    path = tmp_path / "infeasible.txt"
+    path.write_text("version 1\ncruise_speed 14\nloiter 0 0 50 45 ccw 0\n"
+                    "waypoint 100 0 50\nwaypoint 100 30 50\nloiter 300 0 50 45 ccw 0\n")
+    out = tmp_path / "o"
+    assert cli.main(["plan", "--mission", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("status=primal-infeasible-detected ")
+    assert not (out / "leg0_trajectory.txt").exists()
 
 
 @pytest.mark.parametrize("dump_qp", [False, True])

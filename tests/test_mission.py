@@ -560,6 +560,17 @@ def test_mission_aborts_at_tick_0_on_an_altitude_out_of_range():
     assert buf.getvalue() == ms.CSV_HEADER + "\n"  # a header-only log
 
 
+def test_mission_aborts_at_tick_0_on_an_airspeed_too_low_to_fly():
+    # At 0.5 m/s in calm air the t=0 airspeed is below V_EPS, where the
+    # flight-path frame is undefined.
+    text = ("version 1\ncruise_speed 0.5\nloiter 0 0 50 45 ccw 0\n"
+            "loiter 300 0 50 45 ccw 0\n")
+    res = ms.run_mission(ms.parse_mission(text))
+    assert res.aborted
+    assert res.abort_reason == "t=0.00 (tick 0, loiter 0): initial airspeed too low"
+    assert res.log.rows == [] and res.metrics == {}
+
+
 def test_mission_aborts_after_a_leg_on_a_waypoint_inside_the_next_loiter():
     # Leg 0 flies; leg 1's first waypoint lies 11 m from loiter 1's center.
     text = ("version 1\ncruise_speed 14\nloiter 0 0 60 45 ccw 0\nloiter 185 0 60 45 ccw 0\n"
@@ -575,19 +586,21 @@ def test_mission_aborts_after_a_leg_on_a_waypoint_inside_the_next_loiter():
 @pytest.mark.parametrize("error", [fl.FlatnessSingularityError, ValueError],
                          ids=["FlatnessSingularityError", "ValueError"])
 def test_mission_flies_on_when_a_replan_raises(monkeypatch, error):
-    # Every other replan raises one of the two errors the executive catches.
-    # Each becomes a rejected event naming the failure, and the current
-    # reference is kept.
+    # Every other replan's plan raises one of the two errors that replan
+    # turns into a rejection. Each becomes a rejected event naming the
+    # failure, and the current reference is kept. A leg's first plan,
+    # which has no previous trajectory, is left alone.
     calls = []
-    replan = ms.planner.replan
+    plan = ms.planner.plan
 
-    def flaky_replan(*args, **kwargs):
-        calls.append(None)
-        if len(calls) % 2:
-            raise error("replan failed on purpose")
-        return replan(*args, **kwargs)
+    def flaky_plan(*args, **kwargs):
+        if kwargs.get("prev_traj") is not None:
+            calls.append(None)
+            if len(calls) % 2:
+                raise error("replan failed on purpose")
+        return plan(*args, **kwargs)
 
-    monkeypatch.setattr(ms.planner, "replan", flaky_replan)
+    monkeypatch.setattr(ms.planner, "plan", flaky_plan)
     res = ms.run_mission(ms.parse_mission(HAPPY_MISSION))
     assert not res.aborted
     assert len(res.events) == len(calls) > 2

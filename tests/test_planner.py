@@ -606,7 +606,8 @@ def test_replan_rejects_handoff_outside_domain():
     first = pl.plan(s, pl.PlannerConfig())
     re = pl.replan(first.trajectory, 100.0, 0.5, [[140.0, 0.0, 0.0]], pl.PlannerConfig(),
                    s.boundary_end)
-    assert re.status == "rejected"
+    assert re.status == ("rejected: handoff t=100.500 s outside the current "
+                         "trajectory [0.000, 10.000] s")
     assert not re.ok and re.trajectory is None
 
 
@@ -616,7 +617,56 @@ def test_replan_rejects_when_target_reached():
     # handoff lands within a meter of the leg end
     re = pl.replan(first.trajectory, 9.95, 0.05, [[140.0, 0.0, 0.0]], pl.PlannerConfig(),
                    s.boundary_end)
-    assert re.status == "rejected"
+    assert re.status == "rejected: handoff within 1 m of the leg end"
+
+
+@pytest.mark.parametrize("remaining, status", [
+    ([[100.0, 0, 0], [100.5, 0, 0], [140.0, 0, 0]],
+     "rejected: consecutive waypoints closer than 1 m (min 0.500)"),
+    ([[100.0, 0, 0], [139.0, 0, 0]],
+     "rejected: boundary end position disagrees with the end waypoint"),
+], ids=["close-waypoints", "end-mismatch"])
+def test_replan_rejects_a_refused_handoff_sequence(remaining, status):
+    s = seq([[0, 0, 0], [140, 0, 0]])
+    first = pl.plan(s, pl.PlannerConfig())
+    re = pl.replan(first.trajectory, 2.0, 0.5, remaining, pl.PlannerConfig(), s.boundary_end)
+    assert re.status == status
+    assert not re.ok
+
+
+def test_replan_rejects_a_reference_too_slow_to_linearize():
+    # Linearizing the curvature rows about a 0.5 m/s reference raises
+    # FlatnessSingularityError inside plan; replan returns it as a rejection.
+    s = seq([[0, 0, 0], [140, 0, 0]])
+    slow = pl.straight_line_reference(s.waypoints, 0.5)
+    re = pl.replan(slow, 2.0, 0.5, [[140.0, 0.0, 0.0]], pl.PlannerConfig(), s.boundary_end)
+    assert re.status == "rejected: planar speed 0.500 m/s below 1.0 m/s"
+    assert not re.ok
+
+
+def test_replan_rejects_a_solve_that_raises(monkeypatch):
+    s = seq([[0, 0, 0], [140, 0, 0]])
+    first = pl.plan(s, pl.PlannerConfig())
+
+    def ill_posed(*args, **kwargs):
+        raise qp.IllPosedProblem("cost not positive semidefinite on purpose")
+
+    monkeypatch.setattr(pl.qp, "solve_qp", ill_posed)
+    re = pl.replan(first.trajectory, 2.0, 0.5, [[140.0, 0.0, 0.0]], pl.PlannerConfig(),
+                   s.boundary_end)
+    assert re.status == "rejected: cost not positive semidefinite on purpose"
+    assert not re.ok
+
+
+def test_replan_passes_a_solver_status_through():
+    # Contradictory bounds: the solver certifies infeasibility, and the
+    # status is the solver's, not a rejection.
+    s = seq([[0, 0, 0], [140, 0, 0]])
+    first = pl.plan(s, pl.PlannerConfig())
+    bad = pl.PlannerConfig(v_min=10.0, v_max=0.5, a_max=1.0)
+    re = pl.replan(first.trajectory, 2.0, 0.5, [[140.0, 0.0, 0.0]], bad, s.boundary_end)
+    assert re.status == "primal-infeasible-detected"
+    assert not re.ok and re.iterations > 0
 
 
 def test_replan_drops_the_waypoints_within_reach_but_not_the_last():

@@ -449,6 +449,38 @@ def test_dump_problem_contains_full_description():
     assert "0.5" in text and "-0.25" in text
 
 
+def test_dump_problem_writes_the_same_text_for_dense_and_csr_storage(monkeypatch):
+    # A planner QP, with zeros in Q and A and infinite bounds, dumped from
+    # each stored form; its entries rebuild the dense matrices.
+    base = pl.assemble(pl.WaypointSequence(
+        [[0, 0, 50], [60, 20, 50], [120, 0, 55]],
+        pl.BoundaryState([0, 0, 50], [14, 0, 0], [0, 0, 0]),
+        pl.BoundaryState([120, 0, 55], [14, 0, 0], [0, 0, 0])), pl.PlannerConfig())[0]
+    dumps = {}
+    for sparse_above in (np.inf, -1):
+        monkeypatch.setattr(qp, "_SPARSE_ABOVE", sparse_above)
+        prob = qp.QpProblem(base.Q, base.q, sp.csr_array(base.A), base.l, base.u)
+        assert sp.issparse(prob._A) == (sparse_above < 0)
+        buf = io.StringIO()
+        qp.dump_problem(prob, buf)
+        dumps[sparse_above] = buf.getvalue()
+    assert dumps[np.inf] == dumps[-1]
+    lines = dumps[-1].splitlines()
+    assert lines[:3] == ["qp v2", f"n {prob.n}", f"m {prob.m}"]
+    at = 3
+    for name, dense in (("Q", prob.Q), ("A", prob.A)):
+        head, nnz = lines[at].split()
+        assert head == name and int(nnz) == np.count_nonzero(dense)
+        rebuilt = np.zeros_like(dense)
+        for line in lines[at + 1:at + 1 + int(nnz)]:
+            r, c, v = line.split()
+            rebuilt[int(r), int(c)] = float(v)
+        assert np.array_equal(rebuilt, dense)
+        at += 1 + int(nnz)
+    assert lines[at::2] == ["q", "l", "u"]
+    assert np.isinf(np.array(lines[at + 5].split(), dtype=float)).any()
+
+
 def test_max_iterations_status_is_honest():
     rng = np.random.default_rng(21)
     Q, qv, A, lo, hi, _ = random_box_qp(rng)
