@@ -16,7 +16,6 @@ import numpy as np
 from . import mission as msn
 from . import planner, qp
 from .bernstein import write_trajectory
-from .flatness import FlatnessSingularityError
 from .planner import BoundaryState, PlannerConfig, WaypointSequence
 from .qp import dump_problem
 
@@ -43,17 +42,12 @@ def _load_setup(args):
 
 
 def _cmd_plan(args) -> int:
-    plan = _load_mission(args.mission)
-    _, wps = msn.leg_sequence(plan, 0)
-    pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
-    msn.check_boundaries(wps, pcfg, 0)  # names the bound a tangent breaks
+    _, _, res = msn.plan_leg(_load_mission(args.mission), 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_qp:
-        prob, _, _ = planner.assemble(wps, pcfg)
         with open(out / "leg0_qp.txt", "w") as fh:
-            dump_problem(prob, fh)
-    res = planner.plan(wps, pcfg)
+            dump_problem(res.problem, fh)
     print(res.summary())
     if not res.ok:
         return 1
@@ -195,7 +189,7 @@ def main(argv=None) -> int:
         # OSError: a path that is missing, a directory or unreadable.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (msn.MissionAbort, FlatnessSingularityError, ValueError) as exc:
+    except msn.MissionAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -451,25 +451,27 @@ def _exit_state(plan: MissionPlan, i: int) -> tuple:
     return tangent_handoff(plan.loiters[i], anchor, plan.cruise_speed, "exit")
 
 
-def leg_sequence(plan: MissionPlan, i: int):
-    """Leg i as flown: (the angle where it joins loiter i+1, WaypointSequence).
+def plan_leg(plan: MissionPlan, i: int, t0: float = 0.0) -> tuple:
+    """Leg i's first plan, from t0: (the angle where it joins loiter i+1,
+    its WaypointSequence, the PlanResult). The sequence runs from loiter i's
+    exit tangent point through the leg's waypoints to loiter i+1's entry
+    tangent point, with the circles' tangent states as boundary states.
 
-    The sequence runs from the exit tangent point of loiter i through the
-    leg's waypoints to the entry tangent point, with the circles' tangent
-    states as boundary states.
+    Raises MissionAbort naming the cause for a sequence it cannot build, a
+    tangent state beyond the planner's componentwise v_max or a_max (its end
+    control points would be too: no plan is feasible, so no QP is built)
+    and a leg that `planner.plan` rejects; a solver failure is the result.
     """
-    (_, start), interior = _exit_state(plan, i), plan.legs[i].waypoints
-    anchor = interior[-1] if len(interior) else start.position
-    entry_angle, end = tangent_handoff(plan.loiters[i + 1], anchor, plan.cruise_speed, "entry")
-    pts = np.vstack([start.position[None, :], interior, end.position[None, :]])
-    return entry_angle, WaypointSequence(pts, start, end)
-
-
-def check_boundaries(wps: WaypointSequence, pcfg: PlannerConfig, i: int) -> None:
-    """Raise MissionAbort if a boundary state of leg i, the tangent state of
-    loiter i or i+1, breaks the planner's componentwise v_max or a_max: its
-    end control points would, so no plan of the leg is feasible."""
-    for j, bnd in ((i, wps.boundary_start), (i + 1, wps.boundary_end)):
+    pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
+    try:
+        (_, start), interior = _exit_state(plan, i), plan.legs[i].waypoints
+        anchor = interior[-1] if len(interior) else start.position
+        entry_angle, end = tangent_handoff(plan.loiters[i + 1], anchor, plan.cruise_speed, "entry")
+        pts = np.vstack([start.position[None, :], interior, end.position[None, :]])
+        wps = WaypointSequence(pts, start, end)
+    except ValueError as exc:
+        raise MissionAbort(str(exc)) from exc
+    for j, bnd in ((i, start), (i + 1, end)):
         for what, vec, name, lim, unit in (
                 ("velocity", bnd.velocity, "v_max", pcfg.v_max_vec(), "m/s"),
                 ("acceleration", bnd.acceleration, "a_max", pcfg.a_max_vec(), "m/s²")):
@@ -478,6 +480,10 @@ def check_boundaries(wps: WaypointSequence, pcfg: PlannerConfig, i: int) -> None
                 a = over[0]
                 raise MissionAbort(f"loiter {j} tangent {what} {abs(vec[a]):.2f} {unit} "
                                    f"on {'xyz'[a]} exceeds {name} {lim[a]:g}")
+    res = planner.plan(wps, pcfg, t0=t0)
+    if res.status.startswith("rejected: "):
+        raise MissionAbort(res.status.removeprefix("rejected: "))
+    return entry_angle, wps, res
 
 
 def run_mission(plan: MissionPlan, params: AeroParams | None = None,
@@ -508,12 +514,10 @@ def run_mission(plan: MissionPlan, params: AeroParams | None = None,
 
     def make_leg_span(i: int, t0: float) -> _LegSpan:
         try:
-            entry_angle, wps = leg_sequence(plan, i)
-            check_boundaries(wps, pcfg, i)
-            res = planner.plan(wps, pcfg, t0=t0)
+            entry_angle, wps, res = plan_leg(plan, i, t0)
             if not res.ok:
                 raise MissionAbort(res.status)
-        except (MissionAbort, ValueError, FlatnessSingularityError) as exc:
+        except MissionAbort as exc:
             raise MissionAbort(f"leg {i} initial plan failed: {exc}") from exc
         return _LegSpan(i, res.trajectory, wps, entry_angle,
                         res.trajectory.knots[1:-1], last_qp=res.qp_solution)

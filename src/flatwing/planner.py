@@ -134,6 +134,10 @@ class WaypointSequence:
 
 @dataclass
 class PlanResult:
+    """A plan and its solve. `status` is "solved" (the one status with a
+    trajectory), the solver's own status, such as "max-iterations", or
+    "rejected: <cause>" when no plan could be made (`problem` is then None)."""
+
     trajectory: PiecewiseTrajectory | None
     status: str
     iterations: int = 0
@@ -144,6 +148,7 @@ class PlanResult:
     n_vars: int = 0
     n_constraints: int = 0
     qp_solution: qp.QpSolution | None = None
+    problem: qp.QpProblem | None = None
 
     @property
     def ok(self) -> bool:
@@ -668,33 +673,28 @@ def plan(wps: WaypointSequence, config: PlannerConfig,
          warm: qp.QpSolution | None = None) -> PlanResult:
     """Assemble and solve the stacked trajectory QP.
 
-    Returns a PlanResult; solver failures come back as a non-ok result so
-    callers can keep flying the previous trajectory.
+    Raises for no failure, so callers can keep flying the previous
+    trajectory: a ValueError (`qp.IllPosedProblem` among them) or
+    FlatnessSingularityError met while the QP is assembled or solved or its
+    trajectory built comes back non-ok as "rejected: <message>", a solver
+    failure with its status.
     """
-    prob, durations, coords = assemble(wps, config, prev_traj, t0)
-    if warm is not None and (warm.x.shape[0] != prob.n or warm.y.shape[0] != prob.m):
-        warm = None
-    sol = qp.solve_qp(prob, warm_start=warm)
-
-    result = PlanResult(
-        trajectory=None,
-        status=sol.status,
-        iterations=sol.iterations,
-        objective=2.0 * sol.objective + coords.jerk_offset,
-        solve_time=sol.solve_time,
-        primal_residual=sol.primal_residual,
-        dual_residual=sol.dual_residual,
-        n_vars=prob.n,
-        n_constraints=prob.m,
-        qp_solution=sol,
-    )
-    if sol.status != "solved":
-        return result
-
-    # Junction points come from the same entries on both sides: identical.
-    t = np.cumsum(np.concatenate([[t0], durations]))
-    result.trajectory = PiecewiseTrajectory(coords.control_points(sol.x), t)
-    return result
+    try:
+        prob, durations, coords = assemble(wps, config, prev_traj, t0)
+        if warm is not None and (warm.x.shape[0] != prob.n or warm.y.shape[0] != prob.m):
+            warm = None
+        sol = qp.solve_qp(prob, warm_start=warm)
+        # Junction points come from the same entries on both sides: identical.
+        traj = (PiecewiseTrajectory(coords.control_points(sol.x),
+                                    np.cumsum(np.concatenate([[t0], durations])))
+                if sol.status == "solved" else None)
+    except (ValueError, FlatnessSingularityError) as exc:
+        return PlanResult(None, f"rejected: {exc}")
+    return PlanResult(traj, sol.status, iterations=sol.iterations,
+                      objective=2.0 * sol.objective + coords.jerk_offset,
+                      solve_time=sol.solve_time, primal_residual=sol.primal_residual,
+                      dual_residual=sol.dual_residual, n_vars=prob.n, n_constraints=prob.m,
+                      qp_solution=sol, problem=prob)
 
 
 def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
@@ -729,6 +729,6 @@ def replan(current: PiecewiseTrajectory, t_now: float, t_opt_est: float,
     try:
         wps = WaypointSequence(np.vstack([pos[None, :], remaining]),
                                BoundaryState(pos, vel, acc), boundary_end)
-        return plan(wps, config, prev_traj=current, t0=t_h, warm=warm)
-    except (ValueError, FlatnessSingularityError) as exc:
+    except ValueError as exc:
         return PlanResult(None, f"rejected: {exc}")
+    return plan(wps, config, prev_traj=current, t0=t_h, warm=warm)

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatwing import cli, qp
+from flatwing import cli, planner, qp
+from flatwing import mission as msn
 from flatwing.bernstein import read_trajectory
 
 MINI_MISSION = """version 1
@@ -68,17 +70,26 @@ def test_plan_command_dumps_qp(mission_file, tmp_path):
     assert lines[2].startswith("m ")
 
 
-def test_plan_command_exits_1_on_a_leg_without_a_solution(tmp_path, capsys):
+@pytest.mark.parametrize("dump_qp", [False, True])
+def test_plan_command_exits_1_on_a_leg_without_a_solution(tmp_path, capsys, dump_qp):
     # The leg turns 90 degrees onto a 30 m chord timed at cruise speed; no
     # trajectory within v_max and a_max makes that turn, the solver
-    # certifies it, and no trajectory is written.
+    # certifies it, and no trajectory is written. The QP that was solved is
+    # still dumped.
     path = tmp_path / "infeasible.txt"
     path.write_text("version 1\ncruise_speed 14\nloiter 0 0 50 45 ccw 0\n"
                     "waypoint 100 0 50\nwaypoint 100 30 50\nloiter 300 0 50 45 ccw 0\n")
     out = tmp_path / "o"
-    assert cli.main(["plan", "--mission", str(path), "--out", str(out)]) == 1
+    argv = ["plan", "--mission", str(path), "--out", str(out)]
+    assert cli.main(argv + ["--dump-qp"] * dump_qp) == 1
     assert capsys.readouterr().out.startswith("status=primal-infeasible-detected ")
     assert not (out / "leg0_trajectory.txt").exists()
+    assert (out / "leg0_qp.txt").exists() == dump_qp
+    if dump_qp:
+        _, wps, _ = msn.plan_leg(msn.parse_mission(path.read_text()), 0)
+        buf = io.StringIO()
+        qp.dump_problem(planner.assemble(wps, planner.PlannerConfig(cruise_speed=14.0))[0], buf)
+        assert (out / "leg0_qp.txt").read_text() == buf.getvalue()
 
 
 @pytest.mark.parametrize("dump_qp", [False, True])
@@ -88,6 +99,7 @@ def test_plan_command_reports_a_singular_leg(tmp_path, capsys, dump_qp):
     argv = ["plan", "--mission", str(path), "--out", str(tmp_path / "o")]
     assert cli.main(argv + ["--dump-qp"] * dump_qp) == 1
     assert capsys.readouterr().err == "error: planar speed 0.000 m/s below 1.0 m/s\n"
+    assert not (tmp_path / "o").exists()  # the leg was rejected before any output
 
 
 @pytest.mark.parametrize("dump_qp", [False, True])

@@ -511,7 +511,8 @@ def test_mission_aborts_on_a_loiter_whose_tangent_breaks_a_max():
     # the axis and the bound before any QP is built.
     text = "version 1\ncruise_speed 14\nloiter 0 0 50 45 ccw 0\nloiter 300 0 50 25 ccw 0\n"
     plan = ms.parse_mission(text)
-    entry_st = ms.leg_sequence(plan, 0)[1].boundary_end
+    exit_st = ms.tangent_handoff(plan.loiters[0], plan.loiters[1].center, V, "exit")[1]
+    entry_st = ms.tangent_handoff(plan.loiters[1], exit_st.position, V, "entry")[1]
     assert np.linalg.norm(entry_st.acceleration) == pytest.approx(14.0**2 / 25.0)
     axis = int(np.flatnonzero(np.abs(entry_st.acceleration) > 6.0)[0])
     res = ms.run_mission(plan)
@@ -523,16 +524,13 @@ def test_mission_aborts_on_a_loiter_whose_tangent_breaks_a_max():
 
 
 def test_bundled_survey_tangents_pass_the_boundary_check():
-    from flatwing.planner import PlannerConfig
-
     survey = Path(__file__).resolve().parents[1] / "missions" / "two_loiter_survey.txt"
     plan = ms.parse_mission(survey.read_text())
-    pcfg = PlannerConfig(cruise_speed=plan.cruise_speed)
     for i in range(len(plan.legs)):
-        _, wps = ms.leg_sequence(plan, i)
+        _, wps, res = ms.plan_leg(plan, i)  # raises on a violation
         for b in (wps.boundary_start, wps.boundary_end):
             assert np.linalg.norm(b.acceleration) == pytest.approx(14.0**2 / 45.0)
-        ms.check_boundaries(wps, pcfg, i)  # raises on a violation
+        assert res.status == "solved"
 
 
 def test_mission_aborts_before_the_first_tick_on_a_waypoint_inside_loiter_0():
@@ -586,21 +584,21 @@ def test_mission_aborts_after_a_leg_on_a_waypoint_inside_the_next_loiter():
 @pytest.mark.parametrize("error", [fl.FlatnessSingularityError, ValueError],
                          ids=["FlatnessSingularityError", "ValueError"])
 def test_mission_flies_on_when_a_replan_raises(monkeypatch, error):
-    # Every other replan's plan raises one of the two errors that replan
+    # Every other replan's assembly raises one of the two errors that plan
     # turns into a rejection. Each becomes a rejected event naming the
     # failure, and the current reference is kept. A leg's first plan,
     # which has no previous trajectory, is left alone.
     calls = []
-    plan = ms.planner.plan
+    assemble = ms.planner.assemble
 
-    def flaky_plan(*args, **kwargs):
-        if kwargs.get("prev_traj") is not None:
+    def flaky_assemble(*args, **kwargs):
+        if args[2] is not None:  # plan passes prev_traj positionally
             calls.append(None)
             if len(calls) % 2:
                 raise error("replan failed on purpose")
-        return plan(*args, **kwargs)
+        return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(ms.planner, "plan", flaky_plan)
+    monkeypatch.setattr(ms.planner, "assemble", flaky_assemble)
     res = ms.run_mission(ms.parse_mission(HAPPY_MISSION))
     assert not res.aborted
     assert len(res.events) == len(calls) > 2

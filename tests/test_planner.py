@@ -568,6 +568,34 @@ def test_plan_reports_failure_without_trajectory():
     assert not res.ok
     assert res.trajectory is None
     assert res.status != "solved"
+    assert res.problem is not None  # the QP was solved; the solver said why not
+
+
+def test_plan_rejects_a_vertical_leg():
+    # No planar speed to linearize the curvature rows about: the assembly
+    # raises FlatnessSingularityError inside plan, which returns it.
+    res = pl.plan(seq([[0, 0, 50], [0, 0, 70]], v0=(0, 0, 5), v1=(0, 0, 5)), pl.PlannerConfig())
+    assert res.status == "rejected: planar speed 0.000 m/s below 1.0 m/s"
+    assert not res.ok and res.problem is None
+
+
+def test_plan_rejects_a_solve_that_raises(monkeypatch):
+    def ill_posed(*args, **kwargs):
+        raise qp.IllPosedProblem("cost not positive semidefinite on purpose")
+
+    monkeypatch.setattr(pl.qp, "solve_qp", ill_posed)
+    res = pl.plan(seq([[0, 0, 0], [140, 0, 0]]), pl.PlannerConfig())
+    assert res.status == "rejected: cost not positive semidefinite on purpose"
+    assert not res.ok and res.problem is None
+
+
+def test_plan_rejects_a_solved_segment_too_short_to_store():
+    # 1.5 m at 1e7 m/s solves, but its 0.15 us segment is below
+    # PiecewiseTrajectory's MIN_DURATION, which refuses it.
+    cfg = pl.PlannerConfig(cruise_speed=1e7, v_max=1e9, a_max=1e15)
+    res = pl.plan(seq([[0, 0, 0], [1.5, 0, 0]], v0=(1e7, 0, 0), v1=(1e7, 0, 0)), cfg)
+    assert res.status.startswith("rejected: segment duration 1.5e-07 below minimum 1e-06")
+    assert not res.ok
 
 
 # ---------------------------------------------------------------- replan
