@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,13 @@ from .qp import dump_problem
 
 
 # A plan's time and memory grow linearly with its waypoints: 2,048 take
-# about 1.3 s on a 2-core Xeon and 172 MiB of traced allocations at their
-# peak. A larger count is a typo that would exhaust memory, not a benchmark.
+# about 0.35 s on a 2-core Xeon (0.2 s once their shape is cached) and
+# 89 MiB of traced allocations at their peak. A larger count is a typo
+# that would exhaust memory, not a benchmark.
 MAX_BENCH_WAYPOINTS = 4096
 BENCH_CRUISE_SPEED = 14.0  # m/s, the benchmark field's boundary speed
+# Plans that `flatwing bench` times at each size; it reports their median wall.
+_BENCH_REPEATS = 5
 
 
 def _load_mission(path: str) -> msn.MissionPlan:
@@ -128,12 +132,18 @@ def _cmd_bench(args) -> int:
     if args.seed < 0:
         raise msn.MissionFormatError(f"--seed must be a non-negative integer, got {args.seed}")
     bench_planner(sizes[:1], seed=args.seed)  # untimed: pays the first solve's one-time costs
-    results = bench_planner(sizes, seed=args.seed)
-    lines = ["n_waypoints n_vars iterations solve_time status"]
-    for n, res in zip(sizes, results):
+    lines = ["n_waypoints n_vars iterations solve_time status plan_time"]
+    results, times = [], []
+    for n in sizes:
+        walls = []
+        for _ in range(_BENCH_REPEATS):
+            tic = time.perf_counter()
+            (res,) = bench_planner([n], seed=args.seed)
+            walls.append(time.perf_counter() - tic)
+        results.append(res)
+        times.append(float(np.median(walls)))
         lines.append(f"{n} {res.n_vars} {res.iterations} "
-                     f"{res.solve_time:.6f} {res.status}")
-    times = [res.solve_time for res in results]
+                     f"{res.solve_time:.6f} {res.status} {times[-1]:.6f}")
     a, b, r2 = linear_fit_r2(sizes, times)
     lines.append(f"fit_slope_s_per_wp {a:.6g}")
     lines.append(f"fit_intercept_s {b:.6g}")

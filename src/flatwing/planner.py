@@ -214,26 +214,30 @@ class _Shape:
     order, and `cols` is -1 at a fixed entry.
 
     The unit blocks are one segment's, at duration 1, in window
-    coordinates, from the public builders: `T` is T(1); `bounds` the
-    derivative-bound rows and then the n chord rows (on every axis, as for
-    a chord of ones) times T(1); `curv`, (2, K, n+1), the curvature
+    coordinates, from the public builders: `T` is T(1); `bounds`,
+    (R, 1, n+1), the derivative-bound rows times T(1) on their own axis
+    `axis`, (R, 1); `chord`, (n, 3, n+1), the chord rows (on every axis,
+    as for a chord of ones) times T(1); `curv`, (2, K, n+1), the curvature
     samples' velocity and acceleration rows times T(1); `cost`
     T(1)'G(1)T(1). The derivative maps scale exactly as n!/(n-k)!/d**k, so
     at duration d a block is its unit block with window column j times
     d**k[j], `k` holding each column's derivative order, and each row of
-    derivative order r times d**-r: r is `order` for the bound and chord
-    rows and 1 and 2 for the curvature rows' velocity and acceleration
-    parts. The Gram takes the column factors on both sides and d**-5
-    overall ((d**-3)**2 from the jerk, d from the integral).
+    derivative order r times d**-r: r is `order` for the bound rows, 1 for
+    the chord rows and 1 and 2 for the curvature rows' velocity and
+    acceleration parts. The Gram takes the column factors on both sides
+    and d**-5 overall ((d**-3)**2 from the jerk, d from the integral).
     Entry r of `bound_of` picks row r's bound from (v_max, a_max, v_min)
     over all segments, with their chord rows.
 
-    The rest are scatter indices. `seg` is the segment of each of
-    assemble's rows (derivative bounds with chord rows, then curvature);
-    the variable entries of their window blocks, flat positions
-    `row_src`, land at `row_dst` of the flat A. Each segment's T'GT block
-    on each axis adds entries `gram_src` to Q at `gram_dst[gram_sum]`, and
-    its fixed-entry products `fixed_src` to q at `fixed_dst`.
+    The rest are scatter indices. Assemble's `n_rows` rows come in two
+    families: each segment's bound rows and then its chord rows, then each
+    segment's curvature rows, on x and y. `_layout` gathers each family
+    from its own blocks, laid side by side per segment, at its structural
+    nonzeros only: `row_src` holds, per family, the flat positions of the
+    variable entries whose unit weight is nonzero. They land at `row_dst`
+    of the flat A. Each segment's T'GT block on each axis adds entries
+    `gram_src` to Q at `gram_dst[gram_sum]`, and its fixed-entry products
+    `fixed_src` to q at `fixed_dst`.
     `row_dst` and `gram_dst` hold each position once, in row-major order,
     and `row_ptr`, `row_col`, `gram_ptr` and `gram_col` are the CSR row
     pointers and column indices of those positions.
@@ -248,13 +252,15 @@ class _Shape:
     n_vars: int
     T: np.ndarray
     bounds: np.ndarray
+    axis: np.ndarray
+    chord: np.ndarray
     curv: np.ndarray
     cost: np.ndarray
     k: np.ndarray
     order: np.ndarray
     bound_of: np.ndarray
-    seg: np.ndarray
-    row_src: np.ndarray
+    n_rows: int
+    row_src: tuple
     row_dst: np.ndarray
     row_ptr: np.ndarray
     row_col: np.ndarray
@@ -326,39 +332,50 @@ def _shape(n: int, c: int, M: int, finite: tuple, curved: bool, K: int) -> _Shap
     unit = PlannerConfig(degree=n, continuity_order=c, n_curv_samples=K,
                          v_max=lim[:3], a_max=lim[3:])
     T = build_continuity_constraints(unit, [1.0])[0]
-    W, _, _, _ = build_derivative_bounds(unit, [1.0], np.ones((1, 3)))
+    W = build_derivative_bounds(unit, [1.0], np.ones((1, 3)))[0] @ T
     _, w_v, w_a = _curvature_basis(n, K)
-    bounds = W @ T
+    _, order, bound_of = _bound_rows(n, finite)
+    axis = bound_of[:order.size, None] % 3  # v_max and a_max are per axis
+    bounds, chord = np.take_along_axis(W[:order.size], axis[..., None], 1), W[order.size:]
     curv = np.stack([derivative_scale(n, 1, 1.0) * w_v, derivative_scale(n, 2, 1.0) * w_a]) @ T
     cost = T.T @ build_cost(unit, [1.0])[0] @ T
     k = np.concatenate([np.arange(c1), np.zeros(mid, dtype=int), np.arange(c1)])
-    _, order, bound_of = _bound_rows(n, finite)
-    order = np.append(order, np.ones(n, dtype=int))  # the chord rows: velocity
 
-    per_seg = bound_of.size
-    seg = np.concatenate([np.repeat(np.arange(M), per_seg),
-                          np.repeat(np.arange(M), K if curved else 0)])
-
-    at = cols[seg]
-    hit = np.nonzero(at >= 0)
-    row_dst = hit[0] * N + at[hit]
-    by_dst = np.argsort(row_dst)
-    row_dst = row_dst[by_dst]
+    # Each row family's variable entries whose unit weight is nonzero, by
+    # CSR position; a family's parts (unit weights, window columns) lie
+    # side by side per segment, as `_layout` lays their weights.
+    curv_nz = np.repeat((curv != 0).any(axis=0)[:, None], 2, axis=1)[:K if curved else 0]
+    row_src, row_dst, first = [], [], 0
+    for parts in (((bounds != 0, cols[:, axis]), (chord != 0, cols[:, None])),
+                  ((curv_nz, cols[:, None, :2]),)):
+        at, R = [], 0  # each entry's flat position in its segment's rows
+        for nz, window_cols in parts:
+            row = R + np.arange(len(nz))[:, None, None]
+            at.append(np.where(nz & (window_cols >= 0), row * N + window_cols, -1).reshape(M, -1))
+            R += len(nz)
+        at = np.concatenate(at, axis=1)
+        m, e = np.nonzero(at >= 0)
+        dst = (first + m * R) * N + at[m, e]
+        by_dst = np.argsort(dst)
+        row_src.append((m * at.shape[1] + e)[by_dst])
+        row_dst.append(dst[by_dst])
+        first += M * R
+    row_dst = np.concatenate(row_dst)
     Gx_at = np.arange(M * (n + 1) ** 2).reshape(M, 1, n + 1, n + 1)
     row, col = cols[..., :, None], cols[..., None, :]
     pair = (row >= 0) & (col >= 0)
     gram_dst, gram_sum = np.unique((row * N + col)[pair], return_inverse=True)
-    row_ptr, row_col = _csr_pattern(row_dst, seg.size, N)
+    row_ptr, row_col = _csr_pattern(row_dst, first, N)
     gram_ptr, gram_col = _csr_pattern(gram_dst, N, N)
     shape = _Shape(
         window=window, size=size, start=start, end=end, waypoints=waypoints, cols=cols, n_vars=N,
-        T=T, bounds=bounds, curv=curv, cost=cost, k=k, order=order,
-        bound_of=np.tile(bound_of, M), seg=seg,
-        row_src=np.flatnonzero(at >= 0)[by_dst], row_dst=row_dst, row_ptr=row_ptr,
+        T=T, bounds=bounds, axis=axis, chord=chord, curv=curv, cost=cost, k=k, order=order,
+        bound_of=np.tile(bound_of, M), n_rows=first,
+        row_src=tuple(row_src), row_dst=row_dst, row_ptr=row_ptr,
         row_col=row_col, gram_src=np.broadcast_to(Gx_at, pair.shape)[pair], gram_sum=gram_sum,
         gram_dst=gram_dst, gram_ptr=gram_ptr, gram_col=gram_col,
         fixed_src=np.flatnonzero(cols >= 0), fixed_dst=cols[cols >= 0])
-    for arr in vars(shape).values():
+    for arr in (*vars(shape).values(), *shape.row_src):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return shape
@@ -410,18 +427,24 @@ def _coordinates(wps: WaypointSequence, shift, shape: _Shape) -> np.ndarray:
     return value[shape.window]
 
 
-def _layout(Wx, fixed, shape: _Shape, sparse: bool):
+def _layout(families, shape: _Shape, sparse: bool):
     """QP rows, dense or CSR, and their offsets, from window blocks.
 
-    Wx holds (R, 3, n+1) blocks, axis by window entry: row r weighs the
-    window of segment shape.seg[r] (laid out as in `Coordinates`). Its
-    variable entries fill the row's columns and its fixed entries sum to
-    the row's offset, which the bounds lose.
+    families holds each row family's parts, (W, F) pairs in row order. W,
+    (M, R, axes, n+1), weighs R rows of each segment m over its window
+    entries F[m] (laid out as in `Coordinates`; F broadcasts to W), and a
+    segment's rows run through the family's parts in turn. The variable
+    entries that shape.row_src picks from the parts, laid side by side
+    per segment, fill the rows' columns, and the fixed entries sum to
+    each row's offset, which the bounds lose.
     """
-    offset = (Wx * fixed[shape.seg]).sum(axis=(1, 2))
-    rows = _matrix(Wx.ravel()[shape.row_src], shape.row_dst, shape.row_ptr, shape.row_col,
-                   (len(Wx), shape.n_vars), sparse)
-    return rows, offset
+    offset, values = [], []
+    for parts, src in zip(families, shape.row_src):
+        offset.append(np.concatenate([(W * F).sum(axis=(2, 3)) for W, F in parts], axis=1))
+        values.append(np.concatenate([W.reshape(len(W), -1) for W, _ in parts], axis=1).ravel()[src])
+    rows = _matrix(np.concatenate(values), shape.row_dst, shape.row_ptr, shape.row_col,
+                   (shape.n_rows, shape.n_vars), sparse)
+    return rows, np.concatenate([off.ravel() for off in offset])
 
 
 def _quadratic(Gx, fixed, shape: _Shape, sparse: bool):
@@ -591,14 +614,11 @@ def _linearization(prev_traj: PiecewiseTrajectory, config: PlannerConfig, durati
 
 
 def _curvature_rows(grad, W_v, W_a) -> np.ndarray:
-    """Curvature weight blocks, (M*K, 3, n+1), from the gradient (M, K, 4)
-    and each sample's velocity and acceleration rows W_v and W_a,
-    (M, K, n+1). Row (segment m, sample k) touches only the x and y axes:
-    g_vx*W_v + g_ax*W_a and g_vy*W_v + g_ay*W_a."""
-    M, K, width = W_v.shape
-    W = np.zeros((M, K, 3, width))
-    W[:, :, :2] = grad[..., :2, None] * W_v[:, :, None] + grad[..., 2:, None] * W_a[:, :, None]
-    return W.reshape(-1, 3, width)
+    """Curvature weight blocks on the x and y axes, (M, K, 2, n+1), from
+    the gradient (M, K, 4) and each sample's velocity and acceleration rows
+    W_v and W_a, (M, K, n+1): g_vx*W_v + g_ax*W_a and g_vy*W_v + g_ay*W_a.
+    A curvature row does not touch z."""
+    return grad[..., :2, None] * W_v[:, :, None] + grad[..., 2:, None] * W_a[:, :, None]
 
 
 def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerConfig,
@@ -618,8 +638,10 @@ def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerC
         return np.zeros((0, 3, n + 1)), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
     grad, c0 = _linearization(prev_traj, config, durations, t0)
     _, w_v, w_a = _curvature_basis(n, K)
-    W = _curvature_rows(grad, derivative_scale(n, 1, durations)[:, None, None] * w_v,
-                        derivative_scale(n, 2, durations)[:, None, None] * w_a)
+    W = np.zeros((M * K, 3, n + 1))
+    W[:, :2] = _curvature_rows(grad, derivative_scale(n, 1, durations)[:, None, None] * w_v,
+                               derivative_scale(n, 2, durations)[:, None, None] * w_a
+                               ).reshape(-1, 2, n + 1)
     return W, np.repeat(np.arange(M), K), config.kappa_min - c0, config.kappa_max - c0
 
 
@@ -637,32 +659,31 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     columns scaled by powers of the segment durations, so no T(d), W @ T
     or T'GT is formed per plan.
     """
-    n = config.degree
     durations = wps.gaps / config.cruise_speed
     shift = wps.waypoints[0].copy()
     chords = (wps.waypoints[1:] - wps.waypoints[:-1]) / wps.gaps[:, None]
 
     shape = _shape_of(config, durations.size)
     # Built in the form the solve works on: a large QP never exists dense.
-    sparse = qp.csr_form(shape.seg.size, shape.n_vars)
+    sparse = qp.csr_form(shape.n_rows, shape.n_vars)
     fixed = _coordinates(wps, shift, shape)
     up, down = _powers(durations), _powers(1.0 / durations)
     col = up[:, shape.k]  # window column j of segment m scales by d_m**k[j]
     Q, q, jerk_offset = _quadratic(shape.cost * down[:, 5, None, None] * col[:, :, None]
                                    * col[:, None, :], fixed, shape, sparse)
     W = shape.bounds * (down[:, shape.order, None, None] * col[:, None, None, :])
-    W[:, -n:] *= chords[:, None, :, None]  # each segment's chord rows come last
-    W = W.reshape(-1, 3, n + 1)
+    chord = shape.chord * (down[:, 1, None, None, None] * col[:, None, None, :])
+    families = [[(W, fixed[:, shape.axis]), (chord * chords[:, None, :, None], fixed[:, None])]]
     lo, hi = _limits(config, shape.bound_of)
     if _curved(config):
         if prev_traj is None:
             prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
         grad, c0 = _linearization(prev_traj, config, durations, t0)
         va = shape.curv * (down[:, 1:3, None, None] * col[:, None, None, :])
-        W = np.concatenate([W, _curvature_rows(grad, va[:, 0], va[:, 1])])
+        families.append([(_curvature_rows(grad, va[:, 0], va[:, 1]), fixed[:, None, :2])])
         lo = np.concatenate([lo, config.kappa_min - c0])
         hi = np.concatenate([hi, config.kappa_max - c0])
-    A, offset = _layout(W, fixed, shape, sparse)
+    A, offset = _layout(families, shape, sparse)
     T = shape.T * col[:, None, :]
     return (qp.QpProblem(Q, q, A, lo - offset, hi - offset), durations,
             Coordinates(T, shape.cols, fixed, shift, jerk_offset))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def test_bench_command_reports_fit(tmp_path, capsys):
     rc = cli.main(["bench", "--sizes", "4,6", "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "n_waypoints n_vars iterations solve_time status" in text
+    assert "n_waypoints n_vars iterations solve_time status plan_time\n" in text
     assert "fit_r2" in text
     pools = len(qp._blas_pools())
     assert f"blas_pinning {'active' if pools else 'inactive'} pools {pools}\n" in text
@@ -246,6 +247,21 @@ def test_bench_times_no_first_call_cost(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].startswith("4 ") and float(rows[1].split()[3]) < 0.2
     assert len(calls) > 2
+
+
+def test_bench_fits_the_median_wall_of_whole_plans(monkeypatch, capsys):
+    # plan_time is the median wall of each size's timed plans, assembly
+    # and solve together, and the line is fitted to it. A clock that only
+    # cli reads gives the five plans of 4 and 6 waypoints these walls (ms).
+    walls = [5, 1, 3, 2, 4] + [10, 7, 6, 9, 8]  # medians 3 and 8
+    stamps = iter(np.cumsum([[0, w * 1e-3] for w in walls]))
+    monkeypatch.setattr(cli, "_BENCH_REPEATS", 5)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=stamps.__next__))
+    assert cli.main(["bench", "--sizes", "4,6"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[-1] for row in rows[1:3]] == ["0.003000", "0.008000"]
+    assert rows[3:6] == ["fit_slope_s_per_wp 0.0025", "fit_intercept_s -0.007",
+                         "fit_r2 1.000000"]
 
 
 def test_bench_command_rejects_single_size(capsys):

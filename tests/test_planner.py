@@ -800,10 +800,11 @@ def test_warm_cache_assembles_bit_for_bit_like_a_cold_one(M):
 def test_large_plan_is_built_in_csr_equal_to_the_dense_assembly(monkeypatch):
     # Above the size threshold assemble builds Q and A in CSR directly,
     # with the bits `sp.csr_array` stores for the dense assembly: exact
-    # zeros, such as the curvature rows' z weights, are dropped, and each
-    # position of Q sums its Gram entries (at most two, from the segments
-    # that share a junction) as the dense bincount does. The problem
-    # stores what the planner built, converting nothing.
+    # zeros in the data, such as the curvature rows' velocity weights on a
+    # cold plan (a straight reference has no velocity gradient), are
+    # dropped, and each position of Q sums its Gram entries (at most two,
+    # from the segments that share a junction) as the dense bincount does.
+    # The problem stores what the planner built, converting nothing.
     rng = np.random.default_rng(20)
     pts = np.cumsum(rng.uniform(40.0, 80.0, size=(21, 3)) * [1.0, 1.0, 0.1], axis=0)
     s, cfg = seq(pts), pl.PlannerConfig()
@@ -896,11 +897,15 @@ def assert_close(got, want, terms=None):
 def test_unit_blocks_assemble_like_the_builders_at_the_real_durations(n, c, monkeypatch):
     # Every block is a cached unit-duration block times powers of the
     # durations; composed from the public builders at the durations
-    # themselves, the problem and its coordinates must agree.
+    # themselves, the problem and its coordinates must agree. The rows
+    # are laid out from their structural nonzeros only: with generic
+    # chords and a curved reference no value handed to `_matrix` for A is
+    # an exact zero, dense or CSR, with a bound dropped or no curvature.
     from flatwing.bernstein import PiecewiseTrajectory
 
     rng = np.random.default_rng(100 * n + c)
     t0 = 3.1
+    matrix = pl._matrix
     # A planar-moving reference for the curvature linearization.
     prev = PiecewiseTrajectory([[[0, 0, 0], [90, 40, 5], [180, -30, 0], [270, 20, 10]]],
                                [t0 - 1.0, t0 + 40.0])
@@ -917,10 +922,13 @@ def test_unit_blocks_assemble_like_the_builders_at_the_real_durations(n, c, monk
             pl.BoundaryState(pts[-1], rng.normal(size=3) * 8, rng.normal(size=3)))
         ref = reference_assembly(s, cfg, prev, t0)
         for threshold in (math.inf, -1):  # dense, then CSR
+            values = []
             with monkeypatch.context() as mp:
                 mp.setattr(qp, "_SPARSE_ABOVE", threshold)
+                mp.setattr(pl, "_matrix", lambda v, *a: values.append(v) or matrix(v, *a))
                 prob, durations, coords = pl.assemble(s, cfg, prev, t0)
             assert sp.issparse(prob._A) == (threshold < 0)
+            assert np.all(values[1] != 0.0)  # A's, after Q's
             for name, got in (("Q", prob.Q), ("q", prob.q), ("A", prob.A), ("l", prob.l),
                               ("u", prob.u), ("T", coords.T), ("jerk_offset", coords.jerk_offset)):
                 assert_close(got, *ref[name])
