@@ -2,9 +2,10 @@
 
 Assembles one stacked QP over all segments and axes: jerk-integral cost,
 convex-hull derivative box bounds, and planar-curvature inequalities
-linearized about the previous trajectory. The QP's variables are the
-junctions' derivatives 0..continuity_order on each axis and each segment's
-middle control points (Richter, Bry & Roy, ISRR 2013). A segment's control
+linearized about the previous trajectory, or for a leg's first plan about
+its chords at cruise speed. The QP's variables are the junctions'
+derivatives 0..continuity_order on each axis and each segment's middle
+control points (Richter, Bry & Roy, ISRR 2013). A segment's control
 points are a fixed map of its junctions and middle points, and neighbouring
 segments share a junction, so continuity holds by construction. Waypoints
 and the boundary velocity and acceleration are fixed entries, substituted
@@ -566,15 +567,6 @@ def curvature(v_xy, a_xy):
     return kappa, grad
 
 
-def straight_line_reference(waypoints, cruise_speed: float, t0: float = 0.0):
-    """Degree-1 piecewise trajectory through the waypoints at cruise speed."""
-    waypoints = np.atleast_2d(np.asarray(waypoints, dtype=float))
-    knots = [t0]
-    for a, b in zip(waypoints, waypoints[1:]):
-        knots.append(knots[-1] + float(np.linalg.norm(b - a)) / cruise_speed)
-    return PiecewiseTrajectory(np.stack([waypoints[:-1], waypoints[1:]], axis=1), knots)
-
-
 @functools.lru_cache(maxsize=None)
 def _curvature_basis(n: int, n_samples: int):
     """Sample parameters and unscaled velocity/acceleration rows, read-only.
@@ -593,20 +585,25 @@ def _curvature_basis(n: int, n_samples: int):
     return u, w_v, w_a
 
 
-def _linearization(prev_traj: PiecewiseTrajectory, config: PlannerConfig, durations, t0: float):
+def _linearization(prev_traj: PiecewiseTrajectory | None, chords, config: PlannerConfig,
+                   durations, t0: float):
     """Where the curvature rows linearize: the gradient (M, K, 4) of the
     curvature wrt (vx, vy, ax, ay), and kbar - grad.(vx, vy, ax, ay), (M*K,),
-    at each segment's samples.
-
-    The points come from prev_traj evaluated at the matching absolute times
-    (clamped to its domain), all in one batch.
+    at each segment's samples: prev_traj at the matching absolute times
+    (clamped to its domain), all in one batch, or with no prev_traj (a cold
+    plan) each unit chord at cruise speed with no acceleration, whatever t0.
+    A cold row then bounds the planar acceleration normal to its chord by
+    kappa times the chord's planar speed squared.
     """
     M, K = durations.size, config.n_curv_samples
-    u = _curvature_basis(config.degree, K)[0]
-    seg_start = np.cumsum(np.concatenate([[t0], durations]))[:-1]
-    t_abs = seg_start[:, None] + u * durations[:, None]
-    t_prev = np.minimum(np.maximum(t_abs, prev_traj.t_start), prev_traj.t_end)
-    vel, acc = prev_traj.velocity_acceleration(t_prev.ravel())
+    if prev_traj is None:
+        vel, acc = np.repeat(chords * config.cruise_speed, K, axis=0), np.zeros((M * K, 3))
+    else:
+        u = _curvature_basis(config.degree, K)[0]
+        seg_start = np.cumsum(np.concatenate([[t0], durations]))[:-1]
+        t_abs = seg_start[:, None] + u * durations[:, None]
+        t_prev = np.minimum(np.maximum(t_abs, prev_traj.t_start), prev_traj.t_end)
+        vel, acc = prev_traj.velocity_acceleration(t_prev.ravel())
     kbar, grad = curvature(vel[:, :2], acc[:, :2])
     # kbar - grad.(vx, vy, ax, ay), the products summed left to right.
     va = np.concatenate([vel[:, :2], acc[:, :2]], axis=1)
@@ -623,20 +620,16 @@ def _curvature_rows(grad, W_v, W_a) -> np.ndarray:
 
 def build_curvature_constraints(prev_traj: PiecewiseTrajectory, config: PlannerConfig,
                                 durations, t0: float = 0.0):
-    """Taylor-linearized curvature rows at collocation times per segment.
-
-    Linearization points come from the previous trajectory evaluated at the
-    matching absolute times (clamped to its domain), all in one batch.
-    Returns weight blocks (R, 3, n+1) over control points, the segment of
-    each and the bounds.
-    """
-    n = config.degree
+    """Taylor-linearized curvature rows at collocation times per segment,
+    about prev_traj as a replan's are (`_linearization`). Returns weight
+    blocks (R, 3, n+1) over control points, the segment of each and the
+    bounds."""
+    n, K = config.degree, config.n_curv_samples
     durations = np.asarray(durations, dtype=float)
     M = durations.size
-    K = config.n_curv_samples
     if not _curved(config):
         return np.zeros((0, 3, n + 1)), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
-    grad, c0 = _linearization(prev_traj, config, durations, t0)
+    grad, c0 = _linearization(prev_traj, None, config, durations, t0)
     _, w_v, w_a = _curvature_basis(n, K)
     W = np.zeros((M * K, 3, n + 1))
     W[:, :2] = _curvature_rows(grad, derivative_scale(n, 1, durations)[:, None, None] * w_v,
@@ -653,7 +646,9 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     the free junction derivatives and middle control points; `coordinates`
     turns them into control points. The problem is posed relative to the
     first waypoint, which makes the planner exactly translation-equivariant
-    regardless of solver tolerances.
+    regardless of solver tolerances. Its curvature rows linearize about
+    prev_traj from t0 or, with none, about the chords (`_linearization`),
+    so a cold plan's QP does not depend on t0.
 
     Every block is the shape's unit-duration block with its rows and
     columns scaled by powers of the segment durations, so no T(d), W @ T
@@ -676,9 +671,7 @@ def assemble(wps: WaypointSequence, config: PlannerConfig,
     families = [[(W, fixed[:, shape.axis]), (chord * chords[:, None, :, None], fixed[:, None])]]
     lo, hi = _limits(config, shape.bound_of)
     if _curved(config):
-        if prev_traj is None:
-            prev_traj = straight_line_reference(wps.waypoints, config.cruise_speed, t0)
-        grad, c0 = _linearization(prev_traj, config, durations, t0)
+        grad, c0 = _linearization(prev_traj, chords, config, durations, t0)
         va = shape.curv * (down[:, 1:3, None, None] * col[:, None, None, :])
         families.append([(_curvature_rows(grad, va[:, 0], va[:, 1]), fixed[:, None, :2])])
         lo = np.concatenate([lo, config.kappa_min - c0])

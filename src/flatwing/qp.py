@@ -11,12 +11,17 @@ non-finite data when it is built. The KKT system is factored up front and
 refactored only when the penalty rebalances, so iterations stay cheap,
 which suits repeated solves at a fixed rate with warm starting.
 
+`solved` certifies a KKT point of the unscaled problem within
+eps_abs + eps_rel * scale, so of a convex QP its optimum. An ADMM iterate
+passes when its dual residual and its distance |Ax - z| from ADMM's
+consensus z meet it (OSQP's test, Stellato et al. 2020, section 3.4): y
+lies in the box's normal cone at z, so this bounds complementarity too.
 Polish is tried at a residual check whose iterate has converged or whose
 active set, read off the duals, held since the previous check: one KKT
-solve on that set. Its answer ends the solve only if it meets the ADMM
-tolerance test and every active multiplier has its bound's sign, so a
-polished answer is the optimum; otherwise a converged iterate is returned
-as it is and an unconverged one iterates on.
+solve on that set. Its answer ends the solve if it meets the test, with
+|Ax - clip(Ax)| as its primal residual, and every active multiplier has
+its bound's sign; otherwise a converged iterate is returned as it is and
+an unconverged one iterates on.
 
 With polish on, every solve first tries an active-set hot start: a guess
 at the active set is polished on the new problem before equilibration,
@@ -504,8 +509,8 @@ def _require_convex(Q) -> None:
 
 
 def _polish_is_optimal(s: QpSettings, active, y, prim, dual, p_scale, d_scale) -> bool:
-    """Acceptance test for a polished point: ADMM's own tolerance test,
-    evaluated there, and every active multiplier's sign matching its bound
+    """Acceptance test for a polished point: its residuals within the
+    tolerances, and every active multiplier's sign matching its bound
     (a wrong active set can meet the residual tests with a wrong sign)."""
     _, low, upp = active
     return (prim <= s.eps_abs + s.eps_rel * p_scale
@@ -519,9 +524,9 @@ def solve_qp(prob: QpProblem, settings: QpSettings | None = None,
 
     With polish on, every solve first hot-starts: an active set is polished
     before any ADMM work, the warm start's (which must have this problem's
-    sizes) or, with none, the equality rows alone. Every answer is accepted
-    by one residual and sign test, with the residuals that test computed
-    for it, so they equal `kkt_residuals` at the answer.
+    sizes) or, with none, the equality rows alone. Every answer reports the
+    residuals that `kkt_residuals` gives at it; the module docstring says
+    what `solved` certifies.
     """
     s = settings or QpSettings()
     t_begin = time.perf_counter()
@@ -602,9 +607,11 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
         if it % s.check_every == 0 or it == s.max_iter:
             # The unscaled iterate, its residuals and the scales that the
             # tolerances and the penalty balance measure them against.
-            x_u, y_u = D * x, (E / c) * y
-            prim, dual, p_scale, d_scale, _ = _residuals(prob, x_u, y_u)
-            converged = (prim <= s.eps_abs + s.eps_rel * p_scale
+            x_u, y_u, z_u = D * x, (E / c) * y, z / E
+            prim, dual, p_scale, d_scale, ax = _residuals(prob, x_u, y_u)
+            # Ax against z, not clip(Ax), or a slack row may keep a multiplier.
+            gap, z_scale = _inf_norm(ax - z_u), max(p_scale, _inf_norm(z_u))
+            converged = (gap <= s.eps_abs + s.eps_rel * z_scale
                          and dual <= s.eps_abs + s.eps_rel * d_scale)
             if s.polish:
                 # One KKT solve on the active set gives the optimum that
@@ -636,7 +643,7 @@ def _solve(prob: QpProblem, s: QpSettings, warm_start, t_begin) -> QpSolution:
                 # Rebalance the penalty when the primal and dual residuals
                 # drift apart (relative to their natural scales); the KKT
                 # matrix is refactored on each accepted update.
-                p_rel = prim / max(p_scale, 1e-12)
+                p_rel = gap / max(z_scale, 1e-12)
                 d_rel = dual / max(d_scale, 1e-12)
                 ratio = np.sqrt(max(p_rel, 1e-16) / max(d_rel, 1e-16))
                 if ratio > _ADAPTIVE_RHO_TOLERANCE or ratio < 1.0 / _ADAPTIVE_RHO_TOLERANCE:

@@ -533,6 +533,20 @@ def test_bundled_survey_tangents_pass_the_boundary_check():
         assert res.status == "solved"
 
 
+def test_a_legs_first_qp_does_not_depend_on_its_start_time():
+    # A leg's first plan linearizes its curvature rows about its chords,
+    # which no start time enters, so the executive (which plans a leg when
+    # it reaches the exit tangent) and `flatwing plan` (from t0 = 0) solve
+    # the same QP, bit for bit.
+    plan = ms.parse_mission(SURVEY.read_text())
+    for i in range(len(plan.legs)):
+        first, *rest = (ms.plan_leg(plan, i, t0)[2].problem for t0 in (0.0, 37.3, 1234.567))
+        for prob in rest:
+            for name in ("Q", "q", "A", "l", "u"):
+                got, want = getattr(prob, name), getattr(first, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (i, name)
+
+
 def test_mission_aborts_before_the_first_tick_on_a_waypoint_inside_loiter_0():
     text = ("version 1\ncruise_speed 14\nloiter 0 0 50 45 ccw 0\nwaypoint 10 5 50\n"
             "loiter 300 0 50 45 ccw 0\n")

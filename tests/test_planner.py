@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from flatwing import planner as pl
 from flatwing import qp
+from flatwing.bernstein import PiecewiseTrajectory
 from flatwing.flatness import FlatnessSingularityError
 
 CRUISE = 14.0
@@ -162,8 +163,6 @@ def test_cost_equals_integrated_squared_jerk():
     cps = rng.normal(size=(3, n + 1)) * 10.0
     (G,) = pl.build_cost(cfg, [dur])
     quad_form = sum(p @ G @ p for p in cps)
-
-    from flatwing.bernstein import PiecewiseTrajectory
 
     traj = PiecewiseTrajectory([cps.T], [0.0, dur])
     nodes, weights = np.polynomial.legendre.leggauss(2 * n)
@@ -333,19 +332,9 @@ def test_curvature_rejects_low_speed():
         pl.curvature([0.1, 0.0], [0.0, 1.0])
 
 
-def test_straight_line_reference_geometry():
-    traj = pl.straight_line_reference([[0, 0, 0], [70, 0, 0], [70, 70, 0]], CRUISE, t0=2.0)
-    assert traj.t_start == 2.0
-    assert traj.t_end == pytest.approx(12.0)
-    p, v, a, _ = traj.eval(4.5)
-    assert np.allclose(p, [35.0, 0.0, 0.0])
-    assert np.allclose(v, [14.0, 0.0, 0.0])
-    assert np.allclose(a, 0.0)
-
-
 def test_curvature_rows_one_per_sample():
     cfg = pl.PlannerConfig(n_curv_samples=8)
-    prev = pl.straight_line_reference([[0, 0, 0], [140, 0, 0]], CRUISE)
+    prev = PiecewiseTrajectory([[[0, 0, 0], [140, 0, 0]]], [0.0, 140.0 / CRUISE])
     W, seg, lo, hi = pl.build_curvature_constraints(prev, cfg, [10.0])
     assert W.shape[0] == seg.size == 8
     assert np.all(lo < hi)
@@ -404,7 +393,8 @@ def test_batched_curvature_rows_match_scalar_reference():
 
 
 def test_batched_curvature_rows_reject_a_slow_reference():
-    slow = pl.straight_line_reference([[0, 0, 0], [10, 0, 0], [10, 1, 0]], 0.2)
+    slow = PiecewiseTrajectory([[[0, 0, 0], [10, 0, 0]], [[10, 0, 0], [10, 1, 0]]],
+                               [0.0, 50.0, 55.0])  # 0.2 m/s
     with pytest.raises(FlatnessSingularityError, match="planar speed 0.200 m/s"):
         pl.build_curvature_constraints(slow, pl.PlannerConfig(), [20.0])
 
@@ -480,8 +470,6 @@ def test_plan_satisfies_boundary_and_waypoints():
 
 
 def test_plan_junctions_are_smooth():
-    from flatwing.bernstein import PiecewiseTrajectory
-
     s = seq([[0, 0, 0], [60, 20, 0], [120, 40, 0]])
     res = pl.plan(s, pl.PlannerConfig())
     (t0, t_j, t1), (first, second) = res.trajectory.knots, res.trajectory.control_points
@@ -666,7 +654,7 @@ def test_replan_rejects_a_reference_too_slow_to_linearize():
     # Linearizing the curvature rows about a 0.5 m/s reference raises
     # FlatnessSingularityError inside plan; replan returns it as a rejection.
     s = seq([[0, 0, 0], [140, 0, 0]])
-    slow = pl.straight_line_reference(s.waypoints, 0.5)
+    slow = PiecewiseTrajectory([s.waypoints], [0.0, 280.0])  # 0.5 m/s
     re = pl.replan(slow, 2.0, 0.5, [[140.0, 0.0, 0.0]], pl.PlannerConfig(), s.boundary_end)
     assert re.status == "rejected: planar speed 0.500 m/s below 1.0 m/s"
     assert not re.ok
@@ -797,6 +785,21 @@ def test_warm_cache_assembles_bit_for_bit_like_a_cold_one(M):
             assert np.asarray(val).tobytes() == np.asarray(other).tobytes(), name
 
 
+def test_cold_assemble_builds_no_trajectory(monkeypatch):
+    # A cold plan linearizes its curvature rows about its chords in closed
+    # form: no reference trajectory is made up to be sampled. plan builds
+    # one trajectory, its answer's.
+    built = []
+    monkeypatch.setattr(pl, "PiecewiseTrajectory",
+                        lambda *a: built.append(1) or PiecewiseTrajectory(*a))
+    s, cfg = dogleg(30.0), pl.PlannerConfig()
+    prob, durations, _ = pl.assemble(s, cfg)
+    flat = pl.PlannerConfig(kappa_min=-np.inf, kappa_max=np.inf)
+    assert prob.m == pl.assemble(s, flat)[0].m + durations.size * cfg.n_curv_samples
+    assert built == []
+    assert pl.plan(s, cfg).ok and built == [1]
+
+
 def test_large_plan_is_built_in_csr_equal_to_the_dense_assembly(monkeypatch):
     # Above the size threshold assemble builds Q and A in CSR directly,
     # with the bits `sp.csr_array` stores for the dense assembly: exact
@@ -893,16 +896,19 @@ def assert_close(got, want, terms=None):
     assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * terms)
 
 
-@pytest.mark.parametrize("n, c", [(n, c) for n in range(5, 13) for c in range(2, (n - 1) // 2 + 1)])
-def test_unit_blocks_assemble_like_the_builders_at_the_real_durations(n, c, monkeypatch):
+@pytest.mark.parametrize("n, c, cold", [
+    pytest.param(n, c, cold, id=f"{n}-{c}" + "-cold" * cold)
+    for cold in (False, True) for n in range(5, 13) for c in range(2, (n - 1) // 2 + 1)])
+def test_unit_blocks_assemble_like_the_builders_at_the_real_durations(n, c, cold, monkeypatch):
     # Every block is a cached unit-duration block times powers of the
     # durations; composed from the public builders at the durations
     # themselves, the problem and its coordinates must agree. The rows
     # are laid out from their structural nonzeros only: with generic
     # chords and a curved reference no value handed to `_matrix` for A is
     # an exact zero, dense or CSR, with a bound dropped or no curvature.
-    from flatwing.bernstein import PiecewiseTrajectory
-
+    # A cold plan (no reference) must assemble as the builders do about
+    # the straight line through its waypoints at cruise speed; that line
+    # has no velocity gradient, so its curvature rows hold exact zeros.
     rng = np.random.default_rng(100 * n + c)
     t0 = 3.1
     matrix = pl._matrix
@@ -920,15 +926,19 @@ def test_unit_blocks_assemble_like_the_builders_at_the_real_durations(n, c, monk
         s = pl.WaypointSequence(
             pts, pl.BoundaryState(pts[0], rng.normal(size=3) * 8, rng.normal(size=3)),
             pl.BoundaryState(pts[-1], rng.normal(size=3) * 8, rng.normal(size=3)))
-        ref = reference_assembly(s, cfg, prev, t0)
+        ref_traj = (PiecewiseTrajectory(np.stack([pts[:-1], pts[1:]], axis=1),
+                                        t0 + np.append(0.0, np.cumsum(s.gaps / cfg.cruise_speed)))
+                    if cold else prev)
+        ref = reference_assembly(s, cfg, ref_traj, t0)
         for threshold in (math.inf, -1):  # dense, then CSR
             values = []
             with monkeypatch.context() as mp:
                 mp.setattr(qp, "_SPARSE_ABOVE", threshold)
                 mp.setattr(pl, "_matrix", lambda v, *a: values.append(v) or matrix(v, *a))
-                prob, durations, coords = pl.assemble(s, cfg, prev, t0)
+                prob, durations, coords = pl.assemble(s, cfg, None if cold else prev, t0)
             assert sp.issparse(prob._A) == (threshold < 0)
-            assert np.all(values[1] != 0.0)  # A's, after Q's
+            if not (cold and pl._curved(cfg)):
+                assert np.all(values[1] != 0.0)  # A's, after Q's
             for name, got in (("Q", prob.Q), ("q", prob.q), ("A", prob.A), ("l", prob.l),
                               ("u", prob.u), ("T", coords.T), ("jerk_offset", coords.jerk_offset)):
                 assert_close(got, *ref[name])
